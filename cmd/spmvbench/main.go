@@ -32,7 +32,8 @@
 // value stream breaks its documented error bound or the geomean f32
 // speedup over MB-classified matrices falls below its gate. -json
 // writes the serve, twin, kernels or mixed result as JSON beside the
-// table.
+// table. A -matrix name outside the suite is an error before any
+// experiment runs.
 //
 // Ablations: ablate-delta, ablate-split, ablate-sched,
 // ablate-prefetch, ablate-partitioned-ml.
@@ -44,33 +45,49 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"github.com/sparsekit/spmvtuner/internal/experiments"
 	"github.com/sparsekit/spmvtuner/internal/report"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 func main() {
 	// main exits through run so deferred cleanup (the CPU-profile
 	// flush) always runs before os.Exit.
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "spmvbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("spmvbench", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1, fig3, fig7, table4, table5, platforms, features, reuse, sellcs, spmm, sym, warm, serve, twin, kernels, mixed, ablate-*, all")
-		platform = flag.String("platform", "", "fig7 platform: knc, knl, bdw (default: all three)")
-		scale    = flag.Float64("scale", 1.0, "suite size multiplier (1.0 = reproduction size)")
-		corpus   = flag.Int("corpus", 210, "training corpus size")
-		matrices = flag.String("matrix", "", "comma-separated suite subset")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonPath = flag.String("json", "", "also write the result as JSON to this path (serve, twin, kernels)")
-		profile  = flag.String("cpuprofile", "", "write a CPU profile to this path (the PGO collection hook: a suite run's profile becomes cmd/spmvbench/default.pgo)")
+		exp      = fs.String("exp", "all", "experiment: fig1, fig3, fig7, table4, table5, platforms, features, reuse, sellcs, spmm, sym, warm, serve, twin, kernels, mixed, ablate-*, all")
+		platform = fs.String("platform", "", "fig7 platform: knc, knl, bdw (default: all three)")
+		scale    = fs.Float64("scale", 1.0, "suite size multiplier (1.0 = reproduction size)")
+		corpus   = fs.Int("corpus", 210, "training corpus size")
+		matrices = fs.String("matrix", "", "comma-separated suite subset")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonPath = fs.String("json", "", "also write the result as JSON to this path (serve, twin, kernels)")
+		profile  = fs.String("cpuprofile", "", "write a CPU profile to this path (the PGO collection hook: a suite run's profile becomes cmd/spmvbench/default.pgo)")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits with usage
+
+	cfg := experiments.Config{Scale: *scale, CorpusSize: *corpus}
+	if *matrices != "" {
+		cfg.Matrices = strings.Split(*matrices, ",")
+		// The experiments' suite filters drop unknown names, which
+		// would print an empty table instead of failing.
+		known := suite.Names()
+		for _, n := range cfg.Matrices {
+			if !slices.Contains(known, n) {
+				return fmt.Errorf("unknown -matrix %q; suite matrices: %s", n, strings.Join(known, ", "))
+			}
+		}
+	}
 
 	if *profile != "" {
 		f, err := os.Create(*profile)
@@ -85,11 +102,6 @@ func run() error {
 			pprof.StopCPUProfile()
 			f.Close()
 		}()
-	}
-
-	cfg := experiments.Config{Scale: *scale, CorpusSize: *corpus}
-	if *matrices != "" {
-		cfg.Matrices = strings.Split(*matrices, ",")
 	}
 
 	emit := func(t *report.Table) {
@@ -155,6 +167,12 @@ func run() error {
 				if buf, err = json.MarshalIndent(res, "", "  "); err == nil {
 					err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
 				}
+			}
+			// The throughput gate is wall-clock, so it lives here and
+			// not in the experiment its unit tests call.
+			if err == nil && res.Speedup < 1.0 {
+				err = fmt.Errorf("serve: coalescing is a slowdown: %.2fx (%.0f vs %.0f req/s)",
+					res.Speedup, res.Coalesced.ReqPerSec, res.Sequential.ReqPerSec)
 			}
 		}
 	case "kernels":

@@ -23,7 +23,10 @@ type Optim struct {
 	// native execution).
 	Vectorize bool
 	// Prefetch enables software prefetching of x[colind[j+d]] into L1
-	// (the ML-class optimization).
+	// (the ML-class optimization). On the native engine the knob is
+	// inert once Vectorize is set: the gather body is the latency
+	// remedy, and vectorize plans run it whatever Prefetch says. The
+	// simulator still prices it for the paper's platforms.
 	Prefetch bool
 	// Unroll enables inner-loop unrolling (the CMP-class
 	// optimization's scalar half).

@@ -58,8 +58,10 @@ const serveDefaultMatrix = "FEM_3D_thermal2"
 // one (MaxBatch 8, concurrent requests share one matrix stream via
 // blocked SpMM). Both servers run over one shared native pipeline with
 // a plan store, and every returned vector is checked against the
-// serial reference — a slowdown or a wrong answer is an error, which
-// lets CI run this experiment as the serving smoke.
+// serial reference — a wrong answer is an error. Whether coalescing is
+// a slowdown is a wall-clock verdict, so Serve leaves it to its caller:
+// `spmvbench -exp serve` fails on it, which lets CI run this
+// experiment as the serving smoke while unit tests stay deterministic.
 func Serve(cfg Config) (*ServeResult, error) {
 	c := cfg.withDefaults()
 	name := serveDefaultMatrix
@@ -114,10 +116,6 @@ func Serve(cfg Config) (*ServeResult, error) {
 	}
 	if res.MaxDiff > 1e-12 {
 		return nil, fmt.Errorf("serve: served vectors deviate from the serial reference by %g (tol 1e-12)", res.MaxDiff)
-	}
-	if res.Speedup < 1.0 {
-		return nil, fmt.Errorf("serve: coalescing is a slowdown: %.2fx (%.0f vs %.0f req/s)",
-			res.Speedup, res.Coalesced.ReqPerSec, res.Sequential.ReqPerSec)
 	}
 	return res, nil
 }

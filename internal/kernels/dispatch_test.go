@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -72,9 +73,21 @@ func raggedMatrix(n, maxLen int) *matrix.CSR {
 }
 
 // TestDispatchCSRVec8Differential verifies the dispatched CSR vector
-// kernel against its pure-Go oracle over uneven row ranges.
+// kernel against its pure-Go oracle over uneven row ranges. Every
+// vectorize plan runs that one body under one name, whatever its
+// prefetch and unroll knobs say: vectorization subsumes both.
 func TestDispatchCSRVec8Differential(t *testing.T) {
 	k := Variant(true, false, false)
+	for _, pf := range []bool{false, true} {
+		for _, un := range []bool{false, true} {
+			if reflect.ValueOf(Variant(true, pf, un)).Pointer() != reflect.ValueOf(k).Pointer() {
+				t.Fatalf("Variant(true, %v, %v) is not the dispatched vector body", pf, un)
+			}
+			if got, want := VariantName(true, pf, un), VariantName(true, false, false); got != want {
+				t.Fatalf("VariantName(true, %v, %v) = %q, want %q", pf, un, got, want)
+			}
+		}
+	}
 	for name, m := range dispatchMatrices() {
 		t.Run(name, func(t *testing.T) {
 			x := vec(m.NCols, 7)

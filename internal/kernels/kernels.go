@@ -1,21 +1,23 @@
 // Package kernels provides the native SpMV kernels corresponding to
 // the simulator's configurations: the scalar CSR baseline (Fig 2),
-// unrolled multi-accumulator variants, a software-prefetch variant
-// using look-ahead touch loads (S4), DeltaCSR kernels, the two-phase
-// SplitCSR kernel (Fig 6), and the two modified bound kernels of
-// Section III-B. All kernels operate on row ranges so the parallel
-// executor can drive them under any schedule.
+// unrolled multi-accumulator variants, a scalar software-prefetch
+// variant using look-ahead touch loads (S4), DeltaCSR kernels, the
+// two-phase SplitCSR kernel (Fig 6), and the two modified bound
+// kernels of Section III-B. All kernels operate on row ranges so the
+// parallel executor can drive them under any schedule.
 //
 // The hottest inner loops — the CSR vector kernel, the SELL-C-σ C=8
 // chunk kernel, and the register-blocked SpMM k=4/8 bodies — also
 // exist as real SIMD assembly (asm_amd64.s: AVX2+FMA and AVX-512F
 // tiers) behind runtime dispatch (dispatch_amd64.go); Variant,
 // SellCSVariant and CSRBlockRange hand out the widest body the host
-// executes, and VariantName/ISA record which one won. The pure-Go
-// forms below are kept verbatim: they are the differential-test
-// oracle every assembly body is verified against (dispatch_test.go),
-// and the only bodies built under `-tags noasm` or on non-amd64
-// hosts. See docs/guide/simd.md.
+// executes, and VariantName/ISA record which one won. Vectorization
+// subsumes both unrolling and software prefetch: every vectorized CSR
+// plan runs the one dispatched vector body. The pure-Go forms below
+// are kept verbatim: they are the differential-test oracle every
+// assembly body is verified against (dispatch_test.go), and the only
+// bodies built under `-tags noasm` or on non-amd64 hosts. See
+// docs/guide/simd.md.
 package kernels
 
 import (
@@ -189,37 +191,6 @@ func SplitPhase2Partial(s *formats.SplitCSR, x []float64, slot []float64, t, nt 
 	}
 }
 
-// CSRVector8PrefetchRange combines the vectorized kernel with
-// look-ahead touch loads — the joint ML+{MB,CMP} configuration.
-//
-//spmv:hotpath
-func CSRVector8PrefetchRange(m *matrix.CSR, x, y []float64, lo, hi int) {
-	var sink float64
-	nnz := int64(len(m.ColInd))
-	for i := lo; i < hi; i++ {
-		jlo, jhi := m.RowPtr[i], m.RowPtr[i+1]
-		var s0, s1, s2, s3 float64
-		j := jlo
-		for ; j+8 <= jhi; j += 8 {
-			if p := j + 2*PrefetchDistance; p < nnz {
-				sink += x[m.ColInd[p]]
-			}
-			s0 += m.Val[j]*x[m.ColInd[j]] + m.Val[j+1]*x[m.ColInd[j+1]]
-			s1 += m.Val[j+2]*x[m.ColInd[j+2]] + m.Val[j+3]*x[m.ColInd[j+3]]
-			s2 += m.Val[j+4]*x[m.ColInd[j+4]] + m.Val[j+5]*x[m.ColInd[j+5]]
-			s3 += m.Val[j+6]*x[m.ColInd[j+6]] + m.Val[j+7]*x[m.ColInd[j+7]]
-		}
-		var tail float64
-		for ; j < jhi; j++ {
-			tail += m.Val[j] * x[m.ColInd[j]]
-		}
-		y[i] = (s0 + s1) + (s2 + s3) + tail
-	}
-	if sink == 0x1p-1000 {
-		y[lo] += sink
-	}
-}
-
 // SellCSRange computes the rows of SELL-C-σ chunks [lo, hi), writing
 // each real row's dot product to y[original row] through the chunk's
 // permutation. Chunks own disjoint rows, so disjoint chunk ranges run
@@ -307,11 +278,10 @@ func SellCSVariant(s *formats.SellCS, vectorize bool) (func(s *formats.SellCS, x
 // VariantName names the kernel Variant selects for the same flags, for
 // diagnostics, prepared-kernel introspection and plan provenance.
 // Names of dispatched assembly bodies carry the ISA suffix ("-avx2",
-// "-avx512"); pure-Go bodies are unsuffixed.
+// "-avx512"); pure-Go bodies are unsuffixed. The prefetch flag only
+// names a kernel without vectorize ("csr-prefetch").
 func VariantName(vectorize, prefetch, unroll bool) string {
 	switch {
-	case vectorize && prefetch:
-		return "csr-vec8-prefetch"
 	case vectorize:
 		if _, isa := dispatchCSRVec8(); isa != "" {
 			return "csr-vec8-" + isa
@@ -328,16 +298,13 @@ func VariantName(vectorize, prefetch, unroll bool) string {
 
 // Variant selects a range kernel by optimization flags (compression
 // and splitting are handled by the executor, which owns the converted
-// formats). Vectorization subsumes unrolling: the vector kernel is the
-// unrolled form. The plain vectorize case dispatches to the widest
-// assembly body the host executes; the vectorize+prefetch combination
-// stays pure Go — the gather body issues its x loads up front, which
-// is the latency remedy the touch-load variant emulates, so fusing a
-// software prefetch into it would only duplicate traffic.
+// formats). Vectorization subsumes unrolling and prefetch: every
+// vectorize plan dispatches to the widest assembly body the host
+// executes (CSRVector8Range without one). The gather body issues a
+// whole vector of x loads at once, which is the latency remedy the
+// touch loads emulate (docs/guide/simd.md has the measurements).
 func Variant(vectorize, prefetch, unroll bool) RangeKernel {
 	switch {
-	case vectorize && prefetch:
-		return CSRVector8PrefetchRange
 	case vectorize:
 		if k, _ := dispatchCSRVec8(); k != nil {
 			return k

@@ -61,12 +61,14 @@ func emptyRowMatrix() *matrix.CSR {
 }
 
 func TestComputeKernelsMatchReference(t *testing.T) {
+	// vec8prefetch is the body vectorize+prefetch plans run: the
+	// dispatched vector kernel.
 	kernelsUnderTest := map[string]RangeKernel{
 		"csr":          CSRRange,
 		"unrolled4":    CSRUnrolled4Range,
 		"vector8":      CSRVector8Range,
 		"prefetch":     CSRPrefetchRange,
-		"vec8prefetch": CSRVector8PrefetchRange,
+		"vec8prefetch": Variant(true, true, false),
 	}
 	for mname, m := range testMatrices() {
 		for kname, k := range kernelsUnderTest {
@@ -286,7 +288,7 @@ func TestKernelsAgreeQuick(t *testing.T) {
 		x := vec(m.NCols, seed)
 		want := make([]float64, m.NRows)
 		m.MulVec(x, want)
-		for _, k := range []RangeKernel{CSRUnrolled4Range, CSRVector8Range, CSRPrefetchRange, CSRVector8PrefetchRange} {
+		for _, k := range []RangeKernel{CSRUnrolled4Range, CSRVector8Range, CSRPrefetchRange} {
 			got := make([]float64, m.NRows)
 			k(m, x, got, 0, m.NRows)
 			for i := range want {
@@ -315,8 +317,9 @@ func TestVariantNameMatchesVariant(t *testing.T) {
 			}
 		}
 	}
-	// Five distinct kernels exist (vectorize subsumes unroll).
-	if len(seen) != 5 {
-		t.Fatalf("got %d distinct kernel names, want 5: %v", len(seen), seen)
+	// Four distinct kernels exist (vectorize subsumes unroll and
+	// prefetch).
+	if len(seen) != 4 {
+		t.Fatalf("got %d distinct kernel names, want 4: %v", len(seen), seen)
 	}
 }

@@ -309,11 +309,16 @@ func TestPreparedIntrospection(t *testing.T) {
 	if !p.Opt().Vectorize || !p.Opt().Prefetch {
 		t.Fatalf("opt = %v", p.Opt())
 	}
-	if p.Kernel() != "csr-vec8-prefetch" {
+	// Vectorization subsumes prefetch: the plan runs the dispatched
+	// vector body ("csr-vec8-avx512" etc., "csr-vec8" without asm).
+	if !strings.HasPrefix(p.Kernel(), "csr-vec8") || strings.Contains(p.Kernel(), "prefetch") {
 		t.Fatalf("kernel = %q", p.Kernel())
 	}
 	if s := e.Prepare(m, ex.Optim{Split: true}).(*Prepared); s.Kernel() != "split+csr" {
 		t.Fatalf("split kernel = %q", s.Kernel())
+	}
+	if s := e.Prepare(m, ex.Optim{Split: true, Vectorize: true, Prefetch: true}).(*Prepared); s.Kernel() != "split+"+p.Kernel() {
+		t.Fatalf("split+vec+prefetch kernel = %q, want split+%s", s.Kernel(), p.Kernel())
 	}
 	// The vectorized C=8 kernel name carries the dispatched ISA suffix
 	// ("sellcs-c8-avx512" etc.) when assembly is in play.

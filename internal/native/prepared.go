@@ -84,7 +84,7 @@ func (p *Prepared) MemBytes() int64 { return p.matrixBytes }
 func (p *Prepared) Threads() int { return p.nt }
 
 // Kernel names the compiled inner kernel, e.g. "delta" or
-// "csr-vec8-prefetch".
+// "split+csr-vec8-avx512".
 func (p *Prepared) Kernel() string { return p.kernelName }
 
 // MulVec computes y = A*x. Safe for concurrent use; allocation-free in
