@@ -356,25 +356,41 @@ func TestPreparedCacheBounded(t *testing.T) {
 	}
 }
 
-// TestFormatCachesBounded: streaming distinct matrices through the
-// converted-format paths must not retain conversions without bound.
+// TestFormatCachesBounded: streaming distinct matrices through every
+// converted-format path must not retain conversions without bound, and
+// each (format, precision) kind keeps its full capacity — one kind's
+// traffic must not evict another kind's conversions.
 func TestFormatCachesBounded(t *testing.T) {
 	e := New()
 	defer e.Close()
+	f32, s64 := ex.PrecF32, ex.PrecSplit
+	streams := []ex.Optim{
+		{Compress: true}, {Split: true}, {SellCS: true}, {Symmetric: true},
+		{Precision: f32}, {Precision: s64},
+		{SellCS: true, Precision: f32}, {SellCS: true, Precision: s64},
+		{Symmetric: true, Precision: f32}, {Symmetric: true, Precision: s64},
+	}
 	x := make([]float64, 20)
 	y := make([]float64, 20)
 	for i := 0; i < maxFormatCacheEntries+10; i++ {
-		m := gen.Banded(20, 2, 1.0, int64(i))
-		e.MulVec(m, ex.Optim{SellCS: true}, x, y)
-		e.MulVec(m, ex.Optim{Compress: true}, x, y)
-		e.MulVec(m, ex.Optim{Split: true}, x, y)
+		for j, o := range streams {
+			seed := int64(i*len(streams) + j)
+			m := gen.Banded(20, 2, 1.0, seed)
+			if o.Symmetric {
+				m = symMatrix(20, seed)
+			}
+			e.MulVec(m, o, x, y)
+		}
 	}
 	e.mu.Lock()
-	ns, nd, np := len(e.sells), len(e.deltas), len(e.splits)
-	e.mu.Unlock()
-	for name, n := range map[string]int{"sells": ns, "deltas": nd, "splits": np} {
-		if n > maxFormatCacheEntries {
-			t.Fatalf("%s cache holds %d conversions, cap %d", name, n, maxFormatCacheEntries)
+	defer e.mu.Unlock()
+	if len(e.conversions) != len(streams) {
+		t.Fatalf("memo holds %d conversion kinds, want %d", len(e.conversions), len(streams))
+	}
+	for _, o := range streams {
+		kind := conversionKind{o.EffectiveFormat(), o.EffectivePrecision()}
+		if n := len(e.conversions[kind]); n != maxFormatCacheEntries {
+			t.Errorf("%v cache holds %d conversions, want the cap %d", kind, n, maxFormatCacheEntries)
 		}
 	}
 }

@@ -35,15 +35,9 @@ type Executor struct {
 	// Close parks it permanently.
 	workers *Pool
 
-	mu        sync.Mutex
-	deltas    map[*matrix.CSR]*formats.DeltaCSR // guarded by mu
-	splits    map[*matrix.CSR]*formats.SplitCSR // guarded by mu
-	sells     map[*matrix.CSR]*formats.SellCS   // guarded by mu
-	ssses     map[*matrix.CSR]*formats.SSS      // guarded by mu
-	precCSRs  map[precKey]*formats.PrecCSR      // guarded by mu
-	precSells map[precKey]*formats.PrecSellCS   // guarded by mu
-	precSSSes map[precKey]*formats.PrecSSS      // guarded by mu
-	prepared  map[preparedKey]*Prepared         // guarded by mu
+	mu          sync.Mutex
+	conversions map[conversionKind]map[*matrix.CSR]any // guarded by mu; see memoized
+	prepared    map[preparedKey]*Prepared              // guarded by mu
 
 	probeOnce sync.Once
 	usable    int // threads that actually speed up memory streaming
@@ -62,11 +56,12 @@ type preparedKey struct {
 	o ex.Optim
 }
 
-// precKey identifies one precision-reduced conversion: the same
-// matrix reduces differently under the f32 and split per-entry bounds.
-type precKey struct {
-	m *matrix.CSR
-	p ex.Precision
+// conversionKind identifies one kind of memoized format conversion:
+// a storage format at a value precision (the same matrix reduces
+// differently under the f32 and split per-entry bounds).
+type conversionKind struct {
+	f    ex.Format
+	prec ex.Precision
 }
 
 // precBound maps a reduced precision to its per-entry storage bound.
@@ -103,16 +98,10 @@ func hostModel() machine.Model {
 // regress hyperthreaded hosts).
 func NewWithModel(m machine.Model) *Executor {
 	e := &Executor{
-		model:     m,
-		Iters:     3,
-		deltas:    make(map[*matrix.CSR]*formats.DeltaCSR),
-		splits:    make(map[*matrix.CSR]*formats.SplitCSR),
-		sells:     make(map[*matrix.CSR]*formats.SellCS),
-		ssses:     make(map[*matrix.CSR]*formats.SSS),
-		precCSRs:  make(map[precKey]*formats.PrecCSR),
-		precSells: make(map[precKey]*formats.PrecSellCS),
-		precSSSes: make(map[precKey]*formats.PrecSSS),
-		prepared:  make(map[preparedKey]*Prepared),
+		model:       m,
+		Iters:       3,
+		conversions: make(map[conversionKind]map[*matrix.CSR]any),
+		prepared:    make(map[preparedKey]*Prepared),
 	}
 	e.workers = NewPool(e.model.Threads())
 	// The pool's goroutines reference only the pool, so an unreachable
@@ -140,7 +129,8 @@ func (e *Executor) Machine() machine.Model { return e.model }
 
 // Release implements exec.Releaser: it drops every cached resource the
 // executor holds for m — the memoized format conversions (DeltaCSR,
-// SplitCSR, SELL-C-σ, SSS) and all prepared kernels compiled for m —
+// SplitCSR, SELL-C-σ, SSS, and the precision-reduced CSR, SELL-C-σ and
+// SSS forms) and all prepared kernels compiled for m —
 // so the memory is reclaimable once the caller drops its own
 // references. Kernels already handed out keep working (they own their
 // structures); the next Prepare of m rebuilds. This is the per-entry
@@ -149,14 +139,8 @@ func (e *Executor) Machine() machine.Model { return e.model }
 func (e *Executor) Release(m *matrix.CSR) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.deltas, m)
-	delete(e.splits, m)
-	delete(e.sells, m)
-	delete(e.ssses, m)
-	for p := ex.PrecF32; p <= ex.PrecSplit; p++ {
-		delete(e.precCSRs, precKey{m, p})
-		delete(e.precSells, precKey{m, p})
-		delete(e.precSSSes, precKey{m, p})
+	for _, kind := range e.conversions {
+		delete(kind, m)
 	}
 	for k := range e.prepared {
 		if k.m == m {
@@ -205,18 +189,17 @@ func (e *Executor) defaultThreads(m *matrix.CSR) int {
 	return nt
 }
 
-// maxFormatCacheEntries bounds each converted-format memo (DeltaCSR,
-// SplitCSR, SellCS) the same way maxPreparedKernels bounds the kernel
-// cache: a stream of distinct matrices must not retain converted
-// structures — which can exceed the source matrix in size — without
-// bound. Evicted conversions stay usable by whoever holds them.
+// maxFormatCacheEntries bounds each conversion kind of the memo the
+// same way maxPreparedKernels bounds the kernel cache: a stream of
+// distinct matrices must not retain converted structures — which can
+// exceed the source matrix in size — without bound. Evicted
+// conversions stay usable by whoever holds them.
 const maxFormatCacheEntries = maxPreparedKernels
 
-// cacheFormat inserts v into the memo map under the entry cap,
-// evicting an arbitrary entry when full (map order is effectively
-// random).
-func cacheFormat[K comparable, V any](cache map[K]V, key K, v V) {
-	if len(cache) >= maxFormatCacheEntries {
+// putBounded inserts v into cache, first evicting an arbitrary entry
+// (map order is effectively random) when the cache holds limit.
+func putBounded[K comparable, V any](cache map[K]V, key K, v V, limit int) {
+	if len(cache) >= limit {
 		for k := range cache {
 			delete(cache, k)
 			break
@@ -225,28 +208,24 @@ func cacheFormat[K comparable, V any](cache map[K]V, key K, v V) {
 	cache[key] = v
 }
 
-// deltaOf memoizes the DeltaCSR conversion.
-func (e *Executor) deltaOf(m *matrix.CSR) *formats.DeltaCSR {
+// memoized returns the executor's conversion of m into format f at
+// precision prec, running convert on first use. Each kind holds up to
+// maxFormatCacheEntries matrices on its own, so one kind's traffic
+// never evicts another's conversions.
+func memoized[T any](e *Executor, m *matrix.CSR, f ex.Format, prec ex.Precision, convert func(*matrix.CSR) T) T {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if d, ok := e.deltas[m]; ok {
-		return d
+	kind := e.conversions[conversionKind{f, prec}]
+	if v, ok := kind[m]; ok {
+		return v.(T)
 	}
-	d := formats.Compress(m)
-	cacheFormat(e.deltas, m, d)
-	return d
-}
-
-// splitOf memoizes the SplitCSR conversion.
-func (e *Executor) splitOf(m *matrix.CSR) *formats.SplitCSR {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.splits[m]; ok {
-		return s
+	if kind == nil {
+		kind = make(map[*matrix.CSR]any)
+		e.conversions[conversionKind{f, prec}] = kind
 	}
-	s := formats.SplitAuto(m)
-	cacheFormat(e.splits, m, s)
-	return s
+	v := convert(m)
+	putBounded(kind, m, any(v), maxFormatCacheEntries)
+	return v
 }
 
 // SSSOf returns the executor's memoized symmetric-storage conversion
@@ -254,81 +233,17 @@ func (e *Executor) splitOf(m *matrix.CSR) *formats.SplitCSR {
 // kernels execute, so diagnostics like the sym experiment can read the
 // compressed footprint without converting a second time. m must be
 // symmetric (ConvertSSS verifies).
-func (e *Executor) SSSOf(m *matrix.CSR) *formats.SSS { return e.sssOf(m) }
-
-// sssOf memoizes the SSS conversion.
-func (e *Executor) sssOf(m *matrix.CSR) *formats.SSS {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.ssses[m]; ok {
-		return s
-	}
-	s := formats.ConvertSSS(m)
-	cacheFormat(e.ssses, m, s)
-	return s
+func (e *Executor) SSSOf(m *matrix.CSR) *formats.SSS {
+	return memoized(e, m, ex.FormatSSS, ex.PrecF64, formats.ConvertSSS)
 }
 
-// SellCSOf returns the executor's memoized SELL-C-σ conversion of m
-// (converting on first use) — the exact structure SellCS-prepared
-// kernels execute, so diagnostics like the sellcs experiment can read
-// padding geometry without converting a second time.
-func (e *Executor) SellCSOf(m *matrix.CSR) *formats.SellCS { return e.sellOf(m) }
-
-// sellOf memoizes the SELL-C-σ conversion at the default C/σ.
-func (e *Executor) sellOf(m *matrix.CSR) *formats.SellCS {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.sells[m]; ok {
-		return s
-	}
-	s := formats.ConvertSellCSAuto(m)
-	cacheFormat(e.sells, m, s)
-	return s
-}
-
-// precCSROf memoizes the precision-reduced CSR conversion per
-// (matrix, precision).
-func (e *Executor) precCSROf(m *matrix.CSR, prec ex.Precision) *formats.PrecCSR {
-	key := precKey{m, prec}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p, ok := e.precCSRs[key]; ok {
-		return p
-	}
-	p := formats.ConvertPrecCSR(m, precBound(prec))
-	cacheFormat(e.precCSRs, key, p)
-	return p
-}
-
-// precSellOf memoizes the precision-reduced SELL-C-σ conversion,
-// derived from the memoized f64 conversion so the geometry is shared.
-func (e *Executor) precSellOf(m *matrix.CSR, prec ex.Precision) *formats.PrecSellCS {
-	s := e.sellOf(m)
-	key := precKey{m, prec}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p, ok := e.precSells[key]; ok {
-		return p
-	}
-	p := formats.ConvertPrecSellCS(s, precBound(prec))
-	cacheFormat(e.precSells, key, p)
-	return p
-}
-
-// precSSSOf memoizes the precision-reduced symmetric conversion,
-// derived from the memoized f64 SSS so the lower-triangle structure is
-// shared.
-func (e *Executor) precSSSOf(m *matrix.CSR, prec ex.Precision) *formats.PrecSSS {
-	s := e.sssOf(m)
-	key := precKey{m, prec}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p, ok := e.precSSSes[key]; ok {
-		return p
-	}
-	p := formats.ConvertPrecSSS(s, precBound(prec))
-	cacheFormat(e.precSSSes, key, p)
-	return p
+// SellCSOf returns the executor's memoized SELL-C-σ conversion of m at
+// the default C/σ (converting on first use) — the exact structure
+// SellCS-prepared kernels execute, so diagnostics like the sellcs
+// experiment can read padding geometry without converting a second
+// time.
+func (e *Executor) SellCSOf(m *matrix.CSR) *formats.SellCS {
+	return memoized(e, m, ex.FormatSellCS, ex.PrecF64, formats.ConvertSellCSAuto)
 }
 
 // Run implements exec.Executor: it executes the configuration and
@@ -454,18 +369,10 @@ func (e *Executor) preparedFor(m *matrix.CSR, o ex.Optim) *Prepared {
 		return p
 	}
 	// Compile outside the lock: format conversion can be expensive and
-	// deltaOf/splitOf take e.mu themselves.
+	// the conversion memo takes e.mu itself.
 	p = e.buildPrepared(m, o, nt)
 	e.mu.Lock()
-	if len(e.prepared) >= maxPreparedKernels {
-		// Evict an arbitrary entry (map order is effectively random);
-		// an evicted kernel still works for whoever holds it.
-		for k := range e.prepared {
-			delete(e.prepared, k)
-			break
-		}
-	}
-	e.prepared[key] = p
+	putBounded(e.prepared, key, p, maxPreparedKernels) // an evicted kernel still works for its holders
 	e.mu.Unlock()
 	return p
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
+	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/machine"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
@@ -123,12 +124,12 @@ func TestMulVecRejectsBoundKernels(t *testing.T) {
 func TestFormatsMemoized(t *testing.T) {
 	e := New()
 	m := gen.Banded(500, 3, 1.0, 9)
-	d1, d2 := e.deltaOf(m), e.deltaOf(m)
-	if d1 != d2 {
+	delta := func() *formats.DeltaCSR { return memoized(e, m, ex.FormatDelta, ex.PrecF64, formats.Compress) }
+	if d1, d2 := delta(), delta(); d1 != d2 {
 		t.Fatal("delta conversion not memoized")
 	}
-	s1, s2 := e.splitOf(m), e.splitOf(m)
-	if s1 != s2 {
+	split := func() *formats.SplitCSR { return memoized(e, m, ex.FormatSplit, ex.PrecF64, formats.SplitAuto) }
+	if s1, s2 := split(), split(); s1 != s2 {
 		t.Fatal("split conversion not memoized")
 	}
 }

@@ -254,108 +254,138 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 
 // buildPrepared compiles a configuration into a Prepared kernel bound
 // to the executor's worker pool. It accepts bound kernels (Run measures
-// them); the public Prepare rejects them.
+// them); the public Prepare rejects them. Each format picks its own
+// partition and binds its range kernels through bindRanges, bindSym or
+// bindSplit.
 func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 	p := &Prepared{m: m, opt: o, nt: nt, pool: e.workers, blockW: o.EffectiveBlockWidth(),
 		matrixBytes: m.Bytes()}
-	switch {
-	case o.RegularizeX:
-		p.bindRange(m, kernels.RegularizedRange, "regularized", o.Schedule)
-	case o.UnitStride:
-		p.bindRange(m, kernels.UnitStrideRange, "unit-stride", o.Schedule)
-	default:
-		prec := o.EffectivePrecision()
-		switch o.EffectiveFormat() {
-		case ex.FormatSSS:
-			if prec != ex.PrecF64 {
-				s := e.sssOf(m)
-				ps := e.precSSSOf(m, prec)
-				p.matrixBytes = ps.Bytes()
-				p.bindPrecSSS(ps, s, o)
-				break
-			}
-			s := e.sssOf(m)
-			p.matrixBytes = s.Bytes()
-			p.bindSSS(s, o)
-		case ex.FormatSplit:
-			p.bindSplit(e.splitOf(m), o)
-		case ex.FormatSellCS:
-			if prec != ex.PrecF64 {
-				ps := e.precSellOf(m, prec)
-				p.matrixBytes = ps.Bytes()
-				p.bindPrecSellCS(ps, o)
-				break
-			}
-			s := e.sellOf(m)
-			p.matrixBytes = s.Bytes()
-			p.bindSellCS(s, o)
-		case ex.FormatDelta:
-			d := e.deltaOf(m)
-			p.matrixBytes = d.Bytes()
-			p.bindDelta(d, m, o.Schedule)
-		default:
-			if prec != ex.PrecF64 {
-				pc := e.precCSROf(m, prec)
-				p.matrixBytes = pc.Bytes()
-				p.bindPrecCSR(pc, m, o)
-				break
-			}
-			p.bindRange(m, kernels.Variant(o.Vectorize, o.Prefetch, o.Unroll),
-				kernels.VariantName(o.Vectorize, o.Prefetch, o.Unroll), o.Schedule)
+	prec := o.EffectivePrecision()
+	switch o.EffectiveFormat() {
+	case ex.FormatSSS:
+		s := e.SSSOf(m)
+		parts := sched.Prepare(o.Schedule, s.Lower, nt).Parts
+		if prec == ex.PrecF64 {
+			p.kernelName, p.matrixBytes = "sss", s.Bytes()
+			p.bindSym(s.N, parts, func(slot []float64, lo, hi int) {
+				kernels.SSSRange(s, p.x, p.y, slot, lo, hi)
+			}, func(slot []float64, k, lo, hi int) {
+				kernels.SSSBlockRange(s, p.x, p.y, slot, k, lo, hi)
+			})
+			break
 		}
+		// The reduced form shares the f64 conversion's lower-triangle
+		// structure, so the partition above balances it too; corrections
+		// ride the same scatter slots as stored elements.
+		ps := memoized(e, m, ex.FormatSSS, prec, func(*matrix.CSR) *formats.PrecSSS {
+			return formats.ConvertPrecSSS(s, precBound(prec))
+		})
+		p.kernelName, p.matrixBytes = "prec-sss-"+prec.String(), ps.Bytes()
+		p.bindSym(ps.N, parts, func(slot []float64, lo, hi int) {
+			kernels.PrecSSSRange(ps, p.x, p.y, slot, lo, hi)
+		}, func(slot []float64, k, lo, hi int) {
+			kernels.PrecSSSBlockRange(ps, p.x, p.y, slot, k, lo, hi)
+		})
+	case ex.FormatSplit:
+		p.bindSplit(memoized(e, m, ex.FormatSplit, ex.PrecF64, formats.SplitAuto), o)
+	case ex.FormatSellCS:
+		// Threads own chunks, not rows: statically balanced by padded
+		// element count (the work the kernel streams) from the ChunkPtr
+		// prefix sums, or served from the cursor under dynamic and
+		// guided schedules. Each chunk owns a disjoint set of original
+		// rows, so the permuted scatter into y needs no synchronization.
+		s := e.SellCSOf(m)
+		var parts, chunks []sched.Range
+		if r := sched.Resolve(o.Schedule, m); r == sched.Dynamic || r == sched.Guided {
+			chunks = sched.Chunks(r, s.NChunks(), nt, 0)
+		} else {
+			parts = sched.PartitionPrefix(s.ChunkPtr, s.NChunks(), nt)
+		}
+		if prec == ex.PrecF64 {
+			kern, name := kernels.SellCSVariant(s, o.Vectorize)
+			p.kernelName, p.matrixBytes = name, s.Bytes()
+			p.bindRanges(parts, chunks, func(lo, hi int) { kern(s, p.x, p.y, lo, hi) },
+				func(lo, hi, k int) { kernels.SellCSBlockRange(s, p.x, p.y, k, lo, hi) })
+			break
+		}
+		// The reduced form shares the chunk geometry and folds its
+		// corrections in-row, so chunk ownership is unchanged.
+		ps := memoized(e, m, ex.FormatSellCS, prec, func(*matrix.CSR) *formats.PrecSellCS {
+			return formats.ConvertPrecSellCS(s, precBound(prec))
+		})
+		p.kernelName, p.matrixBytes = "prec-sellcs-"+prec.String(), ps.Bytes()
+		p.bindRanges(parts, chunks, func(lo, hi int) { kernels.PrecSellCSRange(ps, p.x, p.y, lo, hi) },
+			func(lo, hi, k int) { kernels.PrecSellCSBlockRange(ps, p.x, p.y, k, lo, hi) })
+	case ex.FormatDelta:
+		// Static partitions under every schedule: each range starts
+		// at its precomputed overflow offset.
+		d := memoized(e, m, ex.FormatDelta, ex.PrecF64, formats.Compress)
+		offs := d.OverflowOffsets()
+		p.kernelName, p.matrixBytes = "delta", d.Bytes()
+		p.bindRanges(sched.Prepare(o.Schedule, m, nt).Parts, nil,
+			func(lo, hi int) { kernels.DeltaRange(d, p.x, p.y, lo, hi, offs[lo]) },
+			func(lo, hi, k int) { kernels.DeltaBlockRange(d, p.x, p.y, k, lo, hi, offs[lo]) })
+	default:
+		// The reduced CSR aliases m's structure arrays, so m's nnz
+		// weights partition it exactly.
+		sp := sched.Prepare(o.Schedule, m, nt)
+		if prec != ex.PrecF64 {
+			pc := memoized(e, m, ex.FormatCSR, prec, func(m *matrix.CSR) *formats.PrecCSR {
+				return formats.ConvertPrecCSR(m, precBound(prec))
+			})
+			kern, name := kernels.PrecVariant(o.Vectorize)
+			p.kernelName, p.matrixBytes = name+"-"+prec.String(), pc.Bytes()
+			p.bindRanges(sp.Parts, sp.Chunks, func(lo, hi int) { kern(pc, p.x, p.y, lo, hi) },
+				func(lo, hi, k int) { kernels.PrecCSRBlockRange(pc, p.x, p.y, k, lo, hi) })
+			break
+		}
+		// The blocked body always runs the register-blocked CSR SpMM
+		// kernel: the scalar variants (prefetch, unroll, the vector
+		// gather) optimize the one-vector loop, and register blocking
+		// across right-hand sides IS that optimization for blocks. The
+		// bound probes do not compute SpMV and have no blocked form.
+		kern := kernels.Variant(o.Vectorize, o.Prefetch, o.Unroll)
+		p.kernelName = kernels.VariantName(o.Vectorize, o.Prefetch, o.Unroll)
+		block := func(lo, hi, k int) { kernels.CSRBlockRange(m, p.x, p.y, k, lo, hi) }
+		switch {
+		case o.RegularizeX:
+			kern, p.kernelName, block = kernels.RegularizedRange, "regularized", nil
+		case o.UnitStride:
+			kern, p.kernelName, block = kernels.UnitStrideRange, "unit-stride", nil
+		}
+		p.bindRanges(sp.Parts, sp.Chunks, func(lo, hi int) { kern(m, p.x, p.y, lo, hi) }, block)
 	}
 	return p
 }
 
-// bindRange compiles a RangeKernel under the resolved schedule. The
-// blocked body always runs the register-blocked CSR SpMM kernel: the
-// scalar variants (prefetch, unroll, the 8-accumulator vector
-// stand-in) exist to optimize the one-vector loop, and register
-// blocking across right-hand sides IS that optimization for blocks.
-// The bound probe kernels (RegularizeX/UnitStride) do not compute SpMV
-// and have no blocked form; bodyBlock stays nil for them, so batch
-// calls fall back to the per-vector probe and MulMat rejects them.
-func (p *Prepared) bindRange(m *matrix.CSR, k kernels.RangeKernel, name string, policy sched.Policy) {
-	p.kernelName = name
-	blocked := !p.opt.IsBoundKernel()
-	sp := sched.Prepare(policy, m, p.nt)
-	if sp.Chunks != nil {
-		chunks := sp.Chunks
-		p.body = p.wrap(func(t int) {
-			for {
-				idx := int(p.next.Add(1)) - 1
-				if idx >= len(chunks) {
-					break
-				}
-				c := chunks[idx]
-				k(m, p.x, p.y, c.Lo, c.Hi)
+// bindRanges compiles a range kernel over a partition: with chunks nil
+// slot t runs parts[t]; otherwise the slots drain chunks through the
+// shared cursor (the dynamic and guided schedules). block is body's
+// blocked multi-RHS form; a nil block leaves bodyBlock nil, so batch
+// calls fall back to per-vector multiplies and MulMat rejects the
+// kernel.
+func (p *Prepared) bindRanges(parts, chunks []sched.Range, body func(lo, hi int), block func(lo, hi, k int)) {
+	p.body = p.slots(parts, chunks, body)
+	if block != nil {
+		p.bodyBlock = p.slots(parts, chunks, func(lo, hi int) { block(lo, hi, p.bk) })
+	}
+}
+
+// slots builds the slot body that runs run over slot t's share of the
+// partition bindRanges describes.
+func (p *Prepared) slots(parts, chunks []sched.Range, run func(lo, hi int)) func(t int) {
+	if chunks == nil {
+		return p.wrap(func(t int) { run(parts[t].Lo, parts[t].Hi) })
+	}
+	return p.wrap(func(int) {
+		for {
+			idx := int(p.next.Add(1)) - 1
+			if idx >= len(chunks) {
+				return
 			}
-		})
-		if blocked {
-			p.bodyBlock = p.wrap(func(t int) {
-				for {
-					idx := int(p.next.Add(1)) - 1
-					if idx >= len(chunks) {
-						break
-					}
-					c := chunks[idx]
-					kernels.CSRBlockRange(m, p.x, p.y, p.bk, c.Lo, c.Hi)
-				}
-			})
+			run(chunks[idx].Lo, chunks[idx].Hi)
 		}
-		return
-	}
-	parts := sp.Parts
-	p.body = p.wrap(func(t int) {
-		r := parts[t]
-		k(m, p.x, p.y, r.Lo, r.Hi)
 	})
-	if blocked {
-		p.bodyBlock = p.wrap(func(t int) {
-			r := parts[t]
-			kernels.CSRBlockRange(m, p.x, p.y, p.bk, r.Lo, r.Hi)
-		})
-	}
 }
 
 // bindSplit compiles the two-phase SplitCSR kernel (Fig 6): phase 1
@@ -385,231 +415,35 @@ func (p *Prepared) bindSplit(s *formats.SplitCSR, o ex.Optim) {
 	p.finishBlock = func() { red.reduceBlock(p.y, p.bk) }
 }
 
-// bindSSS compiles the symmetric kernel: threads own nnz-balanced row
-// ranges of the lower triangle, write their own rows' results straight
-// into y, and accumulate the mirrored transpose contributions in their
-// reduction-engine slots (full y-length cell arrays). The post-barrier
-// finish is a second parallel dispatch folding disjoint row ranges of
-// all slots into y — with cells = rows, a serial fold would cost
-// O(nt·n) on the dispatching goroutine. Schedules resolve to the
-// static nnz-balanced partition: a dynamic cursor would make each
-// thread's scatter region unbounded, forcing full-buffer zeroing per
-// multiply instead of the [0, part.Hi) prefix the static partition
-// guarantees.
-func (p *Prepared) bindSSS(s *formats.SSS, o ex.Optim) {
-	p.kernelName = "sss"
-	parts := sched.Prepare(o.Schedule, s.Lower, p.nt).Parts
-	rparts := sched.PartitionRows(s.N, p.nt)
-	red := newReducer(p.nt, s.N, p.blockW, nil)
+// bindSym compiles a symmetric-storage kernel over n rows: threads own
+// the nnz-balanced row ranges parts of the lower triangle, write their
+// own rows' results straight into y, and accumulate the mirrored
+// transpose contributions in their reduction-engine slots (full
+// y-length cell arrays). The post-barrier finish is a second parallel
+// dispatch folding disjoint row ranges of all slots into y — with
+// cells = rows, a serial fold would cost O(nt·n) on the dispatching
+// goroutine. parts is the static partition under every schedule: a
+// dynamic cursor would make each thread's scatter region unbounded,
+// forcing full-buffer zeroing per multiply instead of the [0, part.Hi)
+// prefix the static partition guarantees.
+func (p *Prepared) bindSym(n int, parts []sched.Range, body func(slot []float64, lo, hi int), block func(slot []float64, k, lo, hi int)) {
+	rparts := sched.PartitionRows(n, p.nt)
+	red := newReducer(p.nt, n, p.blockW, nil)
 	p.body = p.wrap(func(t int) {
 		r := parts[t]
 		slot := red.slot(t)
 		clear(slot[:r.Hi])
-		kernels.SSSRange(s, p.x, p.y, slot, r.Lo, r.Hi)
+		body(slot, r.Lo, r.Hi)
 	})
-	reduce := p.wrap(func(t int) {
-		r := rparts[t]
-		red.reduceRange(p.y, r.Lo, r.Hi)
-	})
+	reduce := p.wrap(func(t int) { red.reduceRange(p.y, rparts[t].Lo, rparts[t].Hi) })
 	p.finish = func() { p.runPhase(reduce) }
 	p.ensureBlock = red.ensureBlock
 	p.bodyBlock = p.wrap(func(t int) {
 		r := parts[t]
 		slot := red.slotBlock(t, p.bk)
 		clear(slot[:r.Hi*p.bk])
-		kernels.SSSBlockRange(s, p.x, p.y, slot, p.bk, r.Lo, r.Hi)
+		block(slot, p.bk, r.Lo, r.Hi)
 	})
-	reduceBlock := p.wrap(func(t int) {
-		r := rparts[t]
-		red.reduceRangeBlock(p.y, p.bk, r.Lo, r.Hi)
-	})
+	reduceBlock := p.wrap(func(t int) { red.reduceRangeBlock(p.y, p.bk, rparts[t].Lo, rparts[t].Hi) })
 	p.finishBlock = func() { p.runPhase(reduceBlock) }
-}
-
-// bindSellCS compiles the SELL-C-σ chunked kernel: threads are
-// partitioned over chunks (not rows), balanced by padded element count
-// — the work the kernel actually streams — using the ChunkPtr prefix
-// sums. Every chunk owns a disjoint set of original rows, so the
-// permuted scatter into y needs no synchronization and no scratch
-// vector. Dynamic and guided schedules serve chunk ranges from the
-// shared cursor instead.
-func (p *Prepared) bindSellCS(s *formats.SellCS, o ex.Optim) {
-	kern, name := kernels.SellCSVariant(s, o.Vectorize)
-	p.kernelName = name
-	if r := sched.Resolve(o.Schedule, p.m); r == sched.Dynamic || r == sched.Guided {
-		chunks := sched.Chunks(r, s.NChunks(), p.nt, 0)
-		p.body = p.wrap(func(t int) {
-			for {
-				idx := int(p.next.Add(1)) - 1
-				if idx >= len(chunks) {
-					break
-				}
-				c := chunks[idx]
-				kern(s, p.x, p.y, c.Lo, c.Hi)
-			}
-		})
-		p.bodyBlock = p.wrap(func(t int) {
-			for {
-				idx := int(p.next.Add(1)) - 1
-				if idx >= len(chunks) {
-					break
-				}
-				c := chunks[idx]
-				kernels.SellCSBlockRange(s, p.x, p.y, p.bk, c.Lo, c.Hi)
-			}
-		})
-		return
-	}
-	parts := sellChunkParts(s, p.nt)
-	p.body = p.wrap(func(t int) {
-		r := parts[t]
-		kern(s, p.x, p.y, r.Lo, r.Hi)
-	})
-	p.bodyBlock = p.wrap(func(t int) {
-		r := parts[t]
-		kernels.SellCSBlockRange(s, p.x, p.y, p.bk, r.Lo, r.Hi)
-	})
-}
-
-// sellChunkParts splits the chunk list into nt contiguous ranges of
-// approximately equal padded element count (ChunkPtr is the prefix-sum
-// weight array).
-func sellChunkParts(s *formats.SellCS, nt int) []sched.Range {
-	return sched.PartitionPrefix(s.ChunkPtr, s.NChunks(), nt)
-}
-
-// bindPrecCSR compiles the precision-reduced CSR kernel under the
-// resolved schedule — the narrowed-value-stream twin of bindRange. m is
-// the source matrix: the schedule partitions by its nnz weights, which
-// the reduced form shares exactly (structure arrays are aliased).
-func (p *Prepared) bindPrecCSR(pc *formats.PrecCSR, m *matrix.CSR, o ex.Optim) {
-	kern, name := kernels.PrecVariant(o.Vectorize)
-	p.kernelName = name + "-" + o.EffectivePrecision().String()
-	sp := sched.Prepare(o.Schedule, m, p.nt)
-	if sp.Chunks != nil {
-		chunks := sp.Chunks
-		p.body = p.wrap(func(t int) {
-			for {
-				idx := int(p.next.Add(1)) - 1
-				if idx >= len(chunks) {
-					break
-				}
-				c := chunks[idx]
-				kern(pc, p.x, p.y, c.Lo, c.Hi)
-			}
-		})
-		p.bodyBlock = p.wrap(func(t int) {
-			for {
-				idx := int(p.next.Add(1)) - 1
-				if idx >= len(chunks) {
-					break
-				}
-				c := chunks[idx]
-				kernels.PrecCSRBlockRange(pc, p.x, p.y, p.bk, c.Lo, c.Hi)
-			}
-		})
-		return
-	}
-	parts := sp.Parts
-	p.body = p.wrap(func(t int) {
-		r := parts[t]
-		kern(pc, p.x, p.y, r.Lo, r.Hi)
-	})
-	p.bodyBlock = p.wrap(func(t int) {
-		r := parts[t]
-		kernels.PrecCSRBlockRange(pc, p.x, p.y, p.bk, r.Lo, r.Hi)
-	})
-}
-
-// bindPrecSellCS compiles the precision-reduced SELL-C-σ kernel:
-// identical chunk ownership and partitioning to bindSellCS (the
-// geometry arrays are shared), with corrections folded in-row, so the
-// permuted scatter stays synchronization-free.
-func (p *Prepared) bindPrecSellCS(ps *formats.PrecSellCS, o ex.Optim) {
-	p.kernelName = "prec-sellcs-" + o.EffectivePrecision().String()
-	if r := sched.Resolve(o.Schedule, p.m); r == sched.Dynamic || r == sched.Guided {
-		chunks := sched.Chunks(r, ps.NChunks(), p.nt, 0)
-		p.body = p.wrap(func(t int) {
-			for {
-				idx := int(p.next.Add(1)) - 1
-				if idx >= len(chunks) {
-					break
-				}
-				c := chunks[idx]
-				kernels.PrecSellCSRange(ps, p.x, p.y, c.Lo, c.Hi)
-			}
-		})
-		p.bodyBlock = p.wrap(func(t int) {
-			for {
-				idx := int(p.next.Add(1)) - 1
-				if idx >= len(chunks) {
-					break
-				}
-				c := chunks[idx]
-				kernels.PrecSellCSBlockRange(ps, p.x, p.y, p.bk, c.Lo, c.Hi)
-			}
-		})
-		return
-	}
-	parts := sched.PartitionPrefix(ps.ChunkPtr, ps.NChunks(), p.nt)
-	p.body = p.wrap(func(t int) {
-		r := parts[t]
-		kernels.PrecSellCSRange(ps, p.x, p.y, r.Lo, r.Hi)
-	})
-	p.bodyBlock = p.wrap(func(t int) {
-		r := parts[t]
-		kernels.PrecSellCSBlockRange(ps, p.x, p.y, p.bk, r.Lo, r.Hi)
-	})
-}
-
-// bindPrecSSS compiles the precision-reduced symmetric kernel with the
-// same two-phase reduction as bindSSS; s is the f64 conversion the
-// reduced form was derived from, used only to partition the lower
-// triangle by nnz (the structure is shared). Corrections ride the same
-// scatter slots as stored elements, so the reduction geometry is
-// unchanged.
-func (p *Prepared) bindPrecSSS(ps *formats.PrecSSS, s *formats.SSS, o ex.Optim) {
-	p.kernelName = "prec-sss-" + o.EffectivePrecision().String()
-	parts := sched.Prepare(o.Schedule, s.Lower, p.nt).Parts
-	rparts := sched.PartitionRows(ps.N, p.nt)
-	red := newReducer(p.nt, ps.N, p.blockW, nil)
-	p.body = p.wrap(func(t int) {
-		r := parts[t]
-		slot := red.slot(t)
-		clear(slot[:r.Hi])
-		kernels.PrecSSSRange(ps, p.x, p.y, slot, r.Lo, r.Hi)
-	})
-	reduce := p.wrap(func(t int) {
-		r := rparts[t]
-		red.reduceRange(p.y, r.Lo, r.Hi)
-	})
-	p.finish = func() { p.runPhase(reduce) }
-	p.ensureBlock = red.ensureBlock
-	p.bodyBlock = p.wrap(func(t int) {
-		r := parts[t]
-		slot := red.slotBlock(t, p.bk)
-		clear(slot[:r.Hi*p.bk])
-		kernels.PrecSSSBlockRange(ps, p.x, p.y, slot, p.bk, r.Lo, r.Hi)
-	})
-	reduceBlock := p.wrap(func(t int) {
-		r := rparts[t]
-		red.reduceRangeBlock(p.y, p.bk, r.Lo, r.Hi)
-	})
-	p.finishBlock = func() { p.runPhase(reduceBlock) }
-}
-
-// bindDelta compiles the DeltaCSR kernel with per-partition overflow
-// offsets precomputed.
-func (p *Prepared) bindDelta(d *formats.DeltaCSR, m *matrix.CSR, policy sched.Policy) {
-	p.kernelName = "delta"
-	offs := d.OverflowOffsets()
-	parts := sched.Prepare(policy, m, p.nt).Parts
-	p.body = p.wrap(func(t int) {
-		r := parts[t]
-		kernels.DeltaRange(d, p.x, p.y, r.Lo, r.Hi, offs[r.Lo])
-	})
-	p.bodyBlock = p.wrap(func(t int) {
-		r := parts[t]
-		kernels.DeltaBlockRange(d, p.x, p.y, p.bk, r.Lo, r.Hi, offs[r.Lo])
-	})
 }

@@ -2,14 +2,14 @@ package native
 
 // The shared parallel-reduction engine: the phase-2 machinery for
 // every kernel whose threads produce contributions outside their own
-// row partition. Two bindings use it — SplitCSR, whose threads all
+// row partition. Three bindings use it — SplitCSR, whose threads all
 // compute partial dot products of the extracted long rows (Fig 6),
-// and SSS, whose threads scatter the mirrored transpose contribution
-// into arbitrary earlier rows. Both reduce the same way: each thread
-// slot owns a private cell array, and after the barrier the cells are
-// folded into y, optionally through a scatter-index table. This type
-// is that one implementation, for both the scalar and the blocked
-// (k-RHS interleaved) paths.
+// and SSS and precision-reduced SSS (bindSym), whose threads scatter
+// the mirrored transpose contribution into arbitrary earlier rows.
+// All reduce the same way: each thread slot owns a private cell
+// array, and after the barrier the cells are folded into y, optionally
+// through a scatter-index table. This type is that one implementation,
+// for both the scalar and the blocked (k-RHS interleaved) paths.
 
 // reducer owns the per-thread partial buffers and the phase-2 fold of
 // one prepared kernel. Buffers are sized at construction (and grown by

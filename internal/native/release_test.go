@@ -14,17 +14,10 @@ func countCached(e *Executor, m *matrix.CSR) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
-	if _, ok := e.deltas[m]; ok {
-		n++
-	}
-	if _, ok := e.splits[m]; ok {
-		n++
-	}
-	if _, ok := e.sells[m]; ok {
-		n++
-	}
-	if _, ok := e.ssses[m]; ok {
-		n++
+	for _, kind := range e.conversions {
+		if _, ok := kind[m]; ok {
+			n++
+		}
 	}
 	for k := range e.prepared {
 		if k.m == m {
@@ -35,35 +28,55 @@ func countCached(e *Executor, m *matrix.CSR) int {
 }
 
 // TestExecutorRelease checks the per-matrix eviction hook: releasing
-// one matrix drops its format conversions and prepared kernels, leaves
-// every other matrix's cache intact, and already-issued kernels keep
-// computing correct results.
+// one matrix drops its format conversions (every format and precision
+// kind) and prepared kernels, leaves every other matrix's cache intact,
+// and already-issued kernels keep computing correct results.
 func TestExecutorRelease(t *testing.T) {
 	e := New()
 	defer e.Close()
 
 	m1 := gen.Banded(3000, 4, 0.9, 1)
 	m2 := gen.UniformRandom(2500, 6, 2)
+	m3 := symMatrix(1500, 5)
 
-	// Populate kernel + format caches for both matrices, including a
-	// converted format for m1.
+	// Populate kernel + format caches for all three matrices: m1 gets
+	// the asymmetric conversions at every precision, m3 the symmetric
+	// ones, m2 a plain CSR kernel and a SELL conversion.
+	f32, s64 := ex.PrecF32, ex.PrecSplit
 	k1 := e.Prepare(m1, ex.Optim{Compress: true})
 	k2 := e.Prepare(m2, ex.Optim{})
-	e.Prepare(m1, ex.Optim{Unroll: true}) // second kernel under the same matrix
-
-	if n := countCached(e, m1); n < 3 {
-		t.Fatalf("m1 cached resources = %d, want >= 3 (delta + 2 kernels)", n)
+	e.Prepare(m2, ex.Optim{SellCS: true})
+	for _, o := range []ex.Optim{
+		{Unroll: true}, {Split: true}, {Precision: f32}, {Precision: s64},
+		{SellCS: true, Precision: f32}, {SellCS: true, Precision: s64},
+	} {
+		e.Prepare(m1, o)
 	}
-	if n := countCached(e, m2); n < 1 {
-		t.Fatalf("m2 cached resources = %d, want >= 1", n)
+	for _, o := range []ex.Optim{{Symmetric: true, Precision: f32}, {Symmetric: true, Precision: s64}} {
+		e.Prepare(m3, o)
+	}
+
+	// m1: 7 kernels + delta, split, f32/split64 CSR, SELL and its two
+	// reduced forms. m3: 2 kernels + SSS and its two reduced forms.
+	for _, c := range []struct {
+		name string
+		m    *matrix.CSR
+		want int
+	}{{"m1", m1, 7 + 7}, {"m2", m2, 2 + 1}, {"m3", m3, 2 + 3}} {
+		if n := countCached(e, c.m); n != c.want {
+			t.Fatalf("%s cached resources = %d, want %d", c.name, n, c.want)
+		}
 	}
 
 	e.Release(m1)
-	if n := countCached(e, m1); n != 0 {
-		t.Fatalf("m1 cached resources after Release = %d, want 0", n)
+	e.Release(m3)
+	for _, m := range []*matrix.CSR{m1, m3} {
+		if n := countCached(e, m); n != 0 {
+			t.Fatalf("%s cached resources after Release = %d, want 0", m.Name, n)
+		}
 	}
-	if n := countCached(e, m2); n < 1 {
-		t.Fatalf("Release(m1) disturbed m2's cache (now %d entries)", n)
+	if n := countCached(e, m2); n != 3 {
+		t.Fatalf("Release disturbed m2's cache (now %d entries, want 3)", n)
 	}
 
 	// The released kernel still works for its holder.

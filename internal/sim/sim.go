@@ -627,8 +627,8 @@ func (e *Executor) assignLoads(m *matrix.CSR, p *profile, o ex.Optim, policy sch
 			}
 		}
 		// Dynamic and guided schedules serve SELL chunk ranges from
-		// the shared cursor (bindSellCS), paying the same dequeue cost
-		// as the row path.
+		// the shared cursor (the native SELL-C-σ binding), paying the
+		// same dequeue cost as the row path.
 		served := 0
 		switch policy {
 		case sched.Dynamic, sched.Guided:
