@@ -36,10 +36,13 @@ const (
 // encodeKnobs packs one configuration into the knob word.
 func encodeKnobs(o ex.Optim, op, k, threads int, long bool) uint32 {
 	var w uint32
-	for i, on := range []bool{o.Vectorize, o.Prefetch, o.Unroll, o.Compress, o.Split, o.SellCS, o.Symmetric, long} {
+	for i, on := range []bool{o.Vectorize, o.Prefetch, o.Unroll, o.Compress, o.Split, o.SellCS, o.Symmetric} {
 		if on {
-			w |= 1 << []int{0, 1, 2, 3, 4, 5, 6, 15}[i]
+			w |= 1 << i
 		}
+	}
+	if long {
+		w |= 1 << 15
 	}
 	w |= uint32(slices.Index(fuzzPolicies, o.Schedule)) << 7
 	w |= uint32(o.Precision) << 9

@@ -209,19 +209,21 @@ func putBounded[K comparable, V any](cache map[K]V, key K, v V, limit int) {
 }
 
 // memoized returns the executor's conversion of m into format f at
-// precision prec, running convert on first use. Each kind holds up to
+// precision prec, running convert on first use. Every caller of one
+// kind converts to the same type T. Each kind holds up to
 // maxFormatCacheEntries matrices on its own, so one kind's traffic
 // never evicts another's conversions.
 func memoized[T any](e *Executor, m *matrix.CSR, f ex.Format, prec ex.Precision, convert func(*matrix.CSR) T) T {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	kind := e.conversions[conversionKind{f, prec}]
+	ck := conversionKind{f, prec}
+	kind := e.conversions[ck]
 	if v, ok := kind[m]; ok {
 		return v.(T)
 	}
 	if kind == nil {
 		kind = make(map[*matrix.CSR]any)
-		e.conversions[conversionKind{f, prec}] = kind
+		e.conversions[ck] = kind
 	}
 	v := convert(m)
 	putBounded(kind, m, any(v), maxFormatCacheEntries)
