@@ -39,7 +39,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		suiteCSV = flag.String("suite", "", "comma-separated suite matrices to preload")
 		scale    = flag.Float64("scale", 1.0, "suite size multiplier for -suite preloads")
-		mtxCSV   = flag.String("mtx", "", "comma-separated MatrixMarket files to preload (named by basename)")
+		mtxCSV   = flag.String("mtx", "", "comma-separated MatrixMarket files to preload (named by file stem)")
 		maxBatch = flag.Int("max-batch", 0, "max requests coalesced per batch (default 8)")
 		window   = flag.Duration("window", 0, "coalescing window for under-filled batches (default 100us)")
 		budgetMB = flag.Int64("budget-mb", 0, "prepared-kernel memory budget in MiB (0 = unlimited)")
@@ -95,7 +95,7 @@ func preload(srv *spmv.Server, suiteCSV, mtxCSV string, scale float64, warm bool
 			if err != nil {
 				return err
 			}
-			n := strings.TrimSuffix(baseName(path), ".mtx")
+			n := m.Name()
 			if err := srv.Register(n, m); err != nil {
 				return err
 			}
@@ -115,13 +115,6 @@ func preload(srv *spmv.Server, suiteCSV, mtxCSV string, scale float64, warm bool
 		}
 	}
 	return nil
-}
-
-func baseName(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }
 
 // registerBody is the POST /v1/matrices/{name} payload: exactly one

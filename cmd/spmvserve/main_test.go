@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -224,5 +228,89 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestHTTPRegisterMtx registers matrices from .mtx paths — a general
+// file written by spmv.Save and a hand-written symmetric one that
+// stores only its lower triangle — and checks each product against the
+// reference multiply of the matrix the file describes. A truncated file
+// is the caller's 400.
+func TestHTTPRegisterMtx(t *testing.T) {
+	ts, _ := newTestServer(t)
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(3))
+
+	gb := spmv.NewBuilder(40, 30)
+	for k := 0; k < 200; k++ {
+		gb.Add(rng.Intn(40), rng.Intn(30), rng.NormFloat64())
+	}
+	general := gb.Build()
+	genPath := filepath.Join(dir, "general.mtx")
+	if err := spmv.Save(genPath, general); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 25
+	sb := spmv.NewBuilder(n, n)
+	var lower []string
+	for i := 0; i < n; i++ {
+		for _, d := range []int{0, 1, 3} {
+			if j := i - d; j >= 0 {
+				v := float64(1+i%5) / float64(1+d)
+				lower = append(lower, fmt.Sprintf("%d %d %g", i+1, j+1, v))
+				sb.Add(i, j, v)
+				if j != i {
+					sb.Add(j, i, v)
+				}
+			}
+		}
+	}
+	symPath := filepath.Join(dir, "sym.mtx")
+	symText := fmt.Sprintf("%%%%MatrixMarket matrix coordinate real symmetric\n%d %d %d\n%s\n",
+		n, n, len(lower), strings.Join(lower, "\n"))
+	if err := os.WriteFile(symPath, []byte(symText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name, path string
+		m          *spmv.Matrix
+	}{{"general", genPath, general}, {"sym", symPath, sb.Build()}} {
+		if code := doJSON(t, "POST", ts.URL+"/v1/matrices/"+c.name, registerBody{Mtx: c.path, Warm: true}, nil); code != http.StatusCreated {
+			t.Fatalf("%s: register: %d", c.name, code)
+		}
+		x := make([]float64, c.m.Cols())
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		var mul struct {
+			Y []float64 `json:"y"`
+		}
+		if code := doJSON(t, "POST", ts.URL+"/v1/mul/"+c.name, map[string]any{"x": x}, &mul); code != http.StatusOK {
+			t.Fatalf("%s: mul: %d", c.name, code)
+		}
+		ref := make([]float64, c.m.Rows())
+		c.m.MulVec(x, ref)
+		if len(mul.Y) != len(ref) {
+			t.Fatalf("%s: y has %d rows, want %d", c.name, len(mul.Y), len(ref))
+		}
+		for i := range ref {
+			if d := math.Abs(mul.Y[i] - ref[i]); d > 1e-12*math.Max(1, math.Abs(ref[i])) {
+				t.Fatalf("%s: y[%d] = %g, want %g", c.name, i, mul.Y[i], ref[i])
+			}
+		}
+	}
+
+	raw, err := os.ReadFile(genPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutPath := filepath.Join(dir, "truncated.mtx")
+	if err := os.WriteFile(cutPath, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/matrices/cut", registerBody{Mtx: cutPath}, nil); code != http.StatusBadRequest {
+		t.Fatalf("truncated file: %d, want 400", code)
 	}
 }

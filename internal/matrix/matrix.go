@@ -84,7 +84,7 @@ func (c *COO) ToCSR() *CSR {
 	for i := 0; i < c.Rows; i++ {
 		lo, hi := counts[i], counts[i+1]
 		row := rowView{cols: cols[lo:hi], vals: vals[lo:hi]}
-		sort.Sort(row)
+		SortRow(row.cols, row.vals)
 		for k := 0; k < row.Len(); k++ {
 			if rw := w; rw > m.RowPtr[i] && cols[rw-1] == row.cols[k] {
 				vals[rw-1] += row.vals[k]
@@ -100,6 +100,11 @@ func (c *COO) ToCSR() *CSR {
 	m.Val = append([]float64(nil), vals[:w]...)
 	return m
 }
+
+// SortRow sorts one row's columns and values together by column. The
+// order it leaves duplicate columns in is fixed by the input order, so
+// builders that sum duplicates after it agree bit for bit.
+func SortRow(cols []int32, vals []float64) { sort.Sort(rowView{cols, vals}) }
 
 // rowView sorts one row's columns and values together.
 type rowView struct {

@@ -6,6 +6,27 @@
 //
 // Supported: "matrix coordinate {real,integer,pattern}
 // {general,symmetric,skew-symmetric}" and "matrix array real general".
+//
+// Accepted grammar. The first line is the "%%MatrixMarket" banner with
+// the four typecode words, matched case-insensitively. Lines split at
+// '\n'; blank lines and lines whose first non-space character is '%'
+// are skipped anywhere after the banner. The size line holds
+// "rows cols nnz" (coordinate) or "rows cols" (array), read as by
+// fmt.Sscan. A coordinate entry line holds "row col value", or
+// "row col" for pattern files, with 1-based indices read as by
+// strconv.Atoi and values read by strconv.ParseFloat; an array line
+// holds one value, in column-major order. Fields split at white space
+// as strings.Fields splits it, so '\r', tabs and Unicode spaces
+// separate fields, and fields past the needed ones are ignored, as is
+// anything after the last entry the size line announces. Duplicate
+// coordinate entries are summed, explicit zeros are kept, and
+// symmetric and skew-symmetric files are mirrored into full storage.
+//
+// Parsing. Read reads the entries in blocks of a few MiB cut at line
+// ends, parses the blocks on runtime.GOMAXPROCS(0) workers and builds
+// the CSR arrays in one counting pass by row. Memory is bounded by the
+// input size and the declared dimensions (at most maxDim): no buffer
+// is sized from the entry count a header claims.
 package mmio
 
 import (
@@ -13,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"github.com/sparsekit/spmvtuner/internal/matrix"
@@ -28,8 +48,12 @@ type header struct {
 }
 
 // Read parses a Matrix Market stream into a CSR matrix.
-func Read(r io.Reader) (*matrix.CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+func Read(r io.Reader) (*matrix.CSR, error) { return read(r, blockSize) }
+
+// read is Read with the entry block size as a parameter, so tests can
+// put block boundaries at every byte offset.
+func read(r io.Reader, block int) (*matrix.CSR, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
 	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
@@ -49,12 +73,12 @@ func Read(r io.Reader) (*matrix.CSR, error) {
 	}
 	switch h.format {
 	case "coordinate":
-		return readCoordinate(br, h)
+		return readCoordinate(br, h, block)
 	case "array":
 		if h.field == "pattern" {
 			return nil, fmt.Errorf("mmio: array format cannot be pattern")
 		}
-		return readArray(br, h)
+		return readArray(br, h, block)
 	default:
 		return nil, fmt.Errorf("mmio: unsupported format %q", h.format)
 	}
@@ -123,7 +147,7 @@ func checkDims(rows, cols int) error {
 	return nil
 }
 
-func readCoordinate(br *bufio.Reader, h header) (*matrix.CSR, error) {
+func readCoordinate(br *bufio.Reader, h header, block int) (*matrix.CSR, error) {
 	sizeLine, err := nextDataLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("mmio: missing size line: %w", err)
@@ -143,53 +167,15 @@ func readCoordinate(br *bufio.Reader, h header) (*matrix.CSR, error) {
 	if nnz < 0 {
 		return nil, fmt.Errorf("mmio: negative nnz %d", nnz)
 	}
-	coo := matrix.NewCOO(rows, cols)
-	sawNaN := false
-	for k := 0; k < nnz; k++ {
-		line, err := nextDataLine(br)
-		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d/%d: %w", k+1, nnz, err)
-		}
-		fields := strings.Fields(line)
-		want := 3
-		if h.field == "pattern" {
-			want = 2
-		}
-		if len(fields) < want {
-			return nil, fmt.Errorf("mmio: entry %d: short line %q", k+1, line)
-		}
-		i, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d: bad row %q", k+1, fields[0])
-		}
-		j, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d: bad col %q", k+1, fields[1])
-		}
-		if i < 1 || i > rows || j < 1 || j > cols {
-			return nil, fmt.Errorf("mmio: entry %d: (%d,%d) outside %dx%d", k+1, i, j, rows, cols)
-		}
-		v := 1.0
-		if h.field != "pattern" {
-			v, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("mmio: entry %d: bad value %q", k+1, fields[2])
-			}
-			if v != v {
-				sawNaN = true
-			}
-		}
-		coo.Add(i-1, j-1, v)
-		if i != j {
-			switch h.symmetry {
-			case "symmetric":
-				coo.Add(j-1, i-1, v)
-			case "skew-symmetric":
-				coo.Add(j-1, i-1, -v)
-			}
-		}
+	p := &lineParser{rows: rows, cols: cols, pattern: h.field == "pattern"}
+	chunks, rerr := scan(br, block, nnz, p.parse)
+	switch got, bad := tally(chunks, nnz); {
+	case bad != "":
+		return nil, fmt.Errorf("mmio: entry %d: %s", got+1, bad)
+	case got < nnz:
+		return nil, fmt.Errorf("mmio: entry %d/%d: %w", got+1, nnz, rerr)
 	}
-	m := coo.ToCSR()
+	m, sawNaN := assembleCoordinate(chunks, nnz, rows, cols, h.symmetry)
 	m.Sym = symmetryKind(h.symmetry)
 	if sawNaN && m.Sym != matrix.SymGeneral {
 		// NaN never compares equal to itself, so DetectSymmetry would
@@ -204,7 +190,7 @@ func readCoordinate(br *bufio.Reader, h header) (*matrix.CSR, error) {
 
 // symmetryKind maps a Matrix Market symmetry word to the matrix-level
 // kind, so symmetry survives parsing instead of being flattened away by
-// the mirroring above: downstream layers (the SSS format, the tuner's
+// the mirroring: downstream layers (the SSS format, the tuner's
 // symmetric path, Write) all key off CSR.Sym.
 func symmetryKind(word string) matrix.Symmetry {
 	switch word {
@@ -217,7 +203,7 @@ func symmetryKind(word string) matrix.Symmetry {
 	}
 }
 
-func readArray(br *bufio.Reader, h header) (*matrix.CSR, error) {
+func readArray(br *bufio.Reader, h header, block int) (*matrix.CSR, error) {
 	sizeLine, err := nextDataLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("mmio: missing size line: %w", err)
@@ -229,24 +215,18 @@ func readArray(br *bufio.Reader, h header) (*matrix.CSR, error) {
 	if err := checkDims(rows, cols); err != nil {
 		return nil, err
 	}
-	coo := matrix.NewCOO(rows, cols)
-	// Array format is column-major, all entries present.
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			line, err := nextDataLine(br)
-			if err != nil {
-				return nil, fmt.Errorf("mmio: array entry (%d,%d): %w", i+1, j+1, err)
-			}
-			v, err := strconv.ParseFloat(strings.Fields(line)[0], 64)
-			if err != nil {
-				return nil, fmt.Errorf("mmio: array entry (%d,%d): bad value %q", i+1, j+1, line)
-			}
-			if v != 0 {
-				coo.Add(i, j, v)
-			}
-		}
+	// Array format is column-major, all entries present: entry k is
+	// (k mod rows, k div rows).
+	total := rows * cols
+	p := &lineParser{array: true}
+	chunks, rerr := scan(br, block, total, p.parse)
+	switch k, bad := tally(chunks, total); {
+	case bad != "":
+		return nil, fmt.Errorf("mmio: array entry (%d,%d): %s", k%rows+1, k/rows+1, bad)
+	case k < total:
+		return nil, fmt.Errorf("mmio: array entry (%d,%d): %w", k%rows+1, k/rows+1, rerr)
 	}
-	m := coo.ToCSR()
+	m := assembleArray(chunks, rows, cols)
 	if h.symmetry == "general" {
 		// Non-general array files are parsed as the full entry grid
 		// above (a pre-existing simplification), so their symmetry is

@@ -27,6 +27,8 @@ package spmvtuner
 
 import (
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
 
 	"github.com/sparsekit/spmvtuner/internal/calib"
@@ -64,12 +66,15 @@ func (m *Matrix) Name() string { return m.csr.Name }
 // For tuned parallel execution use Tuner.Tune and Tuned.MulVec.
 func (m *Matrix) MulVec(x, y []float64) { m.csr.MulVec(x, y) }
 
-// Load reads a Matrix Market (.mtx) file.
+// Load reads a Matrix Market (.mtx) file. The matrix is named by the
+// file stem: "/data/bcsstk17.mtx" loads as "bcsstk17".
 func Load(path string) (*Matrix, error) {
 	csr, err := mmio.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	base := filepath.Base(path)
+	csr.Name = strings.TrimSuffix(base, filepath.Ext(base))
 	return &Matrix{csr: csr}, nil
 }
 

@@ -54,6 +54,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+func TestLoadNamesMatrixByFileStem(t *testing.T) {
+	dir := t.TempDir()
+	for file, want := range map[string]string{
+		"bcsstk17.mtx":  "bcsstk17",
+		"web.graph.mtx": "web.graph",
+		"noext":         "noext",
+	} {
+		path := filepath.Join(dir, file)
+		if err := Save(path, buildRandom(5, 5, 2, 1)); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Name() != want {
+			t.Errorf("Load(%q).Name() = %q, want %q", file, m.Name(), want)
+		}
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load("/does/not/exist.mtx"); err == nil {
 		t.Fatal("expected error")
