@@ -17,7 +17,7 @@
 //	GET    /v1/stats                per-matrix serving counters
 //
 // Unknown names are 404, a full queue or a closing server 503 (retry),
-// malformed requests 400.
+// malformed requests 400, a product with no JSON form (±Inf or NaN) 422.
 package main
 
 import (
@@ -239,11 +239,19 @@ func statusFor(err error, fallback int) int {
 	}
 }
 
+// writeJSON marshals v before sending the status, so a value with no
+// JSON form — a non-finite float in an overflowed product — answers
+// 422 with an error body instead of the intended status with none.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusUnprocessableEntity
+		body, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		fmt.Fprintln(os.Stderr, "spmvserve: encode:", err)
+	if _, err := w.Write(append(body, '\n')); err != nil {
+		fmt.Fprintln(os.Stderr, "spmvserve: write:", err)
 	}
 }
 

@@ -314,3 +314,32 @@ func TestHTTPRegisterMtx(t *testing.T) {
 		t.Fatalf("truncated file: %d, want 400", code)
 	}
 }
+
+// TestHTTPNonFiniteProduct: a product that overflows float64 has no
+// JSON form, so the multiply answers 422 with a JSON error body, not a
+// 200 with an empty one.
+func TestHTTPNonFiniteProduct(t *testing.T) {
+	ts, _ := newTestServer(t)
+	path := filepath.Join(t.TempDir(), "huge.mtx")
+	text := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e308\n2 2 1\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/matrices/huge", registerBody{Mtx: path}, nil); code != http.StatusCreated {
+		t.Fatalf("register: %d", code)
+	}
+	resp, err := http.Post(ts.URL+"/v1/mul/huge", "application/json", strings.NewReader(`{"x":[10,1]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("overflowed product: %d, want 422", resp.StatusCode)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
+		t.Fatalf("422 body must be a JSON error: %+v, %v", body, err)
+	}
+}

@@ -478,9 +478,9 @@ func TestSIMDGuideSamples(t *testing.T) {
 }
 
 // TestPrecisionGuideSamples exercises docs/guide/precision.md: the
-// budget-gated facade flow, the variant ladder and plan strings the
-// guide tabulates, and the direct conversion sample with its
-// correction-stream promises.
+// budget-gated facade flow, the variant ladder and plan string the
+// guide tabulates, the direct conversion sample, and the f64 fallback
+// rule.
 func TestPrecisionGuideSamples(t *testing.T) {
 	// The guide's budget-is-the-door sample on a modeled-MB matrix.
 	m := buildSymmetric(20000, 40)
@@ -497,41 +497,42 @@ func TestPrecisionGuideSamples(t *testing.T) {
 		t.Fatalf("unbudgeted tuner reports %q, want f64", got)
 	}
 
-	// The variant table: plan strings, documented bounds, and the
-	// budget ladder ("below 1e-12 admits no variant; [1e-12, 1e-6)
-	// admits only the split stream").
-	if ex.PrecF32.String() != "f32" || ex.PrecSplit.String() != "split64" {
-		t.Fatalf("plan strings drifted: %q %q", ex.PrecF32, ex.PrecSplit)
+	// The variant table and ladder: one plan string, one documented
+	// bound, and nothing admitted below it.
+	if ex.PrecF32.String() != "f32" {
+		t.Fatalf("plan string drifted: %q", ex.PrecF32)
 	}
-	if formats.F32EntryBound != 1e-6 || formats.SplitEntryBound != 1e-12 {
-		t.Fatalf("documented bounds drifted: %g %g", formats.F32EntryBound, formats.SplitEntryBound)
+	if formats.F32EntryBound != 1e-6 {
+		t.Fatalf("documented bound drifted: %g", formats.F32EntryBound)
 	}
-	if c := opt.PrecisionCandidates(1e-13); len(c) != 0 {
-		t.Fatalf("budget below 1e-12 admits %v", c)
+	if c := opt.PrecisionCandidates(1e-7); len(c) != 0 {
+		t.Fatalf("budget below 1e-6 admits %v", c)
 	}
-	if c := opt.PrecisionCandidates(1e-9); len(c) != 1 || c[0] != ex.PrecSplit {
-		t.Fatalf("budget in [1e-12, 1e-6) admits %v, want split only", c)
-	}
-	if c := opt.PrecisionCandidates(1e-6); len(c) != 2 || c[0] != ex.PrecF32 {
-		t.Fatalf("budget at 1e-6 admits %v, want f32 first", c)
+	if c := opt.PrecisionCandidates(1e-6); len(c) != 1 || c[0] != ex.PrecF32 {
+		t.Fatalf("budget at 1e-6 admits %v, want f32", c)
 	}
 
 	// The guide's direct conversion sample (internal packages, as it
 	// notes), including its printed claims.
 	csr := gen.UniformRandom(5000, 8, 1)
-	p := formats.ConvertPrecCSR(csr, formats.F32EntryBound)
-	if p.CorrNNZ() != 0 {
-		t.Fatalf("guide promises zero corrections at 1e-6, got %d", p.CorrNNZ())
+	if !formats.FitsF32(csr.Val) {
+		t.Fatal("guide promises these values fit 1e-6")
 	}
-	if p.Bytes() >= csr.Bytes() {
+	if p := formats.ConvertPrecCSR(csr); p.Bytes() >= csr.Bytes() {
 		t.Fatalf("f32 stream %d bytes not below f64's %d", p.Bytes(), csr.Bytes())
 	}
-	s := formats.ConvertPrecCSR(csr, formats.SplitEntryBound)
-	if s.CorrNNZ() == 0 {
-		t.Fatal("guide promises corrections at 1e-12, got none")
+
+	// The fallback rule: values f32 cannot hold fail the check, and a
+	// budgeted tuner runs and reports f64 for them.
+	if formats.FitsF32([]float64{1, 1e300}) || formats.FitsF32([]float64{1e-300}) {
+		t.Fatal("guide promises out-of-range and flushed values fail FitsF32")
 	}
-	if formats.CorrBytesPerEntry != 12 {
-		t.Fatalf("guide documents 12 bytes per correction, code says %d", formats.CorrBytesPerEntry)
+	if !formats.FitsF32([]float64{math.NaN(), math.Inf(1)}) {
+		t.Fatal("guide promises NaN and Inf pass FitsF32")
+	}
+	big := buildScaledSymmetric(20000, 40, 1e300)
+	if got := tuner.Tune(big).Info().Precision; got != "f64" {
+		t.Fatalf("matrix holding 1e300 tuned to %q, want f64", got)
 	}
 }
 

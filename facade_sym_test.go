@@ -17,13 +17,19 @@ import (
 // public Builder (so the symmetry kind starts unknown, exactly the
 // programmatic path the facade's detection exists for).
 func buildSymmetric(n, hw int) *spmvtuner.Matrix {
+	return buildScaledSymmetric(n, hw, 1)
+}
+
+// buildScaledSymmetric is buildSymmetric with every value multiplied
+// by s: the same structure, hence the same fingerprint.
+func buildScaledSymmetric(n, hw int, s float64) *spmvtuner.Matrix {
 	rng := rand.New(rand.NewSource(9))
 	b := spmvtuner.NewBuilder(n, n)
 	for i := 0; i < n; i++ {
-		b.Add(i, i, float64(hw)*2+1)
+		b.Add(i, i, (float64(hw)*2+1)*s)
 		for d := 1; d <= hw; d++ {
 			if j := i + d; j < n {
-				v := 0.5 + rng.Float64()
+				v := (0.5 + rng.Float64()) * s
 				b.Add(i, j, v)
 				b.Add(j, i, v)
 			}

@@ -66,9 +66,10 @@ type Pipeline struct {
 	// accepts; zero means DefaultTwinTolerance.
 	TwinTolerance float64
 	// AccuracyBudget, when positive, opts the pipeline into reduced-
-	// precision value storage (f32 or f32+f64-correction streams): the
-	// optimizer may fold an in-budget precision into MB-classed plans
-	// after a measured error probe against the f64 reference. Zero —
+	// precision value storage (an f32 value stream, admitted from a
+	// budget of 1e-6 up): the optimizer may fold it into MB-classed
+	// plans of matrices whose values fit float32, after a measured
+	// error probe against the f64 reference. Zero —
 	// the default — keeps every result exact f64; nothing in the
 	// pipeline trades accuracy without this explicit grant.
 	AccuracyBudget float64

@@ -97,14 +97,9 @@ const (
 	// PrecF32 stores values as float32, halving the dominant value
 	// stream of a bandwidth-bound SpMV. Per-entry storage rounding is
 	// bounded by float32 epsilon (~1.2e-7 relative), so results carry
-	// a relative error on the order of 1e-7..1e-6.
+	// a relative error on the order of 1e-7..1e-6. A matrix whose
+	// values do not fit float32 runs its f64 form instead.
 	PrecF32
-	// PrecSplit stores values as float32 plus a sparse float64
-	// correction array holding the rounding residual of every entry
-	// whose f32 representation is not essentially exact. Results match
-	// full double precision to ~1e-12 while most of the value stream
-	// still moves at 4 bytes per entry.
-	PrecSplit
 )
 
 // String renders the precision for plan wire forms and knob strings.
@@ -112,8 +107,6 @@ func (p Precision) String() string {
 	switch p {
 	case PrecF32:
 		return "f32"
-	case PrecSplit:
-		return "split64"
 	default:
 		return "f64"
 	}
@@ -126,8 +119,6 @@ func ParsePrecision(s string) (Precision, bool) {
 		return PrecF64, true
 	case "f32":
 		return PrecF32, true
-	case "split64":
-		return PrecSplit, true
 	}
 	return PrecF64, false
 }

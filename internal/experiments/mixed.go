@@ -15,35 +15,31 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/sim"
 )
 
-// MixedRow compares the f64 value stream against the reduced-precision
-// variants on one suite matrix, all three through the same prepared
-// CSR vector path so the delta is exactly the value stream.
+// MixedRow compares the f64 value stream against the f32 one on one
+// suite matrix, both through the same prepared CSR vector path so the
+// delta is exactly the value stream.
 type MixedRow struct {
 	Matrix  string  `json:"matrix"`
 	Classes string  `json:"classes"` // modeled bottleneck classes on the KNC model
 	NNZ     int     `json:"nnz"`
-	F64MB   float64 `json:"f64MiB"`   // f64 CSR matrix stream, MiB
-	F32MB   float64 `json:"f32MiB"`   // f32 stream (values + corrections), MiB
-	SplitMB float64 `json:"splitMiB"` // split stream, MiB
+	F64MB   float64 `json:"f64MiB"` // f64 CSR matrix stream, MiB
+	F32MB   float64 `json:"f32MiB"` // f32 CSR matrix stream, MiB
 	F64Us   float64 `json:"f64UsPerOp"`
 	F32Us   float64 `json:"f32UsPerOp"`
-	SplitUs float64 `json:"splitUsPerOp"`
-	// F32X and SplitX are the measured per-op speedups over the f64
-	// run on this host — informational: commodity hosts execute the
-	// pure-Go kernels compute bound, where the variants promise
-	// nothing (and the planner would not select them).
-	F32X   float64 `json:"f32Speedup"`
-	SplitX float64 `json:"splitSpeedup"`
+	// F32X is the measured per-op speedup over the f64 run on this
+	// host — informational: commodity hosts execute the pure-Go
+	// kernels compute bound, where f32 promises nothing (and the
+	// planner would not select it).
+	F32X float64 `json:"f32Speedup"`
 	// ModelX is the f32 speedup the cost model predicts on the
 	// bandwidth-starved KNC platform — the regime the optimization
 	// targets, and what the perf gate checks on MB-classified rows.
 	ModelX float64 `json:"modelF32Speedup"`
-	// F32Err and SplitErr are the worst componentwise errors against
-	// the f64 reference, scaled by the row magnitude Σ|a_ij·x_j| — the
-	// quantity each variant's documented bound constrains. These come
-	// from the native runs, so they gate the real kernels.
-	F32Err   float64 `json:"f32Err"`
-	SplitErr float64 `json:"splitErr"`
+	// F32Err is the worst componentwise error against the f64
+	// reference, scaled by the row magnitude Σ|a_ij·x_j| — the
+	// quantity the documented f32 bound constrains. It comes from the
+	// native run, so it gates the real kernel.
+	F32Err float64 `json:"f32Err"`
 	// Gated marks rows the perf gate counts: matrices whose vectorized
 	// f64 kernel the KNC model binds on bandwidth — the same analytic
 	// test the oracle's precision pass applies, and the only regime
@@ -65,18 +61,17 @@ type MixedResult struct {
 // 1.25x means the reduced path is squandering the bytes it saved.
 const mixedGateMin = 1.25
 
-// mixedErrSlack widens each variant's storage bound by accumulation
-// roundoff when judging the measured result (parallel reductions
+// mixedErrSlack widens the f32 storage bound by accumulation roundoff when judging the measured result (parallel reductions
 // reorder sums).
 const mixedErrSlack = 64 * 0x1p-52
 
-// Mixed runs the reduced-precision value streams natively on the host
-// and prices them on the KNC model: for every suite matrix, the
-// prepared f64, f32 and split CSR vector kernels are timed and their
-// results checked componentwise against the f64 reference, and the
-// cost model predicts the f32 win on the bandwidth-starved platform.
-// The returned error is the gate: every variant must honor its
-// documented error bound on every matrix (measured, native), and the
+// Mixed runs the f32 value stream natively on the host and prices it
+// on the KNC model: for every suite matrix, the prepared f64 and f32
+// CSR vector kernels are timed, the f32 result is checked
+// componentwise against the f64 reference, and the cost model
+// predicts the f32 win on the bandwidth-starved platform. The
+// returned error is the gate: f32 must honor its documented error
+// bound on every matrix (measured, native), and the
 // geomean modeled f32 speedup over the bandwidth-bound rows — per the
 // model's analytic binding of the vectorized kernel, the same test the
 // oracle's precision pass applies — must reach mixedGateMin (vacuous
@@ -149,45 +144,34 @@ func Mixed(cfg Config) (*MixedResult, error) {
 		f64s := timeOp(ex.Optim{Vectorize: true})
 		f32s := timeOp(ex.Optim{Vectorize: true, Precision: ex.PrecF32})
 		f32Err := maxErr(y)
-		splits := timeOp(ex.Optim{Vectorize: true, Precision: ex.PrecSplit})
-		splitErr := maxErr(y)
 
 		rF64 := model.Run(ex.Config{Matrix: m, Opt: ex.Optim{Vectorize: true}})
 		mF64 := rF64.Seconds
 		mF32 := model.Run(ex.Config{Matrix: m, Opt: ex.Optim{Vectorize: true, Precision: ex.PrecF32}}).Seconds
 
 		row := MixedRow{
-			Matrix:   m.Name,
-			Classes:  set.String(),
-			NNZ:      m.NNZ(),
-			F64MB:    float64(m.Bytes()) / (1 << 20),
-			F32MB:    float64(formats.ConvertPrecCSR(m, formats.F32EntryBound).Bytes()) / (1 << 20),
-			SplitMB:  float64(formats.ConvertPrecCSR(m, formats.SplitEntryBound).Bytes()) / (1 << 20),
-			F64Us:    f64s * 1e6,
-			F32Us:    f32s * 1e6,
-			SplitUs:  splits * 1e6,
-			F32Err:   f32Err,
-			SplitErr: splitErr,
-			Gated:    rF64.Breakdown.Binding() == "bandwidth",
+			Matrix:  m.Name,
+			Classes: set.String(),
+			NNZ:     m.NNZ(),
+			F64MB:   float64(m.Bytes()) / (1 << 20),
+			F32MB:   float64(formats.ConvertPrecCSR(m).Bytes()) / (1 << 20),
+			F64Us:   f64s * 1e6,
+			F32Us:   f32s * 1e6,
+			F32Err:  f32Err,
+			Gated:   rF64.Breakdown.Binding() == "bandwidth",
 		}
 		if f32s > 0 {
 			row.F32X = f64s / f32s
-		}
-		if splits > 0 {
-			row.SplitX = f64s / splits
 		}
 		if mF32 > 0 {
 			row.ModelX = mF64 / mF32
 		}
 		res.Rows = append(res.Rows, row)
 
-		// Error bounds are unconditional: a variant out of its
-		// documented contract is a correctness bug wherever it binds.
+		// The error bound is unconditional: f32 out of its documented
+		// contract is a correctness bug wherever it binds.
 		if f32Err > formats.F32EntryBound+mixedErrSlack && gateErr == nil {
 			gateErr = fmt.Errorf("mixed: %s: f32 error %.3g exceeds bound %.3g", m.Name, f32Err, formats.F32EntryBound)
-		}
-		if splitErr > formats.SplitEntryBound+mixedErrSlack && gateErr == nil {
-			gateErr = fmt.Errorf("mixed: %s: split error %.3g exceeds bound %.3g", m.Name, splitErr, formats.SplitEntryBound)
 		}
 		if row.Gated && row.ModelX > 0 {
 			logSum += math.Log(row.ModelX)
@@ -207,26 +191,26 @@ func Mixed(cfg Config) (*MixedResult, error) {
 // Table renders the comparison.
 func (r *MixedResult) Table() *report.Table {
 	t := report.New("Mixed-precision value streams vs f64 (native CSR vector path + KNC model)",
-		"matrix", "classes", "nnz", "f64 MiB", "f32 MiB", "split MiB",
-		"f64 us/op", "f32 us/op", "split us/op", "f32-x", "split-x", "model-x", "f32 err", "split err", "gated")
+		"matrix", "classes", "nnz", "f64 MiB", "f32 MiB",
+		"f64 us/op", "f32 us/op", "f32-x", "model-x", "f32 err", "gated")
 	for _, row := range r.Rows {
 		g := ""
 		if row.Gated {
 			g = "MB"
 		}
 		t.Add(row.Matrix, row.Classes, report.F(float64(row.NNZ)),
-			report.F(row.F64MB), report.F(row.F32MB), report.F(row.SplitMB),
-			report.F(row.F64Us), report.F(row.F32Us), report.F(row.SplitUs),
-			report.Fx(row.F32X), report.Fx(row.SplitX), report.Fx(row.ModelX),
-			report.F(row.F32Err), report.F(row.SplitErr), g)
+			report.F(row.F64MB), report.F(row.F32MB),
+			report.F(row.F64Us), report.F(row.F32Us),
+			report.Fx(row.F32X), report.Fx(row.ModelX),
+			report.F(row.F32Err), g)
 	}
 	if r.GeomeanModelX > 0 {
 		t.AddNote("geomean modeled f32 speedup over bandwidth-bound rows: %.2fx (gate: %.2fx)", r.GeomeanModelX, mixedGateMin)
 	}
-	t.AddNote("f32 halves the 8-byte value stream; split adds a sparse f64 correction stream for entries f32 cannot hold")
+	t.AddNote("f32 halves the 8-byte value stream; a matrix with values f32 cannot hold runs its f64 kernel instead")
 	t.AddNote("errors are componentwise against the f64 reference, scaled by the row magnitude (the documented bound's form)")
 	t.AddNote("'MB' rows are those whose vectorized kernel the KNC model binds on bandwidth (the oracle's analytic gate);")
 	t.AddNote("the perf gate checks the modeled f32 win there; host columns are informational — a compute-bound host")
-	t.AddNote("shows f32 losing, which is exactly why the planner gates the variants on the bandwidth-bound class")
+	t.AddNote("shows f32 losing, which is exactly why the planner gates it on the bandwidth-bound class")
 	return t
 }

@@ -8,165 +8,79 @@ import (
 )
 
 // Precision-reduced value storage: the MB-class bandwidth lever that
-// halves the dominant value stream. Values are stored as float32 plus
-// a sparse float64 correction list holding, exactly, every entry whose
-// float32 rounding error exceeds the variant's per-entry bound —
-// corrected entries keep Val32 = 0 and the full value in CorrVal, so a
-// finite f64 that overflows float32 can never surface as a silent
-// ±Inf. Kernels always accumulate in float64; only the stored payload
-// narrows.
-//
-// Two per-entry bounds define the two planner-visible variants:
-// F32EntryBound (pure f32 for essentially all normal-range values, a
-// ~1e-7 relative storage rounding) and SplitEntryBound (entries not
-// f32-exact to 1e-12 move to the correction stream, so results match
-// full double precision to ~1e-12). The correction machinery is
-// shared; an empty correction list stores nil CorrPtr and the kernels
-// take the correction-free path.
+// halves the dominant value stream. Values are stored as float32;
+// kernels always accumulate in float64, so only the stored payload
+// narrows. A matrix is reduced only when FitsF32 accepts its values:
+// callers check first and keep the f64 form otherwise, so a finite
+// f64 that overflows or underflows float32 never turns silently into
+// ±Inf or 0.
 
-// F32EntryBound is the per-entry relative storage error the f32
-// variant tolerates before spilling an entry to the correction list.
-// float32 rounding of a normal-range value is below 2^-24 ≈ 6e-8
-// relative, so in practice only overflowing or deeply subnormal
-// entries are corrected.
+// F32EntryBound is the per-entry relative storage error the f32 form
+// tolerates. float32 rounding of a normal-range value is below
+// 2^-24 ≈ 6e-8 relative, so in practice only values beyond float32's
+// range or deep in its subnormals exceed it.
 const F32EntryBound = 1e-6
 
-// SplitEntryBound is the per-entry bound of the split variant: an
-// entry is stored as pure f32 only when that is exact to 1e-12
-// relative; everything else moves, exactly, to the f64 correction
-// stream.
-const SplitEntryBound = 1e-12
-
-// CorrBytesPerEntry is the wire cost of one correction entry: an 8-byte
-// value and a 4-byte column index. The cost model prices correction
-// traffic with it.
-const CorrBytesPerEntry = 12
-
-// needsCorrection reports whether value v must go to the correction
-// stream under the per-entry bound: its float32 image deviates by more
-// than bound*|v|, or a finite v maps to a non-finite float32
-// (overflow). Non-finite inputs are stored faithfully as f32 (float32
-// has the same infinities and NaNs).
-func needsCorrection(v, bound float64) bool {
-	w := float64(float32(v))
-	if math.IsInf(w, 0) && !math.IsInf(v, 0) {
-		return true
-	}
-	e := math.Abs(v - w)
-	return e > bound*math.Abs(v) // NaN deviations compare false: stored faithfully
-}
-
-// CountCorrections returns how many of m's values the per-entry bound
-// sends to the correction stream — the input the cost model needs to
-// price a precision variant without materializing it.
-func CountCorrections(m *matrix.CSR, bound float64) int64 {
-	var n int64
-	for _, v := range m.Val {
-		if needsCorrection(v, bound) {
-			n++
+// FitsF32 reports whether every finite value's float32 image stays
+// finite and within F32EntryBound relative error of it. NaN and ±Inf
+// fit: float32 has the same specials. SSS and SELL-C-σ store the same
+// value set as CSR (plus exact zeros), so one check on a CSR's Val
+// covers all three reduced formats.
+func FitsF32(vals []float64) bool {
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		w := float64(float32(v))
+		if math.IsInf(w, 0) || math.Abs(v-w) > F32EntryBound*math.Abs(v) {
+			return false
 		}
 	}
-	return n
+	return true
 }
 
-// corrBuilder accumulates the per-row correction stream shared by the
-// three precision formats.
-type corrBuilder struct {
-	ptr []int64
-	col []int32
-	val []float64
-}
-
-func newCorrBuilder(rows int) *corrBuilder {
-	return &corrBuilder{ptr: make([]int64, 1, rows+1)}
-}
-
-// add records a correction (col, v) for the current row.
-func (b *corrBuilder) add(col int32, v float64) {
-	b.col = append(b.col, col)
-	b.val = append(b.val, v)
-}
-
-// endRow closes the current row.
-func (b *corrBuilder) endRow() {
-	b.ptr = append(b.ptr, int64(len(b.col)))
-}
-
-// finish returns the built arrays, or all-nil when no entry needed
-// correction (so kernels can take the correction-free path).
-func (b *corrBuilder) finish() (ptr []int64, col []int32, val []float64) {
-	if len(b.col) == 0 {
-		return nil, nil, nil
+// narrow returns the float32 image of every value.
+func narrow(vals []float64) []float32 {
+	out := make([]float32, len(vals))
+	for i, v := range vals {
+		out[i] = float32(v)
 	}
-	return b.ptr, b.col, b.val
+	return out
 }
 
-// reduce maps one value to its stored f32 and, via the builder, its
-// correction: within the bound the value is stored as float32(v) with
-// no correction; outside it the f32 slot holds 0 and the correction
-// carries v exactly.
-func reduce(v float64, bound float64, col int32, b *corrBuilder) float32 {
-	if needsCorrection(v, bound) {
-		b.add(col, v)
-		return 0
-	}
-	return float32(v)
-}
-
-// PrecCSR is CSR with precision-reduced values: the structure arrays
-// alias the source matrix (RowPtr/ColInd are shared, not copied), the
-// value stream is float32, and CorrPtr/CorrCol/CorrVal hold the sparse
-// per-row f64 corrections (nil CorrPtr when no entry needed one).
+// PrecCSR is CSR with float32 values: the structure arrays alias the
+// source matrix (RowPtr/ColInd are shared, not copied).
 type PrecCSR struct {
 	NRows, NCols int
 	RowPtr       []int64
 	ColInd       []int32
 	Val          []float32
 
-	// CorrPtr indexes CorrCol/CorrVal per row (length NRows+1); nil
-	// when the correction stream is empty.
-	CorrPtr []int64
-	CorrCol []int32
-	CorrVal []float64
-
 	Name string
 }
 
-// ConvertPrecCSR builds the precision-reduced form of m under the
-// given per-entry bound (F32EntryBound or SplitEntryBound).
-func ConvertPrecCSR(m *matrix.CSR, bound float64) *PrecCSR {
-	p := &PrecCSR{
+// ConvertPrecCSR builds the float32-valued form of m. Its results are
+// within F32EntryBound of m's only when FitsF32(m.Val) holds.
+func ConvertPrecCSR(m *matrix.CSR) *PrecCSR {
+	return &PrecCSR{
 		NRows:  m.NRows,
 		NCols:  m.NCols,
 		RowPtr: m.RowPtr,
 		ColInd: m.ColInd,
-		Val:    make([]float32, len(m.Val)),
+		Val:    narrow(m.Val),
 		Name:   m.Name,
 	}
-	b := newCorrBuilder(m.NRows)
-	for i := 0; i < m.NRows; i++ {
-		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-			p.Val[j] = reduce(m.Val[j], bound, m.ColInd[j], b)
-		}
-		b.endRow()
-	}
-	p.CorrPtr, p.CorrCol, p.CorrVal = b.finish()
-	return p
 }
 
 // NNZ returns the stored element count.
 func (p *PrecCSR) NNZ() int { return len(p.Val) }
 
-// CorrNNZ returns the correction-stream length.
-func (p *PrecCSR) CorrNNZ() int { return len(p.CorrVal) }
-
-// Bytes returns the memory footprint of the precision-reduced arrays:
-// 4-byte values, the shared structure arrays, and the correction
-// stream. This is what the kernels stream per multiply and what the
-// serving layer's budget accounts for the format.
+// Bytes returns the memory footprint of the reduced arrays: 4-byte
+// values and the shared structure arrays. This is what the kernels
+// stream per multiply and what the serving layer's budget accounts
+// for the format.
 func (p *PrecCSR) Bytes() int64 {
-	return int64(len(p.Val))*4 + int64(len(p.ColInd))*4 + int64(len(p.RowPtr))*8 +
-		int64(len(p.CorrPtr))*8 + int64(len(p.CorrVal))*CorrBytesPerEntry
+	return int64(len(p.Val))*4 + int64(len(p.ColInd))*4 + int64(len(p.RowPtr))*8
 }
 
 // MulVec computes y = A*x sequentially from the reduced storage — the
@@ -184,19 +98,12 @@ func (p *PrecCSR) MulVec(x, y []float64) {
 		for j := p.RowPtr[i]; j < p.RowPtr[i+1]; j++ {
 			sum += float64(p.Val[j]) * x[p.ColInd[j]]
 		}
-		if p.CorrPtr != nil {
-			for j := p.CorrPtr[i]; j < p.CorrPtr[i+1]; j++ {
-				sum += p.CorrVal[j] * x[p.CorrCol[j]]
-			}
-		}
 		y[i] = sum
 	}
 }
 
-// PrecSellCS is SELL-C-σ with precision-reduced padded values. The
-// geometry arrays alias the f64 conversion's; corrections are indexed
-// by permuted row position, so the chunk kernels apply them inside the
-// owning chunk's row loop with no cross-thread writes.
+// PrecSellCS is SELL-C-σ with float32 padded values. The geometry
+// arrays alias the f64 conversion's.
 type PrecSellCS struct {
 	NRows, NCols int
 	C            int
@@ -206,46 +113,25 @@ type PrecSellCS struct {
 	Perm         []int32
 	RowLen       []int32
 
-	// CorrPtr indexes CorrCol/CorrVal per permuted row position
-	// (length NRows+1); nil when the correction stream is empty.
-	CorrPtr []int64
-	CorrCol []int32
-	CorrVal []float64
-
 	nnz  int
 	Name string
 }
 
 // ConvertPrecSellCS reduces an existing SELL-C-σ conversion. Padding
-// slots carry value 0 exactly in both precisions, so only real entries
-// can need correction.
-func ConvertPrecSellCS(s *SellCS, bound float64) *PrecSellCS {
-	p := &PrecSellCS{
+// slots carry value 0 exactly in both precisions.
+func ConvertPrecSellCS(s *SellCS) *PrecSellCS {
+	return &PrecSellCS{
 		NRows:    s.NRows,
 		NCols:    s.NCols,
 		C:        s.C,
 		ChunkPtr: s.ChunkPtr,
 		Cols:     s.Cols,
-		Vals:     make([]float32, len(s.Vals)),
+		Vals:     narrow(s.Vals),
 		Perm:     s.Perm,
 		RowLen:   s.RowLen,
 		nnz:      s.nnz,
 		Name:     s.Name,
 	}
-	b := newCorrBuilder(s.NRows)
-	for k := 0; k < s.NRows; k++ {
-		chunk := k / s.C
-		base := s.ChunkPtr[chunk] + int64(k%s.C)
-		for j := int64(0); j < int64(s.RowLen[k]); j++ {
-			at := base + j*int64(s.C)
-			p.Vals[at] = reduce(s.Vals[at], bound, s.Cols[at], b)
-		}
-		b.endRow()
-	}
-	// Padding slots are zero already (make zeroes them), matching the
-	// f64 layout exactly.
-	p.CorrPtr, p.CorrCol, p.CorrVal = b.finish()
-	return p
 }
 
 // NChunks returns the number of row chunks.
@@ -254,15 +140,11 @@ func (p *PrecSellCS) NChunks() int { return len(p.ChunkPtr) - 1 }
 // NNZ returns the real (unpadded) stored element count.
 func (p *PrecSellCS) NNZ() int { return p.nnz }
 
-// CorrNNZ returns the correction-stream length.
-func (p *PrecSellCS) CorrNNZ() int { return len(p.CorrVal) }
-
 // Bytes returns the memory footprint of the reduced SELL arrays plus
-// the shared geometry and the correction stream.
+// the shared geometry.
 func (p *PrecSellCS) Bytes() int64 {
 	return int64(len(p.Vals))*4 + int64(len(p.Cols))*4 +
-		int64(len(p.ChunkPtr))*8 + int64(len(p.Perm))*4 + int64(len(p.RowLen))*4 +
-		int64(len(p.CorrPtr))*8 + int64(len(p.CorrVal))*CorrBytesPerEntry
+		int64(len(p.ChunkPtr))*8 + int64(len(p.Perm))*4 + int64(len(p.RowLen))*4
 }
 
 // MulVec computes y = A*x sequentially — the reference for the
@@ -283,20 +165,14 @@ func (p *PrecSellCS) MulVec(x, y []float64) {
 			sum += float64(p.Vals[at]) * x[p.Cols[at]]
 			at += int64(c)
 		}
-		if p.CorrPtr != nil {
-			for j := p.CorrPtr[k]; j < p.CorrPtr[k+1]; j++ {
-				sum += p.CorrVal[j] * x[p.CorrCol[j]]
-			}
-		}
 		y[p.Perm[k]] = sum
 	}
 }
 
-// PrecSSS is symmetric storage with a precision-reduced lower
-// triangle. The diagonal stays float64 (a dense N-length array is not
-// the bandwidth problem; keeping it exact removes the diagonal from
-// the error budget). Corrections are indexed by lower-triangle row and
-// apply twice like every stored off-diagonal element.
+// PrecSSS is symmetric storage with a float32 lower triangle. The
+// diagonal stays float64 (a dense N-length array is not the bandwidth
+// problem; keeping it exact removes the diagonal from the error
+// budget).
 type PrecSSS struct {
 	N      int
 	RowPtr []int64
@@ -304,56 +180,35 @@ type PrecSSS struct {
 	Val    []float32
 	Diag   []float64
 
-	// CorrPtr indexes CorrCol/CorrVal per row (length N+1); nil when
-	// the correction stream is empty.
-	CorrPtr []int64
-	CorrCol []int32
-	CorrVal []float64
-
 	Name string
 }
 
 // ConvertPrecSSS reduces an existing SSS conversion's lower triangle.
-func ConvertPrecSSS(s *SSS, bound float64) *PrecSSS {
+func ConvertPrecSSS(s *SSS) *PrecSSS {
 	L := s.Lower
-	p := &PrecSSS{
+	return &PrecSSS{
 		N:      s.N,
 		RowPtr: L.RowPtr,
 		ColInd: L.ColInd,
-		Val:    make([]float32, len(L.Val)),
+		Val:    narrow(L.Val),
 		Diag:   s.Diag,
 		Name:   s.Name,
 	}
-	b := newCorrBuilder(s.N)
-	for i := 0; i < s.N; i++ {
-		for j := L.RowPtr[i]; j < L.RowPtr[i+1]; j++ {
-			p.Val[j] = reduce(L.Val[j], bound, L.ColInd[j], b)
-		}
-		b.endRow()
-	}
-	p.CorrPtr, p.CorrCol, p.CorrVal = b.finish()
-	return p
 }
 
 // NNZ returns the stored lower-triangle element count.
 func (p *PrecSSS) NNZ() int { return len(p.Val) }
 
-// CorrNNZ returns the correction-stream length.
-func (p *PrecSSS) CorrNNZ() int { return len(p.CorrVal) }
-
 // Bytes returns the memory footprint of the reduced SSS arrays: the
-// 4-byte lower-triangle values, its structure, the f64 diagonal, and
-// the correction stream.
+// 4-byte lower-triangle values, its structure and the f64 diagonal.
 func (p *PrecSSS) Bytes() int64 {
 	return int64(len(p.Val))*4 + int64(len(p.ColInd))*4 + int64(len(p.RowPtr))*8 +
-		int64(len(p.Diag))*8 +
-		int64(len(p.CorrPtr))*8 + int64(len(p.CorrVal))*CorrBytesPerEntry
+		int64(len(p.Diag))*8
 }
 
 // MulVec computes y = A*x sequentially from the reduced symmetric
 // storage — the reference for the parallel precision SSS kernel. Each
-// stored off-diagonal element (and each correction) contributes to two
-// output rows.
+// stored off-diagonal element contributes to two output rows.
 func (p *PrecSSS) MulVec(x, y []float64) {
 	if len(x) != p.N || len(y) != p.N {
 		panic(fmt.Sprintf("formats: PrecSSS.MulVec dimension mismatch: x=%d y=%d for n=%d",
@@ -373,14 +228,6 @@ func (p *PrecSSS) MulVec(x, y []float64) {
 			v := float64(p.Val[j])
 			sum += v * x[c]
 			y[c] += v * xi
-		}
-		if p.CorrPtr != nil {
-			for j := p.CorrPtr[i]; j < p.CorrPtr[i+1]; j++ {
-				c := p.CorrCol[j]
-				v := p.CorrVal[j]
-				sum += v * x[c]
-				y[c] += v * xi
-			}
 		}
 		y[i] += sum
 	}

@@ -1,15 +1,15 @@
 package formats
 
-// Differential and property tests for the precision-reduced value
-// formats. The contract under test is the per-entry error bound: for
-// every generator family, each reduced variant's result must stay
-// within its documented bound of the f64 CSR reference — measured
-// componentwise against the row's magnitude scale Σ_j |a_ij·x_j|, the
-// right yardstick when cancellation shrinks |y_i| — and non-finite or
-// f32-overflowing values must be carried exactly through the
-// correction stream, never silently truncated to ±Inf or 0.
+// Differential and property tests for the f32 value formats. The
+// contract under test is the per-entry error bound: for every generator
+// family, the reduced form's result must stay within F32EntryBound of
+// the f64 CSR reference — measured componentwise against the row's
+// magnitude scale Σ_j |a_ij·x_j|, the right yardstick when cancellation
+// shrinks |y_i| — and FitsF32 must refuse every finite value float32
+// would silently turn into ±Inf or 0.
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,38 +17,16 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 )
 
-// precSlack absorbs the reordering noise between the reduced kernels
-// (corrections accumulate after the main loop) and the reference: a
-// few f64 ulps per unit of row scale.
-const precSlack = 32 * 0x1p-52
+// precTol is the result tolerance: the storage bound plus a few f64
+// ulps per unit of row scale for the reordering noise between the
+// reduced walk and the reference.
+const precTol = F32EntryBound + 32*0x1p-52
 
-// precBounds pairs each variant's conversion bound with the result
-// tolerance the guide documents for it.
-func precBounds() []struct {
-	name  string
-	bound float64
-} {
-	return []struct {
-		name  string
-		bound float64
-	}{
-		{"f32", F32EntryBound},
-		{"split64", SplitEntryBound},
-	}
-}
-
-// precDiff multiplies through the reduced form and checks every finite
-// row against the f64 CSR reference within bound (componentwise,
-// scale-relative).
-func precDiff(t *testing.T, label string, m *matrix.CSR, bound float64, mul func(x, y []float64)) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, m.NCols)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	ref := make([]float64, m.NRows)
-	scale := make([]float64, m.NRows)
+// precRef returns the f64 reference product of m and x and each row's
+// magnitude scale Σ_j |a_ij·x_j|.
+func precRef(m *matrix.CSR, x []float64) (ref, scale []float64) {
+	ref = make([]float64, m.NRows)
+	scale = make([]float64, m.NRows)
 	for i := 0; i < m.NRows; i++ {
 		var sum, sc float64
 		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
@@ -58,12 +36,25 @@ func precDiff(t *testing.T, label string, m *matrix.CSR, bound float64, mul func
 		}
 		ref[i], scale[i] = sum, sc
 	}
+	return ref, scale
+}
+
+// precDiff multiplies through the reduced form and checks every finite
+// row against the f64 CSR reference within precTol (componentwise,
+// scale-relative).
+func precDiff(t *testing.T, label string, m *matrix.CSR, mul func(x, y []float64)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	x := make([]float64, m.NCols)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	ref, scale := precRef(m, x)
 	got := make([]float64, m.NRows)
 	for i := range got {
 		got[i] = math.NaN() // every row must be written
 	}
 	mul(x, got)
-	tol := bound + precSlack
 	for i := range ref {
 		if math.IsNaN(ref[i]) || math.IsInf(ref[i], 0) {
 			continue // non-finite reference rows are checked by the dedicated tests
@@ -71,16 +62,15 @@ func precDiff(t *testing.T, label string, m *matrix.CSR, bound float64, mul func
 		if math.IsNaN(got[i]) && m.RowPtr[i] < m.RowPtr[i+1] {
 			t.Fatalf("%s: y[%d] is NaN for finite reference %g", label, i, ref[i])
 		}
-		if math.Abs(got[i]-ref[i]) > tol*scale[i] {
+		if math.Abs(got[i]-ref[i]) > precTol*scale[i] {
 			t.Fatalf("%s: y[%d] = %.17g, want %.17g within %g*%g",
-				label, i, got[i], ref[i], tol, scale[i])
+				label, i, got[i], ref[i], precTol, scale[i])
 		}
 	}
 }
 
-// TestPrecDifferential sweeps every generator family and both
-// variants: the reduced CSR and SELL forms must track the f64
-// reference within the variant's documented bound.
+// TestPrecDifferential sweeps every generator family: the reduced CSR
+// and SELL forms must track the f64 reference within F32EntryBound.
 func TestPrecDifferential(t *testing.T) {
 	for _, fam := range families() {
 		fam := fam
@@ -88,19 +78,15 @@ func TestPrecDifferential(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3, 4, 5} {
 				n := 40 + int(seed*37)%300
 				m := fam.build(n, seed)
-				for _, pb := range precBounds() {
-					pc := ConvertPrecCSR(m, pb.bound)
-					precDiff(t, "prec-csr/"+pb.name, m, pb.bound, pc.MulVec)
-					if got := int64(pc.CorrNNZ()); got != CountCorrections(m, pb.bound) {
-						t.Fatalf("seed %d %s: CorrNNZ %d != CountCorrections %d",
-							seed, pb.name, got, CountCorrections(m, pb.bound))
-					}
-					for _, s := range []*SellCS{ConvertSellCSAuto(m), ConvertSellCS(m, 3, 7)} {
-						ps := ConvertPrecSellCS(s, pb.bound)
-						precDiff(t, "prec-sellcs/"+pb.name, m, pb.bound, ps.MulVec)
-						if ps.NNZ() != m.NNZ() {
-							t.Fatalf("seed %d %s: sell nnz %d != %d", seed, pb.name, ps.NNZ(), m.NNZ())
-						}
+				if !FitsF32(m.Val) {
+					t.Fatalf("seed %d: generated values must fit float32", seed)
+				}
+				precDiff(t, "prec-csr", m, ConvertPrecCSR(m).MulVec)
+				for _, s := range []*SellCS{ConvertSellCSAuto(m), ConvertSellCS(m, 3, 7)} {
+					ps := ConvertPrecSellCS(s)
+					precDiff(t, "prec-sellcs", m, ps.MulVec)
+					if ps.NNZ() != m.NNZ() {
+						t.Fatalf("seed %d: sell nnz %d != %d", seed, ps.NNZ(), m.NNZ())
 					}
 				}
 			}
@@ -117,50 +103,37 @@ func TestPrecDifferentialSSS(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3} {
 				n := 40 + int(seed*37)%300
 				m := fam.build(n, seed)
-				s := ConvertSSS(m)
-				for _, pb := range precBounds() {
-					ps := ConvertPrecSSS(s, pb.bound)
-					precDiff(t, "prec-sss/"+pb.name, m, pb.bound, ps.MulVec)
-				}
+				precDiff(t, "prec-sss", m, ConvertPrecSSS(ConvertSSS(m)).MulVec)
 			}
 		})
 	}
 }
 
-// TestPrecNoSilentOverflow pins the non-finite contract: a finite f64
-// value beyond float32 range must flow through the correction stream
-// and come back exactly — never as ±Inf — in BOTH variants, and tiny
-// values must not silently flush to zero.
+// TestPrecNoSilentOverflow pins the fit contract: a finite f64 beyond
+// float32 range, or one float32 flushes to zero or to a coarse
+// subnormal, does not fit, so no caller reduces it to a silent ±Inf or
+// 0; values float32 holds to within the bound do.
 func TestPrecNoSilentOverflow(t *testing.T) {
-	coo := matrix.NewCOO(4, 4)
-	coo.Add(0, 0, 1e300)  // overflows float32 to +Inf
-	coo.Add(1, 1, -4e38)  // overflows float32 to -Inf
-	coo.Add(2, 2, 1e-300) // flushes to 0 in float32
-	coo.Add(3, 3, 1.5)    // exactly representable
-	m := coo.ToCSR()
-	x := []float64{2, 3, 5, 7}
-	want := []float64{2e300, -1.2e39, 5e-300, 10.5}
-	for _, pb := range precBounds() {
-		p := ConvertPrecCSR(m, pb.bound)
-		if p.CorrNNZ() != 3 {
-			t.Fatalf("%s: corrected %d entries, want 3 (both overflows and the subnormal)",
-				pb.name, p.CorrNNZ())
+	for _, v := range []float64{
+		1e300,                       // overflows float32 to +Inf
+		-4e38,                       // overflows float32 to -Inf
+		1e-300,                      // flushes to 0 in float32
+		math.SmallestNonzeroFloat64, // f64 subnormal
+		1e-40,                       // float32 subnormal: ~1e-5 relative rounding
+	} {
+		if FitsF32([]float64{1.5, v}) {
+			t.Errorf("FitsF32 accepted %g", v)
 		}
-		y := make([]float64, 4)
-		p.MulVec(x, y)
-		for i := range want {
-			if y[i] != want[i] {
-				t.Fatalf("%s: y[%d] = %g, want %g exactly", pb.name, i, y[i], want[i])
-			}
-			if math.IsInf(y[i], 0) {
-				t.Fatalf("%s: y[%d] silently overflowed to %g", pb.name, i, y[i])
-			}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 1.5, 1 + 1e-9, math.MaxFloat32, -1e-37} {
+		if !FitsF32([]float64{v}) {
+			t.Errorf("FitsF32 refused %g", v)
 		}
 	}
 }
 
-// TestPrecNonFinitePropagation: NaN and true ±Inf inputs are stored
-// faithfully (float32 has the same specials), so they propagate to the
+// TestPrecNonFinitePropagation: NaN and true ±Inf inputs fit (float32
+// has the same specials), are stored faithfully, and propagate to the
 // result exactly as the f64 reference does.
 func TestPrecNonFinitePropagation(t *testing.T) {
 	coo := matrix.NewCOO(3, 3)
@@ -168,26 +141,20 @@ func TestPrecNonFinitePropagation(t *testing.T) {
 	coo.Add(1, 1, math.Inf(1))
 	coo.Add(2, 2, math.Inf(-1))
 	m := coo.ToCSR()
-	x := []float64{1, 1, 1}
-	for _, pb := range precBounds() {
-		p := ConvertPrecCSR(m, pb.bound)
-		if p.CorrPtr != nil {
-			t.Fatalf("%s: non-finite inputs must store faithfully, not correct (%d corrections)",
-				pb.name, p.CorrNNZ())
-		}
-		y := make([]float64, 3)
-		p.MulVec(x, y)
-		if !math.IsNaN(y[0]) || !math.IsInf(y[1], 1) || !math.IsInf(y[2], -1) {
-			t.Fatalf("%s: specials did not propagate: y = %v", pb.name, y)
-		}
+	if !FitsF32(m.Val) {
+		t.Fatal("non-finite values must fit: float32 stores them faithfully")
+	}
+	y := make([]float64, 3)
+	ConvertPrecCSR(m).MulVec([]float64{1, 1, 1}, y)
+	if !math.IsNaN(y[0]) || !math.IsInf(y[1], 1) || !math.IsInf(y[2], -1) {
+		t.Fatalf("specials did not propagate: y = %v", y)
 	}
 }
 
-// TestPrecSplitTracksF64 pins the split variant's near-f64 promise on
-// values float32 cannot hold: random full-mantissa values all spill to
-// the correction stream under SplitEntryBound, and the product matches
-// the reference to 1e-12 while plain f32 visibly does not.
-func TestPrecSplitTracksF64(t *testing.T) {
+// TestPrecF32FullMantissas: random full-mantissa values lose their low
+// bits in float32 but stay well within the bound, and the reduced
+// stream is smaller than the f64 one.
+func TestPrecF32FullMantissas(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 64
 	coo := matrix.NewCOO(n, n)
@@ -197,34 +164,103 @@ func TestPrecSplitTracksF64(t *testing.T) {
 		}
 	}
 	m := coo.ToCSR()
-	split := ConvertPrecCSR(m, SplitEntryBound)
-	if int64(split.CorrNNZ()) != CountCorrections(m, SplitEntryBound) || split.CorrNNZ() == 0 {
-		t.Fatalf("split: expected random mantissas to spill to corrections, got %d", split.CorrNNZ())
+	if !FitsF32(m.Val) {
+		t.Fatal("normal-range values must fit float32")
 	}
-	precDiff(t, "split-tracks-f64", m, SplitEntryBound, split.MulVec)
-
-	f32 := ConvertPrecCSR(m, F32EntryBound)
-	if f32.CorrPtr != nil {
-		t.Fatalf("f32: normal-range values must not correct, got %d", f32.CorrNNZ())
-	}
-	if f32.Bytes() >= m.Bytes() {
-		t.Fatalf("f32: reduced bytes %d not below f64 bytes %d", f32.Bytes(), m.Bytes())
+	p := ConvertPrecCSR(m)
+	precDiff(t, "f32-full-mantissas", m, p.MulVec)
+	if p.Bytes() >= m.Bytes() {
+		t.Fatalf("reduced bytes %d not below f64 bytes %d", p.Bytes(), m.Bytes())
 	}
 }
 
-// TestPrecBytesAccounting: the correction stream is priced into Bytes,
-// and a fully-corrected matrix costs more than f64 would save.
+// TestPrecBytesAccounting: Bytes counts 4-byte values and the shared
+// structure arrays, nothing else.
 func TestPrecBytesAccounting(t *testing.T) {
 	coo := matrix.NewCOO(2, 2)
 	coo.Add(0, 0, 1.0)
 	coo.Add(1, 1, 2.0)
-	m := coo.ToCSR()
-	p := ConvertPrecCSR(m, F32EntryBound)
+	p := ConvertPrecCSR(coo.ToCSR())
 	want := int64(len(p.Val))*4 + int64(len(p.ColInd))*4 + int64(len(p.RowPtr))*8
 	if p.Bytes() != want {
-		t.Fatalf("correction-free Bytes %d, want %d", p.Bytes(), want)
+		t.Fatalf("Bytes %d, want %d", p.Bytes(), want)
 	}
-	if p.CorrPtr != nil {
-		t.Fatalf("exact values should need no corrections")
+}
+
+// FuzzConvertPrecCSR feeds raw float64 bit patterns — subnormals,
+// values beyond MaxFloat32, NaN and ±Inf included — through the f32
+// conversion. Either FitsF32 refuses the values, or every stored f32
+// is within F32EntryBound of its source with specials kept exactly,
+// and PrecCSR.MulVec agrees with the f64 reference within the bound
+// (non-finite rows in kind: the same NaN or the same signed Inf).
+func FuzzConvertPrecCSR(f *testing.F) {
+	seed := func(vals ...float64) []byte {
+		b := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return b
 	}
+	f.Add(seed(1, 2.5, -3))
+	f.Add(seed(1e300, 1))
+	f.Add(seed(math.MaxFloat32, -math.MaxFloat32, 3.4028235677973366e38))
+	f.Add(seed(math.SmallestNonzeroFloat64, 1e-40, 1e-38, math.SmallestNonzeroFloat32))
+	f.Add(seed(math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)))
+	f.Add(seed(math.Inf(1), math.Inf(-1), 7))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nv := len(data) / 8
+		if nv == 0 || nv > 256 {
+			return
+		}
+		// Three entries per row at scattered columns of a square matrix.
+		n := (nv + 2) / 3
+		coo := matrix.NewCOO(n, n)
+		for k := 0; k < nv; k++ {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data[8*k:]))
+			coo.Add(k/3, (k*5+k/3)%n, v)
+		}
+		m := coo.ToCSR()
+		// Duplicate coordinates are summed by ToCSR, so the check runs
+		// on m.Val rather than the raw inputs.
+		if !FitsF32(m.Val) {
+			return
+		}
+		p := ConvertPrecCSR(m)
+		for j, v := range m.Val {
+			w := float64(p.Val[j])
+			switch {
+			case math.IsNaN(v):
+				if !math.IsNaN(w) {
+					t.Fatalf("entry %d: NaN stored as %g", j, w)
+				}
+			case math.IsInf(v, 0):
+				if w != v {
+					t.Fatalf("entry %d: %g stored as %g", j, v, w)
+				}
+			case math.IsInf(w, 0) || math.Abs(w-v) > F32EntryBound*math.Abs(v):
+				t.Fatalf("entry %d: %g stored as %g, beyond the bound", j, v, w)
+			}
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1 + 0.25*float64(i%5)
+		}
+		ref, scale := precRef(m, x)
+		got := make([]float64, n)
+		p.MulVec(x, got)
+		for i := range ref {
+			switch {
+			case math.IsNaN(ref[i]):
+				if !math.IsNaN(got[i]) {
+					t.Fatalf("y[%d] = %g, want NaN", i, got[i])
+				}
+			case math.IsInf(ref[i], 0):
+				if got[i] != ref[i] {
+					t.Fatalf("y[%d] = %g, want %g", i, got[i], ref[i])
+				}
+			case math.Abs(got[i]-ref[i]) > precTol*scale[i]:
+				t.Fatalf("y[%d] = %.17g, want %.17g within %g*%g", i, got[i], ref[i], precTol, scale[i])
+			}
+		}
+	})
 }

@@ -5,35 +5,19 @@ import (
 )
 
 // Precision-reduced kernels. The stored value stream is float32 (half
-// the bytes of the f64 formats — the MB-class win), every product and
-// accumulation is float64, and the sparse f64 correction stream is
-// applied inside the owning row's loop, so the parallel engine's row
-// (or chunk) partitioning carries over unchanged. A format without
-// corrections stores nil CorrPtr and takes the correction-free loop —
-// no per-row branch on the hot path.
+// the bytes of the f64 formats — the MB-class win) and every product
+// and accumulation is float64, so the parallel engine's row (or chunk)
+// partitioning carries over unchanged.
 
 // PrecCSRRange is the scalar precision-reduced CSR kernel over a row
 // range.
 //
 //spmv:hotpath
 func PrecCSRRange(p *formats.PrecCSR, x, y []float64, lo, hi int) {
-	if p.CorrPtr == nil {
-		for i := lo; i < hi; i++ {
-			var sum float64
-			for j := p.RowPtr[i]; j < p.RowPtr[i+1]; j++ {
-				sum += float64(p.Val[j]) * x[p.ColInd[j]]
-			}
-			y[i] = sum
-		}
-		return
-	}
 	for i := lo; i < hi; i++ {
 		var sum float64
 		for j := p.RowPtr[i]; j < p.RowPtr[i+1]; j++ {
 			sum += float64(p.Val[j]) * x[p.ColInd[j]]
-		}
-		for j := p.CorrPtr[i]; j < p.CorrPtr[i+1]; j++ {
-			sum += p.CorrVal[j] * x[p.CorrCol[j]]
 		}
 		y[i] = sum
 	}
@@ -63,13 +47,7 @@ func PrecCSRVector8Range(p *formats.PrecCSR, x, y []float64, lo, hi int) {
 		for ; j < jhi; j++ {
 			tail += float64(p.Val[j]) * x[p.ColInd[j]]
 		}
-		sum := ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + tail
-		if p.CorrPtr != nil {
-			for c := p.CorrPtr[i]; c < p.CorrPtr[i+1]; c++ {
-				sum += p.CorrVal[c] * x[p.CorrCol[c]]
-			}
-		}
-		y[i] = sum
+		y[i] = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + tail
 	}
 }
 
@@ -97,22 +75,12 @@ func PrecCSRBlockRange(p *formats.PrecCSR, x, y []float64, k, lo, hi int) {
 				yr[l] += v * xr[l]
 			}
 		}
-		if p.CorrPtr != nil {
-			for j := p.CorrPtr[i]; j < p.CorrPtr[i+1]; j++ {
-				v := p.CorrVal[j]
-				xr := x[int(p.CorrCol[j])*k:][:k]
-				for l := range yr {
-					yr[l] += v * xr[l]
-				}
-			}
-		}
 	}
 }
 
 // PrecSellCSRange computes the rows of precision-reduced SELL-C-σ
 // chunks [lo, hi), writing each real row's dot product to y[original
-// row] through the permutation. Corrections are indexed by permuted
-// position and folded into the row's sum before the scatter, so chunk
+// row] through the permutation; chunks own disjoint rows, so chunk
 // ranges stay synchronization-free.
 //
 //spmv:hotpath
@@ -131,11 +99,6 @@ func PrecSellCSRange(p *formats.PrecSellCS, x, y []float64, lo, hi int) {
 			for j := int32(0); j < p.RowLen[base+r]; j++ {
 				sum += float64(p.Vals[at]) * x[p.Cols[at]]
 				at += int64(c)
-			}
-			if p.CorrPtr != nil {
-				for j := p.CorrPtr[base+r]; j < p.CorrPtr[base+r+1]; j++ {
-					sum += p.CorrVal[j] * x[p.CorrCol[j]]
-				}
 			}
 			y[p.Perm[base+r]] = sum
 		}
@@ -168,15 +131,6 @@ func PrecSellCSBlockRange(p *formats.PrecSellCS, x, y []float64, k, lo, hi int) 
 				}
 				at += int64(c)
 			}
-			if p.CorrPtr != nil {
-				for j := p.CorrPtr[base+r]; j < p.CorrPtr[base+r+1]; j++ {
-					v := p.CorrVal[j]
-					xr := x[int(p.CorrCol[j])*k:][:k]
-					for l := range yr {
-						yr[l] += v * xr[l]
-					}
-				}
-			}
 		}
 	}
 }
@@ -185,8 +139,7 @@ func PrecSellCSBlockRange(p *formats.PrecSellCS, x, y []float64, k, lo, hi int) 
 // symmetric kernel under the SSSRange contract: y[i] gets the diagonal
 // (kept f64) plus lower-triangle dot product, mirrored contributions
 // accumulate into scatter[col], and the caller must zero scatter[0:hi)
-// before the pass. Corrections apply twice exactly like stored
-// elements, so they ride the same two-phase reduction.
+// before the pass.
 //
 //spmv:hotpath
 func PrecSSSRange(p *formats.PrecSSS, x, y, scatter []float64, lo, hi int) {
@@ -198,14 +151,6 @@ func PrecSSSRange(p *formats.PrecSSS, x, y, scatter []float64, lo, hi int) {
 			v := float64(p.Val[j])
 			sum += v * x[c]
 			scatter[c] += v * xi
-		}
-		if p.CorrPtr != nil {
-			for j := p.CorrPtr[i]; j < p.CorrPtr[i+1]; j++ {
-				c := p.CorrCol[j]
-				v := p.CorrVal[j]
-				sum += v * x[c]
-				scatter[c] += v * xi
-			}
 		}
 		y[i] = sum
 	}
@@ -232,18 +177,6 @@ func PrecSSSBlockRange(p *formats.PrecSSS, x, y, scatter []float64, k, lo, hi in
 			for l := 0; l < k; l++ {
 				yi[l] += v * xc[l]
 				sc[l] += v * xi[l]
-			}
-		}
-		if p.CorrPtr != nil {
-			for j := p.CorrPtr[i]; j < p.CorrPtr[i+1]; j++ {
-				c := int(p.CorrCol[j])
-				v := p.CorrVal[j]
-				xc := x[c*k : c*k+k]
-				sc := scatter[c*k : c*k+k]
-				for l := 0; l < k; l++ {
-					yi[l] += v * xc[l]
-					sc[l] += v * xi[l]
-				}
 			}
 		}
 	}

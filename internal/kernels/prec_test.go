@@ -31,30 +31,24 @@ func checkPrecRanges(t *testing.T, name string, n int, ref, ranged func(x, y []f
 	}
 }
 
-func precBoundsUnderTest() []float64 {
-	return []float64{formats.F32EntryBound, formats.SplitEntryBound}
-}
-
 func TestPrecCSRRangesMatchReference(t *testing.T) {
 	for mname, m := range testMatrices() {
 		if m.NRows != m.NCols {
 			continue // square inputs keep the shared x/y helper simple
 		}
-		for _, bound := range precBoundsUnderTest() {
-			p := formats.ConvertPrecCSR(m, bound)
-			kernels := map[string]func(p *formats.PrecCSR, x, y []float64, lo, hi int){
-				"prec-csr":      PrecCSRRange,
-				"prec-csr-vec8": PrecCSRVector8Range,
-			}
-			for kname, k := range kernels {
-				checkPrecRanges(t, mname+"/"+kname, m.NRows, p.MulVec, func(x, y []float64) {
-					// Uneven chunks exercise the range edges.
-					bounds := []int{0, m.NRows / 3, 2*m.NRows/3 + 1, m.NRows}
-					for b := 0; b+1 < len(bounds); b++ {
-						k(p, x, y, bounds[b], bounds[b+1])
-					}
-				})
-			}
+		p := formats.ConvertPrecCSR(m)
+		kernels := map[string]func(p *formats.PrecCSR, x, y []float64, lo, hi int){
+			"prec-csr":      PrecCSRRange,
+			"prec-csr-vec8": PrecCSRVector8Range,
+		}
+		for kname, k := range kernels {
+			checkPrecRanges(t, mname+"/"+kname, m.NRows, p.MulVec, func(x, y []float64) {
+				// Uneven chunks exercise the range edges.
+				bounds := []int{0, m.NRows / 3, 2*m.NRows/3 + 1, m.NRows}
+				for b := 0; b+1 < len(bounds); b++ {
+					k(p, x, y, bounds[b], bounds[b+1])
+				}
+			})
 		}
 	}
 }
@@ -64,39 +58,33 @@ func TestPrecSellCSRangeMatchesReference(t *testing.T) {
 		if m.NRows != m.NCols {
 			continue
 		}
-		for _, bound := range precBoundsUnderTest() {
-			s := formats.ConvertSellCSAuto(m)
-			p := formats.ConvertPrecSellCS(s, bound)
-			checkPrecRanges(t, mname+"/prec-sellcs", m.NRows, p.MulVec, func(x, y []float64) {
-				nc := p.NChunks()
-				bounds := []int{0, nc / 3, 2*nc/3 + 1, nc}
-				for b := 0; b+1 < len(bounds); b++ {
-					PrecSellCSRange(p, x, y, bounds[b], bounds[b+1])
-				}
-			})
-		}
+		p := formats.ConvertPrecSellCS(formats.ConvertSellCSAuto(m))
+		checkPrecRanges(t, mname+"/prec-sellcs", m.NRows, p.MulVec, func(x, y []float64) {
+			nc := p.NChunks()
+			bounds := []int{0, nc / 3, 2*nc/3 + 1, nc}
+			for b := 0; b+1 < len(bounds); b++ {
+				PrecSellCSRange(p, x, y, bounds[b], bounds[b+1])
+			}
+		})
 	}
 }
 
 func TestPrecSSSRangeMatchesReference(t *testing.T) {
 	m := symTestMatrix(400, 5)
-	s := formats.ConvertSSS(m)
-	for _, bound := range precBoundsUnderTest() {
-		p := formats.ConvertPrecSSS(s, bound)
-		checkPrecRanges(t, "prec-sss", p.N, p.MulVec, func(x, y []float64) {
-			scatter := make([]float64, p.N)
-			for i := 0; i < p.N; i++ {
-				y[i] = 0
-			}
-			bounds := []int{0, p.N / 3, 2*p.N/3 + 1, p.N}
-			for b := 0; b+1 < len(bounds); b++ {
-				PrecSSSRange(p, x, y, scatter, bounds[b], bounds[b+1])
-			}
-			for i := 0; i < p.N; i++ {
-				y[i] += scatter[i]
-			}
-		})
-	}
+	p := formats.ConvertPrecSSS(formats.ConvertSSS(m))
+	checkPrecRanges(t, "prec-sss", p.N, p.MulVec, func(x, y []float64) {
+		scatter := make([]float64, p.N)
+		for i := 0; i < p.N; i++ {
+			y[i] = 0
+		}
+		bounds := []int{0, p.N / 3, 2*p.N/3 + 1, p.N}
+		for b := 0; b+1 < len(bounds); b++ {
+			PrecSSSRange(p, x, y, scatter, bounds[b], bounds[b+1])
+		}
+		for i := 0; i < p.N; i++ {
+			y[i] += scatter[i]
+		}
+	})
 }
 
 // TestPrecBlockRangesMatchPerVector: the blocked multi-RHS precision
@@ -104,25 +92,23 @@ func TestPrecSSSRangeMatchesReference(t *testing.T) {
 // same reduced storage.
 func TestPrecBlockRangesMatchPerVector(t *testing.T) {
 	m := testMatrices()["powerlaw"]
-	for _, bound := range precBoundsUnderTest() {
-		p := formats.ConvertPrecCSR(m, bound)
-		for _, k := range []int{1, 2, 3, 8} {
-			xs := make([][]float64, k)
-			want := make([][]float64, k)
-			for l := 0; l < k; l++ {
-				xs[l] = vec(m.NCols, int64(10+l))
-				want[l] = make([]float64, m.NRows)
-				p.MulVec(xs[l], want[l])
-			}
-			xb := matrix.PackBlock(nil, xs)
-			yb := make([]float64, m.NRows*k)
-			PrecCSRBlockRange(p, xb, yb, k, 0, m.NRows)
-			for l := 0; l < k; l++ {
-				for i := 0; i < m.NRows; i++ {
-					if math.Abs(want[l][i]-yb[i*k+l]) > precKernelTol*(1+math.Abs(want[l][i])) {
-						t.Fatalf("prec-csr-block k=%d: y[%d][%d] = %g, want %g",
-							k, l, i, yb[i*k+l], want[l][i])
-					}
+	p := formats.ConvertPrecCSR(m)
+	for _, k := range []int{1, 2, 3, 8} {
+		xs := make([][]float64, k)
+		want := make([][]float64, k)
+		for l := 0; l < k; l++ {
+			xs[l] = vec(m.NCols, int64(10+l))
+			want[l] = make([]float64, m.NRows)
+			p.MulVec(xs[l], want[l])
+		}
+		xb := matrix.PackBlock(nil, xs)
+		yb := make([]float64, m.NRows*k)
+		PrecCSRBlockRange(p, xb, yb, k, 0, m.NRows)
+		for l := 0; l < k; l++ {
+			for i := 0; i < m.NRows; i++ {
+				if math.Abs(want[l][i]-yb[i*k+l]) > precKernelTol*(1+math.Abs(want[l][i])) {
+					t.Fatalf("prec-csr-block k=%d: y[%d][%d] = %g, want %g",
+						k, l, i, yb[i*k+l], want[l][i])
 				}
 			}
 		}

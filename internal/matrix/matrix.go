@@ -7,8 +7,8 @@
 // full-precision source of truth every other representation converts
 // from — but executable storage is not always double precision: under
 // an accuracy budget the planner may re-encode the value stream as f32
-// or as f32 plus a sparse f64 correction stream (internal/formats'
-// Prec* types); accumulation stays float64 everywhere.
+// (internal/formats' Prec* types) when every value fits float32;
+// accumulation stays float64 everywhere.
 package matrix
 
 import (

@@ -7,6 +7,7 @@ import (
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/kernels"
+	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
@@ -15,47 +16,59 @@ import (
 // ISA suffix ("-avx512", "-avx2", or nothing on scalar builds).
 type bindingRow struct {
 	name    string
-	sym     bool // prepared on the symmetric matrix
+	in      bindingInput
 	o       ex.Optim
 	kernel  string
 	bytes   int64
 	blocked bool // has a blocked (multi-RHS) body
 }
 
+// bindingInput selects the fixed test matrix a binding is prepared on.
+type bindingInput int
+
+const (
+	asymIn bindingInput = iota
+	symIn
+	// asymUnfitIn and symUnfitIn scale the values past float32's
+	// range, so f32 configurations must bind their f64 kernels.
+	asymUnfitIn
+	symUnfitIn
+)
+
 // bindingTable enumerates every binding buildPrepared can compile,
 // including the bound probes the public Prepare rejects. The MemBytes
-// figures are the converted footprints of the two fixed test matrices;
+// figures are the converted footprints of the fixed test matrices;
 // none depends on the host ISA.
 func bindingTable() []bindingRow {
 	const csrBytes, sellBytes = 47888, 72428
-	f32, s64 := ex.PrecF32, ex.PrecSplit
+	f32 := ex.PrecF32
 	return []bindingRow{
-		{"csr", false, ex.Optim{}, "csr", csrBytes, true},
-		{"csr-dynamic", false, ex.Optim{Schedule: sched.Dynamic}, "csr", csrBytes, true},
-		{"csr-guided", false, ex.Optim{Schedule: sched.Guided}, "csr", csrBytes, true},
-		{"vec", false, ex.Optim{Vectorize: true}, "csr-vec8%isa", csrBytes, true},
-		{"vec+prefetch", false, ex.Optim{Vectorize: true, Prefetch: true}, "csr-vec8%isa", csrBytes, true},
-		{"prefetch", false, ex.Optim{Prefetch: true}, "csr-prefetch", csrBytes, true},
-		{"unroll", false, ex.Optim{Unroll: true}, "csr-unrolled4", csrBytes, true},
-		{"regularized", false, ex.Optim{RegularizeX: true}, "regularized", csrBytes, false},
-		{"unit-stride", false, ex.Optim{UnitStride: true}, "unit-stride", csrBytes, false},
-		{"unit-stride-dynamic", false, ex.Optim{UnitStride: true, Schedule: sched.Dynamic}, "unit-stride", csrBytes, false},
-		{"split", false, ex.Optim{Split: true}, "split+csr", csrBytes, true},
-		{"split+vec", false, ex.Optim{Split: true, Vectorize: true}, "split+csr-vec8%isa", csrBytes, true},
-		{"delta", false, ex.Optim{Compress: true}, "delta", 39918, true},
-		{"sellcs", false, ex.Optim{SellCS: true}, "sellcs", sellBytes, true},
-		{"sellcs-dynamic", false, ex.Optim{SellCS: true, Schedule: sched.Dynamic}, "sellcs", sellBytes, true},
-		{"sellcs+vec", false, ex.Optim{SellCS: true, Vectorize: true}, "sellcs-c8%isa", sellBytes, true},
-		{"sellcs+vec-dynamic", false, ex.Optim{SellCS: true, Vectorize: true, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, true},
-		{"sss", true, ex.Optim{Symmetric: true}, "sss", 43744, true},
-		{"csr-f32", false, ex.Optim{Precision: f32}, "prec-csr-f32", 33528, true},
-		{"csr-split64", false, ex.Optim{Precision: s64}, "prec-csr-split64", 81416, true},
-		{"csr+vec-f32-guided", false, ex.Optim{Vectorize: true, Precision: f32, Schedule: sched.Guided}, "prec-csr-vec8-f32", 33528, true},
-		{"sellcs-f32", false, ex.Optim{SellCS: true, Precision: f32}, "prec-sellcs-f32", 48288, true},
-		{"sellcs-split64-dynamic", false, ex.Optim{SellCS: true, Precision: s64, Schedule: sched.Dynamic}, "prec-sellcs-split64", 96176, true},
-		{"sss-f32", true, ex.Optim{Symmetric: true, Precision: f32}, "prec-sss-f32", 31832, true},
-		{"sss-split64", true, ex.Optim{Symmetric: true, Precision: s64}, "prec-sss-split64", 71576, true},
-		{"delta-f32", false, ex.Optim{Compress: true, Precision: f32}, "delta", 39918, true},
+		{"csr", asymIn, ex.Optim{}, "csr", csrBytes, true},
+		{"csr-dynamic", asymIn, ex.Optim{Schedule: sched.Dynamic}, "csr", csrBytes, true},
+		{"csr-guided", asymIn, ex.Optim{Schedule: sched.Guided}, "csr", csrBytes, true},
+		{"vec", asymIn, ex.Optim{Vectorize: true}, "csr-vec8%isa", csrBytes, true},
+		{"vec+prefetch", asymIn, ex.Optim{Vectorize: true, Prefetch: true}, "csr-vec8%isa", csrBytes, true},
+		{"prefetch", asymIn, ex.Optim{Prefetch: true}, "csr-prefetch", csrBytes, true},
+		{"unroll", asymIn, ex.Optim{Unroll: true}, "csr-unrolled4", csrBytes, true},
+		{"regularized", asymIn, ex.Optim{RegularizeX: true}, "regularized", csrBytes, false},
+		{"unit-stride", asymIn, ex.Optim{UnitStride: true}, "unit-stride", csrBytes, false},
+		{"unit-stride-dynamic", asymIn, ex.Optim{UnitStride: true, Schedule: sched.Dynamic}, "unit-stride", csrBytes, false},
+		{"split", asymIn, ex.Optim{Split: true}, "split+csr", csrBytes, true},
+		{"split+vec", asymIn, ex.Optim{Split: true, Vectorize: true}, "split+csr-vec8%isa", csrBytes, true},
+		{"delta", asymIn, ex.Optim{Compress: true}, "delta", 39918, true},
+		{"sellcs", asymIn, ex.Optim{SellCS: true}, "sellcs", sellBytes, true},
+		{"sellcs-dynamic", asymIn, ex.Optim{SellCS: true, Schedule: sched.Dynamic}, "sellcs", sellBytes, true},
+		{"sellcs+vec", asymIn, ex.Optim{SellCS: true, Vectorize: true}, "sellcs-c8%isa", sellBytes, true},
+		{"sellcs+vec-dynamic", asymIn, ex.Optim{SellCS: true, Vectorize: true, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, true},
+		{"sss", symIn, ex.Optim{Symmetric: true}, "sss", 43744, true},
+		{"csr-f32", asymIn, ex.Optim{Precision: f32}, "prec-csr-f32", 33528, true},
+		{"csr-f32-unfit", asymUnfitIn, ex.Optim{Precision: f32}, "csr", csrBytes, true},
+		{"csr+vec-f32-guided", asymIn, ex.Optim{Vectorize: true, Precision: f32, Schedule: sched.Guided}, "prec-csr-vec8-f32", 33528, true},
+		{"sellcs-f32", asymIn, ex.Optim{SellCS: true, Precision: f32}, "prec-sellcs-f32", 48288, true},
+		{"sellcs-f32-unfit-dynamic", asymUnfitIn, ex.Optim{SellCS: true, Precision: f32, Schedule: sched.Dynamic}, "sellcs", sellBytes, true},
+		{"sss-f32", symIn, ex.Optim{Symmetric: true, Precision: f32}, "prec-sss-f32", 31832, true},
+		{"sss-f32-unfit", symUnfitIn, ex.Optim{Symmetric: true, Precision: f32}, "sss", 43744, true},
+		{"delta-f32", asymIn, ex.Optim{Compress: true, Precision: f32}, "delta", 39918, true},
 	}
 }
 
@@ -68,17 +81,16 @@ func TestBindingCharacterization(t *testing.T) {
 	defer e.Close()
 	asym := gen.FewDenseRows(600, 5, 2, 300, 51)
 	sym := symMatrix(500, 53)
+	inputs := map[bindingInput]*matrix.CSR{
+		asymIn: asym, symIn: sym, asymUnfitIn: scaled(asym, 1e300), symUnfitIn: scaled(sym, 1e300),
+	}
 	isa := ""
 	if kernels.ISA() != "scalar" {
 		isa = "-" + kernels.ISA()
 	}
 	for _, row := range bindingTable() {
 		t.Run(row.name, func(t *testing.T) {
-			m := asym
-			if row.sym {
-				m = sym
-			}
-			p := e.buildPrepared(m, row.o, 3)
+			p := e.buildPrepared(inputs[row.in], row.o, 3)
 			if want := strings.ReplaceAll(row.kernel, "%isa", isa); p.Kernel() != want {
 				t.Errorf("Kernel() = %q, want %q", p.Kernel(), want)
 			}

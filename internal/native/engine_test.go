@@ -363,12 +363,10 @@ func TestPreparedCacheBounded(t *testing.T) {
 func TestFormatCachesBounded(t *testing.T) {
 	e := New()
 	defer e.Close()
-	f32, s64 := ex.PrecF32, ex.PrecSplit
+	f32 := ex.PrecF32
 	streams := []ex.Optim{
 		{Compress: true}, {Split: true}, {SellCS: true}, {Symmetric: true},
-		{Precision: f32}, {Precision: s64},
-		{SellCS: true, Precision: f32}, {SellCS: true, Precision: s64},
-		{Symmetric: true, Precision: f32}, {Symmetric: true, Precision: s64},
+		{Precision: f32}, {SellCS: true, Precision: f32}, {Symmetric: true, Precision: f32},
 	}
 	x := make([]float64, 20)
 	y := make([]float64, 20)

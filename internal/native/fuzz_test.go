@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
+	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
@@ -15,7 +16,7 @@ import (
 //
 //	0-6   Vectorize, Prefetch, Unroll, Compress, Split, SellCS, Symmetric
 //	7-8   schedule (fuzzPolicies)
-//	9-10  precision (f64, f32, split64; 3 reads as f64)
+//	9-10  precision (f64, f32; 2 and 3 read as f64)
 //	11-12 block width k (fuzzWidths)
 //	13-14 operation: MulVec, MulVecBatch, MulMat (3 reads as MulVec)
 //	15    add one full-length row (long enough for Split to extract
@@ -54,11 +55,15 @@ func encodeKnobs(o ex.Optim, op, k, threads int, long bool) uint32 {
 // decodeKnobs inverts encodeKnobs for any word.
 func decodeKnobs(w uint32) (o ex.Optim, op, k, threads int, long bool) {
 	bit := func(i int) bool { return w>>i&1 == 1 }
+	prec := ex.Precision(w >> 9 & 3)
+	if prec > ex.PrecF32 {
+		prec = ex.PrecF64
+	}
 	o = ex.Optim{
 		Vectorize: bit(0), Prefetch: bit(1), Unroll: bit(2),
 		Compress: bit(3), Split: bit(4), SellCS: bit(5), Symmetric: bit(6),
 		Schedule:  fuzzPolicies[w>>7&3],
-		Precision: ex.Precision(w >> 9 & 3 % 3),
+		Precision: prec,
 	}
 	return o, int(w >> 13 & 3 % 3), fuzzWidths[w>>11&3], int(w >> 16 & 3), bit(15)
 }
@@ -113,7 +118,7 @@ func fuzzMatrix(n int, seed int64, long, sym bool, extra []byte) *matrix.CSR {
 // count, and the single-vector, batch or blocked entry point — on a
 // random matrix, and compares every output against the sequential CSR
 // reference: within 1e-12 of each row's magnitude scale at f64, within
-// the precision's per-entry storage bound otherwise.
+// the f32 storage bound under f32.
 func FuzzPreparedDifferential(f *testing.F) {
 	for i, row := range bindingTable() {
 		if row.o.IsBoundKernel() {
@@ -173,8 +178,8 @@ func FuzzPreparedDifferential(f *testing.F) {
 		}
 
 		tol := 1e-12
-		if prec := o.EffectivePrecision(); prec != ex.PrecF64 {
-			tol = precBound(prec) + 64*0x1p-52
+		if p.Opt().EffectivePrecision() == ex.PrecF32 {
+			tol = formats.F32EntryBound + 64*0x1p-52
 		}
 		want := make([]float64, n)
 		for l := range xs {

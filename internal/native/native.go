@@ -57,19 +57,10 @@ type preparedKey struct {
 }
 
 // conversionKind identifies one kind of memoized format conversion:
-// a storage format at a value precision (the same matrix reduces
-// differently under the f32 and split per-entry bounds).
+// a storage format at a value precision.
 type conversionKind struct {
 	f    ex.Format
 	prec ex.Precision
-}
-
-// precBound maps a reduced precision to its per-entry storage bound.
-func precBound(p ex.Precision) float64 {
-	if p == ex.PrecSplit {
-		return formats.SplitEntryBound
-	}
-	return formats.F32EntryBound
 }
 
 // New returns a native executor modeling itself as the host. Its worker

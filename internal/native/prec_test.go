@@ -1,11 +1,11 @@
 package native
 
 // Engine tests for the precision-reduced prepared paths: every
-// schedule/format combination that honors a reduced Precision must
-// track the f64 CSR reference within the variant's documented bound,
-// report the smaller storage footprint, and stay allocation-free in
-// steady state (the CI alloc job picks up TestAllocFreePrec via
-// -run TestAlloc).
+// schedule/format combination that honors f32 must track the f64 CSR
+// reference within the documented bound on values that fit float32,
+// run its f64 binding on values that do not, report the smaller
+// storage footprint, and stay allocation-free in steady state (the CI
+// alloc job picks up TestAllocFreePrec via -run TestAlloc).
 
 import (
 	"math"
@@ -64,30 +64,77 @@ func precOptims() map[string]ex.Optim {
 	}
 }
 
-func precVariants() map[string]ex.Precision {
-	return map[string]ex.Precision{
-		"f32":     ex.PrecF32,
-		"split64": ex.PrecSplit,
+// precVariants names the two inputs every reduced-precision path is
+// checked on: "f32" a matrix whose values fit float32, and
+// "unfit" the same matrix scaled past float32's range (1e300)
+// or into f64 subnormals (1e-310), which the f32 configuration must
+// run through its f64 binding.
+func precVariants() map[string][]float64 {
+	return map[string][]float64{
+		"f32":   {1},
+		"unfit": {1e300, 1e-310},
 	}
 }
 
-func precBoundOf(p ex.Precision) float64 {
-	if p == ex.PrecSplit {
-		return formats.SplitEntryBound
+// scaled returns a copy of m with every value multiplied by s.
+func scaled(m *matrix.CSR, s float64) *matrix.CSR {
+	c := m.Clone()
+	for j := range c.Val {
+		c.Val[j] *= s
 	}
-	return formats.F32EntryBound
+	return c
+}
+
+// checkPrecVariant prepares o at f32 on m scaled by s. Values that fit
+// float32 must track the f64 reference within the bound; values that
+// do not must run the f64 binding: same kernel, same footprint,
+// bit-identical results, and Opt reporting f64.
+func checkPrecVariant(t *testing.T, e *Executor, label string, m *matrix.CSR, s float64, o ex.Optim) {
+	t.Helper()
+	if s == 1 {
+		o.Precision = ex.PrecF32
+		precCheck(t, label, m, formats.F32EntryBound, e.Prepare(m, o).MulVec)
+		return
+	}
+	m = scaled(m, s)
+	if formats.FitsF32(m.Val) {
+		t.Fatalf("%s: values scaled by %g must not fit float32", label, s)
+	}
+	want := e.Prepare(m, o).(*Prepared)
+	o.Precision = ex.PrecF32
+	got := e.Prepare(m, o).(*Prepared)
+	if got.Kernel() != want.Kernel() || got.MemBytes() != want.MemBytes() {
+		t.Fatalf("%s x%g: binding %s/%d, want the f64 binding %s/%d",
+			label, s, got.Kernel(), got.MemBytes(), want.Kernel(), want.MemBytes())
+	}
+	if p := got.Opt().Precision; p != ex.PrecF64 {
+		t.Fatalf("%s x%g: Opt().Precision = %s, want f64", label, s, p)
+	}
+	x := make([]float64, m.NCols)
+	for i := range x {
+		x[i] = 1 + 0.25*float64(i%7)
+	}
+	yw := make([]float64, m.NRows)
+	yg := make([]float64, m.NRows)
+	want.MulVec(x, yw)
+	got.MulVec(x, yg)
+	for i := range yw {
+		if math.Float64bits(yw[i]) != math.Float64bits(yg[i]) {
+			t.Fatalf("%s x%g: y[%d] = %g, want %g bit for bit", label, s, i, yg[i], yw[i])
+		}
+	}
 }
 
 func TestPreparedPrecMatchesReference(t *testing.T) {
 	e := New()
 	defer e.Close()
 	m := gen.PowerLaw(3000, 6, 1.9, 900, 21)
-	for vname, prec := range precVariants() {
+	for vname, scales := range precVariants() {
 		for oname, o := range precOptims() {
-			o.Precision = prec
 			t.Run(vname+"/"+oname, func(t *testing.T) {
-				p := e.Prepare(m, o)
-				precCheck(t, vname+"/"+oname, m, precBoundOf(prec), p.MulVec)
+				for _, s := range scales {
+					checkPrecVariant(t, e, vname+"/"+oname, m, s, o)
+				}
 			})
 		}
 	}
@@ -97,11 +144,11 @@ func TestPreparedPrecSSSMatchesReference(t *testing.T) {
 	e := New()
 	defer e.Close()
 	m := symMatrix(2500, 23)
-	for vname, prec := range precVariants() {
-		o := ex.Optim{Symmetric: true, Precision: prec}
+	for vname, scales := range precVariants() {
 		t.Run(vname, func(t *testing.T) {
-			p := e.Prepare(m, o)
-			precCheck(t, "sss/"+vname, m, precBoundOf(prec), p.MulVec)
+			for _, s := range scales {
+				checkPrecVariant(t, e, "sss/"+vname, m, s, ex.Optim{Symmetric: true})
+			}
 		})
 	}
 }
@@ -112,41 +159,38 @@ func TestPreparedPrecMulMat(t *testing.T) {
 	e := New()
 	defer e.Close()
 	m := gen.PowerLaw(1500, 5, 2.0, 500, 29)
-	for vname, prec := range precVariants() {
-		for oname, o := range map[string]ex.Optim{
-			"csr":    {Precision: prec},
-			"sellcs": {SellCS: true, Vectorize: true, Precision: prec},
-		} {
-			for _, k := range []int{2, 3, 8} {
-				p := e.Prepare(m, o)
-				x := make([]float64, m.NCols*k)
-				for i := range x {
-					x[i] = 1 + 0.25*float64(i%5)
+	for oname, o := range map[string]ex.Optim{
+		"csr":    {Precision: ex.PrecF32},
+		"sellcs": {SellCS: true, Vectorize: true, Precision: ex.PrecF32},
+	} {
+		for _, k := range []int{2, 3, 8} {
+			p := e.Prepare(m, o)
+			x := make([]float64, m.NCols*k)
+			for i := range x {
+				x[i] = 1 + 0.25*float64(i%5)
+			}
+			y := make([]float64, m.NRows*k)
+			p.MulMat(x, y, k)
+			// Check lane 0 against the single-vector reference walk.
+			xl := make([]float64, m.NCols)
+			for j := 0; j < m.NCols; j++ {
+				xl[j] = x[j*k]
+			}
+			ref := make([]float64, m.NRows)
+			scale := make([]float64, m.NRows)
+			for i := 0; i < m.NRows; i++ {
+				var sum, sc float64
+				for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
+					pr := m.Val[j] * xl[m.ColInd[j]]
+					sum += pr
+					sc += math.Abs(pr)
 				}
-				y := make([]float64, m.NRows*k)
-				p.MulMat(x, y, k)
-				// Check lane 0 against the single-vector reference walk.
-				xl := make([]float64, m.NCols)
-				for j := 0; j < m.NCols; j++ {
-					xl[j] = x[j*k]
-				}
-				mSub := m
-				ref := make([]float64, m.NRows)
-				scale := make([]float64, m.NRows)
-				for i := 0; i < mSub.NRows; i++ {
-					var sum, sc float64
-					for j := mSub.RowPtr[i]; j < mSub.RowPtr[i+1]; j++ {
-						pr := mSub.Val[j] * xl[mSub.ColInd[j]]
-						sum += pr
-						sc += math.Abs(pr)
-					}
-					ref[i], scale[i] = sum, sc
-				}
-				tol := precBoundOf(prec) + 64*0x1p-52
-				for i := 0; i < m.NRows; i++ {
-					if math.Abs(y[i*k]-ref[i]) > tol*scale[i] {
-						t.Fatalf("%s/%s k=%d: y[%d] = %g, want %g", vname, oname, k, i, y[i*k], ref[i])
-					}
+				ref[i], scale[i] = sum, sc
+			}
+			tol := formats.F32EntryBound + 64*0x1p-52
+			for i := 0; i < m.NRows; i++ {
+				if math.Abs(y[i*k]-ref[i]) > tol*scale[i] {
+					t.Fatalf("%s k=%d: y[%d] = %g, want %g", oname, k, i, y[i*k], ref[i])
 				}
 			}
 		}
@@ -204,7 +248,7 @@ func TestPrecFootprintShrinks(t *testing.T) {
 }
 
 // TestAllocFreePrec extends the zero-alloc steady-state guard to every
-// reduced-precision prepared path.
+// reduced-precision prepared path and its f64 fallback.
 func TestAllocFreePrec(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -214,11 +258,12 @@ func TestAllocFreePrec(t *testing.T) {
 		x[i] = 1 + float64(i%3)
 	}
 	y := make([]float64, m.NRows)
-	for vname, prec := range precVariants() {
+	for vname, scales := range precVariants() {
+		mv := scaled(m, scales[0])
 		for oname, o := range precOptims() {
-			o.Precision = prec
+			o.Precision = ex.PrecF32
 			t.Run(vname+"/"+oname, func(t *testing.T) {
-				p := e.Prepare(m, o)
+				p := e.Prepare(mv, o)
 				for i := 0; i < 3; i++ {
 					p.MulVec(x, y)
 				}
@@ -241,8 +286,8 @@ func TestAllocFreePrecSSS(t *testing.T) {
 		x[i] = 1 + float64(i%3)
 	}
 	y := make([]float64, m.NRows)
-	for vname, prec := range precVariants() {
-		p := e.Prepare(m, ex.Optim{Symmetric: true, Precision: prec})
+	for vname, scales := range precVariants() {
+		p := e.Prepare(scaled(m, scales[0]), ex.Optim{Symmetric: true, Precision: ex.PrecF32})
 		for i := 0; i < 3; i++ {
 			p.MulVec(x, y)
 		}

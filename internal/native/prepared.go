@@ -256,8 +256,12 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 // to the executor's worker pool. It accepts bound kernels (Run measures
 // them); the public Prepare rejects them. Each format picks its own
 // partition and binds its range kernels through bindRanges, bindSym or
-// bindSplit.
+// bindSplit. A matrix whose values do not fit float32 runs its f64
+// binding under an f32 configuration, and Opt reports PrecF64.
 func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
+	if o.EffectivePrecision() == ex.PrecF32 && !formats.FitsF32(m.Val) {
+		o.Precision = ex.PrecF64
+	}
 	p := &Prepared{m: m, opt: o, nt: nt, pool: e.workers, blockW: o.EffectiveBlockWidth(),
 		matrixBytes: m.Bytes()}
 	prec := o.EffectivePrecision()
@@ -275,10 +279,9 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 			break
 		}
 		// The reduced form shares the f64 conversion's lower-triangle
-		// structure, so the partition above balances it too; corrections
-		// ride the same scatter slots as stored elements.
+		// structure, so the partition above balances it too.
 		ps := memoized(e, m, ex.FormatSSS, prec, func(*matrix.CSR) *formats.PrecSSS {
-			return formats.ConvertPrecSSS(s, precBound(prec))
+			return formats.ConvertPrecSSS(s)
 		})
 		p.kernelName, p.matrixBytes = "prec-sss-"+prec.String(), ps.Bytes()
 		p.bindSym(ps.N, parts, func(slot []float64, lo, hi int) {
@@ -308,10 +311,10 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 				func(lo, hi, k int) { kernels.SellCSBlockRange(s, p.x, p.y, k, lo, hi) })
 			break
 		}
-		// The reduced form shares the chunk geometry and folds its
-		// corrections in-row, so chunk ownership is unchanged.
+		// The reduced form shares the chunk geometry, so chunk
+		// ownership is unchanged.
 		ps := memoized(e, m, ex.FormatSellCS, prec, func(*matrix.CSR) *formats.PrecSellCS {
-			return formats.ConvertPrecSellCS(s, precBound(prec))
+			return formats.ConvertPrecSellCS(s)
 		})
 		p.kernelName, p.matrixBytes = "prec-sellcs-"+prec.String(), ps.Bytes()
 		p.bindRanges(parts, chunks, func(lo, hi int) { kernels.PrecSellCSRange(ps, p.x, p.y, lo, hi) },
@@ -330,9 +333,7 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 		// weights partition it exactly.
 		sp := sched.Prepare(o.Schedule, m, nt)
 		if prec != ex.PrecF64 {
-			pc := memoized(e, m, ex.FormatCSR, prec, func(m *matrix.CSR) *formats.PrecCSR {
-				return formats.ConvertPrecCSR(m, precBound(prec))
-			})
+			pc := memoized(e, m, ex.FormatCSR, prec, formats.ConvertPrecCSR)
 			kern, name := kernels.PrecVariant(o.Vectorize)
 			p.kernelName, p.matrixBytes = name+"-"+prec.String(), pc.Bytes()
 			p.bindRanges(sp.Parts, sp.Chunks, func(lo, hi int) { kern(pc, p.x, p.y, lo, hi) },

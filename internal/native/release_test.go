@@ -42,27 +42,24 @@ func TestExecutorRelease(t *testing.T) {
 	// Populate kernel + format caches for all three matrices: m1 gets
 	// the asymmetric conversions at every precision, m3 the symmetric
 	// ones, m2 a plain CSR kernel and a SELL conversion.
-	f32, s64 := ex.PrecF32, ex.PrecSplit
+	f32 := ex.PrecF32
 	k1 := e.Prepare(m1, ex.Optim{Compress: true})
 	k2 := e.Prepare(m2, ex.Optim{})
 	e.Prepare(m2, ex.Optim{SellCS: true})
 	for _, o := range []ex.Optim{
-		{Unroll: true}, {Split: true}, {Precision: f32}, {Precision: s64},
-		{SellCS: true, Precision: f32}, {SellCS: true, Precision: s64},
+		{Unroll: true}, {Split: true}, {Precision: f32}, {SellCS: true, Precision: f32},
 	} {
 		e.Prepare(m1, o)
 	}
-	for _, o := range []ex.Optim{{Symmetric: true, Precision: f32}, {Symmetric: true, Precision: s64}} {
-		e.Prepare(m3, o)
-	}
+	e.Prepare(m3, ex.Optim{Symmetric: true, Precision: f32})
 
-	// m1: 7 kernels + delta, split, f32/split64 CSR, SELL and its two
-	// reduced forms. m3: 2 kernels + SSS and its two reduced forms.
+	// m1: 5 kernels + delta, split, f32 CSR, SELL and its f32 form.
+	// m3: 1 kernel + SSS and its f32 form.
 	for _, c := range []struct {
 		name string
 		m    *matrix.CSR
 		want int
-	}{{"m1", m1, 7 + 7}, {"m2", m2, 2 + 1}, {"m3", m3, 2 + 3}} {
+	}{{"m1", m1, 5 + 5}, {"m2", m2, 2 + 1}, {"m3", m3, 1 + 2}} {
 		if n := countCached(e, c.m); n != c.want {
 			t.Fatalf("%s cached resources = %d, want %d", c.name, n, c.want)
 		}

@@ -240,8 +240,8 @@ func ConversionSeconds(m *matrix.CSR, mdl machine.Model, o ex.Optim) float64 {
 	}
 	if o.EffectivePrecision() != ex.PrecF64 {
 		// The reduced value stream is emitted in one extra pass over
-		// the effective storage (narrow each value, collect the
-		// out-of-bound entries into the correction stream).
+		// the effective storage (check every value fits float32, then
+		// narrow it).
 		s += sweepSeconds(m, mdl)
 	}
 	return s
@@ -524,7 +524,7 @@ type Oracle struct {
 	// single-vector oracle unchanged.
 	Batch int
 	// AccuracyBudget, when positive, adds a reduced-precision
-	// post-pass on the sweep winner (bestPrecisionFrom): variants are
+	// post-pass on the sweep winner (bestPrecisionFrom): f32 is
 	// measured like any other candidate but kept only when the f64
 	// winner is bandwidth bound and the probe confirms the budget.
 	// Zero keeps the oracle exact f64.

@@ -11,47 +11,26 @@ import (
 // Reduced-precision value storage is an opt-in optimization: it only
 // enters the candidate space when the caller grants an accuracy budget
 // (a componentwise relative error the application tolerates), and it is
-// only proposed for bandwidth-bound configurations — the variants halve
-// the value stream, so on a compute- or latency-bound matrix they can
-// only lose. Every proposal is additionally checked against the f64
+// only proposed for bandwidth-bound configurations — f32 halves the
+// value stream, so on a compute- or latency-bound matrix it can only
+// lose. Every proposal is additionally checked against the f64
 // reference on this exact matrix: the documented per-entry bound is a
 // storage contract, and the measured probe confirms the assembled
 // result honors the budget before the planner commits.
 
-// PrecisionBound returns the documented per-entry storage bound of a
-// reduced-precision variant (the componentwise relative error its
-// converted values may carry; see formats.F32EntryBound and
-// formats.SplitEntryBound). PrecF64 is exact and returns 0.
-func PrecisionBound(p ex.Precision) float64 {
-	switch p {
-	case ex.PrecF32:
-		return formats.F32EntryBound
-	case ex.PrecSplit:
-		return formats.SplitEntryBound
-	}
-	return 0
-}
-
-// PrecisionCandidates lists the reduced-precision variants whose
-// documented bound fits within the accuracy budget, strongest byte
-// savings first: plain f32 halves the whole value stream; split adds
-// the f64 correction stream for the entries f32 cannot hold, so it
-// saves less but guarantees a near-f64 result.
+// PrecisionCandidates lists the reduced-precision variants the
+// accuracy budget admits: f32 from a budget of formats.F32EntryBound
+// up, nothing below it.
 func PrecisionCandidates(budget float64) []ex.Precision {
-	var out []ex.Precision
 	if budget >= formats.F32EntryBound {
-		out = append(out, ex.PrecF32)
+		return []ex.Precision{ex.PrecF32}
 	}
-	if budget >= formats.SplitEntryBound {
-		out = append(out, ex.PrecSplit)
-	}
-	return out
+	return nil
 }
 
 // probeSlackULPs widens the probe tolerance by a few units of f64
-// roundoff per row scale: the reduced kernels accumulate corrections
-// after the main loop, so even an exact (split) variant differs from
-// the reference by reordering noise.
+// roundoff per row scale: the reduced and reference walks round their
+// partial sums differently.
 const probeSlackULPs = 32
 
 // PrecisionWithinBudget measures the variant's actual error on this
@@ -63,11 +42,11 @@ const probeSlackULPs = 32
 //	|y_i − ref_i| ≤ (budget + 32·ε₆₄)·Σ_j |a_ij·x_j|
 //
 // Rows whose reference is non-finite (NaN/Inf inputs) are excluded —
-// the conversion contract already guarantees faithful propagation
-// there, never a silently overflowed f32.
+// float32 stores those specials faithfully. A matrix whose values do
+// not fit float32 (formats.FitsF32) is refused before the probe: the
+// engine runs its f64 binding, so reduced precision cannot pay there.
 func PrecisionWithinBudget(m *matrix.CSR, prec ex.Precision, budget float64) bool {
-	bound := PrecisionBound(prec)
-	if bound <= 0 || budget < bound {
+	if prec != ex.PrecF32 || budget < formats.F32EntryBound || !formats.FitsF32(m.Val) {
 		return false
 	}
 	x := make([]float64, m.NCols)
@@ -85,7 +64,7 @@ func PrecisionWithinBudget(m *matrix.CSR, prec ex.Precision, budget float64) boo
 		}
 		ref[i], scale[i] = sum, sc
 	}
-	p := formats.ConvertPrecCSR(m, bound)
+	p := formats.ConvertPrecCSR(m)
 	y := make([]float64, m.NRows)
 	p.MulVec(x, y)
 	tol := budget + probeSlackULPs*0x1p-52

@@ -16,22 +16,21 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/machine"
+	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/ml"
 	"github.com/sparsekit/spmvtuner/internal/sim"
 )
 
 func TestPrecisionCandidatesByBudget(t *testing.T) {
-	if got := PrecisionCandidates(0); len(got) != 0 {
-		t.Fatalf("zero budget must propose nothing, got %v", got)
+	for _, budget := range []float64{0, 1e-13, 1e-9, 0.99 * formats.F32EntryBound} {
+		if got := PrecisionCandidates(budget); len(got) != 0 {
+			t.Fatalf("budget %g below the f32 bound must propose nothing, got %v", budget, got)
+		}
 	}
-	if got := PrecisionCandidates(1e-13); len(got) != 0 {
-		t.Fatalf("budget below every bound must propose nothing, got %v", got)
-	}
-	if got := PrecisionCandidates(formats.SplitEntryBound); len(got) != 1 || got[0] != ex.PrecSplit {
-		t.Fatalf("1e-12 budget must propose only split, got %v", got)
-	}
-	if got := PrecisionCandidates(formats.F32EntryBound); len(got) != 2 || got[0] != ex.PrecF32 || got[1] != ex.PrecSplit {
-		t.Fatalf("1e-6 budget must propose f32 then split, got %v", got)
+	for _, budget := range []float64{formats.F32EntryBound, 1e-3} {
+		if got := PrecisionCandidates(budget); len(got) != 1 || got[0] != ex.PrecF32 {
+			t.Fatalf("budget %g must propose f32, got %v", budget, got)
+		}
 	}
 }
 
@@ -40,16 +39,75 @@ func TestPrecisionWithinBudgetProbe(t *testing.T) {
 	if !PrecisionWithinBudget(m, ex.PrecF32, formats.F32EntryBound) {
 		t.Fatal("f32 must fit its own bound on normal-range values")
 	}
-	if !PrecisionWithinBudget(m, ex.PrecSplit, formats.SplitEntryBound) {
-		t.Fatal("split must fit 1e-12 on any finite matrix")
-	}
-	// A budget below the variant's documented bound can never be
-	// promised, whatever the matrix measures.
+	// A budget below the documented bound can never be promised,
+	// whatever the matrix measures.
 	if PrecisionWithinBudget(m, ex.PrecF32, 1e-9) {
 		t.Fatal("f32 must refuse a budget below its storage bound")
 	}
 	if PrecisionWithinBudget(m, ex.PrecF64, 1) {
 		t.Fatal("f64 is not a reduced variant; the probe must refuse it")
+	}
+	for _, s := range []float64{1e300, 1e-310} {
+		if PrecisionWithinBudget(scaled(m, s), ex.PrecF32, 1) {
+			t.Fatalf("values scaled by %g do not fit float32; the probe must refuse them", s)
+		}
+	}
+}
+
+// scaled returns a copy of m with every value multiplied by s.
+func scaled(m *matrix.CSR, s float64) *matrix.CSR {
+	c := m.Clone()
+	for j := range c.Val {
+		c.Val[j] *= s
+	}
+	return c
+}
+
+// TestPrecisionKeepsF64WhenUnfit: on a matrix holding values float32
+// cannot keep within the bound, neither ApplyPrecision nor the
+// oracle's precision pass moves any format's plan off f64 — the engine
+// would run the f64 binding anyway.
+func TestPrecisionKeepsF64WhenUnfit(t *testing.T) {
+	e := sim.New(machine.Broadwell())
+	banded := gen.Banded(100000, 16, 1.0, 2)
+	// The banded matrix plus its transpose: symmetric and wide enough
+	// that the halved lower-triangle stream outweighs the reduction.
+	coo := matrix.NewCOO(10000, 10000)
+	for _, m := range []*matrix.CSR{gen.Banded(10000, 60, 1.0, 3), gen.Banded(10000, 60, 1.0, 3).Transpose()} {
+		for i := 0; i < m.NRows; i++ {
+			for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
+				coo.Add(i, int(m.ColInd[j]), m.Val[j])
+			}
+		}
+	}
+	sym := coo.ToCSR()
+	sym.Sym = matrix.SymSymmetric
+	for _, c := range []struct {
+		name string
+		m    *matrix.CSR
+		o    ex.Optim
+	}{
+		{"csr+vec", banded, ex.Optim{Vectorize: true}},
+		{"sellcs", banded, ex.Optim{SellCS: true, Vectorize: true}},
+		{"sss", sym, ex.Optim{Symmetric: true}},
+	} {
+		pass := func(m *matrix.CSR) ex.Optim {
+			secs := e.Run(ex.Config{Matrix: m, Opt: c.o}).Seconds
+			got, _, _ := bestPrecisionFrom(e, m, c.o, secs, formats.F32EntryBound, DefaultCostParams())
+			return got
+		}
+		if got := pass(c.m); got.EffectivePrecision() != ex.PrecF32 {
+			t.Fatalf("%s: setup: the precision pass must pick f32 on values that fit, got %+v", c.name, got)
+		}
+		for _, s := range []float64{1e300, 1e-310} {
+			m := scaled(c.m, s)
+			if got := ApplyPrecision(m, c.o, formats.F32EntryBound); got != c.o {
+				t.Fatalf("%s x%g: ApplyPrecision changed the plan to %+v", c.name, s, got)
+			}
+			if got := pass(m); got != c.o {
+				t.Fatalf("%s x%g: oracle precision pass changed the plan to %+v", c.name, s, got)
+			}
+		}
 	}
 }
 
@@ -185,13 +243,19 @@ func TestApplyPrecisionTradesDelta(t *testing.T) {
 	}
 }
 
-// TestApplyPrecisionRespectsBudgetLadder: a 1e-12 budget must skip f32
-// (its 1e-6 bound exceeds the budget) and land on split.
+// TestApplyPrecisionRespectsBudgetLadder: a budget below the f32
+// bound admits nothing, and from the bound up f32 is folded in.
 func TestApplyPrecisionRespectsBudgetLadder(t *testing.T) {
 	m := gen.UniformRandom(800, 6, 9)
-	got := ApplyPrecision(m, ex.Optim{}, formats.SplitEntryBound)
-	if got.EffectivePrecision() != ex.PrecSplit {
-		t.Fatalf("1e-12 budget: precision %s, want split64", got.EffectivePrecision())
+	for budget, want := range map[float64]ex.Precision{
+		1e-12:                 ex.PrecF64,
+		1e-9:                  ex.PrecF64,
+		formats.F32EntryBound: ex.PrecF32,
+		1e-3:                  ex.PrecF32,
+	} {
+		if got := ApplyPrecision(m, ex.Optim{}, budget).EffectivePrecision(); got != want {
+			t.Fatalf("budget %g: precision %s, want %s", budget, got, want)
+		}
 	}
 }
 

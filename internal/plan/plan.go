@@ -147,7 +147,7 @@ func (p Plan) Valid() error {
 	if _, err := sched.ParsePolicy(p.Opt.Schedule.String()); err != nil {
 		return fmt.Errorf("plan: unserializable schedule policy %d", int(p.Opt.Schedule))
 	}
-	if p.Opt.Precision < ex.PrecF64 || p.Opt.Precision > ex.PrecSplit {
+	if p.Opt.Precision < ex.PrecF64 || p.Opt.Precision > ex.PrecF32 {
 		return fmt.Errorf("plan: unknown precision %d", int(p.Opt.Precision))
 	}
 	if !p.HasClasses && !p.Classes.Empty() {

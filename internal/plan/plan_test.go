@@ -28,7 +28,7 @@ func randomPlan(rng *rand.Rand) Plan {
 		Symmetric:  rng.Intn(2) == 0,
 		Schedule:   sched.Policy(rng.Intn(5)),
 		BlockWidth: []int{0, 1, 2, 4, 8}[rng.Intn(5)],
-		Precision:  ex.Precision(rng.Intn(3)),
+		Precision:  ex.Precision(rng.Intn(2)),
 	}
 	var set classify.Set
 	has := rng.Intn(2) == 0

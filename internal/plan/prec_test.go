@@ -32,8 +32,7 @@ func TestWirePrecisionField(t *testing.T) {
 		t.Fatalf("f64 plan must omit the precision field: %s", b)
 	}
 	for p, name := range map[ex.Precision]string{
-		ex.PrecF32:   "f32",
-		ex.PrecSplit: "split64",
+		ex.PrecF32: "f32",
 	} {
 		b, err := json.Marshal(precPlan(p))
 		if err != nil {

@@ -1,19 +1,19 @@
 package sim
 
 // Cost-model tests for reduced-precision value storage: the model must
-// price the halved value stream (and the correction stream) so that
-// the variants help exactly where the engine's reduced kernels do —
-// bandwidth-bound configurations — and remain strictly inert where the
-// paper's analysis says they cannot pay (compute- and latency-bound
-// matrices, whose roofline term does not contain matrix bytes).
+// price the halved value stream so that f32 helps exactly where the
+// engine's reduced kernels do — bandwidth-bound configurations — and
+// remain strictly inert where the paper's analysis says they cannot
+// pay (compute- and latency-bound matrices, whose roofline term does
+// not contain matrix bytes).
 
 import (
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
-	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/machine"
+	"github.com/sparsekit/spmvtuner/internal/matrix"
 )
 
 func TestPrecReducesTrafficAndHelpsMB(t *testing.T) {
@@ -32,16 +32,41 @@ func TestPrecReducesTrafficAndHelpsMB(t *testing.T) {
 	if f32.Seconds >= base.Seconds {
 		t.Fatalf("f32 did not help bandwidth-bound matrix: %.3g -> %.3g", base.Seconds, f32.Seconds)
 	}
-	// The split variant on random-valued matrices corrects nearly every
-	// entry: its traffic must price the correction stream and land
-	// between f32 and a gratuitous win.
-	split := run(e, m, ex.Optim{Vectorize: true, Precision: ex.PrecSplit})
-	if split.MemBytes <= f32.MemBytes {
-		t.Fatalf("split traffic %.3g must exceed f32's %.3g (correction stream)",
-			split.MemBytes, f32.MemBytes)
-	}
-	if corr := formats.CountCorrections(m, formats.SplitEntryBound); corr == 0 {
-		t.Fatal("setup: expected random-valued entries to need split corrections")
+}
+
+// TestPrecPricedAsF64WhenUnfit: a matrix holding values float32 cannot
+// keep within the bound (beyond its range, or f64 subnormals) runs its
+// f64 binding on the engine, so the model prices every f32
+// configuration of it exactly as f64.
+func TestPrecPricedAsF64WhenUnfit(t *testing.T) {
+	e := New(machine.KNL())
+	banded := gen.Banded(40000, 16, 1.0, 2)
+	sym := symmetrizeT(gen.Banded(20000, 40, 1.0, 8))
+	for _, c := range []struct {
+		name string
+		src  *matrix.CSR
+		o    ex.Optim
+	}{
+		{"csr+vec", banded, ex.Optim{Vectorize: true}},
+		{"sellcs", banded, ex.Optim{SellCS: true, Vectorize: true}},
+		{"sss", sym, ex.Optim{Symmetric: true}},
+	} {
+		f32 := c.o
+		f32.Precision = ex.PrecF32
+		if run(e, c.src, f32).MemBytes >= run(e, c.src, c.o).MemBytes {
+			t.Fatalf("%s: setup: f32 must shrink the priced traffic of values that fit", c.name)
+		}
+		for _, s := range []float64{1e300, 1e-310} {
+			m := c.src.Clone()
+			for j := range m.Val {
+				m.Val[j] *= s
+			}
+			base, got := run(e, m, c.o), run(e, m, f32)
+			if got.Seconds != base.Seconds || got.MemBytes != base.MemBytes || got.Breakdown != base.Breakdown {
+				t.Fatalf("%s x%g: f32 priced %.6g s/%.3g B, want the f64 price %.6g s/%.3g B",
+					c.name, s, got.Seconds, got.MemBytes, base.Seconds, base.MemBytes)
+			}
+		}
 	}
 }
 

@@ -161,12 +161,11 @@ type profile struct {
 	symOnce  sync.Once
 	symLower int64
 
-	// Precision-reduction statistics: how many values each per-entry
-	// bound sends to the f64 correction stream (index 0: f32, 1:
-	// split). Computed lazily (precStats) — the scan is O(NNZ) and
-	// only reduced-precision configurations consult it.
-	precOnce [2]sync.Once
-	precCorr [2]int64
+	// Whether every value fits float32 (formats.FitsF32). Computed
+	// lazily (fitsF32) — the scan is O(NNZ) and only reduced-precision
+	// configurations consult it.
+	f32Once sync.Once
+	f32Fits bool
 
 	// Split decomposition statistics at the default threshold.
 	splitThreshold int
@@ -279,17 +278,10 @@ func (p *profile) sellStats(m *matrix.CSR) (paddedNNZ int64, nChunks int) {
 	return p.sellPadded, p.sellChunks
 }
 
-// precStats returns the memoized correction-stream length of m under
-// the precision's per-entry bound.
-func (p *profile) precStats(m *matrix.CSR, prec ex.Precision) int64 {
-	i, bound := 0, formats.F32EntryBound
-	if prec == ex.PrecSplit {
-		i, bound = 1, formats.SplitEntryBound
-	}
-	p.precOnce[i].Do(func() {
-		p.precCorr[i] = formats.CountCorrections(m, bound)
-	})
-	return p.precCorr[i]
+// fitsF32 returns the memoized formats.FitsF32 verdict on m's values.
+func (p *profile) fitsF32(m *matrix.CSR) bool {
+	p.f32Once.Do(func() { p.f32Fits = formats.FitsF32(m.Val) })
+	return p.f32Fits
 }
 
 // symStats returns the memoized strictly-lower element count of m.
@@ -451,21 +443,14 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 		rowBytes += 4
 	}
 	// Precision-reduced value storage: the value stream halves (4-byte
-	// stored values), and the sparse f64 correction stream adds its
-	// per-entry wire cost amortized over all elements plus an 8-byte
-	// CorrPtr read per row. The model follows the engine's gating
-	// exactly (EffectivePrecision: CSR, SELL-C-σ and SSS only), so a
+	// stored values). The model follows the engine's gating exactly
+	// (EffectivePrecision: CSR, SELL-C-σ and SSS only, and only when
+	// every value fits float32, else the f64 binding runs), so a
 	// superseded precision knob is never priced — and a compute-bound
 	// matrix sees its compute terms unchanged, which is why the oracle
 	// only gains from the knob when bandwidth is what binds.
-	if prec := o.EffectivePrecision(); prec != ex.PrecF64 && (format != ex.FormatSSS || sssActive) {
+	if o.EffectivePrecision() != ex.PrecF64 && (format != ex.FormatSSS || sssActive) && p.fitsF32(m) {
 		valBytes *= 0.5
-		if corr := p.precStats(m, prec); corr > 0 && m.NNZ() > 0 {
-			// Corrections distribute over the stored elements; under SSS
-			// only the lower triangle's share is streamed.
-			valBytes += float64(formats.CorrBytesPerEntry) * float64(corr) / float64(m.NNZ()) * lowerFrac
-			rowBytes += 8
-		}
 	}
 	if o.UnitStride {
 		idxBytes = 0 // the P_CMP kernel loads no column indices

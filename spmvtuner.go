@@ -233,15 +233,15 @@ func WithCalibration(dir string) Option {
 
 // WithPrecisionBudget grants the planner an accuracy budget: a
 // componentwise relative error bound eps the application tolerates on
-// y = A*x. With a budget, bandwidth-bound matrices may be stored with
-// reduced-precision values — a plain f32 stream (documented bound
-// 1e-6) or the split f32+f64-correction stream (bound 1e-12) — halving
-// the dominant memory traffic; the planner verifies the actual error
-// on each matrix against the f64 reference before committing, and
-// non-finite or f32-overflowing values are always carried exactly,
-// never silently truncated. Without this option every result stays
-// exact f64 — the tuner never trades accuracy by default. See
-// docs/guide/precision.md.
+// y = A*x. With a budget of at least 1e-6 (the documented f32 bound),
+// bandwidth-bound matrices may be stored with f32 values, halving the
+// dominant memory traffic; a smaller budget admits nothing. The
+// planner verifies the actual error on each matrix against the f64
+// reference before committing, and a matrix holding a finite value
+// float32 cannot keep within 1e-6 (beyond its range, or deep in its
+// subnormals) always runs exact f64, never a silently truncated
+// value. Without this option every result stays exact f64 — the
+// tuner never trades accuracy by default. See docs/guide/precision.md.
 func WithPrecisionBudget(eps float64) Option {
 	return func(t *Tuner) error {
 		if eps <= 0 {
@@ -337,10 +337,10 @@ type Analysis struct {
 	// on this host ("avx512", "avx2", "scalar") — the provenance the
 	// plan carries so a warm start on different hardware re-measures.
 	KernelISA string
-	// Precision is the value-storage precision the plan executes:
-	// "f64" (exact, the default), "f32", or "split64" (f32 values plus
-	// an exact f64 correction stream). Reduced precisions appear only
-	// under WithPrecisionBudget.
+	// Precision is the value-storage precision the kernel executes:
+	// "f64" (exact, the default) or "f32". f32 appears only under
+	// WithPrecisionBudget, and only when every value fits float32; a
+	// warm start on values that do not fit runs, and reports, f64.
 	Precision string
 	// Warm reports that the decision came from the plan store: no
 	// classification and no candidate sweep ran (Tune only; Analyze
@@ -410,7 +410,7 @@ func (t *Tuner) Tune(m *Matrix) *Tuned {
 		PreprocessSeconds: pl.PreprocessSeconds,
 		Fingerprint:       pl.Fingerprint,
 		KernelISA:         pl.KernelISA,
-		Precision:         pl.Opt.EffectivePrecision().String(),
+		Precision:         prep.Opt().EffectivePrecision().String(),
 		Warm:              warm,
 	}
 	if pl.MeasuredGflops > 0 {
