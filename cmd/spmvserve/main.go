@@ -18,6 +18,15 @@
 //
 // Unknown names are 404, a full queue or a closing server 503 (retry),
 // malformed requests 400, a product with no JSON form (±Inf or NaN) 422.
+//
+// A multiply looks the name up before it reads the body, so an unknown
+// name is 404 whatever the body holds. The body may hold at most 64
+// bytes per column of the matrix plus 4 KiB; a longer one is 413. A
+// body of exactly {"x":[...]} with plain JSON numbers is decoded by a
+// byte scanner and the product written by strconv, both on buffers
+// pooled across requests (codec.go); any other body goes through
+// encoding/json, so what is accepted, the values and the error text are
+// encoding/json's either way.
 package main
 
 import (
@@ -28,6 +37,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -194,28 +204,46 @@ func newHandler(srv *spmv.Server) http.Handler {
 
 	mux.HandleFunc("POST /v1/mul/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		var body struct {
-			X []float64 `json:"x"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-			return
-		}
-		st, ok := srv.StatsFor(name)
+		rows, cols, ok := srv.Shape(name)
 		if !ok {
-			// No stats means no entry OR a closed server; the submit
+			// No matrix means no entry OR a closed server; the submit
 			// path distinguishes them (ErrNotRegistered vs
 			// ErrServerClosed).
-			err := srv.MulVec(name, body.X, nil)
+			err := srv.MulVec(name, nil, nil)
 			httpError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		y := make([]float64, st.Rows)
-		if err := srv.MulVec(name, body.X, y); err != nil {
+		s := mulPool.Get().(*mulScratch)
+		defer mulPool.Put(s)
+		limit := mulBodyLimit(cols)
+		if err := s.readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit); err != nil {
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("bad body: %w", err))
+			return
+		}
+		x, err := decodeX(s.body.Bytes(), s.x)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+			return
+		}
+		s.x = x
+		if cap(s.y) < rows {
+			s.y = make([]float64, rows)
+		}
+		y := s.y[:rows]
+		if err := srv.MulVec(name, x, y); err != nil {
 			httpError(w, statusFor(err, http.StatusBadRequest), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"y": y})
+		if s.out, ok = appendY(s.out[:0], y); !ok {
+			writeJSON(w, http.StatusOK, map[string]any{"y": y}) // answers 422
+			return
+		}
+		writeBody(w, http.StatusOK, s.out)
 	})
 
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -248,9 +276,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		code = http.StatusUnprocessableEntity
 		body, _ = json.Marshal(map[string]string{"error": err.Error()})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, code, append(body, '\n'))
+}
+
+// writeBody sends a JSON body, its trailing newline included.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	if _, err := w.Write(append(body, '\n')); err != nil {
+	if _, err := w.Write(body); err != nil {
 		fmt.Fprintln(os.Stderr, "spmvserve: write:", err)
 	}
 }

@@ -55,6 +55,22 @@ func doJSON(t *testing.T, method, url string, body any, out any) int {
 	return resp.StatusCode
 }
 
+// postRaw posts body as is and returns the status and the "error"
+// field of the JSON response, "" if it has none.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Error string `json:"error"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&out) // a success has no error field
+	return resp.StatusCode, out.Error
+}
+
 func TestHTTPLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t)
 
@@ -160,6 +176,22 @@ func TestHTTPErrorMapping(t *testing.T) {
 	// Wrong dimension is the caller's fault.
 	if code := doJSON(t, "POST", ts.URL+"/v1/mul/p", map[string]any{"x": []float64{1, 2, 3}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("short x: %d, want 400", code)
+	}
+	if code, msg := postRaw(t, ts.URL+"/v1/mul/p", `{"x":[1,]}`); code != http.StatusBadRequest || msg == "" {
+		t.Fatalf("malformed x: %d %q, want 400 with an error", code, msg)
+	}
+	// The name is looked up before the body is read.
+	if code, _ := postRaw(t, ts.URL+"/v1/mul/ghost", "not json"); code != http.StatusNotFound {
+		t.Fatalf("unknown matrix, malformed body: %d, want 404", code)
+	}
+	// A body longer than the limit for the matrix's width is 413.
+	_, cols, ok := srv.Shape("p")
+	if !ok {
+		t.Fatal("registered matrix has no shape")
+	}
+	huge := `{"x":[` + strings.Repeat(" ", int(mulBodyLimit(cols))) + `]}`
+	if code, msg := postRaw(t, ts.URL+"/v1/mul/p", huge); code != http.StatusRequestEntityTooLarge || msg == "" {
+		t.Fatalf("oversized body: %d %q, want 413 with an error", code, msg)
 	}
 
 	// A closed server sheds load with 503.

@@ -33,7 +33,7 @@ type chunk struct {
 	rows, cols []int32   // 0-based coordinates; nil for array files
 	vals       []float64 // entry values; nil for pattern files
 	bad        string    // the first malformed entry, "" if none
-	parsed     bool      // guarded by scan's mutex
+	parsed     bool      // read and written only under scan's mutex
 }
 
 // entries returns how many entries were parsed before c.bad.

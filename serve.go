@@ -149,6 +149,17 @@ func (s *Server) StatsFor(name string) (ServerStats, bool) {
 	return serverStats(st), ok
 }
 
+// Shape reports the named matrix's dimensions. Unlike StatsFor it
+// takes no snapshot of the serving counters, so a per-request caller
+// does not contend with the dispatcher's latency accounting.
+func (s *Server) Shape(name string) (rows, cols int, ok bool) {
+	cm, ok := s.inner.MatrixFor(name)
+	if !ok {
+		return 0, 0, false
+	}
+	return cm.NRows, cm.NCols, true
+}
+
 // Close stops every dispatcher, fails pending requests, and releases
 // resident kernels. The tuner stays open. Idempotent.
 func (s *Server) Close() error { return s.inner.Close() }

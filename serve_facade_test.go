@@ -187,3 +187,30 @@ func TestServerFacadeBudgetEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestServerShape: Shape reports a registered matrix's rows and
+// columns, and nothing once it is deregistered or for a name never
+// registered.
+func TestServerShape(t *testing.T) {
+	tuner := NewTuner()
+	defer tuner.Close()
+	srv := NewServer(tuner, ServerConfig{})
+	defer srv.Close()
+
+	m := NewBuilder(30, 20).Add(0, 0, 1).Add(29, 19, 2).Build()
+	if err := srv.Register("a", m); err != nil {
+		t.Fatal(err)
+	}
+	if rows, cols, ok := srv.Shape("a"); !ok || rows != 30 || cols != 20 {
+		t.Fatalf("Shape(a) = %d, %d, %v; want 30, 20, true", rows, cols, ok)
+	}
+	if err := srv.Deregister("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := srv.Shape("a"); ok {
+		t.Fatal("deregistered matrix still has a shape")
+	}
+	if _, _, ok := srv.Shape("ghost"); ok {
+		t.Fatal("unknown matrix has a shape")
+	}
+}
