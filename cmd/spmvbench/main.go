@@ -152,7 +152,12 @@ func run(args []string) error {
 	case "spmm":
 		emit(experiments.SpMM(cfg).Table())
 	case "sym":
-		emit(experiments.Sym(cfg).Table())
+		// The exactness gate returns the result alongside the error:
+		// emit the table either way so a failing run shows which
+		// matrix diverged.
+		var res experiments.SymResult
+		res, err = experiments.Sym(cfg)
+		emit(res.Table())
 	case "warm":
 		var res *experiments.WarmResult
 		if res, err = experiments.Warm(cfg); err == nil {

@@ -45,10 +45,11 @@ type Optim struct {
 	// with the other format knobs.
 	SellCS bool
 	// Symmetric stores the matrix in SSS form (strictly lower
-	// triangle + diagonal) and runs the symmetric two-phase kernel —
-	// the strongest MB-class remedy, halving the dominant matrix
-	// stream at the price of a per-thread partial-buffer reduction for
-	// the mirrored contributions. Valid only for matrices whose
+	// triangle + diagonal) and runs the symmetric kernel — the
+	// strongest MB-class remedy, halving the dominant matrix stream at
+	// the price of folding each thread's conflict window (the mirrored
+	// contributions below its rows) into y after the barrier. Valid
+	// only for matrices whose
 	// Sym kind is symmetric; the optimizers gate on it.
 	Symmetric bool
 	// Schedule selects the row-scheduling policy; the zero value is

@@ -51,9 +51,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// selected returns the suite recipes the config asks for.
-func (c Config) selected() []suite.Recipe {
-	all := suite.Evaluation()
+// selected returns the recipes of all the config asks for (every one
+// when no -matrix subset is given).
+func (c Config) selected(all []suite.Recipe) []suite.Recipe {
 	if len(c.Matrices) == 0 {
 		return all
 	}

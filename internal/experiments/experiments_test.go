@@ -277,7 +277,10 @@ func TestSellCSExperiment(t *testing.T) {
 }
 
 func TestSymExperiment(t *testing.T) {
-	res := Sym(Config{Scale: 0.02, Matrices: []string{"lap2d", "sym-fem"}})
+	res, err := Sym(Config{Scale: 0.02, Matrices: []string{"lap2d", "sym-fem"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}

@@ -6,6 +6,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sched"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // Fig1Row is one matrix's speedups under blindly applied single
@@ -31,7 +32,7 @@ func Fig1(cfg Config) Fig1Result {
 	c := cfg.withDefaults()
 	e := sim.New(machine.KNC())
 	res := Fig1Result{Platform: "knc"}
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		base := e.Run(ex.Config{Matrix: m}).Seconds
 		row := Fig1Row{Matrix: r.Name}

@@ -6,6 +6,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/machine"
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // Fig3Row is one matrix's baseline performance and per-class upper
@@ -30,7 +31,7 @@ func Fig3(cfg Config) Fig3Result {
 	e := sim.New(machine.KNC())
 	pg := classify.NewProfileGuided()
 	res := Fig3Result{Platform: "knc"}
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		b := bounds.Measure(e, m)
 		res.Rows = append(res.Rows, Fig3Row{Matrix: r.Name, Bounds: b, Classes: pg.Classify(b)})

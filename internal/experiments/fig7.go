@@ -9,6 +9,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/ref"
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // Fig7Row is one matrix's performance under every competitor
@@ -53,7 +54,7 @@ func Fig7(platform string, cfg Config) (Fig7Result, error) {
 
 	res := Fig7Result{Platform: mdl.Codename, TrainCV: tc.CV.ExactMatchRatio}
 	var sProf, sFeat, sIE []float64
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		row := Fig7Row{Matrix: r.Name}
 

@@ -9,6 +9,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/kernels"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/report"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // KernelRow compares one kernel family's scalar oracle against its
@@ -68,7 +69,7 @@ func Kernels(cfg Config) (*KernelsResult, error) {
 	c := cfg.withDefaults()
 	res := &KernelsResult{ISA: kernels.ISA()}
 
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		x := make([]float64, m.NCols)
 		for i := range x {

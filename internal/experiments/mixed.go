@@ -13,6 +13,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // MixedRow compares the f64 value stream against the f32 one on one
@@ -83,7 +84,7 @@ func Mixed(cfg Config) (*MixedResult, error) {
 	model := sim.New(machine.KNC())
 	pg := classify.NewProfileGuided()
 
-	sel := c.selected()
+	sel := c.selected(suite.Evaluation())
 	if len(c.Matrices) > 0 && len(sel) != len(c.Matrices) {
 		return nil, fmt.Errorf("mixed: %d of %d requested matrices are not suite names", len(c.Matrices)-len(sel), len(c.Matrices))
 	}

@@ -7,6 +7,7 @@ import (
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/report"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // ReuseRow compares the two native execution paths for one suite
@@ -50,7 +51,7 @@ func Reuse(cfg Config) ReuseResult {
 	defer e.Close()
 
 	var res ReuseResult
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		// A representative optimized configuration; the point is the
 		// execution path, not the tuning decision.

@@ -8,6 +8,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/report"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // SellCSRow compares the row-wise CSR vector kernel against the
@@ -38,7 +39,7 @@ func SellCS(cfg Config) SellCSResult {
 	defer e.Close()
 
 	res := SellCSResult{C: formats.DefaultChunkHeight}
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		x := make([]float64, m.NCols)
 		y := make([]float64, m.NRows)

@@ -10,6 +10,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/opt"
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // SpMMRow compares the per-vector loop against the blocked multi-RHS
@@ -45,7 +46,7 @@ func SpMM(cfg Config) SpMMResult {
 	model := sim.New(machine.Host())
 
 	var res SpMMResult
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		o := ex.Optim{Vectorize: true}
 		p := e.Prepare(m, o)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -26,6 +27,9 @@ type SymRow struct {
 	Speedup float64 // CSRUs / SSSUs
 	ModelX  float64 // cost-model predicted speedup on the host model
 	MaxDiff float64 // max relative difference vs the reference result
+	// WindowCells is the conflict-window cells the SSS kernel folds
+	// into y per multiply (native.Prepared.ReduceCells).
+	WindowCells int
 }
 
 // SymResult holds the symmetric-storage comparison.
@@ -33,41 +37,28 @@ type SymResult struct {
 	Rows []SymRow
 }
 
-// symSelected returns the symmetric suite recipes the config asks for
-// (all of them when no -matrix subset is given).
-func symSelected(c Config) []suite.Recipe {
-	all := suite.Symmetric()
-	if len(c.Matrices) == 0 {
-		return all
-	}
-	want := make(map[string]bool, len(c.Matrices))
-	for _, n := range c.Matrices {
-		want[n] = true
-	}
-	var out []suite.Recipe
-	for _, r := range all {
-		if want[r.Name] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// symTol is the relative difference from the expanded-CSR reference
+// past which the symmetric cross-check fails.
+const symTol = 1e-12
 
 // Sym runs the symmetric-storage cross-check natively on the host:
-// the SSS kernel must agree with the expanded-CSR reference, and the
-// reported bytes/perf delta shows what halving the matrix stream buys
-// against the reduction cost. The cost model's prediction sits beside
-// each measurement — it is what the oracle consults to decide when
-// the nt·n partial-buffer traffic eats the bandwidth win (the very
-// sparse Laplacians at high thread counts).
-func Sym(cfg Config) SymResult {
+// the SSS kernel must agree with the expanded-CSR reference within
+// symTol on every row, or Sym returns an error alongside the result.
+// The reported bytes/perf delta shows what halving the matrix stream
+// buys against the reduction, whose size is the window-cells column.
+// The cost model's prediction sits beside each measurement — it is
+// what the oracle consults to decide when the conflict-window fold
+// eats the bandwidth win (wide-profile matrices at high thread
+// counts).
+func Sym(cfg Config) (SymResult, error) {
 	c := cfg.withDefaults()
 	e := native.New()
 	defer e.Close()
 	model := sim.New(machine.Host())
 
 	var res SymResult
-	for _, r := range symSelected(c) {
+	var err error
+	for _, r := range c.selected(suite.Symmetric()) {
 		m := r.Build(c.Scale)
 		x := make([]float64, m.NCols)
 		for i := range x {
@@ -78,8 +69,7 @@ func Sym(cfg Config) SymResult {
 		iters := reuseIters(m.NNZ())
 
 		y := make([]float64, m.NRows)
-		timeOp := func(o ex.Optim) float64 {
-			p := e.Prepare(m, o)
+		timeOp := func(p ex.PreparedKernel) float64 {
 			p.MulVec(x, y) // warm
 			start := time.Now()
 			for i := 0; i < iters; i++ {
@@ -87,8 +77,9 @@ func Sym(cfg Config) SymResult {
 			}
 			return time.Since(start).Seconds() / float64(iters)
 		}
-		csr := timeOp(ex.Optim{})
-		sss := timeOp(ex.Optim{Symmetric: true})
+		csr := timeOp(e.Prepare(m, ex.Optim{}))
+		sssK := e.Prepare(m, ex.Optim{Symmetric: true}).(*native.Prepared)
+		sss := timeOp(sssK)
 
 		var maxDiff float64
 		for i := range want {
@@ -107,6 +98,11 @@ func Sym(cfg Config) SymResult {
 			CSRUs:   csr * 1e6,
 			SSSUs:   sss * 1e6,
 			MaxDiff: maxDiff,
+
+			WindowCells: sssK.ReduceCells(),
+		}
+		if !(maxDiff <= symTol) && err == nil {
+			err = fmt.Errorf("sym: %s: SSS differs from the reference by %.3g (tolerance %.0g)", m.Name, maxDiff, symTol)
 		}
 		if sssBytes > 0 {
 			row.BytesX = float64(m.Bytes()) / float64(sssBytes)
@@ -121,20 +117,22 @@ func Sym(cfg Config) SymResult {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, err
 }
 
 // Table renders the comparison.
 func (r SymResult) Table() *report.Table {
 	t := report.New("Symmetric SSS storage vs expanded CSR (host, prepared engine)",
-		"matrix", "nnz", "csr MiB", "sss MiB", "bytes-x", "csr us/op", "sss us/op", "speedup", "model-x", "maxdiff")
+		"matrix", "nnz", "csr MiB", "sss MiB", "bytes-x", "csr us/op", "sss us/op", "speedup", "model-x", "window cells", "maxdiff")
 	for _, row := range r.Rows {
 		t.Add(row.Matrix, report.F(float64(row.NNZ)), report.F(row.CSRMB), report.F(row.SSSMB),
 			report.Fx(row.BytesX), report.F(row.CSRUs), report.F(row.SSSUs),
-			report.Fx(row.Speedup), report.Fx(row.ModelX), report.F(row.MaxDiff))
+			report.Fx(row.Speedup), report.Fx(row.ModelX), report.F(float64(row.WindowCells)), report.F(row.MaxDiff))
 	}
 	t.AddNote("SSS stores the lower triangle + diagonal: bytes-x approaches 2 as rows densify")
-	t.AddNote("the mirrored contribution costs a per-thread partial-buffer reduction (nt x n cells);")
-	t.AddNote("the cost model prices it, so the oracle only proposes SSS when the halved stream wins")
+	t.AddNote("a mirrored contribution below its thread's rows lands in that thread's conflict window;")
+	t.AddNote("window cells is the sum over threads folded into y serially per multiply (one bandwidth")
+	t.AddNote("per thread on a banded matrix); the cost model prices it, so the oracle only proposes")
+	t.AddNote("SSS when the halved stream wins")
 	return t
 }

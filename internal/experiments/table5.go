@@ -9,6 +9,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
 	"github.com/sparsekit/spmvtuner/internal/solver"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // Table5Row is the amortization summary for one optimizer: the
@@ -56,7 +57,7 @@ func Table5(cfg Config) Table5Result {
 	}
 	accs := make([]acc, len(optimizers))
 
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		tMKL := opt.Evaluate(e, m, mkl.Plan(e, m)).Seconds
 		for i, o := range optimizers {

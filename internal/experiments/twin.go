@@ -11,6 +11,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/opt"
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // TwinRow compares the digital twin's analytic prediction against a
@@ -79,7 +80,7 @@ func Twin(cfg Config) (*TwinResult, error) {
 		Threshold:     TwinErrThreshold,
 	}
 
-	for _, r := range c.selected() {
+	for _, r := range c.selected(suite.Evaluation()) {
 		m := r.Build(c.Scale)
 		pl := pipe.PlanOnly(m)
 		pred := opt.Evaluate(twin, m, pl).Gflops

@@ -15,6 +15,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/planstore"
 	"github.com/sparsekit/spmvtuner/internal/report"
+	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
 // countingExecutor shims a prepared executor and counts Run
@@ -75,7 +76,7 @@ func Warm(cfg Config) (*WarmResult, error) {
 	e2 := &countingExecutor{PreparedExecutor: native.New()}
 	defer e2.Close()
 
-	sel := c.selected()
+	sel := c.selected(suite.Evaluation())
 	// selected() silently drops unknown names; a smoke test that runs
 	// over zero matrices would pass vacuously, so an explicit -matrix
 	// list must resolve completely.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/sparsekit/spmvtuner/internal/matrix"
+	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
 // SSS is the Symmetric Sparse Skyline storage format: a symmetric
@@ -13,9 +14,10 @@ import (
 // y[j] += v*x[i] for the implied mirror — so the dominant matrix
 // stream (values + column indices) of a bandwidth-bound multiply is
 // roughly halved. The price is the mirrored contribution's scatter
-// into y[j] outside the computing thread's row partition, which the
-// parallel engine resolves with per-thread partial buffers and a
-// phase-2 reduction (the same machinery as SplitCSR's long rows).
+// into y[j], which may lie below the computing thread's row
+// partition; the parallel engine sends those scatters to a per-thread
+// conflict window (SymWindows) and folds the windows into y after the
+// barrier (the same machinery as SplitCSR's long rows).
 type SSS struct {
 	// N is the matrix dimension (SSS matrices are square).
 	N int
@@ -83,6 +85,31 @@ func ConvertSSS(m *matrix.CSR) *SSS {
 	}
 	s.Lower = lower
 	return s
+}
+
+// SymWindows returns each slot's conflict window for the parallel SSS
+// kernel over the row partition parts of a symmetric matrix m: the
+// rows [base, lo) below a slot's range [lo, hi) that its mirror
+// scatters reach, with base the smallest strictly-lower column of rows
+// [lo, hi) (an empty window, Lo == Hi, when none reaches below lo).
+// m may be the assembled symmetric matrix or its SSS lower triangle:
+// both have column-sorted rows (ConvertSSS admits only what
+// DetectSymmetry proves symmetric, which needs sorted rows), so a
+// row's first stored column is its smallest and both give the same
+// windows. The native binding sizes its reduction scratch from these
+// windows and the cost model prices the same cells.
+func SymWindows(m *matrix.CSR, parts []sched.Range) []sched.Range {
+	out := make([]sched.Range, len(parts))
+	for t, r := range parts {
+		base := r.Lo
+		for i := r.Lo; i < r.Hi && base > 0; i++ {
+			if j := m.RowPtr[i]; j < m.RowPtr[i+1] && int(m.ColInd[j]) < base {
+				base = int(m.ColInd[j])
+			}
+		}
+		out[t] = sched.Range{Lo: base, Hi: r.Lo}
+	}
+	return out
 }
 
 // NNZ returns the stored element count: lower-triangle entries plus

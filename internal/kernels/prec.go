@@ -137,31 +137,46 @@ func PrecSellCSBlockRange(p *formats.PrecSellCS, x, y []float64, k, lo, hi int) 
 
 // PrecSSSRange computes rows [lo, hi) of the precision-reduced
 // symmetric kernel under the SSSRange contract: y[i] gets the diagonal
-// (kept f64) plus lower-triangle dot product, mirrored contributions
-// accumulate into scatter[col], and the caller must zero scatter[0:hi)
-// before the pass.
+// (kept f64) plus lower-triangle dot product, the mirrored
+// contribution to a row c ≥ lo adds into y[c] and one to c < lo into
+// window[c-base], and the caller zeroes window[0 : lo-base) before the
+// pass.
 //
 //spmv:hotpath
-func PrecSSSRange(p *formats.PrecSSS, x, y, scatter []float64, lo, hi int) {
+func PrecSSSRange(p *formats.PrecSSS, x, y, window []float64, base, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		xi := x[i]
 		sum := p.Diag[i] * xi
-		for j := p.RowPtr[i]; j < p.RowPtr[i+1]; j++ {
-			c := p.ColInd[j]
-			v := float64(p.Val[j])
-			sum += v * x[c]
-			scatter[c] += v * xi
+		cols := p.ColInd[p.RowPtr[i]:p.RowPtr[i+1]]
+		vals := p.Val[p.RowPtr[i]:p.RowPtr[i+1]]
+		vals = vals[:len(cols)]
+		if len(cols) > 0 && int(cols[0]) < lo {
+			for j, c := range cols {
+				v := float64(vals[j])
+				sum += v * x[c]
+				if int(c) < lo {
+					window[int(c)-base] += v * xi
+				} else {
+					y[c] += v * xi
+				}
+			}
+		} else {
+			for j, c := range cols {
+				v := float64(vals[j])
+				sum += v * x[c]
+				y[c] += v * xi
+			}
 		}
 		y[i] = sum
 	}
 }
 
 // PrecSSSBlockRange is the blocked multi-RHS form of PrecSSSRange for k
-// interleaved right-hand sides; scatter[0 : hi*k] must be zeroed by the
-// caller.
+// interleaved right-hand sides, under the SSSBlockRange window layout;
+// the caller zeroes window[0 : (lo-base)*k).
 //
 //spmv:hotpath
-func PrecSSSBlockRange(p *formats.PrecSSS, x, y, scatter []float64, k, lo, hi int) {
+func PrecSSSBlockRange(p *formats.PrecSSS, x, y, window []float64, k, base, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		d := p.Diag[i]
 		xi := x[i*k : i*k+k]
@@ -169,14 +184,23 @@ func PrecSSSBlockRange(p *formats.PrecSSS, x, y, scatter []float64, k, lo, hi in
 		for l := range yi {
 			yi[l] = d * xi[l]
 		}
-		for j := p.RowPtr[i]; j < p.RowPtr[i+1]; j++ {
-			c := int(p.ColInd[j])
-			v := float64(p.Val[j])
-			xc := x[c*k : c*k+k]
-			sc := scatter[c*k : c*k+k]
-			for l := 0; l < k; l++ {
+		cols := p.ColInd[p.RowPtr[i]:p.RowPtr[i+1]]
+		vals := p.Val[p.RowPtr[i]:p.RowPtr[i+1]]
+		vals = vals[:len(cols)]
+		mixed := len(cols) > 0 && int(cols[0]) < lo
+		for j, col := range cols {
+			c := int(col)
+			v := float64(vals[j])
+			xc := x[c*k:][:k]
+			var dst []float64
+			if mixed && c < lo {
+				dst = window[(c-base)*k:][:k]
+			} else {
+				dst = y[c*k:][:k]
+			}
+			for l := range yi {
 				yi[l] += v * xc[l]
-				sc[l] += v * xi[l]
+				dst[l] += v * xi[l]
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
+	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
 // The precision kernels are checked against the sequential references
@@ -71,18 +72,24 @@ func TestPrecSellCSRangeMatchesReference(t *testing.T) {
 
 func TestPrecSSSRangeMatchesReference(t *testing.T) {
 	m := symTestMatrix(400, 5)
-	p := formats.ConvertPrecSSS(formats.ConvertSSS(m))
+	s := formats.ConvertSSS(m)
+	p := formats.ConvertPrecSSS(s)
 	checkPrecRanges(t, "prec-sss", p.N, p.MulVec, func(x, y []float64) {
-		scatter := make([]float64, p.N)
-		for i := 0; i < p.N; i++ {
-			y[i] = 0
-		}
 		bounds := []int{0, p.N / 3, 2*p.N/3 + 1, p.N}
+		var parts []sched.Range
 		for b := 0; b+1 < len(bounds); b++ {
-			PrecSSSRange(p, x, y, scatter, bounds[b], bounds[b+1])
+			parts = append(parts, sched.Range{Lo: bounds[b], Hi: bounds[b+1]})
 		}
-		for i := 0; i < p.N; i++ {
-			y[i] += scatter[i]
+		win := formats.SymWindows(s.Lower, parts)
+		windows := make([][]float64, len(parts))
+		for b, r := range parts {
+			windows[b] = make([]float64, win[b].Rows())
+			PrecSSSRange(p, x, y, windows[b], win[b].Lo, r.Lo, r.Hi)
+		}
+		for b, w := range win {
+			for c, v := range windows[b] {
+				y[w.Lo+c] += v
+			}
 		}
 	})
 }

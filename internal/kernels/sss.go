@@ -4,33 +4,57 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/formats"
 )
 
-// Symmetric (SSS) kernels. Each thread owns a contiguous row range of
-// the lower triangle: the diagonal and lower contributions of its own
-// rows land directly in y (row ownership is exclusive), while the
-// mirrored transpose contribution of every stored element scatters
-// into y[col] — a row some other thread may own. Those scatters go to
-// the thread's private partial buffer (scatter), and the shared
-// reduction engine (internal/native) folds all buffers into y after
-// the barrier, exactly as SplitCSR's long-row partials do.
+// Symmetric (SSS) kernels. Each thread owns a contiguous row range
+// [lo, hi) of the lower triangle: the diagonal and lower contributions
+// of its own rows land directly in y (row ownership is exclusive),
+// and the mirrored transpose contribution of every stored (i, c)
+// goes to row c < i. A row c ≥ lo is the thread's own and was already
+// written — rows run in ascending order — so that contribution adds
+// straight into y[c]. Only a row c < lo belongs to an earlier thread;
+// those contributions accumulate in the thread's conflict window, the
+// rows [base, lo) its scatters can reach (formats.SymWindows), which
+// the reduction engine (internal/native) folds into y after the
+// barrier. Rows are column-sorted (ConvertSSS admits only matrices
+// DetectSymmetry proves symmetric), so a row's first column is its
+// smallest: one test per row sends every row lying entirely at or
+// after lo — all but about one bandwidth of rows per range on a banded
+// matrix — through the branch-free loop into y (the blocked forms skip
+// only the per-element column test, which their k-wide updates
+// dwarf).
 
 // SSSRange computes rows [lo, hi) of the symmetric kernel: y[i] gets
 // the diagonal plus lower-triangle dot product of row i, and the
-// mirrored contribution v*x[i] of each stored (i, j) accumulates into
-// scatter[j]. All stored columns of rows [lo, hi) are strictly below
-// hi, so the caller must zero scatter[0:hi) before the pass — cells at
-// or above hi are never touched.
+// mirrored contribution v*x[i] of each stored (i, c) adds into y[c]
+// when c ≥ lo and into window[c-base] otherwise. base must not exceed
+// the smallest column of rows [lo, hi), and the caller zeroes
+// window[0 : lo-base) before the pass; no other window cell and no y
+// cell outside [lo, hi) is touched.
 //
 //spmv:hotpath
-func SSSRange(s *formats.SSS, x, y, scatter []float64, lo, hi int) {
+func SSSRange(s *formats.SSS, x, y, window []float64, base, lo, hi int) {
 	L := s.Lower
 	for i := lo; i < hi; i++ {
 		xi := x[i]
 		sum := s.Diag[i] * xi
-		for j := L.RowPtr[i]; j < L.RowPtr[i+1]; j++ {
-			c := L.ColInd[j]
-			v := L.Val[j]
-			sum += v * x[c]
-			scatter[c] += v * xi
+		cols := L.ColInd[L.RowPtr[i]:L.RowPtr[i+1]]
+		vals := L.Val[L.RowPtr[i]:L.RowPtr[i+1]]
+		vals = vals[:len(cols)]
+		if len(cols) > 0 && int(cols[0]) < lo {
+			for j, c := range cols {
+				v := vals[j]
+				sum += v * x[c]
+				if int(c) < lo {
+					window[int(c)-base] += v * xi
+				} else {
+					y[c] += v * xi
+				}
+			}
+		} else {
+			for j, c := range cols {
+				v := vals[j]
+				sum += v * x[c]
+				y[c] += v * xi
+			}
 		}
 		y[i] = sum
 	}
@@ -39,10 +63,11 @@ func SSSRange(s *formats.SSS, x, y, scatter []float64, lo, hi int) {
 // SSSBlockRange is the blocked multi-RHS form of SSSRange for k
 // interleaved right-hand sides: the lower triangle streams once per
 // block, each element serving both its own row and its mirror for all
-// k vectors. scatter[0 : hi*k] must be zeroed by the caller.
+// k vectors. Row c's k window cells sit at window[(c-base)*k:], and
+// the caller zeroes window[0 : (lo-base)*k).
 //
 //spmv:hotpath
-func SSSBlockRange(s *formats.SSS, x, y, scatter []float64, k, lo, hi int) {
+func SSSBlockRange(s *formats.SSS, x, y, window []float64, k, base, lo, hi int) {
 	L := s.Lower
 	for i := lo; i < hi; i++ {
 		d := s.Diag[i]
@@ -51,14 +76,23 @@ func SSSBlockRange(s *formats.SSS, x, y, scatter []float64, k, lo, hi int) {
 		for l := range yi {
 			yi[l] = d * xi[l]
 		}
-		for j := L.RowPtr[i]; j < L.RowPtr[i+1]; j++ {
-			c := int(L.ColInd[j])
-			v := L.Val[j]
-			xc := x[c*k : c*k+k]
-			sc := scatter[c*k : c*k+k]
-			for l := 0; l < k; l++ {
+		cols := L.ColInd[L.RowPtr[i]:L.RowPtr[i+1]]
+		vals := L.Val[L.RowPtr[i]:L.RowPtr[i+1]]
+		vals = vals[:len(cols)]
+		mixed := len(cols) > 0 && int(cols[0]) < lo
+		for j, col := range cols {
+			c := int(col)
+			v := vals[j]
+			xc := x[c*k:][:k]
+			var dst []float64
+			if mixed && c < lo {
+				dst = window[(c-base)*k:][:k]
+			} else {
+				dst = y[c*k:][:k]
+			}
+			for l := range yi {
 				yi[l] += v * xc[l]
-				sc[l] += v * xi[l]
+				dst[l] += v * xi[l]
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
+	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
 // symTestMatrix builds an exactly symmetric matrix (A + Aᵀ over a
@@ -26,33 +27,51 @@ func symTestMatrix(n int, seed int64) *matrix.CSR {
 	return coo.ToCSR()
 }
 
-// TestSSSRangeTwoPhase runs the full parallel shape by hand — static
-// partitions, per-thread scatter buffers, then the fold — and compares
-// against the mirrored-CSR reference. The fold is hand-rolled here;
-// production uses the shared reduction engine in internal/native.
-func TestSSSRangeTwoPhase(t *testing.T) {
-	m := symTestMatrix(700, 9)
-	s := formats.ConvertSSS(m)
-	x := vec(m.NCols, 3)
-	want := make([]float64, m.NRows)
-	m.MulVec(x, want)
+// sssCases are the symmetric shapes the window kernels run on: a
+// wide-profile random matrix (every row reaches below its range, so
+// windows span nearly all earlier rows) and a banded Laplacian (only a
+// bandwidth of rows at each range start takes the window branch).
+func sssCases() map[string]*matrix.CSR {
+	return map[string]*matrix.CSR{
+		"random": symTestMatrix(700, 9),
+		"lap2d":  gen.Poisson2D(20, 30),
+	}
+}
 
-	const nt = 4
-	got := make([]float64, m.NRows)
-	scatters := make([][]float64, nt)
-	for tid := 0; tid < nt; tid++ {
-		lo, hi := tid*s.N/nt, (tid+1)*s.N/nt
-		scatters[tid] = make([]float64, s.N)
-		SSSRange(s, x, got, scatters[tid], lo, hi)
-	}
-	for c := 0; c < s.N; c++ {
-		for tid := 0; tid < nt; tid++ {
-			got[c] += scatters[tid][c]
+// sssParts splits n rows into nt equal ranges and returns them with
+// their conflict windows.
+func sssParts(s *formats.SSS, nt int) (parts, win []sched.Range) {
+	parts = sched.PartitionRows(s.N, nt)
+	return parts, formats.SymWindows(s.Lower, parts)
+}
+
+// TestSSSRangeTwoPhase runs the full parallel shape by hand — static
+// partitions, per-thread conflict windows, then the serial fold — and
+// compares against the mirrored-CSR reference. The fold is hand-rolled
+// here; production uses the shared reduction engine in internal/native.
+func TestSSSRangeTwoPhase(t *testing.T) {
+	for name, m := range sssCases() {
+		s := formats.ConvertSSS(m)
+		x := vec(m.NCols, 3)
+		want := make([]float64, m.NRows)
+		m.MulVec(x, want)
+
+		parts, win := sssParts(s, 4)
+		got := make([]float64, m.NRows)
+		windows := make([][]float64, len(parts))
+		for tid, r := range parts {
+			windows[tid] = make([]float64, win[tid].Rows())
+			SSSRange(s, x, got, windows[tid], win[tid].Lo, r.Lo, r.Hi)
 		}
-	}
-	for i := range want {
-		if math.Abs(want[i]-got[i]) > 1e-12*(1+math.Abs(want[i])) {
-			t.Fatalf("sss: y[%d] = %g, want %g", i, got[i], want[i])
+		for tid, w := range win {
+			for c, v := range windows[tid] {
+				got[w.Lo+c] += v
+			}
+		}
+		for i := range want {
+			if math.Abs(want[i]-got[i]) > 1e-12*(1+math.Abs(want[i])) {
+				t.Fatalf("%s: y[%d] = %g, want %g", name, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -60,47 +79,87 @@ func TestSSSRangeTwoPhase(t *testing.T) {
 // TestSSSBlockRangeTwoPhase is the blocked analogue across the
 // register-blocked and generic widths.
 func TestSSSBlockRangeTwoPhase(t *testing.T) {
-	m := symTestMatrix(400, 17)
-	s := formats.ConvertSSS(m)
-	const nt = 3
-	for _, k := range []int{2, 3, 8} {
-		x := randBlock(m.NCols, k, int64(50+k))
-		want := blockRef(m, x, k)
-		y := make([]float64, m.NRows*k)
-		scatters := make([][]float64, nt)
-		for tid := 0; tid < nt; tid++ {
-			lo, hi := tid*s.N/nt, (tid+1)*s.N/nt
-			scatters[tid] = make([]float64, s.N*k)
-			SSSBlockRange(s, x, y, scatters[tid], k, lo, hi)
-		}
-		for c := 0; c < s.N; c++ {
-			for tid := 0; tid < nt; tid++ {
-				for l := 0; l < k; l++ {
-					y[c*k+l] += scatters[tid][c*k+l]
+	for name, m := range sssCases() {
+		s := formats.ConvertSSS(m)
+		parts, win := sssParts(s, 3)
+		for _, k := range []int{1, 2, 3, 8} {
+			x := randBlock(m.NCols, k, int64(50+k))
+			want := blockRef(m, x, k)
+			y := make([]float64, m.NRows*k)
+			windows := make([][]float64, len(parts))
+			for tid, r := range parts {
+				windows[tid] = make([]float64, win[tid].Rows()*k)
+				SSSBlockRange(s, x, y, windows[tid], k, win[tid].Lo, r.Lo, r.Hi)
+			}
+			for tid, w := range win {
+				for c, v := range windows[tid] {
+					y[w.Lo*k+c] += v
 				}
 			}
+			checkBlock(t, "sss/"+name, y, want, k)
 		}
-		checkBlock(t, "sss", y, want, k)
 	}
 }
 
-// TestSSSRangeScatterPrefix pins the zeroing contract: rows [lo, hi)
-// only touch scatter cells below hi.
+// sssPoison marks cells a kernel must not write: finite, so that any
+// accumulation into it changes its bits.
+const sssPoison = 1234.5
+
+// TestSSSRangeScatterPrefix pins the write contract: a range [lo, hi)
+// writes only y[lo:hi) and window[0:lo-base). Every other cell of y
+// and of an n-cell window is poisoned and must keep its bits, for the
+// scalar and blocked kernels in both precisions.
 func TestSSSRangeScatterPrefix(t *testing.T) {
-	m := symTestMatrix(120, 5)
-	s := formats.ConvertSSS(m)
-	x := vec(m.NCols, 7)
-	y := make([]float64, m.NRows)
-	scatter := make([]float64, s.N)
-	const hi = 60
-	poison := math.NaN()
-	for c := hi; c < s.N; c++ {
-		scatter[c] = poison
-	}
-	SSSRange(s, x, y, scatter, 20, hi)
-	for c := hi; c < s.N; c++ {
-		if !math.IsNaN(scatter[c]) {
-			t.Fatalf("scatter[%d] written outside the [0,hi) contract", c)
+	for name, m := range sssCases() {
+		s := formats.ConvertSSS(m)
+		ps := formats.ConvertPrecSSS(s)
+		parts, win := sssParts(s, 3)
+		for _, k := range []int{1, 2, 3, 8} {
+			x := randBlock(m.NCols, k, int64(70+k))
+			run := map[string]func(y, window []float64, base, lo, hi int){
+				"sss": func(y, window []float64, base, lo, hi int) {
+					if k == 1 {
+						SSSRange(s, x, y, window, base, lo, hi)
+						return
+					}
+					SSSBlockRange(s, x, y, window, k, base, lo, hi)
+				},
+				"prec-sss": func(y, window []float64, base, lo, hi int) {
+					if k == 1 {
+						PrecSSSRange(ps, x, y, window, base, lo, hi)
+						return
+					}
+					PrecSSSBlockRange(ps, x, y, window, k, base, lo, hi)
+				},
+			}
+			for kern, f := range run {
+				for tid, r := range parts {
+					base := win[tid].Lo
+					y := make([]float64, s.N*k)
+					window := make([]float64, s.N*k)
+					for c := range y {
+						if c < r.Lo*k || c >= r.Hi*k {
+							y[c] = sssPoison
+						}
+					}
+					for c := win[tid].Rows() * k; c < len(window); c++ {
+						window[c] = sssPoison
+					}
+					f(y, window, base, r.Lo, r.Hi)
+					for c := range y {
+						if (c < r.Lo*k || c >= r.Hi*k) && y[c] != sssPoison {
+							t.Fatalf("%s/%s k=%d slot %d: y cell %d written outside rows [%d,%d)",
+								name, kern, k, tid, c, r.Lo, r.Hi)
+						}
+					}
+					for c := win[tid].Rows() * k; c < len(window); c++ {
+						if window[c] != sssPoison {
+							t.Fatalf("%s/%s k=%d slot %d: window cell %d written past lo-base=%d",
+								name, kern, k, tid, c, win[tid].Rows())
+						}
+					}
+				}
+			}
 		}
 	}
 }

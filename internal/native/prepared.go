@@ -14,7 +14,7 @@ import (
 
 // Prepared is a compiled SpMV kernel for one (matrix, optimization)
 // pair: the converted format (DeltaCSR/SplitCSR), the resolved schedule
-// partitions, the phase-2 partial buffer and the chosen kernel function
+// partitions, the reduction windows and the chosen kernel function
 // are all materialized at construction, so a steady-state MulVec does
 // no planning work and zero heap allocations — it wakes the persistent
 // workers, runs the kernel, and returns. This is the object the facade's
@@ -47,9 +47,12 @@ type Prepared struct {
 
 	// body computes slot t's share of one operation; finish, when
 	// non-nil, runs on the dispatching goroutine after the barrier (the
-	// Fig 6 phase-2 reduction).
+	// Fig 6 phase-2 reduction and the SSS window fold).
 	body   func(t int)
 	finish func()
+	// red is the reduction engine finish folds from; nil for kernels
+	// that write y directly.
+	red *reducer
 
 	// Blocked multi-RHS (SpMM) state. bodyBlock computes slot t's share
 	// of one blocked multiply, reading x/y as an interleaved block of bk
@@ -86,6 +89,17 @@ func (p *Prepared) Threads() int { return p.nt }
 // Kernel names the compiled inner kernel, e.g. "delta" or
 // "split+csr-vec8-avx512".
 func (p *Prepared) Kernel() string { return p.kernelName }
+
+// ReduceCells reports the partial cells the post-barrier fold adds
+// into y per vector: every slot's Split long-row partials, or the SSS
+// conflict windows (formats.SymWindows); 0 for kernels that write y
+// directly.
+func (p *Prepared) ReduceCells() int {
+	if p.red == nil {
+		return 0
+	}
+	return p.red.cells()
+}
 
 // MulVec computes y = A*x. Safe for concurrent use; allocation-free in
 // steady state.
@@ -191,8 +205,7 @@ func (p *Prepared) mulVecLocked(x, y, perThread []float64) {
 }
 
 // runPhase dispatches one barrier of the kernel — through the
-// persistent pool when bound, transient goroutines otherwise. Multi-
-// phase kernels (the SSS reduction) dispatch it again from finish.
+// persistent pool when bound, transient goroutines otherwise.
 //
 //spmv:hotpath
 func (p *Prepared) runPhase(body func(t int)) {
@@ -237,9 +250,6 @@ func (p *Prepared) mulMatLocked(x, y []float64, k int, perThread []float64) {
 }
 
 // wrap adds the optional per-thread timing shell around a slot body.
-// Timing accumulates (+=) rather than assigns so multi-phase kernels —
-// the SSS compute + reduce barriers — report each slot's total busy
-// time; callers hand in a zeroed slice per measured operation.
 func (p *Prepared) wrap(work func(t int)) func(t int) {
 	return func(t int) {
 		if p.timing == nil {
@@ -248,7 +258,7 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 		}
 		begin := time.Now()
 		work(t)
-		p.timing[t] += time.Since(begin).Seconds()
+		p.timing[t] = time.Since(begin).Seconds()
 	}
 }
 
@@ -271,23 +281,24 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 		parts := sched.Prepare(o.Schedule, s.Lower, nt).Parts
 		if prec == ex.PrecF64 {
 			p.kernelName, p.matrixBytes = "sss", s.Bytes()
-			p.bindSym(s.N, parts, func(slot []float64, lo, hi int) {
-				kernels.SSSRange(s, p.x, p.y, slot, lo, hi)
-			}, func(slot []float64, k, lo, hi int) {
-				kernels.SSSBlockRange(s, p.x, p.y, slot, k, lo, hi)
+			p.bindSym(s.Lower, parts, func(window []float64, base, lo, hi int) {
+				kernels.SSSRange(s, p.x, p.y, window, base, lo, hi)
+			}, func(window []float64, k, base, lo, hi int) {
+				kernels.SSSBlockRange(s, p.x, p.y, window, k, base, lo, hi)
 			})
 			break
 		}
 		// The reduced form shares the f64 conversion's lower-triangle
-		// structure, so the partition above balances it too.
+		// structure, so the partition above balances it and the
+		// windows bindSym derives from s.Lower bound its scatters.
 		ps := memoized(e, m, ex.FormatSSS, prec, func(*matrix.CSR) *formats.PrecSSS {
 			return formats.ConvertPrecSSS(s)
 		})
 		p.kernelName, p.matrixBytes = "prec-sss-"+prec.String(), ps.Bytes()
-		p.bindSym(ps.N, parts, func(slot []float64, lo, hi int) {
-			kernels.PrecSSSRange(ps, p.x, p.y, slot, lo, hi)
-		}, func(slot []float64, k, lo, hi int) {
-			kernels.PrecSSSBlockRange(ps, p.x, p.y, slot, k, lo, hi)
+		p.bindSym(s.Lower, parts, func(window []float64, base, lo, hi int) {
+			kernels.PrecSSSRange(ps, p.x, p.y, window, base, lo, hi)
+		}, func(window []float64, k, base, lo, hi int) {
+			kernels.PrecSSSBlockRange(ps, p.x, p.y, window, k, base, lo, hi)
 		})
 	case ex.FormatSplit:
 		p.bindSplit(memoized(e, m, ex.FormatSplit, ex.PrecF64, formats.SplitAuto), o)
@@ -391,15 +402,19 @@ func (p *Prepared) slots(parts, chunks []sched.Range, run func(lo, hi int)) func
 
 // bindSplit compiles the two-phase SplitCSR kernel (Fig 6): phase 1
 // over the base rows, phase-2 partials per thread, and the reduction as
-// the post-barrier finish step. The partial buffers live in the shared
-// reduction engine, one cell per extracted long row, folded into y
-// through the LongRowIdx scatter table; the few cells make the serial
-// fold cheaper than a second barrier.
+// the post-barrier finish step. The partials live in the shared
+// reduction engine, each slot's window one cell per extracted long
+// row, folded into y through the LongRowIdx scatter table.
 func (p *Prepared) bindSplit(s *formats.SplitCSR, o ex.Optim) {
 	inner := kernels.Variant(o.Vectorize, o.Prefetch, o.Unroll)
 	p.kernelName = "split+" + kernels.VariantName(o.Vectorize, o.Prefetch, o.Unroll)
 	parts := sched.Prepare(o.Schedule, s.Base, p.nt).Parts
-	red := newReducer(p.nt, s.NumLongRows(), p.blockW, s.LongRowIdx)
+	win := make([]sched.Range, p.nt)
+	for t := range win {
+		win[t].Hi = s.NumLongRows()
+	}
+	red := newReducer(win, p.blockW, s.LongRowIdx)
+	p.red = red
 	nt := p.nt
 	p.body = p.wrap(func(t int) {
 		r := parts[t]
@@ -416,35 +431,32 @@ func (p *Prepared) bindSplit(s *formats.SplitCSR, o ex.Optim) {
 	p.finishBlock = func() { red.reduceBlock(p.y, p.bk) }
 }
 
-// bindSym compiles a symmetric-storage kernel over n rows: threads own
-// the nnz-balanced row ranges parts of the lower triangle, write their
-// own rows' results straight into y, and accumulate the mirrored
-// transpose contributions in their reduction-engine slots (full
-// y-length cell arrays). The post-barrier finish is a second parallel
-// dispatch folding disjoint row ranges of all slots into y — with
-// cells = rows, a serial fold would cost O(nt·n) on the dispatching
-// goroutine. parts is the static partition under every schedule: a
-// dynamic cursor would make each thread's scatter region unbounded,
-// forcing full-buffer zeroing per multiply instead of the [0, part.Hi)
-// prefix the static partition guarantees.
-func (p *Prepared) bindSym(n int, parts []sched.Range, body func(slot []float64, lo, hi int), block func(slot []float64, k, lo, hi int)) {
-	rparts := sched.PartitionRows(n, p.nt)
-	red := newReducer(p.nt, n, p.blockW, nil)
+// bindSym compiles a symmetric-storage kernel over the lower triangle
+// lower: threads own the nnz-balanced row ranges parts, write their
+// own rows' results straight into y, and add a mirrored transpose
+// contribution into y too when its row is their own. A contribution
+// to a row below the slot's range lands in the slot's conflict window
+// (formats.SymWindows), and finish folds the windows into y serially
+// after the single barrier, as Split does. A banded matrix's windows
+// span one bandwidth each, so the scratch and the fold are
+// Σ(lo-base) cells, not nt·n. parts is the static partition under
+// every schedule: a dynamic cursor would leave a thread's rows, and so
+// its window, unknown until run time.
+func (p *Prepared) bindSym(lower *matrix.CSR, parts []sched.Range, body func(window []float64, base, lo, hi int), block func(window []float64, k, base, lo, hi int)) {
+	win := formats.SymWindows(lower, parts)
+	red := newReducer(win, p.blockW, nil)
+	p.red = red
 	p.body = p.wrap(func(t int) {
-		r := parts[t]
-		slot := red.slot(t)
-		clear(slot[:r.Hi])
-		body(slot, r.Lo, r.Hi)
+		w := red.slot(t)
+		clear(w)
+		body(w, win[t].Lo, parts[t].Lo, parts[t].Hi)
 	})
-	reduce := p.wrap(func(t int) { red.reduceRange(p.y, rparts[t].Lo, rparts[t].Hi) })
-	p.finish = func() { p.runPhase(reduce) }
+	p.finish = func() { red.reduce(p.y) }
 	p.ensureBlock = red.ensureBlock
 	p.bodyBlock = p.wrap(func(t int) {
-		r := parts[t]
-		slot := red.slotBlock(t, p.bk)
-		clear(slot[:r.Hi*p.bk])
-		block(slot, p.bk, r.Lo, r.Hi)
+		w := red.slotBlock(t, p.bk)
+		clear(w)
+		block(w, p.bk, win[t].Lo, parts[t].Lo, parts[t].Hi)
 	})
-	reduceBlock := p.wrap(func(t int) { red.reduceRangeBlock(p.y, p.bk, rparts[t].Lo, rparts[t].Hi) })
-	p.finishBlock = func() { p.runPhase(reduceBlock) }
+	p.finishBlock = func() { red.reduceBlock(p.y, p.bk) }
 }

@@ -1,122 +1,119 @@
 package native
 
-// The shared parallel-reduction engine: the phase-2 machinery for
-// every kernel whose threads produce contributions outside their own
-// row partition. Three bindings use it — SplitCSR, whose threads all
+import "github.com/sparsekit/spmvtuner/internal/sched"
+
+// The shared parallel-reduction engine: the post-barrier fold of every
+// kernel whose threads produce contributions outside their own row
+// partition. Three bindings use it — SplitCSR, whose threads all
 // compute partial dot products of the extracted long rows (Fig 6),
 // and SSS and precision-reduced SSS (bindSym), whose threads scatter
-// the mirrored transpose contribution into arbitrary earlier rows.
-// All reduce the same way: each thread slot owns a private cell
-// array, and after the barrier the cells are folded into y, optionally
-// through a scatter-index table. This type is that one implementation,
-// for both the scalar and the blocked (k-RHS interleaved) paths.
+// mirrored transpose contributions below their own rows. Each thread
+// slot owns a private window of cells, and after the single barrier
+// the dispatching goroutine folds every window into y serially: a
+// Split window holds one cell per long row and folds through the
+// long-row index table; an SSS window covers the rows [base, lo)
+// below its slot's range and folds into y[base:lo]. This type is that
+// one implementation, for both the scalar and the blocked (k-RHS
+// interleaved) paths.
 
-// reducer owns the per-thread partial buffers and the phase-2 fold of
-// one prepared kernel. Buffers are sized at construction (and grown by
-// ensureBlock for wider explicit MulMat calls), so steady-state use
-// allocates nothing.
+// reducer owns the per-slot windows and the fold of one prepared
+// kernel. Buffers are sized at construction (and grown by ensureBlock
+// for wider explicit MulMat calls), so steady-state use allocates
+// nothing. Kernels overwrite or clear their whole window before
+// accumulating into it, so no cell carries over between multiplies.
 type reducer struct {
-	nt    int
-	cells int
-	// scatter maps cell c to output row scatter[c]; nil means cell c
-	// folds into y[c] directly (the SSS full-vector layout).
+	// win[t] is slot t's window: its cells fold into y[win[t].Lo:
+	// win[t].Hi] when scatter is nil.
+	win []sched.Range
+	// off[t] and off[t+1] bound slot t's cells in buf; at block width
+	// k slot t is bufBlock[off[t]*k : off[t+1]*k].
+	off []int
+	// scatter, when non-nil, maps cell c of every slot to output row
+	// scatter[c] (Split's long rows) instead of win[t].Lo+c.
 	scatter []int32
-	// buf is the scalar partial storage: slot t is buf[t*cells : (t+1)*cells].
-	buf []float64
-	// bufBlock is the blocked storage: slot t at width k is
-	// bufBlock[t*cells*k : (t+1)*cells*k], cell c at bufBlock[...][c*k : c*k+k].
-	bufBlock []float64
-	// blockK is the width bufBlock is currently laid out (and known
-	// zero-beyond-the-kernel-written-regions) for; see ensureBlock.
-	blockK int
+	// buf is the scalar cell storage; bufBlock the blocked storage,
+	// cell c of a slot at [c*k : c*k+k] within the slot.
+	buf, bufBlock []float64
 }
 
-// newReducer builds the engine for nt thread slots over the given cell
-// count, pre-sizing the blocked buffer at blockW so batches at the
-// configured width never allocate. A nil scatter folds cell c into
-// y[c].
-func newReducer(nt, cells, blockW int, scatter []int32) *reducer {
+// newReducer builds the engine over the given per-slot windows,
+// pre-sizing the blocked buffer at blockW so batches at the configured
+// width never allocate. A nil scatter folds slot t's cell c into
+// y[win[t].Lo+c].
+func newReducer(win []sched.Range, blockW int, scatter []int32) *reducer {
+	off := make([]int, len(win)+1)
+	for t, w := range win {
+		off[t+1] = off[t] + w.Rows()
+	}
 	return &reducer{
-		nt:       nt,
-		cells:    cells,
+		win:      win,
+		off:      off,
 		scatter:  scatter,
-		buf:      make([]float64, nt*cells),
-		bufBlock: make([]float64, nt*cells*blockW),
-		blockK:   blockW,
+		buf:      make([]float64, off[len(win)]),
+		bufBlock: make([]float64, off[len(win)]*blockW),
 	}
 }
 
-// slot returns thread t's scalar cell array.
+// cells returns the scalar cell count over all slots: the partials
+// one vector's fold adds into y.
+func (r *reducer) cells() int { return r.off[len(r.win)] }
+
+// slot returns thread t's scalar window.
 func (r *reducer) slot(t int) []float64 {
-	return r.buf[t*r.cells : (t+1)*r.cells]
+	return r.buf[r.off[t]:r.off[t+1]]
 }
 
 // ensureBlock sizes the blocked buffer for width k; the engine invokes
 // it before every blocked dispatch (single-goroutine context, before
-// the barrier). A width change re-zeroes the buffer: slot offsets are
-// k-dependent, so cells a kernel wrote at one width land outside the
-// regions kernels clear or overwrite at another — without the reset,
-// a reduce pass that trusts untouched cells to be zero (the SSS
-// scatter-prefix contract) would fold stale partials from the old
-// layout into y. Steady-state dispatches at a stable width skip the
-// reset entirely.
+// the barrier).
 func (r *reducer) ensureBlock(k int) {
-	need := r.nt * r.cells * k
-	if cap(r.bufBlock) < need {
-		r.bufBlock = make([]float64, need) // fresh storage is zero
+	if need := r.cells() * k; cap(r.bufBlock) < need {
+		r.bufBlock = make([]float64, need)
 	} else {
 		r.bufBlock = r.bufBlock[:need]
-		if k != r.blockK {
-			clear(r.bufBlock)
-		}
 	}
-	r.blockK = k
 }
 
-// slotBlock returns thread t's cell array at block width k.
+// slotBlock returns thread t's window at block width k.
 func (r *reducer) slotBlock(t, k int) []float64 {
-	return r.bufBlock[t*r.cells*k : (t+1)*r.cells*k]
+	return r.bufBlock[r.off[t]*k : r.off[t+1]*k]
 }
 
-// reduceRange folds cells [lo, hi) of every slot into y. Split's
-// post-barrier finish calls it serially over all cells (few long
-// rows); the SSS binding dispatches disjoint ranges to all threads as
-// a second barrier (cells = matrix rows, too many to fold serially).
-func (r *reducer) reduceRange(y []float64, lo, hi int) {
-	for c := lo; c < hi; c++ {
-		var sum float64
-		for t := 0; t < r.nt; t++ {
-			sum += r.buf[t*r.cells+c]
-		}
+// reduce folds every slot's window into y, slot by slot.
+func (r *reducer) reduce(y []float64) {
+	for t, w := range r.win {
+		cells := r.slot(t)
 		if r.scatter != nil {
-			y[r.scatter[c]] += sum
-		} else {
-			y[c] += sum
-		}
-	}
-}
-
-// reduce folds every cell into y serially.
-func (r *reducer) reduce(y []float64) { r.reduceRange(y, 0, r.cells) }
-
-// reduceRangeBlock folds cells [lo, hi) of every slot into the
-// interleaved output block y at width k.
-func (r *reducer) reduceRangeBlock(y []float64, k, lo, hi int) {
-	stride := r.cells * k
-	for c := lo; c < hi; c++ {
-		tgt := c
-		if r.scatter != nil {
-			tgt = int(r.scatter[c])
-		}
-		yr := y[tgt*k : tgt*k+k]
-		for t := 0; t < r.nt; t++ {
-			pr := r.bufBlock[t*stride+c*k:][:k]
-			for l := range yr {
-				yr[l] += pr[l]
+			for c, v := range cells {
+				y[r.scatter[c]] += v
 			}
+			continue
+		}
+		dst := y[w.Lo:w.Hi]
+		for c, v := range cells {
+			dst[c] += v
 		}
 	}
 }
 
-// reduceBlock folds every cell of the blocked buffer into y serially.
-func (r *reducer) reduceBlock(y []float64, k int) { r.reduceRangeBlock(y, k, 0, r.cells) }
+// reduceBlock folds every slot's window of the blocked buffer into the
+// interleaved output block y at width k.
+func (r *reducer) reduceBlock(y []float64, k int) {
+	for t, w := range r.win {
+		cells := r.slotBlock(t, k)
+		if r.scatter != nil {
+			for c, row := range r.scatter {
+				dst := y[int(row)*k:][:k]
+				src := cells[c*k:][:k]
+				for l := range dst {
+					dst[l] += src[l]
+				}
+			}
+			continue
+		}
+		dst := y[w.Lo*k : w.Hi*k]
+		for c, v := range cells {
+			dst[c] += v
+		}
+	}
+}

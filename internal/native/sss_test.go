@@ -1,18 +1,22 @@
 package native
 
 // Engine tests for the symmetric (SSS) prepared path: correctness
-// against the mirrored-CSR reference through the two-barrier dispatch
-// (compute + parallel reduce), zero-alloc steady state for every entry
-// point, and the matrix-bytes benchmark the acceptance criteria track.
+// against the mirrored-CSR reference through the single barrier and
+// the serial conflict-window fold, the window scratch bound, zero-alloc
+// steady state for every entry point, and the matrix-bytes benchmark
+// the acceptance criteria track.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
+	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
+	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
 // symMatrix builds an exactly symmetric matrix (A + Aᵀ) big enough
@@ -114,6 +118,183 @@ func TestPreparedSSSShrinkingBlockWidth(t *testing.T) {
 				t.Fatalf("k=%d: y[%d] = %g, want %g (stale partials from a previous width?)",
 					k, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// symFrom builds the symmetric matrix with the given diagonal and
+// strictly lower entries, mirrored.
+func symFrom(n int, diag map[int]float64, lower [][3]float64) *matrix.CSR {
+	coo := matrix.NewCOO(n, n)
+	for i, v := range diag {
+		coo.Add(i, i, v)
+	}
+	for _, e := range lower {
+		i, j := int(e[0]), int(e[1])
+		coo.Add(i, j, e[2])
+		coo.Add(j, i, e[2])
+	}
+	m := coo.ToCSR()
+	m.Sym = matrix.SymSymmetric
+	return m
+}
+
+// symWindowShapes are the structures the conflict windows must handle,
+// each with the thread count and schedule it is bound at.
+func symWindowShapes() []struct {
+	name string
+	m    *matrix.CSR
+	nt   int
+	s    sched.Policy
+} {
+	rng := rand.New(rand.NewSource(5))
+	lap := gen.Poisson2D(30, 40) // bandwidth 40
+	lap.Sym = matrix.SymSymmetric
+
+	// Every fifth row empty (no diagonal, no entries); the rest random.
+	var holes [][3]float64
+	diag := map[int]float64{}
+	for i := 0; i < 400; i++ {
+		if i%5 == 0 {
+			continue
+		}
+		diag[i] = 2
+		for r := 0; r < 3; r++ {
+			if j := rng.Intn(i + 1); j < i && j%5 != 0 {
+				holes = append(holes, [3]float64{float64(i), float64(j), rng.NormFloat64()})
+			}
+		}
+	}
+	empty := symFrom(400, diag, holes)
+
+	// Rows [150, 300) hold only their diagonal, inside a band of 7.
+	var band [][3]float64
+	diag = map[int]float64{}
+	for i := 0; i < 450; i++ {
+		diag[i] = 3
+		if i >= 150 && i < 300 {
+			continue
+		}
+		for j := i - 7; j < i; j++ {
+			if j >= 0 && (j < 150 || j >= 300) {
+				band = append(band, [3]float64{float64(i), float64(j), rng.NormFloat64()})
+			}
+		}
+	}
+	diagOnly := symFrom(450, diag, band)
+
+	// The upper half is diagonal-only, so under equal-row partitions
+	// slot 1 has rows but no lower entries, and an empty window.
+	var top [][3]float64
+	diag = map[int]float64{}
+	for i := 0; i < 300; i++ {
+		diag[i] = 5
+		if i < 150 {
+			for j := max(0, i-4); j < i; j++ {
+				top = append(top, [3]float64{float64(i), float64(j), rng.NormFloat64()})
+			}
+		}
+	}
+	noLower := symFrom(300, diag, top)
+
+	return []struct {
+		name string
+		m    *matrix.CSR
+		nt   int
+		s    sched.Policy
+	}{
+		{"banded", lap, 3, sched.StaticNNZ},
+		{"wide-profile", symMatrix(500, 8), 4, sched.StaticNNZ},
+		{"empty-rows", empty, 3, sched.StaticNNZ},
+		{"diagonal-only-rows", diagOnly, 4, sched.StaticRows},
+		{"nt-above-n", symFrom(3, map[int]float64{0: 1, 2: 2}, [][3]float64{{1, 0, 4}, {2, 1, -1}}), 8, sched.StaticNNZ},
+		{"slot-without-lower", noLower, 2, sched.StaticRows},
+	}
+}
+
+// checkRows compares y against A*x row by row, within tol of each row's
+// magnitude scale Σ|a_ij x_j|.
+func checkRows(t *testing.T, label string, m *matrix.CSR, x, y []float64, tol float64) {
+	t.Helper()
+	want := make([]float64, m.NRows)
+	m.MulVec(x, want)
+	for i := range want {
+		var scale float64
+		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
+			scale += math.Abs(m.Val[j] * x[m.ColInd[j]])
+		}
+		if math.Abs(y[i]-want[i]) > tol*scale {
+			t.Fatalf("%s: y[%d] = %.17g, want %.17g within %g*%g", label, i, y[i], want[i], tol, scale)
+		}
+	}
+}
+
+// TestPreparedSSSWindowShapes is the differential check of the
+// conflict-window binding on every structure it special-cases, in
+// both precisions: k ∈ {1, 2, 3, 8} through MulVec and MulMat, then
+// the width sequence 4 → 2 → 1 → 4 on one prepared kernel, each
+// multiply checked against the mirrored-CSR reference.
+func TestPreparedSSSWindowShapes(t *testing.T) {
+	e := New()
+	defer e.Close()
+	for _, sh := range symWindowShapes() {
+		m := sh.m
+		for _, prec := range []ex.Precision{ex.PrecF64, ex.PrecF32} {
+			o := ex.Optim{Symmetric: true, Schedule: sh.s, Precision: prec}
+			tol := 1e-12
+			if prec == ex.PrecF32 {
+				tol = formats.F32EntryBound + 64*0x1p-52
+			}
+			rng := rand.New(rand.NewSource(int64(m.NRows)))
+			run := func(p *Prepared, k int) {
+				xs, ys := make([][]float64, k), make([][]float64, k)
+				for l := range xs {
+					xs[l], ys[l] = make([]float64, m.NCols), make([]float64, m.NRows)
+					for j := range xs[l] {
+						xs[l][j] = rng.NormFloat64()
+					}
+				}
+				if k == 1 {
+					p.MulVec(xs[0], ys[0])
+				} else {
+					y := make([]float64, m.NRows*k)
+					p.MulMat(matrix.PackBlock(nil, xs), y, k)
+					matrix.UnpackBlock(ys, y)
+				}
+				for l := range xs {
+					checkRows(t, fmt.Sprintf("%s/%s k=%d nt=%d vector %d", sh.name, p.Kernel(), k, p.Threads(), l),
+						m, xs[l], ys[l], tol)
+				}
+			}
+			for _, k := range []int{1, 2, 3, 8} {
+				run(e.buildPrepared(m, o, sh.nt), k)
+			}
+			p := e.buildPrepared(m, o, sh.nt)
+			for _, k := range []int{4, 2, 1, 4} {
+				run(p, k)
+			}
+		}
+	}
+}
+
+// TestSSSScratchFollowsBandwidth: on lap3d (80³ rows, bandwidth 80²)
+// at two threads, the reduction scratch is slot 1's conflict window of
+// one bandwidth — at most 2·80² cells — not the nt·n cells of a
+// full-vector buffer per thread, and the blocked buffer is blockW
+// times that.
+func TestSSSScratchFollowsBandwidth(t *testing.T) {
+	e := New()
+	defer e.Close()
+	m := gen.Poisson3D(80, 80, 80)
+	m.Sym = matrix.SymSymmetric
+	for _, prec := range []ex.Precision{ex.PrecF64, ex.PrecF32} {
+		p := e.buildPrepared(m, ex.Optim{Symmetric: true, Precision: prec}, 2)
+		cells := p.ReduceCells()
+		if cells <= 0 || cells > 2*80*80 {
+			t.Fatalf("%s: %d window cells at nt=2, want (0, %d]", p.Kernel(), cells, 2*80*80)
+		}
+		if got, want := len(p.red.buf)+cap(p.red.bufBlock), (1+p.blockW)*cells; got != want {
+			t.Fatalf("%s: scratch %d cells, want (1+blockW)·cells = %d", p.Kernel(), got, want)
 		}
 	}
 }

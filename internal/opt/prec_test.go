@@ -70,17 +70,10 @@ func scaled(m *matrix.CSR, s float64) *matrix.CSR {
 func TestPrecisionKeepsF64WhenUnfit(t *testing.T) {
 	e := sim.New(machine.Broadwell())
 	banded := gen.Banded(100000, 16, 1.0, 2)
-	// The banded matrix plus its transpose: symmetric and wide enough
-	// that the halved lower-triangle stream outweighs the reduction.
-	coo := matrix.NewCOO(10000, 10000)
-	for _, m := range []*matrix.CSR{gen.Banded(10000, 60, 1.0, 3), gen.Banded(10000, 60, 1.0, 3).Transpose()} {
-		for i := 0; i < m.NRows; i++ {
-			for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-				coo.Add(i, int(m.ColInd[j]), m.Val[j])
-			}
-		}
-	}
-	sym := coo.ToCSR()
+	// A 3D Laplacian past Broadwell's LLC: symmetric, and large enough
+	// that the halved lower-triangle stream still binds on DRAM
+	// bandwidth, so f32 storage pays on values that fit.
+	sym := gen.Poisson3D(86, 86, 86)
 	sym.Sym = matrix.SymSymmetric
 	for _, c := range []struct {
 		name string

@@ -154,12 +154,17 @@ type profile struct {
 	sellPadded int64
 	sellChunks int
 
-	// Symmetric-storage statistics: the strictly-lower element count
-	// the SSS kernel streams (each element applied twice). Computed
-	// lazily (symStats) — the scan is O(NNZ) and only symmetric
+	// Symmetric-storage statistics: the structure-only strictly lower
+	// triangle (the SSS conversion's row pointers, whose last entry is
+	// the element count the kernel streams, each element applied
+	// twice), and the conflict-window lengths of the kernel's reduction
+	// per (schedule, thread count). Computed lazily (symStats,
+	// symWindows) — the scan is O(NNZ) and only symmetric
 	// configurations consult it.
 	symOnce  sync.Once
-	symLower int64
+	symLower *matrix.CSR
+	symMu    sync.Mutex
+	symWin   map[symKey][]int64
 
 	// Whether every value fits float32 (formats.FitsF32). Computed
 	// lazily (fitsF32) — the scan is O(NNZ) and only reduced-precision
@@ -284,19 +289,63 @@ func (p *profile) fitsF32(m *matrix.CSR) bool {
 	return p.f32Fits
 }
 
-// symStats returns the memoized strictly-lower element count of m.
-func (p *profile) symStats(m *matrix.CSR) int64 {
+// symStats returns the memoized strictly lower triangle of m as a
+// structure-only CSR: dimensions and row pointers, the prefix the
+// native SSS binding partitions.
+func (p *profile) symStats(m *matrix.CSR) *matrix.CSR {
 	p.symOnce.Do(func() {
-		for i := 0; i < m.NRows; i++ {
+		n := m.NRows
+		ptr := make([]int64, n+1)
+		for i := 0; i < n; i++ {
+			ptr[i+1] = ptr[i]
 			for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
 				if int(m.ColInd[j]) < i {
-					p.symLower++
+					ptr[i+1]++
 				}
 			}
 		}
+		p.symLower = &matrix.CSR{NRows: n, NCols: n, RowPtr: ptr}
 	})
 	return p.symLower
 }
+
+// symKey identifies one SSS partition: the schedule and thread count.
+type symKey struct {
+	policy sched.Policy
+	nt     int
+}
+
+// symWindows returns the memoized per-slot conflict-window lengths
+// (formats.SymWindows) of the SSS kernel over nt threads: the same
+// static partition of the lower triangle the native binding runs under
+// every schedule, so the model prices the cells the kernel folds.
+func (p *profile) symWindows(m *matrix.CSR, policy sched.Policy, nt int) []int64 {
+	lower := p.symStats(m)
+	p.symMu.Lock()
+	defer p.symMu.Unlock()
+	key := symKey{policy, nt}
+	if w, ok := p.symWin[key]; ok {
+		return w
+	}
+	win := formats.SymWindows(m, sched.PartitionFor(policy, lower, nt))
+	w := make([]int64, nt)
+	for t, r := range win {
+		w[t] = int64(r.Rows())
+	}
+	if p.symWin == nil {
+		p.symWin = make(map[symKey][]int64)
+	}
+	p.symWin[key] = w
+	return w
+}
+
+// Bytes the SSS reduction moves per conflict-window cell: the owning
+// thread zeroes the cell and accumulates into it, and the serial fold
+// reads it and updates its y cell.
+const (
+	symWindowBytesPerCell = 16
+	symFoldBytesPerCell   = 24
+)
 
 // threadLoad is the per-thread resource consumption of one SpMV.
 type threadLoad struct {
@@ -413,22 +462,17 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	// Symmetric storage streams only the strictly-lower elements (each
 	// applied twice), so the per-element value/index bytes shrink by
 	// the lower/full ratio (≈ 1/2); the dense diagonal adds 8 bytes
-	// per row on top of the row pointers. The reduction cost appears
-	// below as per-thread partial-buffer traffic.
-	symReduceBytes := 0.0
-	lowerFrac := 1.0
+	// per row on top of the row pointers. The reduction costs each
+	// thread its conflict window (below) and the dispatching thread
+	// the serial fold of all windows after the barrier.
+	var symWin []int64
 	if sssActive && m.NNZ() > 0 {
-		lowerFrac = float64(p.symStats(m)) / float64(m.NNZ())
+		lower := p.symStats(m)
+		lowerFrac := float64(lower.RowPtr[lower.NRows]) / float64(m.NNZ())
 		valBytes *= lowerFrac
 		idxBytes *= lowerFrac
 		rowBytes += 8
-		// Each thread zeroes + accumulates its own n-cell partial
-		// buffer (one write stream) and reads an equal share of all nt
-		// buffers in the parallel reduce — ≈ 2·8·n bytes per thread,
-		// nt·n cells in total. This is the term that lets the oracle
-		// predict when the reduction eats the halved-stream win (small
-		// or very sparse matrices at high thread counts).
-		symReduceBytes = 16 * float64(m.NRows)
+		symWin = p.symWindows(m, o.Schedule, nt)
 	}
 	if sellActive {
 		// SELL-C-σ streams the padded value/index arrays (the per-
@@ -521,7 +565,12 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 			xBytes = float64(ld.miss) * missScale * lineBytes
 		}
 		bytes := float64(ld.nnz)*(valBytes+idxBytes) +
-			float64(ld.rows)*(rowBytes+yBytes) + xBytes + symReduceBytes
+			float64(ld.rows)*(rowBytes+yBytes) + xBytes
+		if symWin != nil {
+			// A banded matrix's window is one bandwidth of rows; a wide
+			// profile's reaches back toward row 0.
+			bytes += symWindowBytesPerCell * float64(symWin[t])
+		}
 		tBW := bytes / (perCoreBW / float64(k))
 
 		// Latency term: only irregular x misses expose latency;
@@ -565,6 +614,19 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 			threadSecs[i] *= scale
 		}
 		secs = globalBW
+	}
+	// The SSS fold runs serially on the dispatching thread after the
+	// barrier: every window cell read and its y cell read and written
+	// back, at one core's bandwidth. It is what makes SSS lose on a
+	// wide-profile matrix, whose windows approach nt·n/2 cells.
+	if symWin != nil {
+		var cells int64
+		for _, w := range symWin {
+			cells += w
+		}
+		foldBytes := symFoldBytesPerCell * float64(cells)
+		totalBytes += foldBytes
+		secs += foldBytes / perCoreBW
 	}
 
 	return ex.Result{

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
+	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/machine"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
+	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
 // symmetrizeT returns A + Aᵀ with the kind annotated.
@@ -28,8 +31,9 @@ func symmetrizeT(src *matrix.CSR) *matrix.CSR {
 
 // TestSymModelHalvesMatrixTraffic: on a wide-band bandwidth-saturated
 // symmetric matrix (many nonzeros per row, so the halved element
-// stream dwarfs the nt·n reduction term), the modeled SSS run must
-// move clearly fewer bytes than CSR and the modeled time must improve.
+// stream dwarfs the conflict-window reduction), the modeled SSS run
+// must move clearly fewer bytes than CSR and the modeled time must
+// improve.
 func TestSymModelHalvesMatrixTraffic(t *testing.T) {
 	e := New(machine.Broadwell())
 	m := symmetrizeT(gen.Banded(30000, 100, 1.0, 7))
@@ -44,26 +48,26 @@ func TestSymModelHalvesMatrixTraffic(t *testing.T) {
 }
 
 // TestSymModelReductionEatsWinWhenSparse: the point of modeling the
-// nt·n partial-buffer traffic is predicting when NOT to use symmetric
-// storage — a very sparse Laplacian at full Broadwell thread count
-// pays more in reduction bytes than the halved stream saves, so the
-// model must price SSS above CSR there.
+// reduction is predicting when NOT to use symmetric storage. A
+// wide-profile sparse matrix (a symmetrized random pattern) sends
+// every thread's mirror scatters back toward row 0, so its conflict
+// windows approach n cells and the serial fold nt·n/2; at full
+// Broadwell thread count that costs more than the halved stream saves,
+// so the model must price SSS above CSR there.
 func TestSymModelReductionEatsWinWhenSparse(t *testing.T) {
 	e := New(machine.Broadwell())
-	side := 500 // 250k rows, ~5 nnz/row
-	m := gen.Poisson2D(side, side)
-	m.Sym = matrix.SymSymmetric
+	m := symmetrizeT(gen.UniformRandom(250000, 3, 5)) // ~5 nnz/row, random columns
 	base := e.Run(ex.Config{Matrix: m})
 	sss := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Symmetric: true}})
 	if sss.Seconds <= base.Seconds {
-		t.Fatalf("model missed the reduction cost: SSS %.3g <= CSR %.3g on a 5-point Laplacian at %d threads",
+		t.Fatalf("model missed the reduction cost: SSS %.3g <= CSR %.3g on a wide-profile matrix at %d threads",
 			sss.Seconds, base.Seconds, machine.Broadwell().Threads())
 	}
 }
 
-// TestSymModelReductionCostGrowsWithThreads: the nt·n partial-buffer
-// term must make total modeled traffic increase with thread count —
-// the mechanism behind the prediction above.
+// TestSymModelReductionCostGrowsWithThreads: every slot past the first
+// adds a conflict window, so total modeled traffic must increase with
+// thread count — the mechanism behind the prediction above.
 func TestSymModelReductionCostGrowsWithThreads(t *testing.T) {
 	e := New(machine.Broadwell())
 	side := 320
@@ -74,6 +78,67 @@ func TestSymModelReductionCostGrowsWithThreads(t *testing.T) {
 	if many.MemBytes <= few.MemBytes {
 		t.Fatalf("reduction traffic did not grow with threads: nt=16 %.3g <= nt=2 %.3g",
 			many.MemBytes, few.MemBytes)
+	}
+}
+
+// TestSymModelReductionScalesWithBandwidth: a banded Laplacian's
+// mirror scatters reach one bandwidth below each slot's first row, so
+// its reduction bytes — the modeled traffic at nt threads minus the
+// single-thread run, which has no window — follow the bandwidth and
+// not n: quadrupling n at a fixed bandwidth leaves them unchanged, and
+// doubling the bandwidth doubles them.
+func TestSymModelReductionScalesWithBandwidth(t *testing.T) {
+	e := New(machine.Broadwell())
+	const nt = 16
+	reduction := func(nx, ny int) (bytes float64, n int) {
+		m := gen.Poisson2D(nx, ny) // bandwidth ny
+		m.Sym = matrix.SymSymmetric
+		o := ex.Optim{Symmetric: true}
+		one := e.Run(ex.Config{Matrix: m, Threads: 1, Opt: o})
+		many := e.Run(ex.Config{Matrix: m, Threads: nt, Opt: o})
+		return many.MemBytes - one.MemBytes, m.NRows
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Abs(b) }
+	small, n := reduction(200, 100)
+	large, _ := reduction(800, 100)
+	wide, _ := reduction(200, 200)
+	if small <= 0 {
+		t.Fatalf("no reduction bytes at nt=%d: %.3g", nt, small)
+	}
+	if !near(large, small) {
+		t.Fatalf("reduction bytes grew with n at fixed bandwidth: %.6g at 4n vs %.6g", large, small)
+	}
+	if !near(wide, 2*small) {
+		t.Fatalf("reduction bytes %.6g at twice the bandwidth, want 2 x %.6g", wide, small)
+	}
+	if small >= 16*float64(n) {
+		t.Fatalf("reduction bytes %.3g not below one n-cell buffer pass (%d rows)", small, n)
+	}
+}
+
+// TestSymWindowsMatchNativeBinding: the model prices the windows of
+// the partition the native binding runs — the static partition of the
+// SSS lower triangle under every schedule — so its window lengths must
+// equal formats.SymWindows over that partition.
+func TestSymWindowsMatchNativeBinding(t *testing.T) {
+	e := New(machine.Broadwell())
+	lap := gen.Poisson2D(40, 60)
+	lap.Sym = matrix.SymSymmetric
+	for name, m := range map[string]*matrix.CSR{"lap2d": lap, "random": symmetrizeT(gen.UniformRandom(3000, 4, 9))} {
+		lower := formats.ConvertSSS(m).Lower
+		p := e.profileOf(m)
+		for _, policy := range []sched.Policy{sched.StaticNNZ, sched.StaticRows, sched.Dynamic, sched.Guided, sched.Auto} {
+			for _, nt := range []int{1, 2, 5, 16} {
+				want := formats.SymWindows(lower, sched.Prepare(policy, lower, nt).Parts)
+				got := p.symWindows(m, policy, nt)
+				for tid, w := range want {
+					if got[tid] != int64(w.Rows()) {
+						t.Fatalf("%s %v nt=%d: slot %d window %d cells, native binds %d",
+							name, policy, nt, tid, got[tid], w.Rows())
+					}
+				}
+			}
+		}
 	}
 }
 
