@@ -157,14 +157,8 @@ func benchNativeKernel(b *testing.B, k kernels.RangeKernel) {
 // BenchmarkKernelCSR times the scalar Fig 2 kernel.
 func BenchmarkKernelCSR(b *testing.B) { benchNativeKernel(b, kernels.CSRRange) }
 
-// BenchmarkKernelUnrolled4 times the 4-way unrolled kernel.
-func BenchmarkKernelUnrolled4(b *testing.B) { benchNativeKernel(b, kernels.CSRUnrolled4Range) }
-
 // BenchmarkKernelVector8 times the 8-accumulator vectorization stand-in.
 func BenchmarkKernelVector8(b *testing.B) { benchNativeKernel(b, kernels.CSRVector8Range) }
-
-// BenchmarkKernelPrefetch times the software-prefetch kernel.
-func BenchmarkKernelPrefetch(b *testing.B) { benchNativeKernel(b, kernels.CSRPrefetchRange) }
 
 // BenchmarkKernelDelta times the DeltaCSR kernel.
 func BenchmarkKernelDelta(b *testing.B) {

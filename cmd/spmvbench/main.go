@@ -40,6 +40,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -71,7 +72,7 @@ func run(args []string) error {
 		corpus   = fs.Int("corpus", 210, "training corpus size")
 		matrices = fs.String("matrix", "", "comma-separated suite subset")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonPath = fs.String("json", "", "also write the result as JSON to this path (serve, twin, kernels)")
+		jsonPath = fs.String("json", "", "also write the result as JSON to this path (serve, twin, kernels, mixed)")
 		profile  = fs.String("cpuprofile", "", "write a CPU profile to this path (the PGO collection hook: a suite run's profile becomes cmd/spmvbench/default.pgo)")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits with usage
@@ -167,12 +168,7 @@ func run(args []string) error {
 		var res *experiments.ServeResult
 		if res, err = experiments.Serve(cfg); err == nil {
 			emit(res.Table())
-			if *jsonPath != "" {
-				var buf []byte
-				if buf, err = json.MarshalIndent(res, "", "  "); err == nil {
-					err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
-				}
-			}
+			err = writeJSON(*jsonPath, res)
 			// The throughput gate is wall-clock, so it lives here and
 			// not in the experiment its unit tests call.
 			if err == nil && res.Speedup < 1.0 {
@@ -187,16 +183,7 @@ func run(args []string) error {
 		res, kerr := experiments.Kernels(cfg)
 		if res != nil {
 			emit(res.Table())
-			if *jsonPath != "" {
-				var buf []byte
-				var jerr error
-				if buf, jerr = json.MarshalIndent(res, "", "  "); jerr == nil {
-					jerr = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
-				}
-				if kerr == nil {
-					kerr = jerr
-				}
-			}
+			kerr = cmp.Or(kerr, writeJSON(*jsonPath, res))
 		}
 		err = kerr
 	case "mixed":
@@ -206,16 +193,7 @@ func run(args []string) error {
 		res, merr := experiments.Mixed(cfg)
 		if res != nil {
 			emit(res.Table())
-			if *jsonPath != "" {
-				var buf []byte
-				var jerr error
-				if buf, jerr = json.MarshalIndent(res, "", "  "); jerr == nil {
-					jerr = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
-				}
-				if merr == nil {
-					merr = jerr
-				}
-			}
+			merr = cmp.Or(merr, writeJSON(*jsonPath, res))
 		}
 		err = merr
 	case "twin":
@@ -225,16 +203,7 @@ func run(args []string) error {
 		res, terr := experiments.Twin(cfg)
 		if res != nil {
 			emit(res.Table())
-			if *jsonPath != "" {
-				var buf []byte
-				var jerr error
-				if buf, jerr = json.MarshalIndent(res, "", "  "); jerr == nil {
-					jerr = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
-				}
-				if terr == nil {
-					terr = jerr
-				}
-			}
+			terr = cmp.Or(terr, writeJSON(*jsonPath, res))
 		}
 		err = terr
 	case "ablate-delta":
@@ -269,4 +238,17 @@ func run(args []string) error {
 		err = fmt.Errorf("unknown experiment %q", *exp)
 	}
 	return err
+}
+
+// writeJSON writes v as indented JSON, newline-terminated, to path; an
+// empty path writes nothing.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

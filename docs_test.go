@@ -432,7 +432,7 @@ func TestSIMDGuideSamples(t *testing.T) {
 
 	// "Never compare kernel names for equality against the unsuffixed
 	// form; use a prefix check."
-	name := kernels.VariantName(true, false, false)
+	name := kernels.VariantName(true)
 	if !strings.HasPrefix(name, "csr-vec8") {
 		t.Fatalf("VariantName = %q", name)
 	}
@@ -450,7 +450,7 @@ func TestSIMDGuideSamples(t *testing.T) {
 	want := make([]float64, m.NRows)
 	kernels.CSRVector8Range(m, x, want, 0, m.NRows) // the oracle
 	got := make([]float64, m.NRows)
-	kernels.Variant(true, false, false)(m, x, got, 0, m.NRows) // dispatched
+	kernels.Variant(true)(m, x, got, 0, m.NRows) // dispatched
 	for i := range want {
 		if math.Abs(want[i]-got[i]) > 1e-12*(1+math.Abs(want[i])) {
 			t.Fatalf("oracle contract broken at row %d: %g vs %g", i, got[i], want[i])

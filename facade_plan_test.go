@@ -201,3 +201,48 @@ func TestCloseFlushesPlanStore(t *testing.T) {
 		}
 	}
 }
+
+// TestLegacyHostKnobPlanWarmStarts: testdata/legacy-host-knobs holds a
+// host plan an earlier release stored for SuiteMatrix("ASIC_680k",
+// 0.05) with vec+prefetch+unroll, three knobs the host serves with one
+// gather body. Tune warm-starts from it, reports the canonical form,
+// and computes MulVec's product.
+func TestLegacyHostKnobPlanWarmStarts(t *testing.T) {
+	const name = "v1-30000x30000-229980-gen-98d6d2f4f0599b84.host.v1.json"
+	stored, err := os.ReadFile(filepath.Join("testdata", "legacy-host-knobs", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(stored), `"prefetch": true`) || !strings.Contains(string(stored), `"unroll": true`) {
+		t.Fatal("setup: the legacy plan must carry the prefetch and unroll knobs")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), stored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tu := NewTuner(WithPlanStore(dir))
+	defer tu.Close()
+	m, err := SuiteMatrix("ASIC_680k", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := tu.Tune(m)
+	if !k.Info().Warm {
+		t.Fatal("the legacy host plan did not warm-start")
+	}
+	if got := k.Info().Optimizations; got != "vec@static-nnz" {
+		t.Fatalf("Info().Optimizations = %q, want the canonical vec@static-nnz", got)
+	}
+	x := make([]float64, m.Cols())
+	for i := range x {
+		x[i] = 0.5 + 0.1*float64(i%7)
+	}
+	want, got := make([]float64, m.Rows()), make([]float64, m.Rows())
+	m.MulVec(x, want)
+	k.MulVec(x, got)
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+			t.Fatalf("y[%d] = %.17g, want %.17g", i, got[i], want[i])
+		}
+	}
+}

@@ -135,12 +135,16 @@ func (p *Pipeline) optimizer() opt.Optimizer {
 // artifact: schema version, the matrix's structural fingerprint
 // (precomputed by the caller — it is O(NNZ), so each entry point
 // hashes exactly once), the decision platform's codename, and the
-// library identity. This is the only place plans acquire identity, so
+// library identity. The knobs are stored in their canonical form on
+// that platform (exec.Optim.Canonical), so a host plan names the
+// kernel it runs. This is the only place plans acquire identity, so
 // every plan that leaves the pipeline is store- and wire-ready.
 func (p *Pipeline) bind(fp string, pl plan.Plan) plan.Plan {
+	mdl := p.Exec.Machine()
 	pl.Version = plan.CurrentVersion
 	pl.Fingerprint = fp
-	pl.Machine = p.Exec.Machine().Codename
+	pl.Machine = mdl.Codename
+	pl.Opt = pl.Opt.Canonical(mdl)
 	pl.KernelISA = kernels.ISA()
 	pl.Library = plan.Library
 	return pl
@@ -216,6 +220,7 @@ func (p *Pipeline) PriceOn(twin ex.Executor, m *matrix.CSR) (plan.Plan, ex.Resul
 	fp := matrix.Fingerprint(m)
 	if p.Store != nil {
 		if pl, ok := p.Store.Get(p.storeKey(fp)); ok && pl.ValidateForFingerprint(m, fp) == nil {
+			pl.Opt = pl.Opt.Canonical(twin.Machine())
 			return pl, opt.Evaluate(twin, m, pl)
 		}
 	}
@@ -251,6 +256,9 @@ func (p *Pipeline) Prepare(m *matrix.CSR) (plan.Plan, ex.PreparedKernel, bool) {
 	if p.Store != nil {
 		key = p.storeKey(fp)
 		if pl, ok := p.Store.Get(key); ok {
+			// A plan stored before canonical storage may spell one
+			// kernel with several knobs; serve it under the one name.
+			pl.Opt = pl.Opt.Canonical(p.Exec.Machine())
 			if err := pl.ValidateForFingerprint(m, fp); err == nil && p.twinTrusts(m, pl) {
 				if pl.KernelISA != kernels.ISA() {
 					// The knobs survive an ISA change — the same plan

@@ -19,17 +19,19 @@ import (
 // modified "bound kernels" of Section III-B.
 type Optim struct {
 	// Vectorize enables SIMD execution (8 lanes on Phi, 4 on
-	// Broadwell; emulated by unrolled multi-accumulator kernels in
-	// native execution).
+	// Broadwell). On the host it selects the dispatched gather body
+	// (AVX-512/AVX2 assembly, an 8-accumulator pure-Go loop without
+	// it) for CSR and the Split base part, and the C=8 chunk kernel for
+	// SELL-C-σ.
 	Vectorize bool
 	// Prefetch enables software prefetching of x[colind[j+d]] into L1
-	// (the ML-class optimization). On the native engine the knob is
-	// inert once Vectorize is set: the gather body is the latency
-	// remedy, and vectorize plans run it whatever Prefetch says. The
-	// simulator still prices it for the paper's platforms.
+	// (the ML-class optimization). The simulator prices it for the
+	// paper's platforms; on the host the gather body is the latency
+	// remedy, so Canonical folds the knob into Vectorize.
 	Prefetch bool
 	// Unroll enables inner-loop unrolling (the CMP-class
-	// optimization's scalar half).
+	// optimization's scalar half). Priced on the paper's platforms;
+	// folded into Vectorize on the host, like Prefetch.
 	Unroll bool
 	// Compress stores the matrix in DeltaCSR (the MB-class
 	// optimization).
@@ -185,6 +187,52 @@ func (o Optim) EffectivePrecision() Precision {
 		return o.Precision
 	}
 	return PrecF64
+}
+
+// hostCodename is the platform identity of the native executor's
+// model (machine.Host), the one plan.Machine records for host plans.
+const hostCodename = "host"
+
+// Canonical resolves the knob set to the form that names what runs on
+// mdl's executor: two configurations share a canonical form exactly
+// when the native engine binds them to the same kernel and partition
+// for every matrix. On the host, Prefetch and Unroll fold into
+// Vectorize (one dispatched gather body serves all three); knobs the
+// effective format's body ignores are cleared — Vectorize, Prefetch
+// and Unroll under Delta and SSS, Prefetch and Unroll under SELL-C-σ,
+// and every format knob EffectiveFormat supersedes; Precision becomes
+// EffectivePrecision. Delta, Split and SSS run a static row partition
+// under every schedule, so theirs resolves to static-rows or
+// static-nnz; SELL-C-σ splits chunks by padded elements under either
+// static schedule, so its static-rows becomes static-nnz. Bound
+// kernels, and every configuration on the paper's modeled platforms,
+// are returned unchanged: the simulator prices those knobs as
+// distinct kernels there.
+func (o Optim) Canonical(mdl machine.Model) Optim {
+	if mdl.Codename != hostCodename || o.IsBoundKernel() {
+		return o
+	}
+	f := o.EffectiveFormat()
+	c := Optim{Schedule: o.Schedule, BlockWidth: o.BlockWidth, Precision: o.EffectivePrecision()}
+	vec := o.Vectorize || o.Prefetch || o.Unroll
+	switch f {
+	case FormatCSR:
+		c.Vectorize = vec
+	case FormatSplit:
+		c.Split, c.Vectorize = true, vec
+	case FormatSellCS:
+		c.SellCS, c.Vectorize = true, o.Vectorize
+	case FormatDelta:
+		c.Compress = true
+	case FormatSSS:
+		c.Symmetric = true
+	}
+	static := f == FormatDelta || f == FormatSplit || f == FormatSSS
+	if (static && c.Schedule != sched.StaticRows) ||
+		(f == FormatSellCS && c.Schedule == sched.StaticRows) {
+		c.Schedule = sched.StaticNNZ
+	}
+	return c
 }
 
 // String renders the enabled optimizations compactly, e.g.

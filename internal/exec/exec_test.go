@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/sparsekit/spmvtuner/internal/machine"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
@@ -94,5 +95,71 @@ func TestEffectiveBlockWidth(t *testing.T) {
 	}
 	if w := (Optim{BlockWidth: 4}).EffectiveBlockWidth(); w != 4 {
 		t.Fatalf("explicit width 4 = %d", w)
+	}
+}
+
+// TestOptimCanonical pins the host resolver per effective format,
+// kernel knobs and schedule, then checks its invariants over every knob
+// combination: the identity off the host and on bound kernels,
+// idempotent, and blind to the effective format and precision.
+func TestOptimCanonical(t *testing.T) {
+	host, knc := machine.Host(), machine.KNC()
+	f32 := PrecF32
+	rows := []struct {
+		name   string
+		in     Optim
+		onHost Optim
+	}{
+		{"csr", Optim{}, Optim{}},
+		{"csr/prefetch", Optim{Prefetch: true}, Optim{Vectorize: true}},
+		{"csr/unroll-static-rows", Optim{Unroll: true, Schedule: sched.StaticRows}, Optim{Vectorize: true, Schedule: sched.StaticRows}},
+		{"csr/vec+prefetch+unroll-dynamic", Optim{Vectorize: true, Prefetch: true, Unroll: true, Schedule: sched.Dynamic}, Optim{Vectorize: true, Schedule: sched.Dynamic}},
+		{"csr/prefetch-f32-guided", Optim{Prefetch: true, Precision: f32, Schedule: sched.Guided}, Optim{Vectorize: true, Precision: f32, Schedule: sched.Guided}},
+		{"split/unroll-dynamic", Optim{Split: true, Unroll: true, Compress: true, SellCS: true, Schedule: sched.Dynamic}, Optim{Split: true, Vectorize: true}},
+		{"split/static-rows", Optim{Split: true, Schedule: sched.StaticRows}, Optim{Split: true, Schedule: sched.StaticRows}},
+		{"split/f32-auto", Optim{Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Split: true}},
+		{"sellcs/vec+prefetch+unroll-dynamic", Optim{SellCS: true, Vectorize: true, Prefetch: true, Unroll: true, Compress: true, Precision: f32, Schedule: sched.Dynamic}, Optim{SellCS: true, Vectorize: true, Precision: f32, Schedule: sched.Dynamic}},
+		{"sellcs/prefetch-static-rows", Optim{SellCS: true, Prefetch: true, Schedule: sched.StaticRows}, Optim{SellCS: true}},
+		{"sellcs/auto", Optim{SellCS: true, Schedule: sched.Auto}, Optim{SellCS: true, Schedule: sched.Auto}},
+		{"delta/vec+prefetch+unroll-guided", Optim{Compress: true, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Guided}, Optim{Compress: true}},
+		{"delta/static-rows-x4", Optim{Compress: true, Schedule: sched.StaticRows, BlockWidth: 4}, Optim{Compress: true, Schedule: sched.StaticRows, BlockWidth: 4}},
+		{"sss/vec-auto", Optim{Symmetric: true, Vectorize: true, Compress: true, Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Symmetric: true, Precision: f32}},
+		{"regx/vec+prefetch-dynamic", Optim{RegularizeX: true, Vectorize: true, Prefetch: true, Schedule: sched.Dynamic}, Optim{RegularizeX: true, Vectorize: true, Prefetch: true, Schedule: sched.Dynamic}},
+		{"unit/split-f32", Optim{UnitStride: true, Split: true, Precision: f32}, Optim{UnitStride: true, Split: true, Precision: f32}},
+	}
+	for _, r := range rows {
+		if got := r.in.Canonical(host); got != r.onHost {
+			t.Errorf("%s: host Canonical(%v) = %v, want %v", r.name, r.in, got, r.onHost)
+		}
+		if got := r.in.Canonical(knc); got != r.in {
+			t.Errorf("%s: knc Canonical(%v) = %v, want the identity", r.name, r.in, got)
+		}
+	}
+
+	policies := []sched.Policy{sched.StaticNNZ, sched.StaticRows, sched.Dynamic, sched.Guided, sched.Auto}
+	for bits := 0; bits < 1<<9; bits++ {
+		for _, p := range policies {
+			for _, prec := range []Precision{PrecF64, PrecF32} {
+				bit := func(i int) bool { return bits>>i&1 == 1 }
+				o := Optim{
+					Vectorize: bit(0), Prefetch: bit(1), Unroll: bit(2), Compress: bit(3), Split: bit(4),
+					SellCS: bit(5), Symmetric: bit(6), RegularizeX: bit(7), UnitStride: bit(8),
+					Schedule: p, Precision: prec,
+				}
+				if got := o.Canonical(knc); got != o {
+					t.Fatalf("knc Canonical(%v) = %v, want the identity", o, got)
+				}
+				c := o.Canonical(host)
+				if o.IsBoundKernel() && c != o {
+					t.Fatalf("bound kernel %v canonicalized to %v", o, c)
+				}
+				if again := c.Canonical(host); again != c {
+					t.Fatalf("Canonical not idempotent: %v -> %v -> %v", o, c, again)
+				}
+				if c.EffectiveFormat() != o.EffectiveFormat() || c.EffectivePrecision() != o.EffectivePrecision() {
+					t.Fatalf("Canonical(%v) = %v moved the effective format or precision", o, c)
+				}
+			}
+		}
 	}
 }

@@ -92,7 +92,7 @@ func Kernels(cfg Config) (*KernelsResult, error) {
 				kernels.CSRVector8Range(m, x, y, 0, m.NRows)
 			}
 		})
-		asmK := kernels.Variant(true, false, false)
+		asmK := kernels.Variant(true)
 		asmSec := bestOf(iters, func() {
 			for i := 0; i < iters; i++ {
 				asmK(m, x, y, 0, m.NRows)

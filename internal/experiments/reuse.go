@@ -55,7 +55,7 @@ func Reuse(cfg Config) ReuseResult {
 		m := r.Build(c.Scale)
 		// A representative optimized configuration; the point is the
 		// execution path, not the tuning decision.
-		o := ex.Optim{Vectorize: true, Prefetch: true}
+		o := ex.Optim{Vectorize: true}
 		x := make([]float64, m.NCols)
 		y := make([]float64, m.NRows)
 		for i := range x {

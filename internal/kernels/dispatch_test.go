@@ -73,20 +73,19 @@ func raggedMatrix(n, maxLen int) *matrix.CSR {
 }
 
 // TestDispatchCSRVec8Differential verifies the dispatched CSR vector
-// kernel against its pure-Go oracle over uneven row ranges. Every
-// vectorize plan runs that one body under one name, whatever its
-// prefetch and unroll knobs say: vectorization subsumes both.
+// kernel against its pure-Go oracle over uneven row ranges. Variant
+// hands every vectorize plan that one body (the oracle itself when no
+// assembly is dispatched), and VariantName names it.
 func TestDispatchCSRVec8Differential(t *testing.T) {
-	k := Variant(true, false, false)
-	for _, pf := range []bool{false, true} {
-		for _, un := range []bool{false, true} {
-			if reflect.ValueOf(Variant(true, pf, un)).Pointer() != reflect.ValueOf(k).Pointer() {
-				t.Fatalf("Variant(true, %v, %v) is not the dispatched vector body", pf, un)
-			}
-			if got, want := VariantName(true, pf, un), VariantName(true, false, false); got != want {
-				t.Fatalf("VariantName(true, %v, %v) = %q, want %q", pf, un, got, want)
-			}
-		}
+	k, isa := dispatchCSRVec8()
+	if k == nil {
+		k = CSRVector8Range
+	}
+	if reflect.ValueOf(Variant(true)).Pointer() != reflect.ValueOf(k).Pointer() {
+		t.Fatal("Variant(true) is not the dispatched vector body")
+	}
+	if name := VariantName(true); (isa == "" && name != "csr-vec8") || (isa != "" && name != "csr-vec8-"+isa) {
+		t.Fatalf("VariantName(true) = %q for ISA %q", name, isa)
 	}
 	for name, m := range dispatchMatrices() {
 		t.Run(name, func(t *testing.T) {
@@ -176,7 +175,7 @@ func TestDispatchNonFiniteX(t *testing.T) {
 		want := make([]float64, m.NRows)
 		CSRVector8Range(m, x, want, 0, m.NRows)
 		got := make([]float64, m.NRows)
-		Variant(true, false, false)(m, x, got, 0, m.NRows)
+		Variant(true)(m, x, got, 0, m.NRows)
 		checkSame(t, ISA(), want, got)
 	})
 	t.Run("sellcs-c8", func(t *testing.T) {
@@ -225,7 +224,7 @@ func TestDispatchQuick(t *testing.T) {
 		want := make([]float64, m.NRows)
 		CSRVector8Range(m, x, want, 0, m.NRows)
 		got := make([]float64, m.NRows)
-		Variant(true, false, false)(m, x, got, 0, m.NRows)
+		Variant(true)(m, x, got, 0, m.NRows)
 		for i := range want {
 			if !sameFloat(want[i], got[i]) {
 				return false
@@ -294,7 +293,7 @@ func FuzzDispatchCSRVec8(f *testing.F) {
 		want := make([]float64, n)
 		CSRVector8Range(m, x, want, 0, n)
 		got := make([]float64, n)
-		Variant(true, false, false)(m, x, got, 0, n)
+		Variant(true)(m, x, got, 0, n)
 		for i := range want {
 			if !sameFloat(want[i], got[i]) {
 				t.Fatalf("y[%d] = %g, oracle %g (isa %s)", i, got[i], want[i], ISA())
@@ -327,7 +326,7 @@ func TestISAConsistency(t *testing.T) {
 	if ISA() != "scalar" {
 		wantVec += "-" + ISA()
 	}
-	if got := VariantName(true, false, false); got != wantVec {
+	if got := VariantName(true); got != wantVec {
 		t.Fatalf("VariantName = %q, want %q", got, wantVec)
 	}
 	m := gen.UniformRandom(64, 5, 1)

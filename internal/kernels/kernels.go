@@ -1,23 +1,23 @@
 // Package kernels provides the native SpMV kernels corresponding to
-// the simulator's configurations: the scalar CSR baseline (Fig 2),
-// unrolled multi-accumulator variants, a scalar software-prefetch
-// variant using look-ahead touch loads (S4), DeltaCSR kernels, the
-// two-phase SplitCSR kernel (Fig 6), and the two modified bound
-// kernels of Section III-B. All kernels operate on row ranges so the
-// parallel executor can drive them under any schedule.
+// the simulator's configurations: the scalar CSR baseline (Fig 2), the
+// CSR vector kernel, DeltaCSR kernels, the two-phase SplitCSR kernel
+// (Fig 6), SELL-C-σ chunk kernels, and the two modified bound kernels
+// of Section III-B. All kernels operate on row ranges so the parallel
+// executor can drive them under any schedule.
 //
 // The hottest inner loops — the CSR vector kernel, the SELL-C-σ C=8
 // chunk kernel, and the register-blocked SpMM k=4/8 bodies — also
 // exist as real SIMD assembly (asm_amd64.s: AVX2+FMA and AVX-512F
 // tiers) behind runtime dispatch (dispatch_amd64.go); Variant,
 // SellCSVariant and CSRBlockRange hand out the widest body the host
-// executes, and VariantName/ISA record which one won. Vectorization
-// subsumes both unrolling and software prefetch: every vectorized CSR
-// plan runs the one dispatched vector body. The pure-Go forms below
-// are kept verbatim: they are the differential-test oracle every
-// assembly body is verified against (dispatch_test.go), and the only
-// bodies built under `-tags noasm` or on non-amd64 hosts. See
-// docs/guide/simd.md.
+// executes, and VariantName/ISA record which one won. The paper's
+// prefetch (ML) and unrolling (CMP) optimizations have no scalar
+// bodies here: the dispatched gather body serves both, measured
+// faster than either scalar form on every suite matrix, and
+// exec.Optim.Canonical folds their knobs into Vectorize. The pure-Go
+// forms below are the differential-test oracle every assembly body is
+// verified against (dispatch_test.go), and the only bodies built under
+// `-tags noasm` or on non-amd64 hosts. See docs/guide/simd.md.
 package kernels
 
 import (
@@ -39,29 +39,6 @@ func CSRRange(m *matrix.CSR, x, y []float64, lo, hi int) {
 			sum += m.Val[j] * x[m.ColInd[j]]
 		}
 		y[i] = sum
-	}
-}
-
-// CSRUnrolled4Range unrolls the inner loop four-way with independent
-// accumulators (the CMP-class scalar optimization: exposes ILP and
-// halves loop bookkeeping).
-//
-//spmv:hotpath
-func CSRUnrolled4Range(m *matrix.CSR, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		jlo, jhi := m.RowPtr[i], m.RowPtr[i+1]
-		var s0, s1, s2, s3 float64
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
-			s0 += m.Val[j] * x[m.ColInd[j]]
-			s1 += m.Val[j+1] * x[m.ColInd[j+1]]
-			s2 += m.Val[j+2] * x[m.ColInd[j+2]]
-			s3 += m.Val[j+3] * x[m.ColInd[j+3]]
-		}
-		for ; j < jhi; j++ {
-			s0 += m.Val[j] * x[m.ColInd[j]]
-		}
-		y[i] = (s0 + s1) + (s2 + s3)
 	}
 }
 
@@ -92,35 +69,6 @@ func CSRVector8Range(m *matrix.CSR, x, y []float64, lo, hi int) {
 			tail += m.Val[j] * x[m.ColInd[j]]
 		}
 		y[i] = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + tail
-	}
-}
-
-// PrefetchDistance is the look-ahead distance in elements: the paper
-// fixes it to the elements per cache line (Section III-E).
-const PrefetchDistance = 8
-
-// CSRPrefetchRange inserts a look-ahead touch load of
-// x[colind[j+PrefetchDistance]] — a genuine prefetch: the load pulls
-// the line into cache ahead of its use (the ML-class optimization).
-//
-//spmv:hotpath
-func CSRPrefetchRange(m *matrix.CSR, x, y []float64, lo, hi int) {
-	var sink float64
-	nnz := int64(len(m.ColInd))
-	for i := lo; i < hi; i++ {
-		jlo, jhi := m.RowPtr[i], m.RowPtr[i+1]
-		var sum float64
-		for j := jlo; j < jhi; j++ {
-			if p := j + PrefetchDistance; p < nnz {
-				sink += x[m.ColInd[p]] // touch: brings the line in
-			}
-			sum += m.Val[j] * x[m.ColInd[j]]
-		}
-		y[i] = sum
-	}
-	// Keep the compiler from eliding the touch loads.
-	if sink == 0x1p-1000 {
-		y[lo] += sink
 	}
 }
 
@@ -275,46 +223,30 @@ func SellCSVariant(s *formats.SellCS, vectorize bool) (func(s *formats.SellCS, x
 	return SellCSRange, "sellcs"
 }
 
-// VariantName names the kernel Variant selects for the same flags, for
+// VariantName names the kernel Variant selects for the same flag, for
 // diagnostics, prepared-kernel introspection and plan provenance.
 // Names of dispatched assembly bodies carry the ISA suffix ("-avx2",
-// "-avx512"); pure-Go bodies are unsuffixed. The prefetch flag only
-// names a kernel without vectorize ("csr-prefetch").
-func VariantName(vectorize, prefetch, unroll bool) string {
-	switch {
-	case vectorize:
-		if _, isa := dispatchCSRVec8(); isa != "" {
-			return "csr-vec8-" + isa
-		}
-		return "csr-vec8"
-	case prefetch:
-		return "csr-prefetch"
-	case unroll:
-		return "csr-unrolled4"
-	default:
+// "-avx512"); pure-Go bodies are unsuffixed.
+func VariantName(vectorize bool) string {
+	if !vectorize {
 		return "csr"
 	}
+	if _, isa := dispatchCSRVec8(); isa != "" {
+		return "csr-vec8-" + isa
+	}
+	return "csr-vec8"
 }
 
-// Variant selects a range kernel by optimization flags (compression
-// and splitting are handled by the executor, which owns the converted
-// formats). Vectorization subsumes unrolling and prefetch: every
-// vectorize plan dispatches to the widest assembly body the host
-// executes (CSRVector8Range without one). The gather body issues a
-// whole vector of x loads at once, which is the latency remedy the
-// touch loads emulate (docs/guide/simd.md has the measurements).
-func Variant(vectorize, prefetch, unroll bool) RangeKernel {
-	switch {
-	case vectorize:
-		if k, _ := dispatchCSRVec8(); k != nil {
-			return k
-		}
-		return CSRVector8Range
-	case prefetch:
-		return CSRPrefetchRange
-	case unroll:
-		return CSRUnrolled4Range
-	default:
+// Variant selects the CSR range kernel (compression and splitting are
+// handled by the executor, which owns the converted formats): with
+// vectorize, the widest assembly body the host executes
+// (CSRVector8Range without one), the scalar CSRRange otherwise.
+func Variant(vectorize bool) RangeKernel {
+	if !vectorize {
 		return CSRRange
 	}
+	if k, _ := dispatchCSRVec8(); k != nil {
+		return k
+	}
+	return CSRVector8Range
 }

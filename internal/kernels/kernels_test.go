@@ -7,8 +7,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
+	"github.com/sparsekit/spmvtuner/internal/machine"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 )
 
@@ -61,14 +63,17 @@ func emptyRowMatrix() *matrix.CSR {
 }
 
 func TestComputeKernelsMatchReference(t *testing.T) {
-	// vec8prefetch is the body vectorize+prefetch plans run: the
-	// dispatched vector kernel.
+	// The prefetch, unrolled4 and vec8prefetch rows are the row kernel
+	// each such plan runs on the host: Canonical folds both knobs into
+	// Vectorize, so all three bind the dispatched gather body.
+	host := machine.Host()
+	planKernel := func(o exec.Optim) RangeKernel { return Variant(o.Canonical(host).Vectorize) }
 	kernelsUnderTest := map[string]RangeKernel{
 		"csr":          CSRRange,
-		"unrolled4":    CSRUnrolled4Range,
 		"vector8":      CSRVector8Range,
-		"prefetch":     CSRPrefetchRange,
-		"vec8prefetch": Variant(true, true, false),
+		"prefetch":     planKernel(exec.Optim{Prefetch: true}),
+		"unrolled4":    planKernel(exec.Optim{Unroll: true}),
+		"vec8prefetch": planKernel(exec.Optim{Vectorize: true, Prefetch: true}),
 	}
 	for mname, m := range testMatrices() {
 		for kname, k := range kernelsUnderTest {
@@ -255,15 +260,11 @@ func TestBoundKernelsRun(t *testing.T) {
 }
 
 func TestVariantSelection(t *testing.T) {
-	type c struct{ vec, pref, unroll bool }
 	m := gen.Banded(100, 3, 1, 1)
-	for _, tc := range []c{
-		{false, false, false}, {true, false, false}, {false, true, false},
-		{false, false, true}, {true, true, false}, {true, false, true},
-	} {
-		k := Variant(tc.vec, tc.pref, tc.unroll)
+	for _, vec := range []bool{false, true} {
+		k := Variant(vec)
 		if k == nil {
-			t.Fatalf("nil kernel for %+v", tc)
+			t.Fatalf("nil kernel for vectorize=%v", vec)
 		}
 		checkAgainstReference(t, "variant", m, k)
 	}
@@ -288,7 +289,7 @@ func TestKernelsAgreeQuick(t *testing.T) {
 		x := vec(m.NCols, seed)
 		want := make([]float64, m.NRows)
 		m.MulVec(x, want)
-		for _, k := range []RangeKernel{CSRUnrolled4Range, CSRVector8Range, CSRPrefetchRange} {
+		for _, k := range []RangeKernel{CSRVector8Range, Variant(true)} {
 			got := make([]float64, m.NRows)
 			k(m, x, got, 0, m.NRows)
 			for i := range want {
@@ -305,21 +306,11 @@ func TestKernelsAgreeQuick(t *testing.T) {
 }
 
 func TestVariantNameMatchesVariant(t *testing.T) {
-	seen := map[string]bool{}
-	for _, vec := range []bool{false, true} {
-		for _, pf := range []bool{false, true} {
-			for _, un := range []bool{false, true} {
-				name := VariantName(vec, pf, un)
-				if name == "" {
-					t.Fatalf("empty name for vec=%v pf=%v un=%v", vec, pf, un)
-				}
-				seen[name] = true
-			}
-		}
+	if got := VariantName(false); got != "csr" {
+		t.Fatalf("VariantName(false) = %q, want csr", got)
 	}
-	// Four distinct kernels exist (vectorize subsumes unroll and
-	// prefetch).
-	if len(seen) != 4 {
-		t.Fatalf("got %d distinct kernel names, want 4: %v", len(seen), seen)
+	// The vector name carries the dispatched ISA suffix, if any.
+	if got := VariantName(true); !strings.HasPrefix(got, "csr-vec8") {
+		t.Fatalf("VariantName(true) = %q, want csr-vec8*", got)
 	}
 }

@@ -48,19 +48,23 @@ func bindingTable() []bindingRow {
 		{"csr-guided", asymIn, ex.Optim{Schedule: sched.Guided}, "csr", csrBytes, true},
 		{"vec", asymIn, ex.Optim{Vectorize: true}, "csr-vec8%isa", csrBytes, true},
 		{"vec+prefetch", asymIn, ex.Optim{Vectorize: true, Prefetch: true}, "csr-vec8%isa", csrBytes, true},
-		{"prefetch", asymIn, ex.Optim{Prefetch: true}, "csr-prefetch", csrBytes, true},
-		{"unroll", asymIn, ex.Optim{Unroll: true}, "csr-unrolled4", csrBytes, true},
+		{"prefetch", asymIn, ex.Optim{Prefetch: true}, "csr-vec8%isa", csrBytes, true},
+		{"unroll", asymIn, ex.Optim{Unroll: true}, "csr-vec8%isa", csrBytes, true},
 		{"regularized", asymIn, ex.Optim{RegularizeX: true}, "regularized", csrBytes, false},
 		{"unit-stride", asymIn, ex.Optim{UnitStride: true}, "unit-stride", csrBytes, false},
 		{"unit-stride-dynamic", asymIn, ex.Optim{UnitStride: true, Schedule: sched.Dynamic}, "unit-stride", csrBytes, false},
 		{"split", asymIn, ex.Optim{Split: true}, "split+csr", csrBytes, true},
 		{"split+vec", asymIn, ex.Optim{Split: true, Vectorize: true}, "split+csr-vec8%isa", csrBytes, true},
+		{"split+unroll-dynamic", asymIn, ex.Optim{Split: true, Unroll: true, Schedule: sched.Dynamic}, "split+csr-vec8%isa", csrBytes, true},
 		{"delta", asymIn, ex.Optim{Compress: true}, "delta", 39918, true},
+		{"delta+vec+prefetch-guided", asymIn, ex.Optim{Compress: true, Vectorize: true, Prefetch: true, Schedule: sched.Guided}, "delta", 39918, true},
 		{"sellcs", asymIn, ex.Optim{SellCS: true}, "sellcs", sellBytes, true},
 		{"sellcs-dynamic", asymIn, ex.Optim{SellCS: true, Schedule: sched.Dynamic}, "sellcs", sellBytes, true},
 		{"sellcs+vec", asymIn, ex.Optim{SellCS: true, Vectorize: true}, "sellcs-c8%isa", sellBytes, true},
 		{"sellcs+vec-dynamic", asymIn, ex.Optim{SellCS: true, Vectorize: true, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, true},
+		{"sellcs+prefetch+unroll", asymIn, ex.Optim{SellCS: true, Prefetch: true, Unroll: true}, "sellcs", sellBytes, true},
 		{"sss", symIn, ex.Optim{Symmetric: true}, "sss", 43744, true},
+		{"sss+vec-dynamic", symIn, ex.Optim{Symmetric: true, Vectorize: true, Schedule: sched.Dynamic}, "sss", 43744, true},
 		{"csr-f32", asymIn, ex.Optim{Precision: f32}, "prec-csr-f32", 33528, true},
 		{"csr-f32-unfit", asymUnfitIn, ex.Optim{Precision: f32}, "csr", csrBytes, true},
 		{"csr+vec-f32-guided", asymIn, ex.Optim{Vectorize: true, Precision: f32, Schedule: sched.Guided}, "prec-csr-vec8-f32", 33528, true},

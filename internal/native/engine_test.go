@@ -139,6 +139,23 @@ func TestPreparedMemoized(t *testing.T) {
 	}
 }
 
+// TestPreparedMemoizedCanonical checks that knob sets binding the same
+// kernel share one memoized Prepared: the cache keys on the canonical
+// form, so a prefetch+unroll plan costs no second compilation.
+func TestPreparedMemoizedCanonical(t *testing.T) {
+	e := New()
+	defer e.Close()
+	m := gen.UniformRandom(1000, 5, 3)
+	p := e.Prepare(m, ex.Optim{Vectorize: true})
+	if q := e.Prepare(m, ex.Optim{Vectorize: true, Prefetch: true, Unroll: true}); q != p {
+		t.Fatal("vec+prefetch+unroll did not share the vec kernel")
+	}
+	d := e.Prepare(m, ex.Optim{Compress: true})
+	if q := e.Prepare(m, ex.Optim{Compress: true, Vectorize: true, Schedule: sched.Dynamic}); q != d {
+		t.Fatal("compress+vec@dynamic did not share the compress kernel")
+	}
+}
+
 func TestPreparedRejectsBoundKernels(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -306,11 +323,12 @@ func TestPreparedIntrospection(t *testing.T) {
 	if p.Threads() < 1 {
 		t.Fatalf("threads = %d", p.Threads())
 	}
-	if !p.Opt().Vectorize || !p.Opt().Prefetch {
-		t.Fatalf("opt = %v", p.Opt())
+	// Opt reports the canonical form: vectorization subsumes prefetch,
+	// and the plan runs the dispatched vector body ("csr-vec8-avx512"
+	// etc., "csr-vec8" without asm).
+	if p.Opt() != (ex.Optim{Vectorize: true}) {
+		t.Fatalf("opt = %v, want the canonical vec@static-nnz", p.Opt())
 	}
-	// Vectorization subsumes prefetch: the plan runs the dispatched
-	// vector body ("csr-vec8-avx512" etc., "csr-vec8" without asm).
 	if !strings.HasPrefix(p.Kernel(), "csr-vec8") || strings.Contains(p.Kernel(), "prefetch") {
 		t.Fatalf("kernel = %q", p.Kernel())
 	}

@@ -351,10 +351,11 @@ func (e *Executor) PreparePlan(m *matrix.CSR, p plan.Plan) (ex.PreparedKernel, e
 const maxPreparedKernels = 256
 
 // preparedFor memoizes compiled kernels at the executor's default
-// thread count.
+// thread count, keyed by the canonical configuration: knob sets that
+// bind the same kernel share one Prepared.
 func (e *Executor) preparedFor(m *matrix.CSR, o ex.Optim) *Prepared {
 	nt := e.defaultThreads(m)
-	key := preparedKey{m: m, o: o}
+	key := preparedKey{m: m, o: o.Canonical(e.model)}
 	e.mu.Lock()
 	p, ok := e.prepared[key]
 	e.mu.Unlock()

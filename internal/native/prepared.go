@@ -266,9 +266,11 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 // to the executor's worker pool. It accepts bound kernels (Run measures
 // them); the public Prepare rejects them. Each format picks its own
 // partition and binds its range kernels through bindRanges, bindSym or
-// bindSplit. A matrix whose values do not fit float32 runs its f64
-// binding under an f32 configuration, and Opt reports PrecF64.
+// bindSplit. It compiles o's canonical form on the executor's model,
+// which Opt reports. A matrix whose values do not fit float32 runs its
+// f64 binding under an f32 configuration, and Opt reports PrecF64.
 func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
+	o = o.Canonical(e.model)
 	if o.EffectivePrecision() == ex.PrecF32 && !formats.FitsF32(m.Val) {
 		o.Precision = ex.PrecF64
 	}
@@ -352,12 +354,12 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 			break
 		}
 		// The blocked body always runs the register-blocked CSR SpMM
-		// kernel: the scalar variants (prefetch, unroll, the vector
-		// gather) optimize the one-vector loop, and register blocking
-		// across right-hand sides IS that optimization for blocks. The
-		// bound probes do not compute SpMV and have no blocked form.
-		kern := kernels.Variant(o.Vectorize, o.Prefetch, o.Unroll)
-		p.kernelName = kernels.VariantName(o.Vectorize, o.Prefetch, o.Unroll)
+		// kernel: the vector gather optimizes the one-vector loop, and
+		// register blocking across right-hand sides IS that
+		// optimization for blocks. The bound probes do not compute SpMV
+		// and have no blocked form.
+		kern := kernels.Variant(o.Vectorize)
+		p.kernelName = kernels.VariantName(o.Vectorize)
 		block := func(lo, hi, k int) { kernels.CSRBlockRange(m, p.x, p.y, k, lo, hi) }
 		switch {
 		case o.RegularizeX:
@@ -406,8 +408,8 @@ func (p *Prepared) slots(parts, chunks []sched.Range, run func(lo, hi int)) func
 // reduction engine, each slot's window one cell per extracted long
 // row, folded into y through the LongRowIdx scatter table.
 func (p *Prepared) bindSplit(s *formats.SplitCSR, o ex.Optim) {
-	inner := kernels.Variant(o.Vectorize, o.Prefetch, o.Unroll)
-	p.kernelName = "split+" + kernels.VariantName(o.Vectorize, o.Prefetch, o.Unroll)
+	inner := kernels.Variant(o.Vectorize)
+	p.kernelName = "split+" + kernels.VariantName(o.Vectorize)
 	parts := sched.Prepare(o.Schedule, s.Base, p.nt).Parts
 	win := make([]sched.Range, p.nt)
 	for t := range win {

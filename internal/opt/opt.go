@@ -483,11 +483,14 @@ func bestBlockWidthFrom(e ex.Executor, m *matrix.CSR, o ex.Optim, base float64) 
 // sweep measures all candidates and returns the best configuration
 // (by modeled/measured time) plus the total preprocessing cost of
 // trying everything. With extended set, the SELL-C-σ configurations
-// join the pool.
+// join the pool. Candidates run in their canonical form on the
+// executor's platform, each form once: on the host, knob sets that
+// bind the same kernel are one candidate.
 func sweep(e ex.Executor, m *matrix.CSR, c CostParams, pairs, triples, extended bool) (best ex.Optim, bestSecs, pre float64) {
 	mdl := e.Machine()
 	baseSecs := e.Run(ex.Config{Matrix: m}).Seconds
 	best, bestSecs = ex.Optim{}, baseSecs
+	seen := map[ex.Optim]bool{best: true}
 	cands := candidateOptims(pairs, triples)
 	if extended {
 		cands = append(cands, sellCandidates()...)
@@ -500,6 +503,10 @@ func sweep(e ex.Executor, m *matrix.CSR, c CostParams, pairs, triples, extended 
 		}
 	}
 	for _, o := range cands {
+		if o = o.Canonical(mdl); seen[o] {
+			continue
+		}
+		seen[o] = true
 		r := e.Run(ex.Config{Matrix: m, Opt: o})
 		pre += ConversionSeconds(m, mdl, o) +
 			float64(c.MeasureIters)*r.Seconds +

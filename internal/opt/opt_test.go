@@ -8,6 +8,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/features"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/machine"
+	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/ml"
 	"github.com/sparsekit/spmvtuner/internal/sched"
 	"github.com/sparsekit/spmvtuner/internal/sim"
@@ -341,5 +342,63 @@ func TestOracleBatchFoldsBlockWidth(t *testing.T) {
 	tp := batch.Plan(e, tiny)
 	if tp.Opt.BlockWidth == 0 {
 		t.Fatal("batch oracle left BlockWidth unset: batch execution would fall back to the engine default instead of the measured width")
+	}
+}
+
+// countingExec counts Run calls per canonical configuration.
+type countingExec struct {
+	ex.Executor
+	runs map[ex.Optim]int
+}
+
+func (c *countingExec) Run(cfg ex.Config) ex.Result {
+	c.runs[cfg.Opt.Canonical(c.Machine())]++
+	return c.Executor.Run(cfg)
+}
+
+func (c *countingExec) total() int {
+	n := 0
+	for _, r := range c.runs {
+		n += r
+	}
+	return n
+}
+
+// TestSweepRunsEachCanonicalCandidateOnce checks that the host oracle
+// times each canonical form once — knob sets binding the same kernel
+// are one candidate — while on KNC every knob set is its own kernel,
+// so the trivial optimizers still run Table V's 5 and 15 candidates
+// (plus the baseline).
+func TestSweepRunsEachCanonicalCandidateOnce(t *testing.T) {
+	host := machine.Host()
+	m := gen.Poisson2D(200, 200)
+	m.Sym = matrix.SymSymmetric
+	c := &countingExec{Executor: sim.New(host), runs: map[ex.Optim]int{}}
+	NewOracle().Plan(c, m)
+	want := map[ex.Optim]bool{{}: true}
+	cands := append(append(candidateOptims(true, true), sellCandidates()...), symCandidates()...)
+	for _, o := range cands {
+		want[o.Canonical(host)] = true
+	}
+	for o, n := range c.runs {
+		if n != 1 || !want[o] {
+			t.Errorf("host oracle ran %v %d times (a candidate: %v)", o, n, want[o])
+		}
+	}
+	if len(c.runs) != len(want) || len(want) >= len(cands) {
+		t.Fatalf("host oracle ran %d distinct forms of %d canonical candidates (%d knob sets)",
+			len(c.runs), len(want), len(cands))
+	}
+
+	knc := sim.New(machine.KNC())
+	for _, tc := range []struct {
+		opt  Optimizer
+		want int
+	}{{NewTrivialSingle(), 1 + 5}, {NewTrivialCombined(), 1 + 15}} {
+		c := &countingExec{Executor: knc, runs: map[ex.Optim]int{}}
+		tc.opt.Plan(c, m)
+		if c.total() != tc.want || len(c.runs) != tc.want {
+			t.Errorf("%s on KNC: %d runs of %d forms, want %d", tc.opt.Name(), c.total(), len(c.runs), tc.want)
+		}
 	}
 }

@@ -365,7 +365,10 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 		nt = mdl.Threads()
 	}
 	p := e.profileOf(m)
-	o := cfg.Opt
+	// Price what runs on this platform: on the host model, knob sets
+	// that bind one kernel resolve to one canonical form (the identity
+	// on the paper's platforms, whose kernels the knobs do select).
+	o := cfg.Opt.Canonical(mdl)
 	// The engine's format precedence, from the shared resolver:
 	// superseded format knobs are inert here exactly as in
 	// buildPrepared and ConversionSeconds.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
@@ -434,5 +435,40 @@ func TestBlockWidthAppliesToEveryFormat(t *testing.T) {
 		if blocked.Seconds >= base.Seconds {
 			t.Fatalf("%s: blocked %g s not below unblocked %g s", name, blocked.Seconds, base.Seconds)
 		}
+	}
+}
+
+// TestHostPricesCanonicalForm checks that the host model prices every
+// knob set exactly as its canonical form, bit for bit, so knob sets
+// that bind one kernel get one price, while KNC still prices the
+// paper's prefetch kernel apart from the vector one.
+func TestHostPricesCanonicalForm(t *testing.T) {
+	host := machine.Host()
+	e := New(host)
+	irr := gen.UniformRandom(20000, 9, 1)
+	sym := gen.Poisson2D(120, 120)
+	sym.Sym = matrix.SymSymmetric
+	for _, o := range []ex.Optim{
+		{Prefetch: true},
+		{Unroll: true, Schedule: sched.StaticRows},
+		{Vectorize: true, Prefetch: true, Unroll: true},
+		{Split: true, Prefetch: true, Schedule: sched.Dynamic},
+		{Compress: true, Vectorize: true, Schedule: sched.Guided},
+		{SellCS: true, Vectorize: true, Unroll: true, Compress: true},
+		{Symmetric: true, Vectorize: true, Schedule: sched.Auto},
+		{Precision: ex.PrecF32, Compress: true, Prefetch: true},
+	} {
+		for _, m := range []*matrix.CSR{irr, sym} {
+			got, want := run(e, m, o), run(e, m, o.Canonical(host))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: host prices %v at %+v, its canonical form %v at %+v",
+					m.Name, o, got, o.Canonical(host), want)
+			}
+		}
+	}
+	knc := New(machine.KNC())
+	vec := run(knc, irr, ex.Optim{Vectorize: true})
+	if pf := run(knc, irr, ex.Optim{Vectorize: true, Prefetch: true}); reflect.DeepEqual(pf, vec) {
+		t.Fatalf("KNC prices vec+prefetch as vec: %+v", vec)
 	}
 }

@@ -46,33 +46,10 @@ type ServerConfig struct {
 }
 
 // ServerStats is one matrix's serving counters: traffic, coalescing
-// effectiveness, latency percentiles, achieved throughput, and the
-// kernel cache's behavior. See docs/guide/serving.md for how to read
-// them.
-type ServerStats struct {
-	Name string
-	Rows int
-	Cols int
-	NNZ  int
-
-	Requests       uint64
-	Batches        uint64
-	MeanBatchWidth float64
-
-	P50LatencyMicros float64
-	P99LatencyMicros float64
-	AchievedGflops   float64
-
-	Tunes        uint64
-	WarmPrepares uint64
-	Evictions    uint64
-	Errors       uint64
-
-	Resident      bool
-	ResidentBytes int64
-	Plan          string
-	Gflops        float64
-}
+// effectiveness, latency percentiles, achieved throughput, the kernel
+// cache's behavior, and the plan the kernel runs (host plans in their
+// canonical form). See docs/guide/serving.md for how to read them.
+type ServerStats = serve.MatrixStats
 
 // Server is a multi-tenant SpMV service over one Tuner: many
 // registered matrices, many concurrent callers. Concurrent MulVec
@@ -134,20 +111,10 @@ func (s *Server) MulVec(name string, x, y []float64) error {
 func (s *Server) Warm(name string) error { return s.inner.Warm(name) }
 
 // Stats snapshots every registered matrix's counters, sorted by name.
-func (s *Server) Stats() []ServerStats {
-	in := s.inner.Stats()
-	out := make([]ServerStats, len(in))
-	for i, st := range in {
-		out[i] = serverStats(st)
-	}
-	return out
-}
+func (s *Server) Stats() []ServerStats { return s.inner.Stats() }
 
 // StatsFor snapshots one matrix's counters.
-func (s *Server) StatsFor(name string) (ServerStats, bool) {
-	st, ok := s.inner.StatsFor(name)
-	return serverStats(st), ok
-}
+func (s *Server) StatsFor(name string) (ServerStats, bool) { return s.inner.StatsFor(name) }
 
 // Shape reports the named matrix's dimensions. Unlike StatsFor it
 // takes no snapshot of the serving counters, so a per-request caller
@@ -255,29 +222,6 @@ func (s *Server) CapacityPlan(demands []CapacityDemand, headroom float64) (Capac
 		MainGBs:       cal.MainGBs,
 		PerMatrix:     per,
 	}, nil
-}
-
-func serverStats(st serve.MatrixStats) ServerStats {
-	return ServerStats{
-		Name:             st.Name,
-		Rows:             st.Rows,
-		Cols:             st.Cols,
-		NNZ:              st.NNZ,
-		Requests:         st.Requests,
-		Batches:          st.Batches,
-		MeanBatchWidth:   st.MeanBatchWidth,
-		P50LatencyMicros: st.P50LatencyMicros,
-		P99LatencyMicros: st.P99LatencyMicros,
-		AchievedGflops:   st.AchievedGflops,
-		Tunes:            st.Tunes,
-		WarmPrepares:     st.WarmPrepares,
-		Evictions:        st.Evictions,
-		Errors:           st.Errors,
-		Resident:         st.Resident,
-		ResidentBytes:    st.ResidentBytes,
-		Plan:             st.Plan,
-		Gflops:           st.Gflops,
-	}
 }
 
 // tunerEngine adapts the facade Tuner to the serving layer's Engine:
