@@ -29,7 +29,10 @@ var benchCfg = experiments.Config{Scale: 0.1, CorpusSize: 60}
 // optimizations on the KNC model.
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig1(benchCfg)
+		res, err := experiments.Fig1(benchCfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Rows) != 32 {
 			b.Fatal("fig1 incomplete")
 		}
@@ -39,7 +42,10 @@ func BenchmarkFig1(b *testing.B) {
 // BenchmarkFig3 regenerates Fig 3: baseline + per-class bounds on KNC.
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig3(benchCfg)
+		res, err := experiments.Fig3(benchCfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Rows) != 32 {
 			b.Fatal("fig3 incomplete")
 		}
@@ -82,7 +88,10 @@ func benchFig7(b *testing.B, platform string) {
 // BenchmarkTable5 regenerates Table V: amortization iterations on KNL.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Table5(benchCfg)
+		res, err := experiments.Table5(benchCfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, row := range res.Rows {
 			if row.Optimizer == "feature-guided" {
 				b.ReportMetric(row.Avg, "feat-iters")
@@ -160,10 +169,12 @@ func BenchmarkKernelCSR(b *testing.B) { benchNativeKernel(b, kernels.CSRRange) }
 // BenchmarkKernelVector8 times the 8-accumulator vectorization stand-in.
 func BenchmarkKernelVector8(b *testing.B) { benchNativeKernel(b, kernels.CSRVector8Range) }
 
-// BenchmarkKernelDelta times the DeltaCSR kernel.
+// BenchmarkKernelDelta times the DeltaCSR kernel every Delta plan
+// binds: the dispatched vector decoder (kernels.DeltaVariant).
 func BenchmarkKernelDelta(b *testing.B) {
 	m := gen.Banded(100000, 12, 0.9, 1)
 	d := formats.Compress(m)
+	k := kernels.DeltaVariant()
 	x := make([]float64, m.NCols)
 	y := make([]float64, m.NRows)
 	for i := range x {
@@ -172,7 +183,7 @@ func BenchmarkKernelDelta(b *testing.B) {
 	b.SetBytes(d.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.MulVec(x, y)
+		k(d, x, y, 0, d.NRows, 0)
 	}
 }
 

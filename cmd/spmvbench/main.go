@@ -113,25 +113,26 @@ func run(args []string) error {
 		}
 	}
 
-	runFig7 := func(code string) error {
-		res, err := experiments.Fig7(code, cfg)
+	// show emits an experiment's table, or returns its error.
+	show := func(res interface{ Table() *report.Table }, err error) error {
 		if err != nil {
 			return err
 		}
 		emit(res.Table())
 		return nil
 	}
+	runFig7 := func(code string) error { return show(experiments.Fig7(code, cfg)) }
 
 	var err error
 	switch *exp {
 	case "fig1":
-		emit(experiments.Fig1(cfg).Table())
+		err = show(experiments.Fig1(cfg))
 	case "fig3":
-		emit(experiments.Fig3(cfg).Table())
+		err = show(experiments.Fig3(cfg))
 	case "table4":
 		emit(experiments.Table4(cfg).Table())
 	case "table5":
-		emit(experiments.Table5(cfg).Table())
+		err = show(experiments.Table5(cfg))
 	case "fig7":
 		if *platform != "" {
 			err = runFig7(*platform)
@@ -147,11 +148,11 @@ func run(args []string) error {
 	case "features":
 		emit(experiments.FeatureTable(cfg))
 	case "reuse":
-		emit(experiments.Reuse(cfg).Table())
+		err = show(experiments.Reuse(cfg))
 	case "sellcs":
-		emit(experiments.SellCS(cfg).Table())
+		err = show(experiments.SellCS(cfg))
 	case "spmm":
-		emit(experiments.SpMM(cfg).Table())
+		err = show(experiments.SpMM(cfg))
 	case "sym":
 		// The exactness gate returns the result alongside the error:
 		// emit the table either way so a failing run shows which
@@ -160,10 +161,7 @@ func run(args []string) error {
 		res, err = experiments.Sym(cfg)
 		emit(res.Table())
 	case "warm":
-		var res *experiments.WarmResult
-		if res, err = experiments.Warm(cfg); err == nil {
-			emit(res.Table())
-		}
+		err = show(experiments.Warm(cfg))
 	case "serve":
 		var res *experiments.ServeResult
 		if res, err = experiments.Serve(cfg); err == nil {
@@ -218,16 +216,22 @@ func run(args []string) error {
 		emit(experiments.PartitionedML(cfg).Table())
 	case "all":
 		emit(experiments.Platforms())
-		emit(experiments.Fig1(cfg).Table())
-		emit(experiments.Fig3(cfg).Table())
-		emit(experiments.Table4(cfg).Table())
-		for _, code := range []string{"knc", "knl", "bdw"} {
-			if err = runFig7(code); err != nil {
-				break
+		err = show(experiments.Fig1(cfg))
+		if err == nil {
+			err = show(experiments.Fig3(cfg))
+		}
+		if err == nil {
+			emit(experiments.Table4(cfg).Table())
+			for _, code := range []string{"knc", "knl", "bdw"} {
+				if err = runFig7(code); err != nil {
+					break
+				}
 			}
 		}
 		if err == nil {
-			emit(experiments.Table5(cfg).Table())
+			err = show(experiments.Table5(cfg))
+		}
+		if err == nil {
 			emit(experiments.AblateDelta(cfg).Table())
 			emit(experiments.AblateSplit(cfg).Table())
 			emit(experiments.AblateSched(cfg).Table())

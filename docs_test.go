@@ -457,6 +457,25 @@ func TestSIMDGuideSamples(t *testing.T) {
 		}
 	}
 
+	// The delta decoder: named delta-vec8-<isa> (delta on the scalar
+	// oracle), equal to MulVecRows, and every host Delta plan reads
+	// compress+vec.
+	dname := kernels.DeltaVariantName()
+	if isa != "scalar" && dname != "delta-vec8-"+isa || isa == "scalar" && dname != "delta" {
+		t.Fatalf("DeltaVariantName = %q on ISA %q", dname, isa)
+	}
+	d := formats.CompressDelta(m, formats.Delta8)
+	d.MulVecRows(x, want, 0, d.NRows, 0)
+	kernels.DeltaVariant()(d, x, got, 0, d.NRows, 0)
+	for i := range want {
+		if math.Abs(want[i]-got[i]) > 1e-12*(1+math.Abs(want[i])) {
+			t.Fatalf("delta oracle contract broken at row %d: %g vs %g", i, got[i], want[i])
+		}
+	}
+	if s := (ex.Optim{Compress: true}).Canonical(machine.Host()).String(); s != "compress+vec@static-nnz" {
+		t.Fatalf("host Delta plan reads %q", s)
+	}
+
 	// The cost model prices vectors at the dispatched width.
 	eng := native.New()
 	engLanes := eng.Machine().SIMDLanes

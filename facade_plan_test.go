@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/sparsekit/spmvtuner/internal/kernels"
 )
 
 // TestTuneWarmStartsInProcess: the default in-memory plan store must
@@ -208,30 +210,62 @@ func TestCloseFlushesPlanStore(t *testing.T) {
 // gather body. Tune warm-starts from it, reports the canonical form,
 // and computes MulVec's product.
 func TestLegacyHostKnobPlanWarmStarts(t *testing.T) {
-	const name = "v1-30000x30000-229980-gen-98d6d2f4f0599b84.host.v1.json"
-	stored, err := os.ReadFile(filepath.Join("testdata", "legacy-host-knobs", name))
+	k := tuneFromStoredPlan(t, "legacy-host-knobs", "v1-30000x30000-229980-gen-98d6d2f4f0599b84.host.v1.json",
+		[]string{`"prefetch": true`, `"unroll": true`}, "ASIC_680k", 0.05)
+	if got := k.Info().Optimizations; got != "vec@static-nnz" {
+		t.Fatalf("Info().Optimizations = %q, want the canonical vec@static-nnz", got)
+	}
+}
+
+// TestLegacyHostDeltaPlanWarmStarts: testdata/legacy-host-delta holds
+// the compress@static-nnz plan an earlier release's host-model tuner
+// stored for SuiteMatrix("human_gene1", 1), written before every Delta
+// plan ran the vector decoder. Tune warm-starts from it under the
+// canonical compress+vec form, binds the dispatched decoder, and
+// computes MulVec's product.
+func TestLegacyHostDeltaPlanWarmStarts(t *testing.T) {
+	k := tuneFromStoredPlan(t, "legacy-host-delta", "v1-14000x14000-2313709-gen-3e65ec56ee74c7c8.host.v1.json",
+		[]string{`"compress": true`}, "human_gene1", 1)
+	if got := k.Info().Optimizations; got != "compress+vec@static-nnz" {
+		t.Fatalf("Info().Optimizations = %q, want the canonical compress+vec@static-nnz", got)
+	}
+	named, ok := k.prep.(interface{ Kernel() string })
+	if !ok {
+		t.Fatalf("prepared kernel %T does not name its body", k.prep)
+	}
+	if got, want := named.Kernel(), kernels.DeltaVariantName(); got != want {
+		t.Fatalf("Kernel() = %q, want the dispatched delta decoder %q", got, want)
+	}
+}
+
+// tuneFromStoredPlan copies the stored plan testdata/dir/file, which
+// must contain every knob string in knobs, into a fresh plan store,
+// tunes SuiteMatrix(name, scale) with it, and checks that the tune
+// was warm and that the kernel computes MulVec's product.
+func tuneFromStoredPlan(t *testing.T, dir, file string, knobs []string, name string, scale float64) *Tuned {
+	t.Helper()
+	stored, err := os.ReadFile(filepath.Join("testdata", dir, file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(stored), `"prefetch": true`) || !strings.Contains(string(stored), `"unroll": true`) {
-		t.Fatal("setup: the legacy plan must carry the prefetch and unroll knobs")
+	for _, knob := range knobs {
+		if !strings.Contains(string(stored), knob) {
+			t.Fatalf("setup: the stored plan must carry %s", knob)
+		}
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, name), stored, 0o644); err != nil {
+	store := t.TempDir()
+	if err := os.WriteFile(filepath.Join(store, file), stored, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tu := NewTuner(WithPlanStore(dir))
-	defer tu.Close()
-	m, err := SuiteMatrix("ASIC_680k", 0.05)
+	tu := NewTuner(WithPlanStore(store))
+	t.Cleanup(func() { tu.Close() })
+	m, err := SuiteMatrix(name, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := tu.Tune(m)
 	if !k.Info().Warm {
-		t.Fatal("the legacy host plan did not warm-start")
-	}
-	if got := k.Info().Optimizations; got != "vec@static-nnz" {
-		t.Fatalf("Info().Optimizations = %q, want the canonical vec@static-nnz", got)
+		t.Fatal("the stored host plan did not warm-start")
 	}
 	x := make([]float64, m.Cols())
 	for i := range x {
@@ -245,4 +279,5 @@ func TestLegacyHostKnobPlanWarmStarts(t *testing.T) {
 			t.Fatalf("y[%d] = %.17g, want %.17g", i, got[i], want[i])
 		}
 	}
+	return k
 }

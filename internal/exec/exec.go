@@ -34,7 +34,9 @@ type Optim struct {
 	// folded into Vectorize on the host, like Prefetch.
 	Unroll bool
 	// Compress stores the matrix in DeltaCSR (the MB-class
-	// optimization).
+	// optimization: compression + vectorization). On the host every
+	// Delta plan runs the dispatched vector decoder, so Canonical sets
+	// Vectorize with it.
 	Compress bool
 	// Split decomposes long rows per Fig 5 (the IMB-class
 	// optimization for uneven row lengths).
@@ -197,10 +199,13 @@ const hostCodename = "host"
 // mdl's executor: two configurations share a canonical form exactly
 // when the native engine binds them to the same kernel and partition
 // for every matrix. On the host, Prefetch and Unroll fold into
-// Vectorize (one dispatched gather body serves all three); knobs the
-// effective format's body ignores are cleared — Vectorize, Prefetch
-// and Unroll under Delta and SSS, Prefetch and Unroll under SELL-C-σ,
-// and every format knob EffectiveFormat supersedes; Precision becomes
+// Vectorize (one dispatched gather body serves all three); every Delta
+// configuration becomes Compress+Vectorize (one dispatched vector
+// decoder serves every delta knob set: the paper's MB pairing of
+// compression with vectorization); knobs the effective format's body
+// ignores are cleared — Vectorize, Prefetch and Unroll under SSS,
+// Prefetch and Unroll under SELL-C-σ, and every format knob
+// EffectiveFormat supersedes; Precision becomes
 // EffectivePrecision. Delta, Split and SSS run a static row partition
 // under every schedule, so theirs resolves to static-rows or
 // static-nnz; SELL-C-σ splits chunks by padded elements under either
@@ -223,7 +228,7 @@ func (o Optim) Canonical(mdl machine.Model) Optim {
 	case FormatSellCS:
 		c.SellCS, c.Vectorize = true, o.Vectorize
 	case FormatDelta:
-		c.Compress = true
+		c.Compress, c.Vectorize = true, true
 	case FormatSSS:
 		c.Symmetric = true
 	}

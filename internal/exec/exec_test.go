@@ -121,8 +121,8 @@ func TestOptimCanonical(t *testing.T) {
 		{"sellcs/vec+prefetch+unroll-dynamic", Optim{SellCS: true, Vectorize: true, Prefetch: true, Unroll: true, Compress: true, Precision: f32, Schedule: sched.Dynamic}, Optim{SellCS: true, Vectorize: true, Precision: f32, Schedule: sched.Dynamic}},
 		{"sellcs/prefetch-static-rows", Optim{SellCS: true, Prefetch: true, Schedule: sched.StaticRows}, Optim{SellCS: true}},
 		{"sellcs/auto", Optim{SellCS: true, Schedule: sched.Auto}, Optim{SellCS: true, Schedule: sched.Auto}},
-		{"delta/vec+prefetch+unroll-guided", Optim{Compress: true, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Guided}, Optim{Compress: true}},
-		{"delta/static-rows-x4", Optim{Compress: true, Schedule: sched.StaticRows, BlockWidth: 4}, Optim{Compress: true, Schedule: sched.StaticRows, BlockWidth: 4}},
+		{"delta/vec+prefetch+unroll-guided", Optim{Compress: true, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Guided}, Optim{Compress: true, Vectorize: true}},
+		{"delta/static-rows-x4", Optim{Compress: true, Schedule: sched.StaticRows, BlockWidth: 4}, Optim{Compress: true, Vectorize: true, Schedule: sched.StaticRows, BlockWidth: 4}},
 		{"sss/vec-auto", Optim{Symmetric: true, Vectorize: true, Compress: true, Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Symmetric: true, Precision: f32}},
 		{"regx/vec+prefetch-dynamic", Optim{RegularizeX: true, Vectorize: true, Prefetch: true, Schedule: sched.Dynamic}, Optim{RegularizeX: true, Vectorize: true, Prefetch: true, Schedule: sched.Dynamic}},
 		{"unit/split-f32", Optim{UnitStride: true, Split: true, Precision: f32}, Optim{UnitStride: true, Split: true, Precision: f32}},

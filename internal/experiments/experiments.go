@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/sparsekit/spmvtuner/internal/bounds"
@@ -51,23 +52,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// selected returns the recipes of all the config asks for (every one
-// when no -matrix subset is given).
-func (c Config) selected(all []suite.Recipe) []suite.Recipe {
+// selected returns the recipes of all the config asks for, in suite
+// order (every one when no -matrix subset is given). A requested name
+// that is not one of all's recipes is an error naming it, prefixed
+// with the experiment exp: a silently shortened list would report on
+// fewer matrices than asked, or pass vacuously over none.
+func (c Config) selected(exp string, all []suite.Recipe) ([]suite.Recipe, error) {
 	if len(c.Matrices) == 0 {
-		return all
+		return all, nil
 	}
-	want := make(map[string]bool, len(c.Matrices))
 	for _, n := range c.Matrices {
-		want[n] = true
+		if !slices.ContainsFunc(all, func(r suite.Recipe) bool { return r.Name == n }) {
+			return nil, fmt.Errorf("%s: unknown matrix %q", exp, n)
+		}
 	}
 	var out []suite.Recipe
 	for _, r := range all {
-		if want[r.Name] {
+		if slices.Contains(c.Matrices, r.Name) {
 			out = append(out, r)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // featureParams derives the feature-extraction parameters from a

@@ -12,7 +12,10 @@ import (
 var tiny = Config{Scale: 0.02, CorpusSize: 30}
 
 func TestFig1ShowsBothGainsAndLosses(t *testing.T) {
-	res := Fig1(tiny)
+	res, err := Fig1(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 32 {
 		t.Fatalf("fig1 rows = %d, want 32", len(res.Rows))
 	}
@@ -39,7 +42,10 @@ func TestFig1ShowsBothGainsAndLosses(t *testing.T) {
 }
 
 func TestFig3BoundsAndDiversity(t *testing.T) {
-	res := Fig3(tiny)
+	res, err := Fig3(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 32 {
 		t.Fatalf("fig3 rows = %d", len(res.Rows))
 	}
@@ -68,11 +74,14 @@ func TestFig3BoundsAndDiversity(t *testing.T) {
 // hit distinct bottleneck classes, including the out-of-cache ML
 // regime that cannot exist on cache-resident miniatures.
 func TestFig3DiversityAtScale(t *testing.T) {
-	res := Fig3(Config{
+	res, err := Fig3(Config{
 		Scale:      1.0,
 		CorpusSize: 1,
 		Matrices:   []string{"poisson3Db", "consph", "ASIC_680k", "webbase-1M", "citationCiteseer", "large-dense"},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(res.Rows))
 	}
@@ -152,7 +161,10 @@ func TestFig7UnknownPlatform(t *testing.T) {
 }
 
 func TestTable5Ordering(t *testing.T) {
-	res := Table5(tiny)
+	res, err := Table5(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 optimizers", len(res.Rows))
 	}
@@ -258,7 +270,10 @@ func TestPartitionedMLFindsHiddenIrregularity(t *testing.T) {
 }
 
 func TestSellCSExperiment(t *testing.T) {
-	res := SellCS(Config{Scale: 0.02, Matrices: []string{"webbase-1M", "poisson3Db"}})
+	res, err := SellCS(Config{Scale: 0.02, Matrices: []string{"webbase-1M", "poisson3Db"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
@@ -347,5 +362,29 @@ func TestWarmExperiment(t *testing.T) {
 	// zero rows (this experiment doubles as the CI smoke).
 	if _, err := Warm(Config{Scale: 0.02, Matrices: []string{"poisson3Db", "not-a-matrix"}}); err == nil {
 		t.Fatal("unknown matrix name accepted")
+	}
+}
+
+// TestUnknownMatrixIsAnError pins the -matrix contract on a modeled
+// experiment (fig1) and a native one (reuse): a name outside the
+// experiment's suite is an error naming it, before any matrix runs,
+// instead of a silently shorter table.
+func TestUnknownMatrixIsAnError(t *testing.T) {
+	cfg := Config{Scale: 0.02, Matrices: []string{"poisson3Db", "not-a-matrix"}}
+	_, err := Fig1(cfg)
+	if err == nil || !strings.Contains(err.Error(), `fig1: unknown matrix "not-a-matrix"`) {
+		t.Fatalf("fig1: err = %v", err)
+	}
+	_, err = Reuse(cfg)
+	if err == nil || !strings.Contains(err.Error(), `reuse: unknown matrix "not-a-matrix"`) {
+		t.Fatalf("reuse: err = %v", err)
+	}
+	// Names from another suite list are unknown to this experiment too.
+	if _, err := Sym(Config{Scale: 0.02, Matrices: []string{"poisson3Db"}}); err == nil {
+		t.Fatal("sym accepted a non-symmetric suite matrix")
+	}
+	res, err := Reuse(Config{Scale: 0.02, Matrices: []string{"small-dense"}})
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("reuse over one known matrix: %d rows, err %v", len(res.Rows), err)
 	}
 }

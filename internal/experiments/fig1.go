@@ -28,11 +28,15 @@ type Fig1Result struct {
 // Fig1 measures the speedup (or slowdown) of each single software
 // optimization over the baseline CSR kernel on the KNC model, for
 // every suite matrix.
-func Fig1(cfg Config) Fig1Result {
+func Fig1(cfg Config) (Fig1Result, error) {
 	c := cfg.withDefaults()
+	sel, err := c.selected("fig1", suite.Evaluation())
+	if err != nil {
+		return Fig1Result{}, err
+	}
 	e := sim.New(machine.KNC())
 	res := Fig1Result{Platform: "knc"}
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		base := e.Run(ex.Config{Matrix: m}).Seconds
 		row := Fig1Row{Matrix: r.Name}
@@ -42,7 +46,7 @@ func Fig1(cfg Config) Fig1Result {
 		res.Rows = append(res.Rows, row)
 		e.Forget(m)
 	}
-	return res
+	return res, nil
 }
 
 // Table renders the result.

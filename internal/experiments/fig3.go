@@ -26,18 +26,22 @@ type Fig3Result struct {
 // Fig3 measures the CSR baseline and every per-class upper bound for
 // the suite on the KNC model, and reports the classes the
 // profile-guided classifier derives from them.
-func Fig3(cfg Config) Fig3Result {
+func Fig3(cfg Config) (Fig3Result, error) {
 	c := cfg.withDefaults()
+	sel, err := c.selected("fig3", suite.Evaluation())
+	if err != nil {
+		return Fig3Result{}, err
+	}
 	e := sim.New(machine.KNC())
 	pg := classify.NewProfileGuided()
 	res := Fig3Result{Platform: "knc"}
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		b := bounds.Measure(e, m)
 		res.Rows = append(res.Rows, Fig3Row{Matrix: r.Name, Bounds: b, Classes: pg.Classify(b)})
 		e.Forget(m)
 	}
-	return res
+	return res, nil
 }
 
 // Table renders the result with an ASCII bar for the baseline against

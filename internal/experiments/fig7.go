@@ -45,6 +45,10 @@ func Fig7(platform string, cfg Config) (Fig7Result, error) {
 	if err != nil {
 		return Fig7Result{}, err
 	}
+	sel, err := c.selected("fig7", suite.Evaluation())
+	if err != nil {
+		return Fig7Result{}, err
+	}
 	tc := Train(mdl, c)
 	e := sim.New(mdl)
 	prof, feat, oracle := optimizersFor(mdl, tc)
@@ -54,7 +58,7 @@ func Fig7(platform string, cfg Config) (Fig7Result, error) {
 
 	res := Fig7Result{Platform: mdl.Codename, TrainCV: tc.CV.ExactMatchRatio}
 	var sProf, sFeat, sIE []float64
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		row := Fig7Row{Matrix: r.Name}
 

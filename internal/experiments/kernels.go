@@ -17,7 +17,7 @@ import (
 // trajectory (BENCH_kernels.json) is a list of these.
 type KernelRow struct {
 	Matrix string  `json:"matrix"`
-	Kernel string  `json:"kernel"` // family: csr-vec8, sellcs-c8, block4, block8
+	Kernel string  `json:"kernel"` // family: csr-vec8, delta, sellcs-c8, block4, block8
 	NNZ    int     `json:"nnz"`
 	Scalar float64 `json:"scalarGflops"`
 	Asm    float64 `json:"asmGflops"`
@@ -67,9 +67,13 @@ func bestOf(iters int, fn func()) float64 {
 // to the compiler is a bug, not a tradeoff.
 func Kernels(cfg Config) (*KernelsResult, error) {
 	c := cfg.withDefaults()
+	sel, err := c.selected("kernels", suite.Evaluation())
+	if err != nil {
+		return nil, err
+	}
 	res := &KernelsResult{ISA: kernels.ISA()}
 
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		x := make([]float64, m.NCols)
 		for i := range x {
@@ -99,6 +103,22 @@ func Kernels(cfg Config) (*KernelsResult, error) {
 			}
 		})
 		res.add(m, "csr-vec8", rate(scalarSec, 1), rate(asmSec, 1))
+
+		// DeltaCSR decoder at the width Compress picks: the dispatched
+		// DeltaVariant vs the MulVecRows oracle.
+		d := formats.Compress(m)
+		scalarSec = bestOf(iters, func() {
+			for i := 0; i < iters; i++ {
+				kernels.DeltaRange(d, x, y, 0, m.NRows, 0)
+			}
+		})
+		deltaK := kernels.DeltaVariant()
+		asmSec = bestOf(iters, func() {
+			for i := 0; i < iters; i++ {
+				deltaK(d, x, y, 0, m.NRows, 0)
+			}
+		})
+		res.add(m, "delta", rate(scalarSec, 1), rate(asmSec, 1))
 
 		// SELL-C-σ C=8 chunk kernel.
 		s := formats.ConvertSellCSAuto(m)

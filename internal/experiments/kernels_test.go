@@ -23,9 +23,9 @@ func TestKernelsExperiment(t *testing.T) {
 	if res.ISA != kernels.ISA() {
 		t.Fatalf("result ISA %q, dispatch says %q", res.ISA, kernels.ISA())
 	}
-	// 2 matrices x (csr-vec8, sellcs-c8, block4, block8).
-	if len(res.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(res.Rows))
+	// 2 matrices x (csr-vec8, delta, sellcs-c8, block4, block8).
+	if len(res.Rows) != 10 {
+		t.Fatalf("rows = %d, want 10", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.Scalar <= 0 || row.Asm <= 0 {
@@ -51,7 +51,7 @@ func TestKernelsExperiment(t *testing.T) {
 	}
 
 	tbl := res.Table().String()
-	for _, want := range []string{"csr-vec8", "sellcs-c8", "block4", "block8", res.ISA} {
+	for _, want := range []string{"csr-vec8", "delta", "sellcs-c8", "block4", "block8", res.ISA} {
 		if !strings.Contains(tbl, want) {
 			t.Fatalf("table missing %q:\n%s", want, tbl)
 		}

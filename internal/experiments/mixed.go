@@ -84,9 +84,9 @@ func Mixed(cfg Config) (*MixedResult, error) {
 	model := sim.New(machine.KNC())
 	pg := classify.NewProfileGuided()
 
-	sel := c.selected(suite.Evaluation())
-	if len(c.Matrices) > 0 && len(sel) != len(c.Matrices) {
-		return nil, fmt.Errorf("mixed: %d of %d requested matrices are not suite names", len(c.Matrices)-len(sel), len(c.Matrices))
+	sel, err := c.selected("mixed", suite.Evaluation())
+	if err != nil {
+		return nil, err
 	}
 	if len(sel) == 0 {
 		return nil, fmt.Errorf("mixed: no matrices selected")

@@ -45,13 +45,17 @@ func reuseIters(nnz int) int {
 // the overhead the persistent engine removes is exactly the
 // orchestration cost the paper's Section IV-D amortization analysis
 // charges to every multiply.
-func Reuse(cfg Config) ReuseResult {
+func Reuse(cfg Config) (ReuseResult, error) {
 	c := cfg.withDefaults()
+	sel, err := c.selected("reuse", suite.Evaluation())
+	if err != nil {
+		return ReuseResult{}, err
+	}
 	e := native.New()
 	defer e.Close()
 
 	var res ReuseResult
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		// A representative optimized configuration; the point is the
 		// execution path, not the tuning decision.
@@ -90,7 +94,7 @@ func Reuse(cfg Config) ReuseResult {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, nil
 }
 
 // Table renders the comparison.

@@ -33,13 +33,17 @@ type SellCSResult struct {
 // both kernels run through the same prepared engine, so the difference
 // is purely the storage layout — column-padded sorted chunks versus
 // row-wise compressed rows.
-func SellCS(cfg Config) SellCSResult {
+func SellCS(cfg Config) (SellCSResult, error) {
 	c := cfg.withDefaults()
+	sel, err := c.selected("sellcs", suite.Evaluation())
+	if err != nil {
+		return SellCSResult{}, err
+	}
 	e := native.New()
 	defer e.Close()
 
 	res := SellCSResult{C: formats.DefaultChunkHeight}
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		x := make([]float64, m.NCols)
 		y := make([]float64, m.NRows)
@@ -74,7 +78,7 @@ func SellCS(cfg Config) SellCSResult {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, nil
 }
 
 // Table renders the comparison.

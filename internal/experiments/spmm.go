@@ -39,14 +39,18 @@ type SpMMResult struct {
 // sets the cost model's prediction beside each measurement: the
 // modeled bytes-per-k intensity lift is exactly what the optimizer
 // consults (opt.BestBlockWidth) to decide when blocking pays.
-func SpMM(cfg Config) SpMMResult {
+func SpMM(cfg Config) (SpMMResult, error) {
 	c := cfg.withDefaults()
+	sel, err := c.selected("spmm", suite.Evaluation())
+	if err != nil {
+		return SpMMResult{}, err
+	}
 	e := native.New()
 	defer e.Close()
 	model := sim.New(machine.Host())
 
 	var res SpMMResult
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		o := ex.Optim{Vectorize: true}
 		p := e.Prepare(m, o)
@@ -117,7 +121,7 @@ func SpMM(cfg Config) SpMMResult {
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Table renders the comparison.

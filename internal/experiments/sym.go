@@ -56,9 +56,12 @@ func Sym(cfg Config) (SymResult, error) {
 	defer e.Close()
 	model := sim.New(machine.Host())
 
+	sel, err := c.selected("sym", suite.Symmetric())
+	if err != nil {
+		return SymResult{}, err
+	}
 	var res SymResult
-	var err error
-	for _, r := range c.selected(suite.Symmetric()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		x := make([]float64, m.NCols)
 		for i := range x {

@@ -35,8 +35,12 @@ type Table5Result struct {
 // Table5 computes, for every optimizer and suite matrix,
 // N_iters,min = t_pre / (t_mkl - t_opt) and reports best / average /
 // worst per optimizer.
-func Table5(cfg Config) Table5Result {
+func Table5(cfg Config) (Table5Result, error) {
 	c := cfg.withDefaults()
+	sel, err := c.selected("table5", suite.Evaluation())
+	if err != nil {
+		return Table5Result{}, err
+	}
 	mdl := machine.KNL()
 	tc := Train(mdl, c)
 	e := sim.New(mdl)
@@ -57,7 +61,7 @@ func Table5(cfg Config) Table5Result {
 	}
 	accs := make([]acc, len(optimizers))
 
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		tMKL := opt.Evaluate(e, m, mkl.Plan(e, m)).Seconds
 		for i, o := range optimizers {
@@ -92,7 +96,7 @@ func Table5(cfg Config) Table5Result {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, nil
 }
 
 // Table renders the result.

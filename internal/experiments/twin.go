@@ -59,6 +59,10 @@ const TwinErrThreshold = 0.75
 // this experiment as the cost-model smoke test.
 func Twin(cfg Config) (*TwinResult, error) {
 	c := cfg.withDefaults()
+	sel, err := c.selected("twin", suite.Evaluation())
+	if err != nil {
+		return nil, err
+	}
 
 	base := machine.Host()
 	cal := calib.Measure(native.HostProbes(), base)
@@ -80,7 +84,7 @@ func Twin(cfg Config) (*TwinResult, error) {
 		Threshold:     TwinErrThreshold,
 	}
 
-	for _, r := range c.selected(suite.Evaluation()) {
+	for _, r := range sel {
 		m := r.Build(c.Scale)
 		pl := pipe.PlanOnly(m)
 		pred := opt.Evaluate(twin, m, pl).Gflops

@@ -76,12 +76,9 @@ func Warm(cfg Config) (*WarmResult, error) {
 	e2 := &countingExecutor{PreparedExecutor: native.New()}
 	defer e2.Close()
 
-	sel := c.selected(suite.Evaluation())
-	// selected() silently drops unknown names; a smoke test that runs
-	// over zero matrices would pass vacuously, so an explicit -matrix
-	// list must resolve completely.
-	if len(c.Matrices) > 0 && len(sel) != len(c.Matrices) {
-		return nil, fmt.Errorf("warm: %d of %d requested matrices are not suite names", len(c.Matrices)-len(sel), len(c.Matrices))
+	sel, err := c.selected("warm", suite.Evaluation())
+	if err != nil {
+		return nil, err
 	}
 	if len(sel) == 0 {
 		return nil, fmt.Errorf("warm: no matrices selected")

@@ -3,11 +3,12 @@
 // Runtime dispatch for the SIMD assembly bodies in asm_amd64.s. The
 // ISA is detected once, at package init, straight from CPUID + XGETBV
 // (no build-time GOAMD64 assumption and no external cpu-feature
-// dependency): AVX-512F when the OS saves ZMM/opmask state, else
-// AVX2+FMA when the OS saves YMM state, else the scalar kernels. The
-// `noasm` build tag removes this file and the assembly entirely
-// (dispatch_noasm.go takes over), which is also how CI cross-checks
-// every asm body against its pure-Go oracle.
+// dependency), and init lists the tiers the host executes, widest
+// first: AVX-512F when the OS saves ZMM/opmask state, AVX2+FMA when
+// the OS saves YMM state. With neither, and under the `noasm` build
+// tag (which removes this file and the assembly entirely), the list is
+// empty and every dispatched kernel is its pure-Go oracle, which is
+// also how CI cross-checks every asm body against that oracle.
 package kernels
 
 import (
@@ -42,21 +43,40 @@ func csrBlock8RangeAVX2(rowptr []int64, colind []int32, val, x, y []float64, lo,
 //go:noescape
 func csrBlock8RangeAVX512(rowptr []int64, colind []int32, val, x, y []float64, lo, hi int)
 
+// Deltas are 8- or 16-bit; each tier has one body per width
+// (DELTA_AVX512 and DELTA_AVX2 in asm_amd64.s).
+//
+//go:noescape
+func deltaRange8AVX2(rowptr []int64, firstcol []int32, deltas []uint8, overflow []int32, val, x, y []float64, lo, hi, oi int)
+
+//go:noescape
+func deltaRange16AVX2(rowptr []int64, firstcol []int32, deltas []uint16, overflow []int32, val, x, y []float64, lo, hi, oi int)
+
+//go:noescape
+func deltaRange8AVX512(rowptr []int64, firstcol []int32, deltas []uint8, overflow []int32, val, x, y []float64, lo, hi, oi int)
+
+//go:noescape
+func deltaRange16AVX512(rowptr []int64, firstcol []int32, deltas []uint16, overflow []int32, val, x, y []float64, lo, hi, oi int)
+
+// The two tiers. block4's natural width is one YMM, so the AVX-512
+// tier keeps the AVX2 k=4 body.
 var (
-	useAVX2   bool
-	useAVX512 bool
-	isaName   = "scalar"
-	isaLanes  = 1
+	avx2Tier = isaTier{isa: "avx2", lanes: 4, csr: csrVec8AVX2, sell: sellCS8RangeAVX2,
+		block4: csrBlock4AVX2, block8: csrBlock8AVX2, delta: deltaVec8AVX2}
+	avx512Tier = isaTier{isa: "avx512", lanes: 8, csr: csrVec8AVX512, sell: sellCS8RangeAVX512,
+		block4: csrBlock4AVX2, block8: csrBlock8AVX512, delta: deltaVec8AVX512}
 )
 
 func init() {
-	detectISA()
-	if useAVX512 {
-		block4Impl = csrBlock4AVX2 // block4's natural width is one YMM
-		block8Impl = csrBlock8AVX512
-	} else if useAVX2 {
-		block4Impl = csrBlock4AVX2
-		block8Impl = csrBlock8AVX2
+	avx2, avx512 := detectISA()
+	if avx512 {
+		tiers = append(tiers, avx512Tier)
+	}
+	if avx2 {
+		tiers = append(tiers, avx2Tier)
+	}
+	if len(tiers) > 0 {
+		block4Impl, block8Impl = tiers[0].block4, tiers[0].block8
 	}
 }
 
@@ -64,55 +84,26 @@ func init() {
 // AVX2 requires FMA, OSXSAVE and XCR0 XMM+YMM state; AVX-512 further
 // requires the F foundation bit and XCR0 opmask+ZMM state (bits
 // 5..7). Hosts where the OS disables ZMM state fall back to AVX2.
-func detectISA() {
+func detectISA() (avx2, avx512 bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return
+		return false, false
 	}
 	_, _, c1, _ := cpuid(1, 0)
 	const osxsave, avx, fma = 1 << 27, 1 << 28, 1 << 12
 	if c1&osxsave == 0 || c1&avx == 0 || c1&fma == 0 {
-		return
+		return false, false
 	}
 	xlo, _ := xgetbv()
 	if xlo&0x6 != 0x6 { // XMM + YMM state saved
-		return
+		return false, false
 	}
 	_, b7, _, _ := cpuid(7, 0)
-	const avx2, avx512f = 1 << 5, 1 << 16
-	if b7&avx2 == 0 {
-		return
+	const avx2Bit, avx512f = 1 << 5, 1 << 16
+	if b7&avx2Bit == 0 {
+		return false, false
 	}
-	useAVX2, isaName, isaLanes = true, "avx2", 4
-	if b7&avx512f != 0 && xlo&0xe6 == 0xe6 { // + opmask, ZMM_Hi256, Hi16_ZMM
-		useAVX512, isaName, isaLanes = true, "avx512", 8
-	}
-}
-
-// ISA names the instruction set the dispatched kernels execute on
-// this host: "avx512", "avx2", or "scalar". It is what VariantName
-// suffixes kernel names with and what plans record as provenance.
-func ISA() string { return isaName }
-
-// ISALanes is the float64 vector width of the dispatched ISA (8, 4,
-// or 1) — the lanes figure the host cost model prices vector ops at.
-func ISALanes() int {
-	if isaLanes < 1 {
-		return 1
-	}
-	return isaLanes
-}
-
-// dispatchCSRVec8 returns the asm-backed CSR vector kernel and its
-// ISA tag, or (nil, "") when the host supports neither tier.
-func dispatchCSRVec8() (RangeKernel, string) {
-	switch {
-	case useAVX512:
-		return csrVec8AVX512, "avx512"
-	case useAVX2:
-		return csrVec8AVX2, "avx2"
-	}
-	return nil, ""
+	return true, b7&avx512f != 0 && xlo&0xe6 == 0xe6 // + opmask, ZMM_Hi256, Hi16_ZMM
 }
 
 //spmv:hotpath
@@ -123,18 +114,6 @@ func csrVec8AVX2(m *matrix.CSR, x, y []float64, lo, hi int) {
 //spmv:hotpath
 func csrVec8AVX512(m *matrix.CSR, x, y []float64, lo, hi int) {
 	csrGatherRangeAVX512(m.RowPtr, m.ColInd, m.Val, x, y, lo, hi)
-}
-
-// dispatchSellC8 returns the asm-backed SELL-C-σ C=8 chunk kernel
-// and its ISA tag, or (nil, "").
-func dispatchSellC8() (func(s *formats.SellCS, x, y []float64, lo, hi int), string) {
-	switch {
-	case useAVX512:
-		return sellCS8RangeAVX512, "avx512"
-	case useAVX2:
-		return sellCS8RangeAVX2, "avx2"
-	}
-	return nil, ""
 }
 
 //spmv:hotpath
@@ -174,4 +153,22 @@ func csrBlock8AVX2(m *matrix.CSR, x, y []float64, lo, hi int) {
 //spmv:hotpath
 func csrBlock8AVX512(m *matrix.CSR, x, y []float64, lo, hi int) {
 	csrBlock8RangeAVX512(m.RowPtr, m.ColInd, m.Val, x, y, lo, hi)
+}
+
+//spmv:hotpath
+func deltaVec8AVX2(d *formats.DeltaCSR, x, y []float64, lo, hi, oi int) {
+	if d.Width == formats.Delta8 {
+		deltaRange8AVX2(d.RowPtr, d.FirstCol, d.Deltas8, d.Overflow, d.Val, x, y, lo, hi, oi)
+		return
+	}
+	deltaRange16AVX2(d.RowPtr, d.FirstCol, d.Deltas16, d.Overflow, d.Val, x, y, lo, hi, oi)
+}
+
+//spmv:hotpath
+func deltaVec8AVX512(d *formats.DeltaCSR, x, y []float64, lo, hi, oi int) {
+	if d.Width == formats.Delta8 {
+		deltaRange8AVX512(d.RowPtr, d.FirstCol, d.Deltas8, d.Overflow, d.Val, x, y, lo, hi, oi)
+		return
+	}
+	deltaRange16AVX512(d.RowPtr, d.FirstCol, d.Deltas16, d.Overflow, d.Val, x, y, lo, hi, oi)
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,15 +13,43 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 )
 
-// The asm-vs-scalar oracle contract (docs/guide/simd.md): every
-// dispatched SIMD body must agree with its pure-Go oracle within
-// 1e-12 relative over the generator families, including ragged,
-// empty and dense rows and non-finite x values. This file runs under
-// the default build (asm vs scalar) AND under `-tags noasm` (scalar
-// vs scalar — the trivial fixed point that keeps the suite
-// tag-portable); CI runs both.
+// The asm-vs-scalar oracle contract (docs/guide/simd.md): every SIMD
+// body of every tier the host executes (not just the dispatched one)
+// must agree with its pure-Go oracle within 1e-12 relative over the
+// generator families, including ragged, empty and dense rows and
+// non-finite x values. This file runs under the default build (asm vs
+// scalar) AND under `-tags noasm` (scalar vs scalar — the trivial
+// fixed point that keeps the suite tag-portable); CI runs both.
 
 const oracleTol = 1e-12
+
+// testTiers are the body sets under differential test: every tier the
+// host executes, or, without one, the pure-Go oracles themselves.
+func testTiers() []isaTier {
+	if len(tiers) > 0 {
+		return tiers
+	}
+	return []isaTier{{isa: "scalar", lanes: 1, csr: CSRVector8Range, sell: SellCS8Range,
+		block4: csrBlock4Range, block8: csrBlock8Range, delta: DeltaRange}}
+}
+
+// forTiers runs check as subtest name, with one nested subtest per
+// tier under test (name/avx512, name/avx2, or name/scalar).
+func forTiers(t *testing.T, name string, check func(t *testing.T, tr isaTier)) {
+	t.Run(name, func(t *testing.T) {
+		for _, tr := range testTiers() {
+			t.Run(tr.isa, func(t *testing.T) { check(t, tr) })
+		}
+	})
+}
+
+// block returns the tier's register-blocked body for k = 4 or 8.
+func (tr isaTier) block(k int) func(m *matrix.CSR, x, y []float64, lo, hi int) {
+	if k == 4 {
+		return tr.block4
+	}
+	return tr.block8
+}
 
 // sameFloat compares one output element under the oracle contract:
 // non-finite results must agree in class (NaN with NaN, infinities
@@ -72,23 +101,19 @@ func raggedMatrix(n, maxLen int) *matrix.CSR {
 	return m
 }
 
-// TestDispatchCSRVec8Differential verifies the dispatched CSR vector
+// TestDispatchCSRVec8Differential verifies each tier's CSR vector
 // kernel against its pure-Go oracle over uneven row ranges. Variant
-// hands every vectorize plan that one body (the oracle itself when no
-// assembly is dispatched), and VariantName names it.
+// hands every vectorize plan the first tier's body (the oracle itself
+// when no assembly is dispatched), and VariantName names it.
 func TestDispatchCSRVec8Differential(t *testing.T) {
-	k, isa := dispatchCSRVec8()
-	if k == nil {
-		k = CSRVector8Range
-	}
-	if reflect.ValueOf(Variant(true)).Pointer() != reflect.ValueOf(k).Pointer() {
+	if reflect.ValueOf(Variant(true)).Pointer() != reflect.ValueOf(testTiers()[0].csr).Pointer() {
 		t.Fatal("Variant(true) is not the dispatched vector body")
 	}
-	if name := VariantName(true); (isa == "" && name != "csr-vec8") || (isa != "" && name != "csr-vec8-"+isa) {
-		t.Fatalf("VariantName(true) = %q for ISA %q", name, isa)
+	if name := VariantName(true); name != "csr-vec8"+isaSuffix() {
+		t.Fatalf("VariantName(true) = %q for ISA %q", name, ISA())
 	}
 	for name, m := range dispatchMatrices() {
-		t.Run(name, func(t *testing.T) {
+		forTiers(t, name, func(t *testing.T, tr isaTier) {
 			x := vec(m.NCols, 7)
 			want := make([]float64, m.NRows)
 			CSRVector8Range(m, x, want, 0, m.NRows)
@@ -96,23 +121,22 @@ func TestDispatchCSRVec8Differential(t *testing.T) {
 			bounds := []int{0, m.NRows / 3, m.NRows/3 + 1, 2*m.NRows/3 + 1, m.NRows}
 			for b := 0; b+1 < len(bounds); b++ {
 				if bounds[b] < bounds[b+1] {
-					k(m, x, got, bounds[b], bounds[b+1])
+					tr.csr(m, x, got, bounds[b], bounds[b+1])
 				}
 			}
-			checkSame(t, ISA(), want, got)
+			checkSame(t, tr.isa, want, got)
 		})
 	}
 }
 
-// TestDispatchSellC8Differential verifies the dispatched SELL-C-σ
-// chunk kernel against the pure-Go 8-accumulator oracle, which shares
-// its padded-slot semantics exactly (padding repeats the row's last
-// real column with value 0).
+// TestDispatchSellC8Differential verifies each tier's SELL-C-σ chunk
+// kernel against the pure-Go 8-accumulator oracle, which shares its
+// padded-slot semantics exactly (padding repeats the row's last real
+// column with value 0).
 func TestDispatchSellC8Differential(t *testing.T) {
 	for name, m := range dispatchMatrices() {
-		t.Run(name, func(t *testing.T) {
+		forTiers(t, name, func(t *testing.T, tr isaTier) {
 			s := formats.ConvertSellCS(m, 8, formats.DefaultSortWindow(m.NRows))
-			k, _ := SellCSVariant(s, true)
 			x := vec(m.NCols, 8)
 			want := make([]float64, m.NRows)
 			SellCS8Range(s, x, want, 0, s.NChunks())
@@ -120,24 +144,22 @@ func TestDispatchSellC8Differential(t *testing.T) {
 			nc := s.NChunks()
 			bounds := []int{0, nc / 3, 2*nc/3 + 1, nc}
 			for b := 0; b+1 < len(bounds); b++ {
-				if bounds[b] < bounds[b+1] && bounds[b+1] <= nc {
-					k(s, x, got, bounds[b], bounds[b+1])
-				} else if bounds[b] < nc && bounds[b+1] > nc {
-					k(s, x, got, bounds[b], nc)
+				if lo, hi := bounds[b], min(bounds[b+1], nc); lo < hi {
+					tr.sell(s, x, got, lo, hi)
 				}
 			}
-			checkSame(t, ISA(), want, got)
+			checkSame(t, tr.isa, want, got)
 		})
 	}
 }
 
-// TestDispatchBlockDifferential verifies the dispatched k=4/8
+// TestDispatchBlockDifferential verifies each tier's k=4/8
 // register-blocked SpMM bodies against ScalarCSRBlockRange on the
 // interleaved block layout.
 func TestDispatchBlockDifferential(t *testing.T) {
 	for name, m := range dispatchMatrices() {
-		for _, k := range []int{4, 8} {
-			t.Run(name, func(t *testing.T) {
+		for _, k := range []int{4, 8} { // subtests name, name#01
+			forTiers(t, name, func(t *testing.T, tr isaTier) {
 				x := vec(m.NCols*k, int64(10+k))
 				want := make([]float64, m.NRows*k)
 				ScalarCSRBlockRange(m, x, want, k, 0, m.NRows)
@@ -145,10 +167,83 @@ func TestDispatchBlockDifferential(t *testing.T) {
 				bounds := []int{0, m.NRows/2 + 1, m.NRows}
 				for b := 0; b+1 < len(bounds); b++ {
 					if bounds[b] < bounds[b+1] {
-						CSRBlockRange(m, x, got, k, bounds[b], bounds[b+1])
+						tr.block(k)(m, x, got, bounds[b], bounds[b+1])
 					}
 				}
-				checkSame(t, ISA(), want, got)
+				checkSame(t, tr.isa, want, got)
+			})
+		}
+	}
+}
+
+// escapeMatrix builds rows of every length 0..31 whose column gaps mix
+// short steps (1..300: escapes at 8 bits past 255) with jumps past
+// 65535 (escapes at both widths) at random lanes, so escapes land in
+// 16- and 8-element steps, in tails, back to back and at block edges.
+func escapeMatrix(n int, seed int64) *matrix.CSR {
+	const ncols = 1 << 21
+	coo := matrix.NewCOO(n, ncols)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		c := rng.Intn(1000)
+		for j := 0; j < i%32 && c < ncols; j++ {
+			coo.Add(i, c, rng.NormFloat64())
+			if rng.Intn(4) == 0 {
+				c += 65536 + rng.Intn(200)
+			} else {
+				c += 1 + rng.Intn(300)
+			}
+		}
+	}
+	m := coo.ToCSR()
+	m.Name = "escapes"
+	return m
+}
+
+// deltaMatrices are the delta differential shapes: the dispatch
+// shapes plus escape-dense inputs — uniform random columns, where
+// most 8-bit deltas escape, and escapeMatrix.
+func deltaMatrices() map[string]*matrix.CSR {
+	ms := dispatchMatrices()
+	ms["uniform-wide"] = gen.UniformRandom(3000, 24, 12)
+	ms["escapes"] = escapeMatrix(160, 13)
+	return ms
+}
+
+// checkDelta runs body over rows [0, NRows) of d in the pieces bounds
+// delimits, each starting at its overflow offset, against MulVecRows.
+func checkDelta(t *testing.T, label string, d *formats.DeltaCSR, body DeltaKernel, x []float64, bounds []int) {
+	t.Helper()
+	offs := d.OverflowOffsets()
+	want := make([]float64, d.NRows)
+	d.MulVecRows(x, want, 0, d.NRows, 0)
+	got := make([]float64, d.NRows)
+	for i := range got {
+		got[i] = math.NaN() // every row must be written
+	}
+	for b := 0; b+1 < len(bounds); b++ {
+		if lo, hi := bounds[b], bounds[b+1]; lo < hi {
+			body(d, x, got, lo, hi, offs[lo])
+		}
+	}
+	checkSame(t, label, want, got)
+}
+
+// TestDispatchDeltaDifferential verifies each tier's delta decoder at
+// both widths against DeltaCSR.MulVecRows, over uneven ranges that
+// start mid-stream at their overflow offsets. DeltaVariant hands every
+// Delta plan the first tier's body (TestISAConsistency pins its name).
+func TestDispatchDeltaDifferential(t *testing.T) {
+	if reflect.ValueOf(DeltaVariant()).Pointer() != reflect.ValueOf(testTiers()[0].delta).Pointer() {
+		t.Fatal("DeltaVariant() is not the dispatched delta body")
+	}
+	for name, m := range deltaMatrices() {
+		for _, w := range []formats.DeltaWidth{formats.Delta8, formats.Delta16} {
+			forTiers(t, fmt.Sprintf("%s/w%d", name, w), func(t *testing.T, tr isaTier) {
+				d := formats.CompressDelta(m, w)
+				n := m.NRows
+				bounds := []int{0, n / 3, n/3 + 1, 2*n/3 + 1, n}
+				checkDelta(t, tr.isa, d, tr.delta, vec(m.NCols, 9), bounds)
 			})
 		}
 	}
@@ -171,34 +266,37 @@ func TestDispatchNonFiniteX(t *testing.T) {
 		}
 	}
 
-	t.Run("csr-vec8", func(t *testing.T) {
+	forTiers(t, "csr-vec8", func(t *testing.T, tr isaTier) {
 		want := make([]float64, m.NRows)
 		CSRVector8Range(m, x, want, 0, m.NRows)
 		got := make([]float64, m.NRows)
-		Variant(true)(m, x, got, 0, m.NRows)
-		checkSame(t, ISA(), want, got)
+		tr.csr(m, x, got, 0, m.NRows)
+		checkSame(t, tr.isa, want, got)
 	})
-	t.Run("sellcs-c8", func(t *testing.T) {
+	forTiers(t, "sellcs-c8", func(t *testing.T, tr isaTier) {
 		s := formats.ConvertSellCS(m, 8, 32)
-		k, _ := SellCSVariant(s, true)
 		want := make([]float64, m.NRows)
 		SellCS8Range(s, x, want, 0, s.NChunks())
 		got := make([]float64, m.NRows)
-		k(s, x, got, 0, s.NChunks())
-		checkSame(t, ISA(), want, got)
+		tr.sell(s, x, got, 0, s.NChunks())
+		checkSame(t, tr.isa, want, got)
 	})
-	for _, k := range []int{4, 8} {
-		t.Run("block", func(t *testing.T) {
+	for _, k := range []int{4, 8} { // subtests block, block#01
+		forTiers(t, "block", func(t *testing.T, tr isaTier) {
 			xb := make([]float64, m.NCols*k)
 			for i := range xb {
-				x0 := x[i/k]
-				xb[i] = x0
+				xb[i] = x[i/k]
 			}
 			want := make([]float64, m.NRows*k)
 			ScalarCSRBlockRange(m, xb, want, k, 0, m.NRows)
 			got := make([]float64, m.NRows*k)
-			CSRBlockRange(m, xb, got, k, 0, m.NRows)
-			checkSame(t, ISA(), want, got)
+			tr.block(k)(m, xb, got, 0, m.NRows)
+			checkSame(t, tr.isa, want, got)
+		})
+	}
+	for _, w := range []formats.DeltaWidth{formats.Delta8, formats.Delta16} {
+		forTiers(t, fmt.Sprintf("delta/w%d", w), func(t *testing.T, tr isaTier) {
+			checkDelta(t, tr.isa, formats.CompressDelta(m, w), tr.delta, x, []int{0, m.NRows / 2, m.NRows})
 		})
 	}
 }
@@ -302,6 +400,46 @@ func FuzzDispatchCSRVec8(f *testing.F) {
 	})
 }
 
+// FuzzDispatchDelta fuzzes the dispatched delta decoder at both
+// widths against MulVecRows, with a matrix, x vector and range split
+// decoded from raw bytes: columns span 2^17, so deltas escape at 8 and
+// at 16 bits, and non-finite x entries are included.
+func FuzzDispatchDelta(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 255, 7, 9, 2, 0, 0, 1, 5, 5}, int64(1))
+	f.Add([]byte{}, int64(2))
+	f.Add([]byte{0, 0, 0, 9, 0, 255, 255, 9, 0, 0, 1, 9, 0, 1, 0, 9}, int64(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		const ncols = 1 << 17
+		n := 1 + len(data)%32
+		coo := matrix.NewCOO(n, ncols)
+		for i := 0; i+3 < len(data); i += 4 {
+			r := int(data[i]) % n
+			c := (int(data[i+1])<<9 | int(data[i+2])<<1) % ncols
+			coo.Add(r, c, float64(int8(data[i+3]))/16)
+		}
+		m := coo.ToCSR()
+		rng := rand.New(rand.NewSource(seed))
+		x := make([]float64, ncols)
+		for i := range x {
+			x[i] = float64(i%251)/64 - 2
+		}
+		for _, c := range m.ColInd { // non-finite entries where rows read
+			switch rng.Intn(16) {
+			case 0:
+				x[c] = math.Inf(1)
+			case 1:
+				x[c] = math.NaN()
+			case 2:
+				x[c] = rng.NormFloat64()
+			}
+		}
+		split := rng.Intn(n + 1)
+		for _, w := range []formats.DeltaWidth{formats.Delta8, formats.Delta16} {
+			checkDelta(t, fmt.Sprintf("%s/w%d", ISA(), w), formats.CompressDelta(m, w), DeltaVariant(), x, []int{0, split, n})
+		}
+	})
+}
+
 // TestISAConsistency pins the dispatch API: the name and lane count
 // must agree, and the dispatched variants must carry the ISA suffix
 // exactly when assembly is in play.
@@ -337,5 +475,12 @@ func TestISAConsistency(t *testing.T) {
 	}
 	if _, name := SellCSVariant(s, true); name != wantSell {
 		t.Fatalf("SellCSVariant = %q, want %q", name, wantSell)
+	}
+	wantDelta := "delta"
+	if ISA() != "scalar" {
+		wantDelta = "delta-vec8-" + ISA()
+	}
+	if got := DeltaVariantName(); got != wantDelta {
+		t.Fatalf("DeltaVariantName = %q, want %q", got, wantDelta)
 	}
 }

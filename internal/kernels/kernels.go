@@ -5,19 +5,24 @@
 // of Section III-B. All kernels operate on row ranges so the parallel
 // executor can drive them under any schedule.
 //
-// The hottest inner loops — the CSR vector kernel, the SELL-C-σ C=8
-// chunk kernel, and the register-blocked SpMM k=4/8 bodies — also
-// exist as real SIMD assembly (asm_amd64.s: AVX2+FMA and AVX-512F
-// tiers) behind runtime dispatch (dispatch_amd64.go); Variant,
-// SellCSVariant and CSRBlockRange hand out the widest body the host
-// executes, and VariantName/ISA record which one won. The paper's
+// The hottest inner loops — the CSR vector kernel, the DeltaCSR
+// decoder, the SELL-C-σ C=8 chunk kernel, and the register-blocked
+// SpMM k=4/8 bodies — also exist as real SIMD assembly (asm_amd64.s:
+// AVX2+FMA and AVX-512F tiers) behind runtime dispatch
+// (dispatch_amd64.go); Variant, DeltaVariant, SellCSVariant and
+// CSRBlockRange hand out the widest body the host executes, and
+// VariantName/DeltaVariantName/ISA record which one won. The paper's
 // prefetch (ML) and unrolling (CMP) optimizations have no scalar
 // bodies here: the dispatched gather body serves both, measured
 // faster than either scalar form on every suite matrix, and
-// exec.Optim.Canonical folds their knobs into Vectorize. The pure-Go
-// forms below are the differential-test oracle every assembly body is
-// verified against (dispatch_test.go), and the only bodies built under
-// `-tags noasm` or on non-amd64 hosts. See docs/guide/simd.md.
+// exec.Optim.Canonical folds their knobs into Vectorize. The paper's
+// MB remedy, compression plus vectorization, is the delta decoder: it
+// unpacks 16 deltas per step in registers and gathers, and Canonical
+// gives every Delta plan Vectorize for it. The pure-Go forms below
+// (DeltaCSR.MulVecRows for the decoder) are the differential-test
+// oracle every assembly body is verified against (dispatch_test.go),
+// and the only bodies built under `-tags noasm` or on non-amd64
+// hosts. See docs/guide/simd.md.
 package kernels
 
 import (
@@ -105,9 +110,14 @@ func UnitStrideRange(m *matrix.CSR, x, y []float64, lo, hi int) {
 	}
 }
 
-// DeltaRange runs the DeltaCSR kernel over a row range; overflowStart
-// must be the delta stream's overflow offset at row lo (see
-// DeltaCSR.OverflowOffsets).
+// DeltaKernel computes y[lo:hi] of a DeltaCSR for rows [lo, hi);
+// overflowStart must be the delta stream's overflow offset at row lo
+// (see DeltaCSR.OverflowOffsets).
+type DeltaKernel func(d *formats.DeltaCSR, x, y []float64, lo, hi, overflowStart int)
+
+// DeltaRange runs the scalar DeltaCSR decoder (DeltaCSR.MulVecRows)
+// over a row range: the oracle of the dispatched delta bodies and the
+// body DeltaVariant hands out when no assembly tier is usable.
 //
 //spmv:hotpath
 func DeltaRange(d *formats.DeltaCSR, x, y []float64, lo, hi, overflowStart int) {
@@ -208,19 +218,66 @@ func sellScatterC8(s *formats.SellCS, y []float64, k int, acc *[8]float64) {
 	}
 }
 
+// isaTier is one instruction set's assembly bodies.
+type isaTier struct {
+	isa    string // "avx512" or "avx2": the kernel-name suffix
+	lanes  int    // float64 lanes of one vector register
+	csr    RangeKernel
+	sell   func(s *formats.SellCS, x, y []float64, lo, hi int)
+	block4 func(m *matrix.CSR, x, y []float64, lo, hi int)
+	block8 func(m *matrix.CSR, x, y []float64, lo, hi int)
+	delta  DeltaKernel
+}
+
+// tiers lists the assembly tiers this host executes, widest first;
+// the first is the one dispatched. dispatch_amd64.go fills it at
+// init. It stays empty off amd64, under `-tags noasm` and on hosts
+// without AVX2+FMA, where every dispatched kernel is its pure-Go
+// oracle. The differential tests run every listed tier, not just the
+// dispatched one.
+var tiers []isaTier
+
+// ISA names the instruction set the dispatched kernels execute on
+// this host: "avx512", "avx2", or "scalar". It is what VariantName
+// suffixes kernel names with and what plans record as provenance.
+func ISA() string {
+	if len(tiers) == 0 {
+		return "scalar"
+	}
+	return tiers[0].isa
+}
+
+// ISALanes is the float64 vector width of the dispatched ISA (8, 4,
+// or 1) — the lanes figure the host cost model prices vector ops at.
+func ISALanes() int {
+	if len(tiers) == 0 {
+		return 1
+	}
+	return tiers[0].lanes
+}
+
+// isaSuffix is the dispatched bodies' name suffix ("-avx512",
+// "-avx2"), empty when the pure-Go bodies run.
+func isaSuffix() string {
+	if len(tiers) == 0 {
+		return ""
+	}
+	return "-" + tiers[0].isa
+}
+
 // SellCSVariant selects the SELL-C-σ chunk kernel: when the chunk
 // height matches the vector width and vectorization is requested, the
 // widest column-major form the host dispatches (the AVX2/AVX-512 body
 // with an ISA-suffixed name, the 8-accumulator pure-Go form
 // otherwise); the plain row walk in every other case.
 func SellCSVariant(s *formats.SellCS, vectorize bool) (func(s *formats.SellCS, x, y []float64, lo, hi int), string) {
-	if vectorize && s.C == 8 {
-		if k, isa := dispatchSellC8(); k != nil {
-			return k, "sellcs-c8-" + isa
-		}
-		return SellCS8Range, "sellcs-c8"
+	switch {
+	case !vectorize || s.C != 8:
+		return SellCSRange, "sellcs"
+	case len(tiers) > 0:
+		return tiers[0].sell, "sellcs-c8" + isaSuffix()
 	}
-	return SellCSRange, "sellcs"
+	return SellCS8Range, "sellcs-c8"
 }
 
 // VariantName names the kernel Variant selects for the same flag, for
@@ -231,10 +288,7 @@ func VariantName(vectorize bool) string {
 	if !vectorize {
 		return "csr"
 	}
-	if _, isa := dispatchCSRVec8(); isa != "" {
-		return "csr-vec8-" + isa
-	}
-	return "csr-vec8"
+	return "csr-vec8" + isaSuffix()
 }
 
 // Variant selects the CSR range kernel (compression and splitting are
@@ -242,11 +296,32 @@ func VariantName(vectorize bool) string {
 // vectorize, the widest assembly body the host executes
 // (CSRVector8Range without one), the scalar CSRRange otherwise.
 func Variant(vectorize bool) RangeKernel {
-	if !vectorize {
+	switch {
+	case !vectorize:
 		return CSRRange
-	}
-	if k, _ := dispatchCSRVec8(); k != nil {
-		return k
+	case len(tiers) > 0:
+		return tiers[0].csr
 	}
 	return CSRVector8Range
+}
+
+// DeltaVariant selects the DeltaCSR range kernel every Delta plan
+// binds: the widest assembly decoder the host executes, which unpacks
+// 8- or 16-bit deltas in registers, gathers x and FMAs; DeltaRange
+// (the scalar MulVecRows oracle) without one.
+func DeltaVariant() DeltaKernel {
+	if len(tiers) == 0 {
+		return DeltaRange
+	}
+	return tiers[0].delta
+}
+
+// DeltaVariantName names the kernel DeltaVariant selects:
+// "delta-vec8-<isa>" for an assembly decoder, "delta" for the scalar
+// oracle.
+func DeltaVariantName() string {
+	if len(tiers) == 0 {
+		return "delta"
+	}
+	return "delta-vec8" + isaSuffix()
 }

@@ -11,13 +11,14 @@ import (
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/gen"
+	"github.com/sparsekit/spmvtuner/internal/kernels"
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
 // allocOptims is every distinct prepared execution path: the plain and
 // vectorized row kernels, prefetch, unroll, each converted format
-// (DeltaCSR, SplitCSR, SELL-C-σ), and the cursor-driven dynamic and
-// guided schedules.
+// (DeltaCSR through its dispatched vector decoder, SplitCSR,
+// SELL-C-σ), and the cursor-driven dynamic and guided schedules.
 func allocOptims() map[string]ex.Optim {
 	return map[string]ex.Optim{
 		"baseline":       {},
@@ -49,6 +50,9 @@ func TestAllocFreeSteadyStateMulVec(t *testing.T) {
 	for name, o := range allocOptims() {
 		t.Run(name, func(t *testing.T) {
 			p := e.Prepare(m, o)
+			if k := p.(*Prepared).Kernel(); o.Compress && k != kernels.DeltaVariantName() {
+				t.Fatalf("%s binds %q, want the dispatched delta decoder %q", name, k, kernels.DeltaVariantName())
+			}
 			// Warm: first calls may grow goroutine stacks or touch
 			// lazy runtime state; the steady-state contract starts
 			// after that.

@@ -13,7 +13,9 @@ import (
 
 // bindingRow is one reachable prepared binding and the introspection
 // figures it must report. "%isa" in kernel stands for the dispatched
-// ISA suffix ("-avx512", "-avx2", or nothing on scalar builds).
+// ISA suffix ("-avx512", "-avx2", or nothing on scalar builds), and
+// "%delta" for the vector delta decoder, "delta-vec8%isa" ("delta",
+// the scalar MulVecRows body, on scalar builds).
 type bindingRow struct {
 	name    string
 	in      bindingInput
@@ -56,8 +58,8 @@ func bindingTable() []bindingRow {
 		{"split", asymIn, ex.Optim{Split: true}, "split+csr", csrBytes, true},
 		{"split+vec", asymIn, ex.Optim{Split: true, Vectorize: true}, "split+csr-vec8%isa", csrBytes, true},
 		{"split+unroll-dynamic", asymIn, ex.Optim{Split: true, Unroll: true, Schedule: sched.Dynamic}, "split+csr-vec8%isa", csrBytes, true},
-		{"delta", asymIn, ex.Optim{Compress: true}, "delta", 39918, true},
-		{"delta+vec+prefetch-guided", asymIn, ex.Optim{Compress: true, Vectorize: true, Prefetch: true, Schedule: sched.Guided}, "delta", 39918, true},
+		{"delta", asymIn, ex.Optim{Compress: true}, "%delta", 39918, true},
+		{"delta+vec+prefetch-guided", asymIn, ex.Optim{Compress: true, Vectorize: true, Prefetch: true, Schedule: sched.Guided}, "%delta", 39918, true},
 		{"sellcs", asymIn, ex.Optim{SellCS: true}, "sellcs", sellBytes, true},
 		{"sellcs-dynamic", asymIn, ex.Optim{SellCS: true, Schedule: sched.Dynamic}, "sellcs", sellBytes, true},
 		{"sellcs+vec", asymIn, ex.Optim{SellCS: true, Vectorize: true}, "sellcs-c8%isa", sellBytes, true},
@@ -72,7 +74,7 @@ func bindingTable() []bindingRow {
 		{"sellcs-f32-unfit-dynamic", asymUnfitIn, ex.Optim{SellCS: true, Precision: f32, Schedule: sched.Dynamic}, "sellcs", sellBytes, true},
 		{"sss-f32", symIn, ex.Optim{Symmetric: true, Precision: f32}, "prec-sss-f32", 31832, true},
 		{"sss-f32-unfit", symUnfitIn, ex.Optim{Symmetric: true, Precision: f32}, "sss", 43744, true},
-		{"delta-f32", asymIn, ex.Optim{Compress: true, Precision: f32}, "delta", 39918, true},
+		{"delta-f32", asymIn, ex.Optim{Compress: true, Precision: f32}, "%delta", 39918, true},
 	}
 }
 
@@ -88,14 +90,15 @@ func TestBindingCharacterization(t *testing.T) {
 	inputs := map[bindingInput]*matrix.CSR{
 		asymIn: asym, symIn: sym, asymUnfitIn: scaled(asym, 1e300), symUnfitIn: scaled(sym, 1e300),
 	}
-	isa := ""
+	isa, delta := "", "delta"
 	if kernels.ISA() != "scalar" {
 		isa = "-" + kernels.ISA()
+		delta = "delta-vec8" + isa
 	}
 	for _, row := range bindingTable() {
 		t.Run(row.name, func(t *testing.T) {
 			p := e.buildPrepared(inputs[row.in], row.o, 3)
-			if want := strings.ReplaceAll(row.kernel, "%isa", isa); p.Kernel() != want {
+			if want := strings.NewReplacer("%isa", isa, "%delta", delta).Replace(row.kernel); p.Kernel() != want {
 				t.Errorf("Kernel() = %q, want %q", p.Kernel(), want)
 			}
 			if p.MemBytes() != row.bytes {

@@ -86,8 +86,8 @@ func (p *Prepared) MemBytes() int64 { return p.matrixBytes }
 // Threads returns the execution width chosen at preparation time.
 func (p *Prepared) Threads() int { return p.nt }
 
-// Kernel names the compiled inner kernel, e.g. "delta" or
-// "split+csr-vec8-avx512".
+// Kernel names the compiled inner kernel, e.g. "delta-vec8-avx512"
+// or "split+csr-vec8-avx512".
 func (p *Prepared) Kernel() string { return p.kernelName }
 
 // ReduceCells reports the partial cells the post-barrier fold adds
@@ -334,12 +334,14 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 			func(lo, hi, k int) { kernels.PrecSellCSBlockRange(ps, p.x, p.y, k, lo, hi) })
 	case ex.FormatDelta:
 		// Static partitions under every schedule: each range starts
-		// at its precomputed overflow offset.
+		// at its precomputed overflow offset. Every Delta plan binds
+		// the dispatched vector decoder (Canonical sets Vectorize).
 		d := memoized(e, m, ex.FormatDelta, ex.PrecF64, formats.Compress)
 		offs := d.OverflowOffsets()
-		p.kernelName, p.matrixBytes = "delta", d.Bytes()
+		kern := kernels.DeltaVariant()
+		p.kernelName, p.matrixBytes = kernels.DeltaVariantName(), d.Bytes()
 		p.bindRanges(sched.Prepare(o.Schedule, m, nt).Parts, nil,
-			func(lo, hi int) { kernels.DeltaRange(d, p.x, p.y, lo, hi, offs[lo]) },
+			func(lo, hi int) { kern(d, p.x, p.y, lo, hi, offs[lo]) },
 			func(lo, hi, k int) { kernels.DeltaBlockRange(d, p.x, p.y, k, lo, hi, offs[lo]) })
 	default:
 		// The reduced CSR aliases m's structure arrays, so m's nnz

@@ -454,6 +454,7 @@ func TestHostPricesCanonicalForm(t *testing.T) {
 		{Vectorize: true, Prefetch: true, Unroll: true},
 		{Split: true, Prefetch: true, Schedule: sched.Dynamic},
 		{Compress: true, Vectorize: true, Schedule: sched.Guided},
+		{Compress: true}, // priced as the vector decoder it runs
 		{SellCS: true, Vectorize: true, Unroll: true, Compress: true},
 		{Symmetric: true, Vectorize: true, Schedule: sched.Auto},
 		{Precision: ex.PrecF32, Compress: true, Prefetch: true},
