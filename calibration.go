@@ -26,7 +26,9 @@ type HostCalibration struct {
 	// rate; zero when not probed.
 	ScalarGflops float64
 	// UsableThreads is the smallest thread count that saturated memory
-	// bandwidth.
+	// bandwidth in calibration's thread sweep: a bandwidth-saturation
+	// report, not the kernel width. Kernels run on min(hardware
+	// threads, GOMAXPROCS) threads whatever it says.
 	UsableThreads int
 	// Calibrated reports whether the ceilings were measured on the
 	// hardware (WithCalibration) rather than taken from static

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -138,6 +139,10 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 	if len(stats.Matrices) != 1 || stats.Matrices[0].Requests != 1 {
 		t.Fatalf("stats: %+v", stats.Matrices)
+	}
+	// The kernel width: at least one thread, never above GOMAXPROCS.
+	if th := stats.Matrices[0].Threads; th < 1 || th > runtime.GOMAXPROCS(0) {
+		t.Fatalf("stats threads = %d, want 1..GOMAXPROCS (%d)", th, runtime.GOMAXPROCS(0))
 	}
 
 	if code := doJSON(t, "DELETE", ts.URL+"/v1/matrices/p", nil, nil); code != http.StatusNoContent {

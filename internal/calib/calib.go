@@ -80,7 +80,8 @@ type Calibration struct {
 	ScalarGflops float64
 	// UsableThreads is the smallest thread count that reached
 	// (within tolerance) the saturated rate — the width past which
-	// more goroutines stop paying on this host.
+	// more goroutines stop adding bandwidth on this host. It is a
+	// report: the native engine does not size kernels from it.
 	UsableThreads int
 	// ThreadSweep and WorkingSetSweep are the raw probe points the
 	// ceilings were derived from, kept for inspection and audit.

@@ -38,9 +38,6 @@ type Executor struct {
 	mu          sync.Mutex
 	conversions map[conversionKind]map[*matrix.CSR]any // guarded by mu; see memoized
 	prepared    map[preparedKey]*Prepared              // guarded by mu
-
-	probeOnce sync.Once
-	usable    int // threads that actually speed up memory streaming
 }
 
 var (
@@ -86,7 +83,8 @@ func hostModel() machine.Model {
 // rather than guessed. The worker pool spans every hardware thread
 // (not just physical cores: SpMV's irregular gathers hide latency
 // well under SMT, and shrinking the pool to the core count would
-// regress hyperthreaded hosts).
+// regress hyperthreaded hosts); kernels dispatch at most GOMAXPROCS
+// of its slots (see defaultThreads).
 func NewWithModel(m machine.Model) *Executor {
 	e := &Executor{
 		model:       m,
@@ -140,42 +138,21 @@ func (e *Executor) Release(m *matrix.CSR) {
 	}
 }
 
-// usableThreads probes, once, whether running all advertised CPUs in
-// parallel actually improves streaming throughput. Containers and
-// shared machines often advertise cores they do not deliver
-// (cgroup throttling); blindly spawning goroutines there makes every
-// kernel slower. The probe compares a 1-thread and an all-thread
-// STREAM triad and keeps the parallel width only when it pays.
-func (e *Executor) usableThreads() int {
-	e.probeOnce.Do(func() {
-		n := e.model.Threads()
-		if n <= 1 {
-			e.usable = 1
-			return
-		}
-		serial := StreamTriad(1<<21, 1, 2)
-		parallel := StreamTriad(1<<21, n, 2)
-		if parallel > serial*1.15 {
-			e.usable = n
-		} else {
-			e.usable = 1
-		}
-	})
-	return e.usable
-}
-
-// defaultThreads picks the thread count for a matrix: the usable core
-// count, capped so small matrices do not drown in fork/join overhead.
+// defaultThreads picks the thread count for a matrix: every hardware
+// thread the model describes, but never more than GOMAXPROCS, the Go
+// control for how many threads may run at once; then at most one
+// thread per 65536 nonzeros and one per row, so small matrices do not
+// drown in fork/join overhead. No measurement decides it: fresh
+// executors on one host agree, and at the default GOMAXPROCS it is the
+// width the host model prices. A CPU-throttled container lowers
+// GOMAXPROCS (Go 1.25 and later derive it from the cgroup quota).
 func (e *Executor) defaultThreads(m *matrix.CSR) int {
-	nt := e.usableThreads()
+	nt := max(1, min(e.model.Threads(), runtime.GOMAXPROCS(0)))
 	if cap := m.NNZ()/65536 + 1; nt > cap {
 		nt = cap
 	}
 	if nt > m.NRows && m.NRows > 0 {
 		nt = m.NRows
-	}
-	if nt < 1 {
-		nt = 1
 	}
 	return nt
 }

@@ -3,6 +3,7 @@ package native
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
@@ -215,5 +216,43 @@ func TestNewWithModelSpansHardwareThreads(t *testing.T) {
 	}
 	if e.Machine().Cores != 2 {
 		t.Fatalf("model not preserved: %+v", e.Machine())
+	}
+}
+
+// TestKernelWidthFollowsGOMAXPROCS pins the width rule: a matrix too
+// large for the nnz cap to bind is prepared at min(model.Threads(),
+// GOMAXPROCS) by every fresh executor, with no measurement deciding it.
+func TestKernelWidthFollowsGOMAXPROCS(t *testing.T) {
+	mdl := machine.Host()
+	mdl.Cores, mdl.ThreadsPerCore = 2, 2
+	m := gen.UniformRandom(40000, 8, 1) // nnz well above 4*65536
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		runtime.GOMAXPROCS(procs)
+		want := min(mdl.Threads(), procs)
+		for i := 0; i < 20; i++ {
+			e := NewWithModel(mdl)
+			got := e.Prepare(m, ex.Optim{}).Threads()
+			e.Close()
+			if got != want {
+				t.Fatalf("GOMAXPROCS %d, executor %d: width %d, want %d", procs, i, got, want)
+			}
+		}
+	}
+}
+
+// TestFirstPrepareAllocatesLittle guards against any probe returning
+// to the first Prepare: a bandwidth race there allocated 96 MiB of
+// triad arrays before the kernel was built.
+func TestFirstPrepareAllocatesLittle(t *testing.T) {
+	m := gen.UniformRandom(1000, 8, 1)
+	e := New()
+	defer e.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.Prepare(m, ex.Optim{})
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("first Prepare allocated %d bytes, want < 1 MiB", d)
 	}
 }

@@ -10,7 +10,9 @@ import (
 // on the calling goroutine, so a steady-state SpMV neither spawns
 // goroutines nor allocates. The pool is the fork/join-free execution
 // substrate the paper's overhead analysis (Section IV-D) assumes: all
-// orchestration cost is paid once, at construction.
+// orchestration cost is paid once, at construction. An Executor sizes
+// its pool at the model's hardware threads; a kernel dispatches
+// min(that, GOMAXPROCS) slots, or fewer when its matrix is small.
 type Pool struct {
 	size  int
 	start []chan struct{} // start[1:size] signal the parked workers

@@ -31,6 +31,8 @@ type PrepInfo struct {
 	// Gflops is the rate recorded at tune time (measured on native
 	// engines, modeled otherwise).
 	Gflops float64
+	// Threads is the width the prepared kernel runs at.
+	Threads int
 }
 
 // Engine tunes matrices into kernels and releases their resources —
@@ -76,7 +78,7 @@ func (e *PipelineEngine) Prepare(m *matrix.CSR) (Kernel, PrepInfo, error) {
 	if k == nil {
 		return nil, PrepInfo{}, fmt.Errorf("serve: executor %T cannot prepare kernels", e.pipe.Exec)
 	}
-	info := PrepInfo{Warm: warm, Plan: pl.Opt.String(), Gflops: pl.MeasuredGflops}
+	info := PrepInfo{Warm: warm, Plan: pl.Opt.String(), Gflops: pl.MeasuredGflops, Threads: k.Threads()}
 	if info.Gflops == 0 {
 		info.Gflops = pl.PredictedGflops
 	}

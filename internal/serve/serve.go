@@ -175,9 +175,11 @@ type MatrixStats struct {
 	Resident      bool
 	ResidentBytes int64
 	// Plan is the optimization summary of the last preparation, e.g.
-	// "compress+vec@static-nnz", with Gflops its tune-time rate.
-	Plan   string
-	Gflops float64
+	// "compress+vec@static-nnz", with Gflops its tune-time rate and
+	// Threads the width its kernel runs at.
+	Plan    string
+	Gflops  float64
+	Threads int
 }
 
 // Server coalesces concurrent MulVec traffic over many registered
@@ -673,6 +675,7 @@ func (e *entry) snapshot() MatrixStats {
 	st.ResidentBytes = e.bytes
 	st.Plan = e.info.Plan
 	st.Gflops = e.info.Gflops
+	st.Threads = e.info.Threads
 	e.mu.Unlock()
 	return st
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/sparsekit/spmvtuner/internal/core"
+	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/native"
@@ -512,7 +513,7 @@ func TestServerEvictionLRU(t *testing.T) {
 }
 
 func TestServerStatsShape(t *testing.T) {
-	eng, _ := newNativeEngine(t)
+	eng, nat := newNativeEngine(t)
 	srv := New(eng, Config{})
 	defer srv.Close()
 	m := suite.ByName("poisson3Db", 0.01)
@@ -543,6 +544,11 @@ func TestServerStatsShape(t *testing.T) {
 	}
 	if st.Plan == "" || !st.Resident || st.ResidentBytes <= 0 {
 		t.Fatalf("kernel cache fields: plan=%q resident=%v bytes=%d", st.Plan, st.Resident, st.ResidentBytes)
+	}
+	// The width is the executor's, whatever the plan: its baseline
+	// kernel for m runs at the same one.
+	if want := nat.Prepare(m, ex.Optim{}).Threads(); st.Threads != want || st.Threads < 1 {
+		t.Fatalf("threads = %d, want the executor's %d", st.Threads, want)
 	}
 	if st.Tunes != 1 || st.WarmPrepares != 0 {
 		t.Fatalf("preparation counters: tunes=%d warm=%d", st.Tunes, st.WarmPrepares)

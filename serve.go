@@ -47,8 +47,8 @@ type ServerConfig struct {
 
 // ServerStats is one matrix's serving counters: traffic, coalescing
 // effectiveness, latency percentiles, achieved throughput, the kernel
-// cache's behavior, and the plan the kernel runs (host plans in their
-// canonical form). See docs/guide/serving.md for how to read them.
+// cache's behavior, the plan the kernel runs (host plans in their
+// canonical form) and the thread width it runs at. See docs/guide/serving.md for how to read them.
 type ServerStats = serve.MatrixStats
 
 // Server is a multi-tenant SpMV service over one Tuner: many
@@ -237,9 +237,10 @@ func (e tunerEngine) Prepare(cm *matrix.CSR) (k serve.Kernel, info serve.PrepInf
 	}()
 	tuned := e.t.Tune(&Matrix{csr: cm})
 	info = serve.PrepInfo{
-		Warm:   tuned.info.Warm,
-		Plan:   tuned.info.Optimizations,
-		Gflops: tuned.info.OptimizedGflops,
+		Warm:    tuned.info.Warm,
+		Plan:    tuned.info.Optimizations,
+		Gflops:  tuned.info.OptimizedGflops,
+		Threads: tuned.prep.Threads(),
 	}
 	if mb, ok := tuned.prep.(interface{ MemBytes() int64 }); ok {
 		info.Bytes = mb.MemBytes()
