@@ -187,21 +187,6 @@ func BenchmarkKernelDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSplit times the two-phase decomposed kernel (Fig 6).
-func BenchmarkKernelSplit(b *testing.B) {
-	m := gen.FewDenseRows(100000, 5, 3, 60000, 1)
-	s := formats.SplitAuto(m)
-	x := make([]float64, m.NCols)
-	y := make([]float64, m.NRows)
-	for i := range x {
-		x[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.MulVec(x, y)
-	}
-}
-
 // BenchmarkNativeTunedSpMV times the full tuned parallel multiply on
 // the host through the public API.
 func BenchmarkNativeTunedSpMV(b *testing.B) {

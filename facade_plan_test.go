@@ -238,6 +238,27 @@ func TestLegacyHostDeltaPlanWarmStarts(t *testing.T) {
 	}
 }
 
+// TestLegacyHostSplitPlanWarmStarts: testdata/legacy-host-split holds
+// the vec+split@static-nnz plan an earlier release's host tuner stored
+// for SuiteMatrix("rajat30", 0.05) under WithThresholds(1000, 1.1),
+// written while the host still had a decomposed Split kernel. Tune
+// warm-starts from it under the canonical vec@auto form and binds the
+// dispatched gather body.
+func TestLegacyHostSplitPlanWarmStarts(t *testing.T) {
+	k := tuneFromStoredPlan(t, "legacy-host-split", "v1-30000x30000-269964-gen-f7bce2bcfe60a922.host.v1.json",
+		[]string{`"format": "split-csr"`, `"split": true`}, "rajat30", 0.05)
+	if got := k.Info().Optimizations; got != "vec@auto" {
+		t.Fatalf("Info().Optimizations = %q, want the canonical vec@auto", got)
+	}
+	named, ok := k.prep.(interface{ Kernel() string })
+	if !ok {
+		t.Fatalf("prepared kernel %T does not name its body", k.prep)
+	}
+	if got, want := named.Kernel(), kernels.VariantName(true); got != want {
+		t.Fatalf("Kernel() = %q, want the dispatched gather body %q", got, want)
+	}
+}
+
 // tuneFromStoredPlan copies the stored plan testdata/dir/file, which
 // must contain every knob string in knobs, into a fresh plan store,
 // tunes SuiteMatrix(name, scale) with it, and checks that the tune

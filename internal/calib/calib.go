@@ -117,13 +117,19 @@ func finitePositive(v float64) bool {
 }
 
 // Valid checks the artifact's internal invariants: the exact schema
-// version, a plausible topology, and finite positive rates — a
-// non-finite bandwidth is rejected here no matter how it was produced.
+// version, a topology whose Cores×ThreadsPerCore is exactly NumCPU (as
+// Measure and FromModel write it: Apply copies the topology into the
+// model the worker pool is sized from, so StaleFor's NumCPU check must
+// bound it), and finite positive rates — a non-finite bandwidth is
+// rejected here no matter how it was produced.
 func (c Calibration) Valid() error {
 	if c.Version != CurrentVersion {
 		return fmt.Errorf("calib: version %d, this library speaks %d", c.Version, CurrentVersion)
 	}
-	if c.NumCPU < 1 || c.Cores < 1 || c.ThreadsPerCore < 1 {
+	// Dividing instead of multiplying keeps a hostile pair of factors
+	// from overflowing into a match.
+	if c.NumCPU < 1 || c.Cores < 1 || c.ThreadsPerCore < 1 ||
+		c.NumCPU%c.Cores != 0 || c.NumCPU/c.Cores != c.ThreadsPerCore {
 		return fmt.Errorf("calib: implausible topology %d cpus, %d cores x %d", c.NumCPU, c.Cores, c.ThreadsPerCore)
 	}
 	if c.UsableThreads < 1 || c.UsableThreads > c.NumCPU {

@@ -104,6 +104,34 @@ func TestDecodeRejectsNonFiniteRates(t *testing.T) {
 	}
 }
 
+// hostileTopology is a well-formed artifact whose numCPU can match the
+// host (so StaleFor trusts it) while its cores would size a worker
+// pool of 2^20 goroutines through Apply.
+const hostileTopology = `{"version":1,"machine":"host","numCPU":2,"cores":1048576,"threadsPerCore":1,"perCoreGBs":1,"mainGBs":1,"llcGBs":1,"usableThreads":1}`
+
+// TestDecodeRejectsTopologyBeyondNumCPU: the topology must multiply
+// out to NumCPU exactly, including when the factors would overflow
+// into a match. Decoding only: nothing is built from these artifacts.
+func TestDecodeRejectsTopologyBeyondNumCPU(t *testing.T) {
+	for _, body := range []string{
+		hostileTopology,
+		// 4 cores x 1 thread on a 2-CPU host, and too few hardware
+		// threads for the CPU count.
+		strings.Replace(hostileTopology, `"cores":1048576`, `"cores":4`, 1),
+		strings.Replace(hostileTopology, `"numCPU":2`, `"numCPU":4`, 1),
+		// (2^62+1) x 4 wraps to 4 in 64-bit arithmetic.
+		`{"version":1,"machine":"host","numCPU":4,"cores":4611686018427387905,"threadsPerCore":4,"perCoreGBs":1,"mainGBs":1,"llcGBs":1,"usableThreads":1}`,
+	} {
+		if c, err := Decode([]byte(body)); err == nil {
+			t.Fatalf("topology %d cpus = %d cores x %d decoded", c.NumCPU, c.Cores, c.ThreadsPerCore)
+		}
+	}
+	ok := strings.Replace(hostileTopology, `"cores":1048576`, `"cores":2`, 1)
+	if _, err := Decode([]byte(ok)); err != nil {
+		t.Fatalf("2 cores x 1 thread on 2 CPUs rejected: %v", err)
+	}
+}
+
 func TestApplyOverridesCeilings(t *testing.T) {
 	base := machine.Broadwell() // 22 cores x 2, L2 = 22 x 256 KiB
 	c := sample()

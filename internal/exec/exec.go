@@ -21,8 +21,7 @@ type Optim struct {
 	// Vectorize enables SIMD execution (8 lanes on Phi, 4 on
 	// Broadwell). On the host it selects the dispatched gather body
 	// (AVX-512/AVX2 assembly, an 8-accumulator pure-Go loop without
-	// it) for CSR and the Split base part, and the C=8 chunk kernel for
-	// SELL-C-σ.
+	// it) for CSR, and the C=8 chunk kernel for SELL-C-σ.
 	Vectorize bool
 	// Prefetch enables software prefetching of x[colind[j+d]] into L1
 	// (the ML-class optimization). The simulator prices it for the
@@ -39,7 +38,10 @@ type Optim struct {
 	// Vectorize with it.
 	Compress bool
 	// Split decomposes long rows per Fig 5 (the IMB-class
-	// optimization for uneven row lengths).
+	// optimization for uneven row lengths). The simulator prices it
+	// for the paper's platforms; the host has no decomposed kernel,
+	// so Canonical resolves it to the gather body under the auto
+	// schedule.
 	Split bool
 	// SellCS stores the matrix in the SELL-C-σ sliced-ELLPACK format
 	// (rows sorted by length in σ-windows, chunks of C rows padded to
@@ -137,7 +139,8 @@ const (
 	FormatCSR Format = iota
 	// FormatDelta is DeltaCSR: delta-compressed column indices.
 	FormatDelta
-	// FormatSplit is SplitCSR: the Fig 5 long-row decomposition.
+	// FormatSplit is the Fig 5 long-row decomposition, priced by the
+	// simulator on the paper's platforms only.
 	FormatSplit
 	// FormatSellCS is SELL-C-σ: sorted, column-padded row chunks.
 	FormatSellCS
@@ -174,11 +177,10 @@ func (o Optim) EffectiveFormat() Format {
 // EffectivePrecision resolves the value precision a configuration
 // actually stores — the precision analogue of EffectiveFormat. Bound
 // kernels read the canonical f64 CSR (they are measurement probes of
-// the unmodified stream), and the Delta/Split re-encodings keep f64
-// values (their value arrays interleave with per-row metadata that the
-// precision converters do not reach), so reduced precision is honored
-// exactly on the formats with contiguous value payloads: CSR,
-// SELL-C-σ and SSS. Everywhere else the knob is inert — never
+// the unmodified stream), and the Delta and Split forms keep f64
+// values (no precision converter reaches them), so reduced precision
+// is honored exactly on the formats with contiguous value payloads:
+// CSR, SELL-C-σ and SSS. Everywhere else the knob is inert — never
 // converted, never priced.
 func (o Optim) EffectivePrecision() Precision {
 	if o.Precision == PrecF64 || o.IsBoundKernel() {
@@ -202,17 +204,20 @@ const hostCodename = "host"
 // Vectorize (one dispatched gather body serves all three); every Delta
 // configuration becomes Compress+Vectorize (one dispatched vector
 // decoder serves every delta knob set: the paper's MB pairing of
-// compression with vectorization); knobs the effective format's body
-// ignores are cleared — Vectorize, Prefetch and Unroll under SSS,
-// Prefetch and Unroll under SELL-C-σ, and every format knob
-// EffectiveFormat supersedes; Precision becomes
-// EffectivePrecision. Delta, Split and SSS run a static row partition
-// under every schedule, so theirs resolves to static-rows or
-// static-nnz; SELL-C-σ splits chunks by padded elements under either
-// static schedule, so its static-rows becomes static-nnz. Bound
-// kernels, and every configuration on the paper's modeled platforms,
-// are returned unchanged: the simulator prices those knobs as
-// distinct kernels there.
+// compression with vectorization); every Split configuration becomes
+// the CSR gather body, and a static schedule becomes Auto, the pool's
+// other IMB remedy (the host has no decomposed kernel: the gather body
+// under Auto beat it on every suite matrix with long rows); knobs the
+// effective format's body ignores are cleared — Vectorize, Prefetch
+// and Unroll under SSS, Prefetch and Unroll under SELL-C-σ, and every
+// format knob EffectiveFormat supersedes; Precision becomes
+// EffectivePrecision. Delta and SSS run a static row partition under
+// every schedule, so theirs resolves to static-rows or static-nnz;
+// SELL-C-σ splits chunks by padded elements under either static
+// schedule, so its static-rows becomes static-nnz. Bound kernels, and
+// every configuration on the paper's modeled platforms, are returned
+// unchanged: the simulator prices those knobs as distinct kernels
+// there.
 func (o Optim) Canonical(mdl machine.Model) Optim {
 	if mdl.Codename != hostCodename || o.IsBoundKernel() {
 		return o
@@ -224,7 +229,10 @@ func (o Optim) Canonical(mdl machine.Model) Optim {
 	case FormatCSR:
 		c.Vectorize = vec
 	case FormatSplit:
-		c.Split, c.Vectorize = true, vec
+		c.Vectorize = true
+		if c.Schedule == sched.StaticNNZ || c.Schedule == sched.StaticRows {
+			c.Schedule = sched.Auto
+		}
 	case FormatSellCS:
 		c.SellCS, c.Vectorize = true, o.Vectorize
 	case FormatDelta:
@@ -232,7 +240,7 @@ func (o Optim) Canonical(mdl machine.Model) Optim {
 	case FormatSSS:
 		c.Symmetric = true
 	}
-	static := f == FormatDelta || f == FormatSplit || f == FormatSSS
+	static := f == FormatDelta || f == FormatSSS
 	if (static && c.Schedule != sched.StaticRows) ||
 		(f == FormatSellCS && c.Schedule == sched.StaticRows) {
 		c.Schedule = sched.StaticNNZ

@@ -101,7 +101,8 @@ func TestEffectiveBlockWidth(t *testing.T) {
 // TestOptimCanonical pins the host resolver per effective format,
 // kernel knobs and schedule, then checks its invariants over every knob
 // combination: the identity off the host and on bound kernels,
-// idempotent, and blind to the effective format and precision.
+// idempotent, and blind to the effective precision and to every
+// effective format but Split, which runs as CSR.
 func TestOptimCanonical(t *testing.T) {
 	host, knc := machine.Host(), machine.KNC()
 	f32 := PrecF32
@@ -115,9 +116,11 @@ func TestOptimCanonical(t *testing.T) {
 		{"csr/unroll-static-rows", Optim{Unroll: true, Schedule: sched.StaticRows}, Optim{Vectorize: true, Schedule: sched.StaticRows}},
 		{"csr/vec+prefetch+unroll-dynamic", Optim{Vectorize: true, Prefetch: true, Unroll: true, Schedule: sched.Dynamic}, Optim{Vectorize: true, Schedule: sched.Dynamic}},
 		{"csr/prefetch-f32-guided", Optim{Prefetch: true, Precision: f32, Schedule: sched.Guided}, Optim{Vectorize: true, Precision: f32, Schedule: sched.Guided}},
-		{"split/unroll-dynamic", Optim{Split: true, Unroll: true, Compress: true, SellCS: true, Schedule: sched.Dynamic}, Optim{Split: true, Vectorize: true}},
-		{"split/static-rows", Optim{Split: true, Schedule: sched.StaticRows}, Optim{Split: true, Schedule: sched.StaticRows}},
-		{"split/f32-auto", Optim{Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Split: true}},
+		{"split", Optim{Split: true}, Optim{Vectorize: true, Schedule: sched.Auto}},
+		{"split/unroll-dynamic", Optim{Split: true, Unroll: true, Compress: true, SellCS: true, Schedule: sched.Dynamic}, Optim{Vectorize: true, Schedule: sched.Dynamic}},
+		{"split/static-rows", Optim{Split: true, Schedule: sched.StaticRows}, Optim{Vectorize: true, Schedule: sched.Auto}},
+		{"split/f32-auto", Optim{Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Vectorize: true, Schedule: sched.Auto}},
+		{"split/prefetch-guided-x4", Optim{Split: true, Prefetch: true, Schedule: sched.Guided, BlockWidth: 4}, Optim{Vectorize: true, Schedule: sched.Guided, BlockWidth: 4}},
 		{"sellcs/vec+prefetch+unroll-dynamic", Optim{SellCS: true, Vectorize: true, Prefetch: true, Unroll: true, Compress: true, Precision: f32, Schedule: sched.Dynamic}, Optim{SellCS: true, Vectorize: true, Precision: f32, Schedule: sched.Dynamic}},
 		{"sellcs/prefetch-static-rows", Optim{SellCS: true, Prefetch: true, Schedule: sched.StaticRows}, Optim{SellCS: true}},
 		{"sellcs/auto", Optim{SellCS: true, Schedule: sched.Auto}, Optim{SellCS: true, Schedule: sched.Auto}},
@@ -156,7 +159,13 @@ func TestOptimCanonical(t *testing.T) {
 				if again := c.Canonical(host); again != c {
 					t.Fatalf("Canonical not idempotent: %v -> %v -> %v", o, c, again)
 				}
-				if c.EffectiveFormat() != o.EffectiveFormat() || c.EffectivePrecision() != o.EffectivePrecision() {
+				// Split is the one format the host resolves to another:
+				// the CSR gather body.
+				want := o.EffectiveFormat()
+				if want == FormatSplit && !o.IsBoundKernel() {
+					want = FormatCSR
+				}
+				if c.EffectiveFormat() != want || c.EffectivePrecision() != o.EffectivePrecision() {
 					t.Fatalf("Canonical(%v) = %v moved the effective format or precision", o, c)
 				}
 			}

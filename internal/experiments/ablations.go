@@ -88,8 +88,8 @@ type AblateSplitRow struct {
 // threshold sweep.
 type AblateSplitResult struct {
 	Rows []AblateSplitRow
-	// DefaultThreshold records the formats default for the first
-	// matrix, for reference.
+	// DefaultThreshold records the simulator's threshold
+	// (sim.SplitThreshold) for the first matrix, for reference.
 	DefaultThreshold int
 }
 
@@ -102,22 +102,32 @@ func AblateSplit(cfg Config) AblateSplitResult {
 	for _, name := range []string{"ASIC_680k", "rajat30", "FullChip"} {
 		m := suite.ByName(name, c.Scale)
 		if res.DefaultThreshold == 0 {
-			res.DefaultThreshold = formats.DefaultSplitThreshold(m)
+			res.DefaultThreshold = sim.SplitThreshold(m)
 		}
 		base := e.Run(ex.Config{Matrix: m}).Seconds
 		for _, th := range []int{64, 256, 1024, 4096, 16384} {
-			s := formats.Split(m, th)
 			// The simulator uses its own default threshold; the sweep
-			// reports the real decomposition statistics next to the
-			// modeled split speedup so the plateau is visible.
+			// reports how many rows each threshold would extract next
+			// to the modeled split speedup so the plateau is visible.
 			split := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Split: true}}).Seconds
 			res.Rows = append(res.Rows, AblateSplitRow{
-				Matrix: name, Threshold: th, LongRows: s.NumLongRows(), Speedup: base / split,
+				Matrix: name, Threshold: th, LongRows: longRows(m, th), Speedup: base / split,
 			})
 		}
 		e.Forget(m)
 	}
 	return res
+}
+
+// longRows counts the rows of m holding more than th elements.
+func longRows(m *matrix.CSR, th int) int {
+	n := 0
+	for i := 0; i < m.NRows; i++ {
+		if m.RowPtr[i+1]-m.RowPtr[i] > int64(th) {
+			n++
+		}
+	}
+	return n
 }
 
 // Table renders A2.

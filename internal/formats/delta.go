@@ -1,9 +1,11 @@
 // Package formats implements the CSR-derived storage formats of the
 // paper's optimization pool (Table II): DeltaCSR, which compresses the
 // column-index array with 8- or 16-bit deltas (the MB-class
-// optimization, after Pooch & Nieder), and SplitCSR, the long-row
-// matrix decomposition of Fig 5 (the IMB-class optimization for highly
-// uneven row lengths).
+// optimization, after Pooch & Nieder), plus SELL-C-σ, symmetric
+// storage and their reduced-precision forms. The paper's long-row
+// decomposition (Fig 5) has no storage format here: the host serves
+// uneven row lengths with the CSR gather body under the auto schedule,
+// and internal/sim prices the decomposition on the modeled platforms.
 package formats
 
 import (

@@ -1,7 +1,7 @@
 package formats
 
 // Cross-format differential harness: every derived storage format —
-// DeltaCSR, SplitCSR, SELL-C-σ — must compute the same SpMV as the
+// DeltaCSR, SELL-C-σ — must compute the same SpMV as the
 // reference CSR kernel and reconstruct the original matrix exactly,
 // across every structural family the generators produce, including the
 // degenerate shapes (empty rows, one dominating dense row) that
@@ -17,8 +17,8 @@ import (
 )
 
 // diffRelTol is the differential harness' relative tolerance. The
-// formats reorder additions (SELL permutes rows but keeps in-row order;
-// Split sums partials), so results can differ by a few ulps — 1e-12 is
+// formats reorder additions (SELL permutes rows but keeps in-row
+// order; SSS mirrors), so results can differ by a few ulps — 1e-12 is
 // ~4 decimal orders looser than the float64 epsilon and far tighter
 // than any structural bug.
 const diffRelTol = 1e-12
@@ -115,14 +115,6 @@ func TestDifferentialAllFormats(t *testing.T) {
 					t.Fatalf("seed %d: DeltaCSR round trip changed the matrix", seed)
 				}
 
-				// Thresholds low enough that single-dense-row inputs
-				// actually split.
-				s := Split(m, 1+int(seed)%32)
-				mulDiff(t, "split", m, s.MulVec)
-				if !s.Reassemble().Equal(m) {
-					t.Fatalf("seed %d: SplitCSR round trip changed the matrix", seed)
-				}
-
 				// SELL across chunk-height/window corners: the auto
 				// defaults plus a deliberately awkward (C, σ) pair.
 				for _, sc := range []*SellCS{
@@ -189,12 +181,10 @@ func TestDifferentialSpMM(t *testing.T) {
 				n := 40 + int(seed*41)%250
 				m := fam.build(n, seed)
 				d := Compress(m)
-				s := Split(m, 1+int(seed)%32)
 				sells := []*SellCS{ConvertSellCSAuto(m), ConvertSellCS(m, 3, 7)}
 				for _, k := range widths {
 					mulMatDiff(t, "csr", m, k, m.MulMat)
 					mulMatDiff(t, "delta", m, k, d.MulMat)
-					mulMatDiff(t, "split", m, k, s.MulMat)
 					for _, sc := range sells {
 						mulMatDiff(t, "sellcs", m, k, sc.MulMat)
 					}
@@ -274,9 +264,6 @@ func TestDifferentialFormatsPreserveNNZ(t *testing.T) {
 		m := fam.build(200, 9)
 		if got := Compress(m).NNZ(); got != m.NNZ() {
 			t.Errorf("%s: delta nnz %d != %d", fam.name, got, m.NNZ())
-		}
-		if got := SplitAuto(m).NNZ(); got != m.NNZ() {
-			t.Errorf("%s: split nnz %d != %d", fam.name, got, m.NNZ())
 		}
 		if got := ConvertSellCSAuto(m).NNZ(); got != m.NNZ() {
 			t.Errorf("%s: sell nnz %d != %d", fam.name, got, m.NNZ())

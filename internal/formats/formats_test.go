@@ -161,90 +161,6 @@ func TestDeltaBytesSmallerThanCSR(t *testing.T) {
 	}
 }
 
-func TestSplitExtractsLongRows(t *testing.T) {
-	m := gen.FewDenseRows(2000, 5, 3, 1200, 7)
-	s := Split(m, 256)
-	if s.NumLongRows() != 3 {
-		t.Fatalf("long rows = %d, want 3", s.NumLongRows())
-	}
-	if s.NNZ() != m.NNZ() {
-		t.Fatalf("split nnz = %d, want %d", s.NNZ(), m.NNZ())
-	}
-	// The base part must contain no row above the threshold.
-	for i := 0; i < s.Base.NRows; i++ {
-		if s.Base.RowNNZ(i) > s.Threshold {
-			t.Fatalf("base row %d still long: %d", i, s.Base.RowNNZ(i))
-		}
-	}
-}
-
-func TestSplitReassemble(t *testing.T) {
-	m := gen.FewDenseRows(1500, 4, 2, 900, 8)
-	s := Split(m, 128)
-	if !s.Reassemble().Equal(m) {
-		t.Fatal("reassemble changed matrix")
-	}
-}
-
-func TestSplitMulVec(t *testing.T) {
-	m := gen.FewDenseRows(1000, 5, 2, 700, 9)
-	s := Split(m, 100)
-	mulEqual(t, "split", m, s.MulVec)
-}
-
-func TestSplitNoLongRows(t *testing.T) {
-	m := gen.Banded(400, 3, 0.9, 2)
-	s := SplitAuto(m)
-	if s.NumLongRows() != 0 {
-		t.Fatalf("banded matrix split %d long rows, want 0", s.NumLongRows())
-	}
-	mulEqual(t, "split-nolong", m, s.MulVec)
-}
-
-func TestSplitAllRowsLong(t *testing.T) {
-	m := gen.Dense(64, 3)
-	s := Split(m, 10) // every row is long
-	if s.NumLongRows() != 64 {
-		t.Fatalf("long rows = %d, want 64", s.NumLongRows())
-	}
-	if s.Base.NNZ() != 0 {
-		t.Fatalf("base nnz = %d, want 0", s.Base.NNZ())
-	}
-	mulEqual(t, "split-all", m, s.MulVec)
-}
-
-func TestLongRowPartialSums(t *testing.T) {
-	m := gen.FewDenseRows(500, 4, 1, 400, 10)
-	s := Split(m, 64)
-	if s.NumLongRows() != 1 {
-		t.Fatalf("long rows = %d, want 1", s.NumLongRows())
-	}
-	x := make([]float64, m.NCols)
-	for i := range x {
-		x[i] = 1
-	}
-	lo, hi := s.LongPtr[0], s.LongPtr[1]
-	mid := (lo + hi) / 2
-	full := s.LongRowPartial(0, x, lo, hi)
-	parts := s.LongRowPartial(0, x, lo, mid) + s.LongRowPartial(0, x, mid, hi)
-	if math.Abs(full-parts) > 1e-9 {
-		t.Fatalf("partials %g != full %g", parts, full)
-	}
-}
-
-func TestDefaultSplitThreshold(t *testing.T) {
-	m := gen.Banded(1000, 4, 1.0, 1)
-	th := DefaultSplitThreshold(m)
-	if th < 256 {
-		t.Fatalf("threshold floor broken: %d", th)
-	}
-	md := gen.FewDenseRows(5000, 4, 3, 4000, 2)
-	thd := DefaultSplitThreshold(md)
-	if thd >= 4000 {
-		t.Fatalf("threshold %d would miss the 4000-long dense rows", thd)
-	}
-}
-
 // Property: delta compression round-trips for both widths on arbitrary
 // generator outputs.
 func TestDeltaRoundTripQuick(t *testing.T) {
@@ -268,47 +184,6 @@ func TestDeltaRoundTripQuick(t *testing.T) {
 		return CompressDelta(m, w).Decompress().Equal(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: split + reassemble is the identity for any threshold.
-func TestSplitRoundTripQuick(t *testing.T) {
-	f := func(seed int64, rawTh uint16) bool {
-		n := 100 + int(uint64(seed)%200)
-		m := gen.PowerLaw(n, 6, 1.8, n, seed)
-		th := 1 + int(rawTh)%64
-		s := Split(m, th)
-		return s.Reassemble().Equal(m) && s.NNZ() == m.NNZ()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: SplitCSR SpMV equals CSR SpMV.
-func TestSplitMulQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		n := 100 + int(uint64(seed)%150)
-		m := gen.FewDenseRows(n, 4, 2, n/2, seed)
-		s := Split(m, 32)
-		x := make([]float64, n)
-		rng := rand.New(rand.NewSource(seed))
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, n)
-		got := make([]float64, n)
-		m.MulVec(x, want)
-		s.MulVec(x, got)
-		for i := range want {
-			if math.Abs(want[i]-got[i]) > 1e-8*(1+math.Abs(want[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // into y[j], which may lie below the computing thread's row
 // partition; the parallel engine sends those scatters to a per-thread
 // conflict window (SymWindows) and folds the windows into y after the
-// barrier (the same machinery as SplitCSR's long rows).
+// barrier.
 type SSS struct {
 	// N is the matrix dimension (SSS matrices are square).
 	N int

@@ -449,8 +449,10 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // func csrGatherRangeAVX2(rowptr []int64, colind []int32, val, x, y []float64, lo, hi int)
 //
 // y[i] = sum_j val[j]*x[colind[j]] for rows [lo,hi): 8 elements per
-// iteration as two 4-wide gather+FMA streams, scalar-FMA tail.
+// iteration as two 4-wide gather+FMA streams, scalar-FMA tail. Aligned
+// to a cache line like csrGatherRangeAVX512.
 TEXT ·csrGatherRangeAVX2(SB), NOSPLIT, $0-136
+	PCALIGN $64
 	MOVQ rowptr_base+0(FP), R10
 	MOVQ colind_base+24(FP), DI
 	MOVQ val_base+48(FP), SI
@@ -514,7 +516,14 @@ a2done:
 //
 // The 8-lane form: 16 elements per iteration as two 8-wide
 // gather+FMA streams, one 8-wide step, scalar-FMA tail.
+//
+// The leading PCALIGN raises the function's alignment to a cache line,
+// so where the linker places it no longer moves the row and tail loops
+// across line boundaries: on short-row matrices (lap2d, 5 per row) the
+// 32-byte-offset placement ran about 20% slower than the line-aligned
+// one on an AVX-512 host.
 TEXT ·csrGatherRangeAVX512(SB), NOSPLIT, $0-136
+	PCALIGN $64
 	MOVQ rowptr_base+0(FP), R10
 	MOVQ colind_base+24(FP), DI
 	MOVQ val_base+48(FP), SI

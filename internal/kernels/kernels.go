@@ -1,9 +1,9 @@
 // Package kernels provides the native SpMV kernels corresponding to
 // the simulator's configurations: the scalar CSR baseline (Fig 2), the
-// CSR vector kernel, DeltaCSR kernels, the two-phase SplitCSR kernel
-// (Fig 6), SELL-C-σ chunk kernels, and the two modified bound kernels
-// of Section III-B. All kernels operate on row ranges so the parallel
-// executor can drive them under any schedule.
+// CSR vector kernel, DeltaCSR kernels, SELL-C-σ chunk kernels, and the
+// two modified bound kernels of Section III-B. All kernels operate on
+// row ranges so the parallel executor can drive them under any
+// schedule.
 //
 // The hottest inner loops — the CSR vector kernel, the DeltaCSR
 // decoder, the SELL-C-σ C=8 chunk kernel, and the register-blocked
@@ -18,11 +18,14 @@
 // exec.Optim.Canonical folds their knobs into Vectorize. The paper's
 // MB remedy, compression plus vectorization, is the delta decoder: it
 // unpacks 16 deltas per step in registers and gathers, and Canonical
-// gives every Delta plan Vectorize for it. The pure-Go forms below
-// (DeltaCSR.MulVecRows for the decoder) are the differential-test
-// oracle every assembly body is verified against (dispatch_test.go),
-// and the only bodies built under `-tags noasm` or on non-amd64
-// hosts. See docs/guide/simd.md.
+// gives every Delta plan Vectorize for it. The paper's IMB remedy, the
+// two-phase long-row decomposition of Fig 6, has no body either:
+// Canonical runs every host Split plan on the gather body under the
+// auto schedule, which beat it on every suite matrix with long rows.
+// The pure-Go forms below (DeltaCSR.MulVecRows for the decoder) are
+// the differential-test oracle every assembly body is verified against
+// (dispatch_test.go), and the only bodies built under `-tags noasm` or
+// on non-amd64 hosts. See docs/guide/simd.md.
 package kernels
 
 import (
@@ -122,31 +125,6 @@ type DeltaKernel func(d *formats.DeltaCSR, x, y []float64, lo, hi, overflowStart
 //spmv:hotpath
 func DeltaRange(d *formats.DeltaCSR, x, y []float64, lo, hi, overflowStart int) {
 	d.MulVecRows(x, y, lo, hi, overflowStart)
-}
-
-// SplitPhase1 computes the base part of a SplitCSR over a row range.
-//
-//spmv:hotpath
-func SplitPhase1(s *formats.SplitCSR, x, y []float64, lo, hi int) {
-	CSRRange(s.Base, x, y, lo, hi)
-}
-
-// SplitPhase2Partial computes thread t's share of every long row: the
-// element range of each long row is divided evenly among nt threads
-// and the partial sums are written to slot[k] — the thread's private
-// cell array of the shared reduction engine (internal/native), which
-// folds all slots into y after the barrier (Fig 6's step 2).
-//
-//spmv:hotpath
-func SplitPhase2Partial(s *formats.SplitCSR, x []float64, slot []float64, t, nt int) {
-	nLong := s.NumLongRows()
-	for k := 0; k < nLong; k++ {
-		lo, hi := s.LongPtr[k], s.LongPtr[k+1]
-		span := hi - lo
-		plo := lo + span*int64(t)/int64(nt)
-		phi := lo + span*int64(t+1)/int64(nt)
-		slot[k] = s.LongRowPartial(k, x, plo, phi)
-	}
 }
 
 // SellCSRange computes the rows of SELL-C-σ chunks [lo, hi), writing
@@ -291,8 +269,8 @@ func VariantName(vectorize bool) string {
 	return "csr-vec8" + isaSuffix()
 }
 
-// Variant selects the CSR range kernel (compression and splitting are
-// handled by the executor, which owns the converted formats): with
+// Variant selects the CSR range kernel (compression is handled by the
+// executor, which owns the converted formats): with
 // vectorize, the widest assembly body the host executes
 // (CSRVector8Range without one), the scalar CSRRange otherwise.
 func Variant(vectorize bool) RangeKernel {

@@ -106,47 +106,6 @@ func TestDeltaRangeMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSplitTwoPhaseMatchesReference(t *testing.T) {
-	m := gen.FewDenseRows(800, 5, 3, 500, 7)
-	s := formats.Split(m, 64)
-	if s.NumLongRows() == 0 {
-		t.Fatal("test matrix must split")
-	}
-	x := vec(m.NCols, 3)
-	want := make([]float64, m.NRows)
-	m.MulVec(x, want)
-
-	nt := 4
-	got := make([]float64, m.NRows)
-	// Phase 1 across static partitions.
-	for tid := 0; tid < nt; tid++ {
-		lo, hi := tid*m.NRows/nt, (tid+1)*m.NRows/nt
-		SplitPhase1(s, x, got, lo, hi)
-	}
-	// Phase 2: every thread computes a slice of every long row into its
-	// private slot, then the slots fold into y (in production the shared
-	// reduction engine in internal/native owns the fold; the test
-	// hand-rolls it to pin the partial layout).
-	nLong := s.NumLongRows()
-	partials := make([]float64, nt*nLong)
-	for tid := 0; tid < nt; tid++ {
-		SplitPhase2Partial(s, x, partials[tid*nLong:(tid+1)*nLong], tid, nt)
-	}
-	for r := 0; r < nLong; r++ {
-		var sum float64
-		for tid := 0; tid < nt; tid++ {
-			sum += partials[tid*nLong+r]
-		}
-		got[s.LongRowIdx[r]] += sum
-	}
-
-	for i := range want {
-		if math.Abs(want[i]-got[i]) > 1e-9*(1+math.Abs(want[i])) {
-			t.Fatalf("split: y[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
 func TestSellCSKernelsMatchReference(t *testing.T) {
 	for mname, m := range testMatrices() {
 		t.Run(mname, func(t *testing.T) {

@@ -164,20 +164,3 @@ func DeltaBlockRange(d *formats.DeltaCSR, x, y []float64, k, lo, hi, overflowSta
 func SellCSBlockRange(s *formats.SellCS, x, y []float64, k, lo, hi int) {
 	s.MulMatChunks(x, y, k, lo, hi)
 }
-
-// SplitPhase2PartialBlock is the blocked form of SplitPhase2Partial:
-// thread t's share of every long row, with k partial sums per long-row
-// cell written to slot[r*k ...] — the thread's private cell array of
-// the shared reduction engine.
-//
-//spmv:hotpath
-func SplitPhase2PartialBlock(s *formats.SplitCSR, x, slot []float64, k, t, nt int) {
-	nLong := s.NumLongRows()
-	for r := 0; r < nLong; r++ {
-		lo, hi := s.LongPtr[r], s.LongPtr[r+1]
-		span := hi - lo
-		plo := lo + span*int64(t)/int64(nt)
-		phi := lo + span*int64(t+1)/int64(nt)
-		s.LongRowPartialBlock(r, x, slot[r*k:], k, plo, phi)
-	}
-}

@@ -111,38 +111,3 @@ func TestSellCSBlockRangePartialChunks(t *testing.T) {
 		checkBlock(t, "sellcs", y, want, k)
 	}
 }
-
-// TestSplitPhase2BlockTwoPhase runs the complete blocked Fig 6 shape —
-// base rows via the blocked CSR kernel, per-thread blocked partials,
-// then the blocked reduction — and compares against the reference.
-func TestSplitPhase2BlockTwoPhase(t *testing.T) {
-	m := gen.FewDenseRows(600, 4, 3, 400, 31)
-	s := formats.Split(m, 64)
-	if s.NumLongRows() == 0 {
-		t.Fatal("generator produced no long rows")
-	}
-	const nt = 3
-	for _, k := range []int{2, 3, 8} {
-		x := randBlock(m.NCols, k, int64(80+k))
-		want := blockRef(m, x, k)
-		y := make([]float64, m.NRows*k)
-		CSRBlockRange(s.Base, x, y, k, 0, m.NRows)
-		nLong := s.NumLongRows()
-		partials := make([]float64, nt*nLong*k)
-		for tid := 0; tid < nt; tid++ {
-			SplitPhase2PartialBlock(s, x, partials[tid*nLong*k:(tid+1)*nLong*k], k, tid, nt)
-		}
-		// Fold the per-thread slots into the block (production uses the
-		// shared reduction engine in internal/native).
-		for r := 0; r < nLong; r++ {
-			yr := y[int(s.LongRowIdx[r])*k:][:k]
-			for tid := 0; tid < nt; tid++ {
-				pr := partials[(tid*nLong+r)*k:][:k]
-				for l := range yr {
-					yr[l] += pr[l]
-				}
-			}
-		}
-		checkBlock(t, "split", y, want, k)
-	}
-}

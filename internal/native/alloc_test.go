@@ -17,8 +17,9 @@ import (
 
 // allocOptims is every distinct prepared execution path: the plain and
 // vectorized row kernels, prefetch, unroll, each converted format
-// (DeltaCSR through its dispatched vector decoder, SplitCSR,
-// SELL-C-σ), and the cursor-driven dynamic and guided schedules.
+// (DeltaCSR through its dispatched vector decoder, SELL-C-σ), a Split
+// plan (the gather body under the auto schedule), and the
+// cursor-driven dynamic and guided schedules.
 func allocOptims() map[string]ex.Optim {
 	return map[string]ex.Optim{
 		"baseline":       {},
@@ -39,8 +40,8 @@ func allocOptims() map[string]ex.Optim {
 func TestAllocFreeSteadyStateMulVec(t *testing.T) {
 	e := New()
 	defer e.Close()
-	// Skewed enough that split extracts rows and SELL pads; large
-	// enough that multiple worker slots engage.
+	// Skewed enough that auto schedules dynamically and SELL pads;
+	// large enough that multiple worker slots engage.
 	m := gen.FewDenseRows(6000, 5, 2, 2000, 31)
 	x := make([]float64, m.NCols)
 	for i := range x {

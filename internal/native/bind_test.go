@@ -55,9 +55,11 @@ func bindingTable() []bindingRow {
 		{"regularized", asymIn, ex.Optim{RegularizeX: true}, "regularized", csrBytes, false},
 		{"unit-stride", asymIn, ex.Optim{UnitStride: true}, "unit-stride", csrBytes, false},
 		{"unit-stride-dynamic", asymIn, ex.Optim{UnitStride: true, Schedule: sched.Dynamic}, "unit-stride", csrBytes, false},
-		{"split", asymIn, ex.Optim{Split: true}, "split+csr", csrBytes, true},
-		{"split+vec", asymIn, ex.Optim{Split: true, Vectorize: true}, "split+csr-vec8%isa", csrBytes, true},
-		{"split+unroll-dynamic", asymIn, ex.Optim{Split: true, Unroll: true, Schedule: sched.Dynamic}, "split+csr-vec8%isa", csrBytes, true},
+		// The host has no Split body: every Split knob set binds the
+		// gather body (exec.Optim.Canonical).
+		{"split", asymIn, ex.Optim{Split: true}, "csr-vec8%isa", csrBytes, true},
+		{"split+vec", asymIn, ex.Optim{Split: true, Vectorize: true}, "csr-vec8%isa", csrBytes, true},
+		{"split+unroll-dynamic", asymIn, ex.Optim{Split: true, Unroll: true, Schedule: sched.Dynamic}, "csr-vec8%isa", csrBytes, true},
 		{"delta", asymIn, ex.Optim{Compress: true}, "%delta", 39918, true},
 		{"delta+vec+prefetch-guided", asymIn, ex.Optim{Compress: true, Vectorize: true, Prefetch: true, Schedule: sched.Guided}, "%delta", 39918, true},
 		{"sellcs", asymIn, ex.Optim{SellCS: true}, "sellcs", sellBytes, true},

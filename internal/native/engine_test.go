@@ -244,8 +244,7 @@ func TestPreparedMulVecBatch(t *testing.T) {
 
 // TestPreparedMulMat drives the interleaved-block entry point for
 // every format at register-blocked and generic widths, including a
-// width above the configured block width (the split partials must
-// grow).
+// width above the configured block width.
 func TestPreparedMulMat(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -332,11 +331,10 @@ func TestPreparedIntrospection(t *testing.T) {
 	if !strings.HasPrefix(p.Kernel(), "csr-vec8") || strings.Contains(p.Kernel(), "prefetch") {
 		t.Fatalf("kernel = %q", p.Kernel())
 	}
-	if s := e.Prepare(m, ex.Optim{Split: true}).(*Prepared); s.Kernel() != "split+csr" {
-		t.Fatalf("split kernel = %q", s.Kernel())
-	}
-	if s := e.Prepare(m, ex.Optim{Split: true, Vectorize: true, Prefetch: true}).(*Prepared); s.Kernel() != "split+"+p.Kernel() {
-		t.Fatalf("split+vec+prefetch kernel = %q, want split+%s", s.Kernel(), p.Kernel())
+	// A Split plan runs the same gather body under the auto schedule.
+	if s := e.Prepare(m, ex.Optim{Split: true, Prefetch: true}).(*Prepared); s.Kernel() != p.Kernel() ||
+		s.Opt() != (ex.Optim{Vectorize: true, Schedule: sched.Auto}) {
+		t.Fatalf("split+prefetch binds %q as %v, want %q as vec@auto", s.Kernel(), s.Opt(), p.Kernel())
 	}
 	// The vectorized C=8 kernel name carries the dispatched ISA suffix
 	// ("sellcs-c8-avx512" etc.) when assembly is in play.
@@ -347,8 +345,8 @@ func TestPreparedIntrospection(t *testing.T) {
 		t.Fatalf("plain sellcs kernel = %q", s.Kernel())
 	}
 	// Precedence: Split wins over SellCS, SellCS wins over Compress.
-	if s := e.Prepare(m, ex.Optim{Split: true, SellCS: true}).(*Prepared); s.Kernel() != "split+csr" {
-		t.Fatalf("split+sellcs kernel = %q", s.Kernel())
+	if s := e.Prepare(m, ex.Optim{Split: true, SellCS: true}).(*Prepared); s.Kernel() != p.Kernel() {
+		t.Fatalf("split+sellcs kernel = %q, want %q", s.Kernel(), p.Kernel())
 	}
 	if s := e.Prepare(m, ex.Optim{SellCS: true, Compress: true, Vectorize: true}).(*Prepared); !strings.HasPrefix(s.Kernel(), "sellcs-c8") {
 		t.Fatalf("sellcs+compress kernel = %q", s.Kernel())
@@ -383,7 +381,7 @@ func TestFormatCachesBounded(t *testing.T) {
 	defer e.Close()
 	f32 := ex.PrecF32
 	streams := []ex.Optim{
-		{Compress: true}, {Split: true}, {SellCS: true}, {Symmetric: true},
+		{Compress: true}, {SellCS: true}, {Symmetric: true},
 		{Precision: f32}, {SellCS: true, Precision: f32}, {Symmetric: true, Precision: f32},
 	}
 	x := make([]float64, 20)

@@ -19,8 +19,8 @@ import (
 //	9-10  precision (f64, f32; 2 and 3 read as f64)
 //	11-12 block width k (fuzzWidths)
 //	13-14 operation: MulVec, MulVecBatch, MulMat (3 reads as MulVec)
-//	15    add one full-length row (long enough for Split to extract
-//	      once the matrix has more than 256 columns)
+//	15    add one full-length row (a dominating row, the long-row
+//	      shape the IMB schedules must balance)
 //	16-17 threads: 0 prepares through Prepare at the executor's
 //	      default width, t > 0 compiles at t+1 threads
 var (

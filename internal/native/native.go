@@ -118,8 +118,8 @@ func (e *Executor) Machine() machine.Model { return e.model }
 
 // Release implements exec.Releaser: it drops every cached resource the
 // executor holds for m — the memoized format conversions (DeltaCSR,
-// SplitCSR, SELL-C-σ, SSS, and the precision-reduced CSR, SELL-C-σ and
-// SSS forms) and all prepared kernels compiled for m —
+// SELL-C-σ, SSS, and the precision-reduced CSR, SELL-C-σ and SSS
+// forms) and all prepared kernels compiled for m —
 // so the memory is reclaimable once the caller drops its own
 // references. Kernels already handed out keep working (they own their
 // structures); the next Prepare of m rebuilds. This is the per-entry

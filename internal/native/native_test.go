@@ -129,9 +129,8 @@ func TestFormatsMemoized(t *testing.T) {
 	if d1, d2 := delta(), delta(); d1 != d2 {
 		t.Fatal("delta conversion not memoized")
 	}
-	split := func() *formats.SplitCSR { return memoized(e, m, ex.FormatSplit, ex.PrecF64, formats.SplitAuto) }
-	if s1, s2 := split(), split(); s1 != s2 {
-		t.Fatal("split conversion not memoized")
+	if s1, s2 := e.SellCSOf(m), e.SellCSOf(m); s1 != s2 {
+		t.Fatal("SELL-C-σ conversion not memoized")
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 )
 
 // Prepared is a compiled SpMV kernel for one (matrix, optimization)
-// pair: the converted format (DeltaCSR/SplitCSR), the resolved schedule
-// partitions, the reduction windows and the chosen kernel function
-// are all materialized at construction, so a steady-state MulVec does
+// pair: the converted format (DeltaCSR, SELL-C-σ, SSS), the resolved
+// schedule partitions, the reduction windows and the chosen kernel
+// function are all materialized at construction, so a steady-state MulVec does
 // no planning work and zero heap allocations — it wakes the persistent
 // workers, runs the kernel, and returns. This is the object the facade's
 // Tuned wraps and the foundation of the repeated-multiply serving path.
@@ -28,8 +28,7 @@ type Prepared struct {
 	// matrixBytes is the matrix stream the compiled kernel actually
 	// reads per multiply: the converted format's footprint when one
 	// was built (SSS ≈ half the mirrored CSR, Delta's compressed
-	// index stream, SELL's padded arrays), the CSR arrays otherwise
-	// (Split stores the same elements as CSR, so the default holds).
+	// index stream, SELL's padded arrays), the CSR arrays otherwise.
 	matrixBytes int64
 
 	// mu serializes multiplies on this kernel; concurrent callers are
@@ -47,7 +46,7 @@ type Prepared struct {
 
 	// body computes slot t's share of one operation; finish, when
 	// non-nil, runs on the dispatching goroutine after the barrier (the
-	// Fig 6 phase-2 reduction and the SSS window fold).
+	// SSS window fold).
 	body   func(t int)
 	finish func()
 	// red is the reduction engine finish folds from; nil for kernels
@@ -58,7 +57,7 @@ type Prepared struct {
 	// of one blocked multiply, reading x/y as an interleaved block of bk
 	// vectors; finishBlock is its post-barrier reduction. blockW is the
 	// width MulVecBatch repartitions batches into; ensureBlock, when
-	// non-nil, grows width-dependent scratch (the split partials) before
+	// non-nil, grows width-dependent scratch (the SSS windows) before
 	// a dispatch wider than seen so far.
 	bk          int
 	blockW      int
@@ -87,13 +86,12 @@ func (p *Prepared) MemBytes() int64 { return p.matrixBytes }
 func (p *Prepared) Threads() int { return p.nt }
 
 // Kernel names the compiled inner kernel, e.g. "delta-vec8-avx512"
-// or "split+csr-vec8-avx512".
+// or "csr-vec8-avx512".
 func (p *Prepared) Kernel() string { return p.kernelName }
 
 // ReduceCells reports the partial cells the post-barrier fold adds
-// into y per vector: every slot's Split long-row partials, or the SSS
-// conflict windows (formats.SymWindows); 0 for kernels that write y
-// directly.
+// into y per vector: the SSS conflict windows (formats.SymWindows); 0
+// for kernels that write y directly.
 func (p *Prepared) ReduceCells() int {
 	if p.red == nil {
 		return 0
@@ -265,10 +263,12 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 // buildPrepared compiles a configuration into a Prepared kernel bound
 // to the executor's worker pool. It accepts bound kernels (Run measures
 // them); the public Prepare rejects them. Each format picks its own
-// partition and binds its range kernels through bindRanges, bindSym or
-// bindSplit. It compiles o's canonical form on the executor's model,
-// which Opt reports. A matrix whose values do not fit float32 runs its
-// f64 binding under an f32 configuration, and Opt reports PrecF64.
+// partition and binds its range kernels through bindRanges or bindSym.
+// It compiles o's canonical form on the executor's model, which Opt
+// reports; on the host that form never selects Split, and a Split knob
+// set under any other model runs the CSR default below. A matrix whose
+// values do not fit float32 runs its f64 binding under an f32
+// configuration, and Opt reports PrecF64.
 func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 	o = o.Canonical(e.model)
 	if o.EffectivePrecision() == ex.PrecF32 && !formats.FitsF32(m.Val) {
@@ -302,8 +302,6 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 		}, func(window []float64, k, base, lo, hi int) {
 			kernels.PrecSSSBlockRange(ps, p.x, p.y, window, k, base, lo, hi)
 		})
-	case ex.FormatSplit:
-		p.bindSplit(memoized(e, m, ex.FormatSplit, ex.PrecF64, formats.SplitAuto), o)
 	case ex.FormatSellCS:
 		// Threads own chunks, not rows: statically balanced by padded
 		// element count (the work the kernel streams) from the ChunkPtr
@@ -404,51 +402,20 @@ func (p *Prepared) slots(parts, chunks []sched.Range, run func(lo, hi int)) func
 	})
 }
 
-// bindSplit compiles the two-phase SplitCSR kernel (Fig 6): phase 1
-// over the base rows, phase-2 partials per thread, and the reduction as
-// the post-barrier finish step. The partials live in the shared
-// reduction engine, each slot's window one cell per extracted long
-// row, folded into y through the LongRowIdx scatter table.
-func (p *Prepared) bindSplit(s *formats.SplitCSR, o ex.Optim) {
-	inner := kernels.Variant(o.Vectorize)
-	p.kernelName = "split+" + kernels.VariantName(o.Vectorize)
-	parts := sched.Prepare(o.Schedule, s.Base, p.nt).Parts
-	win := make([]sched.Range, p.nt)
-	for t := range win {
-		win[t].Hi = s.NumLongRows()
-	}
-	red := newReducer(win, p.blockW, s.LongRowIdx)
-	p.red = red
-	nt := p.nt
-	p.body = p.wrap(func(t int) {
-		r := parts[t]
-		inner(s.Base, p.x, p.y, r.Lo, r.Hi)
-		kernels.SplitPhase2Partial(s, p.x, red.slot(t), t, nt)
-	})
-	p.finish = func() { red.reduce(p.y) }
-	p.ensureBlock = red.ensureBlock
-	p.bodyBlock = p.wrap(func(t int) {
-		r := parts[t]
-		kernels.CSRBlockRange(s.Base, p.x, p.y, p.bk, r.Lo, r.Hi)
-		kernels.SplitPhase2PartialBlock(s, p.x, red.slotBlock(t, p.bk), p.bk, t, nt)
-	})
-	p.finishBlock = func() { red.reduceBlock(p.y, p.bk) }
-}
-
 // bindSym compiles a symmetric-storage kernel over the lower triangle
 // lower: threads own the nnz-balanced row ranges parts, write their
 // own rows' results straight into y, and add a mirrored transpose
 // contribution into y too when its row is their own. A contribution
 // to a row below the slot's range lands in the slot's conflict window
 // (formats.SymWindows), and finish folds the windows into y serially
-// after the single barrier, as Split does. A banded matrix's windows
-// span one bandwidth each, so the scratch and the fold are
-// Σ(lo-base) cells, not nt·n. parts is the static partition under
+// after the single barrier. A banded matrix's windows span one
+// bandwidth each, so the scratch and the fold are Σ(lo-base) cells,
+// not nt·n. parts is the static partition under
 // every schedule: a dynamic cursor would leave a thread's rows, and so
 // its window, unknown until run time.
 func (p *Prepared) bindSym(lower *matrix.CSR, parts []sched.Range, body func(window []float64, base, lo, hi int), block func(window []float64, k, base, lo, hi int)) {
 	win := formats.SymWindows(lower, parts)
-	red := newReducer(win, p.blockW, nil)
+	red := newReducer(win, p.blockW)
 	p.red = red
 	p.body = p.wrap(func(t int) {
 		w := red.slot(t)

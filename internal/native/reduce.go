@@ -2,35 +2,27 @@ package native
 
 import "github.com/sparsekit/spmvtuner/internal/sched"
 
-// The shared parallel-reduction engine: the post-barrier fold of every
-// kernel whose threads produce contributions outside their own row
-// partition. Three bindings use it — SplitCSR, whose threads all
-// compute partial dot products of the extracted long rows (Fig 6),
-// and SSS and precision-reduced SSS (bindSym), whose threads scatter
-// mirrored transpose contributions below their own rows. Each thread
-// slot owns a private window of cells, and after the single barrier
-// the dispatching goroutine folds every window into y serially: a
-// Split window holds one cell per long row and folds through the
-// long-row index table; an SSS window covers the rows [base, lo)
-// below its slot's range and folds into y[base:lo]. This type is that
-// one implementation, for both the scalar and the blocked (k-RHS
+// The parallel-reduction engine: the post-barrier fold of the SSS and
+// precision-reduced SSS kernels (bindSym), whose threads scatter
+// mirrored transpose contributions below their own row partition.
+// Each thread slot owns a private window covering the rows [base, lo)
+// below its slot's range, and after the single barrier the dispatching
+// goroutine folds every window into y[base:lo] serially. This type is
+// that one implementation, for both the scalar and the blocked (k-RHS
 // interleaved) paths.
 
 // reducer owns the per-slot windows and the fold of one prepared
 // kernel. Buffers are sized at construction (and grown by ensureBlock
 // for wider explicit MulMat calls), so steady-state use allocates
-// nothing. Kernels overwrite or clear their whole window before
-// accumulating into it, so no cell carries over between multiplies.
+// nothing. Kernels clear their whole window before accumulating into
+// it, so no cell carries over between multiplies.
 type reducer struct {
 	// win[t] is slot t's window: its cells fold into y[win[t].Lo:
-	// win[t].Hi] when scatter is nil.
+	// win[t].Hi].
 	win []sched.Range
 	// off[t] and off[t+1] bound slot t's cells in buf; at block width
 	// k slot t is bufBlock[off[t]*k : off[t+1]*k].
 	off []int
-	// scatter, when non-nil, maps cell c of every slot to output row
-	// scatter[c] (Split's long rows) instead of win[t].Lo+c.
-	scatter []int32
 	// buf is the scalar cell storage; bufBlock the blocked storage,
 	// cell c of a slot at [c*k : c*k+k] within the slot.
 	buf, bufBlock []float64
@@ -38,9 +30,8 @@ type reducer struct {
 
 // newReducer builds the engine over the given per-slot windows,
 // pre-sizing the blocked buffer at blockW so batches at the configured
-// width never allocate. A nil scatter folds slot t's cell c into
-// y[win[t].Lo+c].
-func newReducer(win []sched.Range, blockW int, scatter []int32) *reducer {
+// width never allocate.
+func newReducer(win []sched.Range, blockW int) *reducer {
 	off := make([]int, len(win)+1)
 	for t, w := range win {
 		off[t+1] = off[t] + w.Rows()
@@ -48,7 +39,6 @@ func newReducer(win []sched.Range, blockW int, scatter []int32) *reducer {
 	return &reducer{
 		win:      win,
 		off:      off,
-		scatter:  scatter,
 		buf:      make([]float64, off[len(win)]),
 		bufBlock: make([]float64, off[len(win)]*blockW),
 	}
@@ -82,15 +72,8 @@ func (r *reducer) slotBlock(t, k int) []float64 {
 // reduce folds every slot's window into y, slot by slot.
 func (r *reducer) reduce(y []float64) {
 	for t, w := range r.win {
-		cells := r.slot(t)
-		if r.scatter != nil {
-			for c, v := range cells {
-				y[r.scatter[c]] += v
-			}
-			continue
-		}
 		dst := y[w.Lo:w.Hi]
-		for c, v := range cells {
+		for c, v := range r.slot(t) {
 			dst[c] += v
 		}
 	}
@@ -100,19 +83,8 @@ func (r *reducer) reduce(y []float64) {
 // interleaved output block y at width k.
 func (r *reducer) reduceBlock(y []float64, k int) {
 	for t, w := range r.win {
-		cells := r.slotBlock(t, k)
-		if r.scatter != nil {
-			for c, row := range r.scatter {
-				dst := y[int(row)*k:][:k]
-				src := cells[c*k:][:k]
-				for l := range dst {
-					dst[l] += src[l]
-				}
-			}
-			continue
-		}
 		dst := y[w.Lo*k : w.Hi*k]
-		for c, v := range cells {
+		for c, v := range r.slotBlock(t, k) {
 			dst[c] += v
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
+	"github.com/sparsekit/spmvtuner/internal/plan"
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
@@ -382,4 +383,23 @@ func BenchmarkMulVecSSS(b *testing.B) {
 	}
 	b.Run("csr", func(b *testing.B) { run(b, ex.Optim{}) })
 	b.Run("sss", func(b *testing.B) { run(b, ex.Optim{Symmetric: true}) })
+}
+
+// TestPreparePlanRejectsHugeBlockWidth: a well-formed SSS plan file
+// with a 2^40 block width once made PreparePlan panic sizing the
+// reduction windows. The file fails at decode, and the same plan handed
+// to PreparePlan directly returns an error before anything is built.
+func TestPreparePlanRejectsHugeBlockWidth(t *testing.T) {
+	const file = `{"version":1,"machine":"host","classes":[],"format":"sss","schedule":"static-nnz","blockWidth":1099511627776,"symmetric":true}`
+	if _, err := plan.Decode([]byte(file)); err == nil {
+		t.Fatal("the 2^40 block-width plan decoded")
+	}
+	e := New()
+	defer e.Close()
+	m := symMatrix(200, 3)
+	p := plan.Plan{Version: plan.CurrentVersion, Machine: "host",
+		Opt: ex.Optim{Symmetric: true, BlockWidth: 1 << 40}}
+	if k, err := e.PreparePlan(m, p); err == nil {
+		t.Fatalf("PreparePlan compiled %v", k.Opt())
+	}
 }

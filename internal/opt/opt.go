@@ -227,8 +227,10 @@ func rowSweepSeconds(m *matrix.CSR, mdl machine.Model) float64 {
 // column-major storage); the symmetric extraction takes four — its
 // exactness verification builds and compares a full transpose (~two
 // sweeps) before the count + emit passes. The remaining members only
-// select kernels.
+// select kernels. It prices o's canonical form on mdl, so a host Split
+// configuration, which runs as CSR, converts nothing.
 func ConversionSeconds(m *matrix.CSR, mdl machine.Model, o ex.Optim) float64 {
+	o = o.Canonical(mdl)
 	var s float64
 	switch o.EffectiveFormat() {
 	case ex.FormatSplit, ex.FormatDelta:

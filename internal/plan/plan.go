@@ -132,8 +132,11 @@ func FormatName(f ex.Format) string {
 
 // Valid checks the plan's internal invariants: the schema version,
 // that the knob set is a real optimization (bound-kernel probes do not
-// compute SpMV and must never be stored), a sane block width, and a
-// schedule policy String can render (so the wire form round-trips).
+// compute SpMV and must never be stored), a block width no wider than
+// the widest register-blocked kernel (exec.DefaultBlockWidth: the
+// engine sizes per-slot scratch by it, so an unbounded width from an
+// untrusted file would allocate without bound), and a schedule policy
+// String can render (so the wire form round-trips).
 func (p Plan) Valid() error {
 	if p.Version != CurrentVersion {
 		return fmt.Errorf("plan: version %d, this library speaks %d", p.Version, CurrentVersion)
@@ -141,8 +144,8 @@ func (p Plan) Valid() error {
 	if p.Opt.IsBoundKernel() {
 		return fmt.Errorf("plan: bound-kernel probe %s is not an executable plan", p.Opt)
 	}
-	if p.Opt.BlockWidth < 0 {
-		return fmt.Errorf("plan: negative block width %d", p.Opt.BlockWidth)
+	if p.Opt.BlockWidth < 0 || p.Opt.BlockWidth > ex.DefaultBlockWidth {
+		return fmt.Errorf("plan: block width %d outside [0,%d]", p.Opt.BlockWidth, ex.DefaultBlockWidth)
 	}
 	if _, err := sched.ParsePolicy(p.Opt.Schedule.String()); err != nil {
 		return fmt.Errorf("plan: unserializable schedule policy %d", int(p.Opt.Schedule))

@@ -163,6 +163,12 @@ func TestValidRejectsBoundKernelsAndBadWidths(t *testing.T) {
 	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{BlockWidth: -2}}).Valid(); err == nil {
 		t.Fatal("negative block width accepted")
 	}
+	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{BlockWidth: ex.DefaultBlockWidth}}).Valid(); err != nil {
+		t.Fatalf("the widest register-blocked width rejected: %v", err)
+	}
+	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{BlockWidth: ex.DefaultBlockWidth + 1}}).Valid(); err == nil {
+		t.Fatal("block width above the widest kernel accepted")
+	}
 	if _, err := (Plan{Version: CurrentVersion, Opt: ex.Optim{RegularizeX: true}}).MarshalJSON(); err == nil {
 		t.Fatal("bound kernel plan serialized")
 	}
@@ -171,6 +177,20 @@ func TestValidRejectsBoundKernelsAndBadWidths(t *testing.T) {
 	// never read back.
 	if err := (Plan{Version: CurrentVersion, Classes: classify.NewSet(classify.MB)}).Valid(); err == nil {
 		t.Fatal("classes without HasClasses accepted")
+	}
+}
+
+// hugeBlockWidthPlan is a strictly well-formed plan file whose block
+// width would make the engine size SSS scratch at cells×2^40 floats.
+const hugeBlockWidthPlan = `{"version":1,"machine":"host","classes":[],"format":"sss","schedule":"static-nnz","blockWidth":1099511627776,"symmetric":true}`
+
+func TestDecodeRejectsHugeBlockWidth(t *testing.T) {
+	if _, err := Decode([]byte(hugeBlockWidthPlan)); err == nil || !strings.Contains(err.Error(), "block width") {
+		t.Fatalf("decode of a 2^40 block width = %v, want a block-width error", err)
+	}
+	ok := strings.Replace(hugeBlockWidthPlan, "1099511627776", "8", 1)
+	if _, err := Decode([]byte(ok)); err != nil {
+		t.Fatalf("the same plan at width 8 rejected: %v", err)
 	}
 }
 

@@ -236,15 +236,9 @@ func (e *Executor) buildProfile(m *matrix.CSR) *profile {
 		p.pMiss[i+1] = p.pMiss[i] + int64(miss.PerRow[i])
 		p.pVec[i+1] = p.pVec[i] + (nnz+lanes-1)/lanes
 	}
-	// Split statistics at the default threshold (matching
-	// formats.DefaultSplitThreshold: 16x the average row length with a
-	// floor of 256).
-	avg := float64(m.NNZ()) / float64(maxInt(1, n))
-	th := int64(16 * avg)
-	if th < 256 {
-		th = 256
-	}
-	p.splitThreshold = int(th)
+	// Split statistics at the default threshold.
+	p.splitThreshold = SplitThreshold(m)
+	th := int64(p.splitThreshold)
 	p.pNNZBase = make([]int64, n+1)
 	p.pMissBase = make([]int64, n+1)
 	p.pVecBase = make([]int64, n+1)
@@ -264,6 +258,17 @@ func (e *Executor) buildProfile(m *matrix.CSR) *profile {
 		p.pVecBase[i+1] = p.pVecBase[i] + rowVec
 	}
 	return p
+}
+
+// SplitThreshold is the row length above which the long-row
+// decomposition (Fig 5) extracts a row. It mirrors the paper's
+// detection heuristic: a row is long when it dwarfs the average row
+// length (the classifier compares nnzmax against nnzavg), here 16x
+// the average; the floor of 256 keeps small matrices from splitting on
+// noise.
+func SplitThreshold(m *matrix.CSR) int {
+	avg := float64(m.NNZ()) / float64(maxInt(1, m.NRows))
+	return max(int(16*avg), 256)
 }
 
 func maxInt(a, b int) int {

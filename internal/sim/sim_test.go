@@ -118,6 +118,51 @@ func TestSplitFixesDenseRowImbalance(t *testing.T) {
 	}
 }
 
+func TestSplitThreshold(t *testing.T) {
+	if th := SplitThreshold(gen.Banded(1000, 4, 1.0, 1)); th != 256 {
+		t.Fatalf("short-row threshold = %d, want the floor 256", th)
+	}
+	md := gen.FewDenseRows(5000, 4, 3, 4000, 2)
+	if th := SplitThreshold(md); th >= 4000 {
+		t.Fatalf("threshold %d would miss the 4000-long dense rows", th)
+	}
+	// 16x the average row length once that clears the floor.
+	wide := gen.Dense(64, 3)
+	if th := SplitThreshold(wide); th != 16*64 {
+		t.Fatalf("dense 64-column threshold = %d, want %d", th, 16*64)
+	}
+}
+
+// TestSplitExtractsLongRows pins the decomposition statistics the
+// model prices Split from: exactly the rows above the threshold move to
+// the long part, every element lands in exactly one part, and a matrix
+// without long rows keeps its whole stream in the base.
+func TestSplitExtractsLongRows(t *testing.T) {
+	e := New(machine.KNC())
+	for _, c := range []struct {
+		name string
+		m    *matrix.CSR
+		long int
+	}{
+		{"dense-rows", gen.FewDenseRows(2000, 5, 3, 1200, 7), 3},
+		{"banded", gen.Banded(400, 3, 0.9, 2), 0},
+	} {
+		p := e.profileOf(c.m)
+		if p.nLong != c.long {
+			t.Fatalf("%s: long rows = %d, want %d", c.name, p.nLong, c.long)
+		}
+		n := c.m.NRows
+		if p.longNNZ+p.pNNZBase[n] != int64(c.m.NNZ()) {
+			t.Fatalf("%s: long %d + base %d elements != nnz %d", c.name, p.longNNZ, p.pNNZBase[n], c.m.NNZ())
+		}
+		for i := 0; i < n; i++ {
+			if base := p.pNNZBase[i+1] - p.pNNZBase[i]; base > int64(p.splitThreshold) {
+				t.Fatalf("%s: base row %d still long: %d", c.name, i, base)
+			}
+		}
+	}
+}
+
 func TestDynamicScheduleFixesUnevenness(t *testing.T) {
 	e := New(machine.KNC())
 	// Computational unevenness: half the matrix is banded (cheap),
@@ -452,7 +497,9 @@ func TestHostPricesCanonicalForm(t *testing.T) {
 		{Prefetch: true},
 		{Unroll: true, Schedule: sched.StaticRows},
 		{Vectorize: true, Prefetch: true, Unroll: true},
+		{Split: true},
 		{Split: true, Prefetch: true, Schedule: sched.Dynamic},
+		{Split: true, SellCS: true, Schedule: sched.StaticRows},
 		{Compress: true, Vectorize: true, Schedule: sched.Guided},
 		{Compress: true}, // priced as the vector decoder it runs
 		{SellCS: true, Vectorize: true, Unroll: true, Compress: true},
