@@ -133,33 +133,38 @@ func TestSplitThreshold(t *testing.T) {
 	}
 }
 
-// TestSplitExtractsLongRows pins the decomposition statistics the
-// model prices Split from: exactly the rows above the threshold move to
-// the long part, every element lands in exactly one part, and a matrix
-// without long rows keeps its whole stream in the base.
-func TestSplitExtractsLongRows(t *testing.T) {
-	e := New(machine.KNC())
-	for _, c := range []struct {
-		name string
-		m    *matrix.CSR
-		long int
-	}{
-		{"dense-rows", gen.FewDenseRows(2000, 5, 3, 1200, 7), 3},
-		{"banded", gen.Banded(400, 3, 0.9, 2), 0},
-	} {
-		p := e.profileOf(c.m)
-		if p.nLong != c.long {
-			t.Fatalf("%s: long rows = %d, want %d", c.name, p.nLong, c.long)
+// checkLongRowStats pins the decomposition statistics the model prices
+// Split from: exactly the rows above the threshold move to the long
+// part, every element lands in exactly one part, and no base row stays
+// above the threshold.
+func checkLongRowStats(t *testing.T, m *matrix.CSR, long int) {
+	t.Helper()
+	p := New(machine.KNC()).profileOf(m)
+	if p.nLong != long {
+		t.Fatalf("long rows = %d, want %d", p.nLong, long)
+	}
+	n := m.NRows
+	if p.longNNZ+p.pNNZBase[n] != int64(m.NNZ()) {
+		t.Fatalf("long %d + base %d elements != nnz %d", p.longNNZ, p.pNNZBase[n], m.NNZ())
+	}
+	for i := 0; i < n; i++ {
+		if base := p.pNNZBase[i+1] - p.pNNZBase[i]; base > int64(p.splitThreshold) {
+			t.Fatalf("base row %d still long: %d", i, base)
 		}
-		n := c.m.NRows
-		if p.longNNZ+p.pNNZBase[n] != int64(c.m.NNZ()) {
-			t.Fatalf("%s: long %d + base %d elements != nnz %d", c.name, p.longNNZ, p.pNNZBase[n], c.m.NNZ())
-		}
-		for i := 0; i < n; i++ {
-			if base := p.pNNZBase[i+1] - p.pNNZBase[i]; base > int64(p.splitThreshold) {
-				t.Fatalf("%s: base row %d still long: %d", c.name, i, base)
-			}
-		}
+	}
+}
+
+func TestProfileExtractsLongRows(t *testing.T) {
+	checkLongRowStats(t, gen.FewDenseRows(2000, 5, 3, 1200, 7), 3)
+}
+
+// TestProfileNoLongRows: a matrix without long rows keeps its whole
+// stream in the base part.
+func TestProfileNoLongRows(t *testing.T) {
+	m := gen.Banded(400, 3, 0.9, 2)
+	checkLongRowStats(t, m, 0)
+	if p := New(machine.KNC()).profileOf(m); p.longNNZ != 0 {
+		t.Fatalf("long elements = %d, want 0", p.longNNZ)
 	}
 }
 
