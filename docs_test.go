@@ -498,7 +498,8 @@ func TestSIMDGuideSamples(t *testing.T) {
 
 // TestPrecisionGuideSamples exercises docs/guide/precision.md: the
 // budget-gated facade flow, the variant ladder and plan string the
-// guide tabulates, the direct conversion sample, and the f64 fallback
+// guide tabulates, the float32 instance sample and its bit identity
+// with the float64 instance on rounded values, and the f64 fallback
 // rule.
 func TestPrecisionGuideSamples(t *testing.T) {
 	// The guide's budget-is-the-door sample on a modeled-MB matrix.
@@ -531,14 +532,28 @@ func TestPrecisionGuideSamples(t *testing.T) {
 		t.Fatalf("budget at 1e-6 admits %v, want f32", c)
 	}
 
-	// The guide's direct conversion sample (internal packages, as it
-	// notes), including its printed claims.
+	// The guide's float32 instance sample (internal packages),
+	// including its printed and commented claims.
 	csr := gen.UniformRandom(5000, 8, 1)
 	if !formats.FitsF32(csr.Val) {
 		t.Fatal("guide promises these values fit 1e-6")
 	}
-	if p := formats.ConvertPrecCSR(csr); p.Bytes() >= csr.Bytes() {
-		t.Fatalf("f32 stream %d bytes not below f64's %d", p.Bytes(), csr.Bytes())
+	val := formats.NarrowF32(csr.Val)
+	y32, y64 := make([]float64, csr.NRows), make([]float64, csr.NRows)
+	x := make([]float64, csr.NCols)
+	for i := range x {
+		x[i] = 1 + 0.25*float64(i%5)
+	}
+	kernels.CSRRows(csr, &val, x, y32, 0, csr.NRows)
+	rounded := csr.Clone()
+	for j, v := range val {
+		rounded.Val[j] = float64(v)
+	}
+	kernels.CSRRange(rounded, x, y64, 0, csr.NRows)
+	for i := range y32 {
+		if y32[i] != y64[i] {
+			t.Fatalf("float32 instance y[%d] = %g, float64 instance on rounded values %g", i, y32[i], y64[i])
+		}
 	}
 
 	// The fallback rule: values f32 cannot hold fail the check, and a

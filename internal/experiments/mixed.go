@@ -155,7 +155,7 @@ func Mixed(cfg Config) (*MixedResult, error) {
 			Classes: set.String(),
 			NNZ:     m.NNZ(),
 			F64MB:   float64(m.Bytes()) / (1 << 20),
-			F32MB:   float64(formats.ConvertPrecCSR(m).Bytes()) / (1 << 20),
+			F32MB:   float64(m.Bytes()-4*int64(m.NNZ())) / (1 << 20),
 			F64Us:   f64s * 1e6,
 			F32Us:   f32s * 1e6,
 			F32Err:  f32Err,

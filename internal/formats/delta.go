@@ -1,8 +1,10 @@
 // Package formats implements the CSR-derived storage formats of the
 // paper's optimization pool (Table II): DeltaCSR, which compresses the
 // column-index array with 8- or 16-bit deltas (the MB-class
-// optimization, after Pooch & Nieder), plus SELL-C-σ, symmetric
-// storage and their reduced-precision forms. The paper's long-row
+// optimization, after Pooch & Nieder), plus SELL-C-σ and symmetric
+// storage. A reduced-precision form is no separate type: it is a
+// format's structure plus NarrowF32 of its values, run by the same
+// loop bodies instantiated over Value (prec.go). The paper's long-row
 // decomposition (Fig 5) has no storage format here: the host serves
 // uneven row lengths with the CSR gather body under the auto schedule,
 // and internal/sim prices the decomposition on the modeled platforms.

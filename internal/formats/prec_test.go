@@ -1,12 +1,15 @@
 package formats
 
-// Differential and property tests for the f32 value formats. The
+// Differential and property tests for the f32 value storage. The
 // contract under test is the per-entry error bound: for every generator
-// family, the reduced form's result must stay within F32EntryBound of
-// the f64 CSR reference — measured componentwise against the row's
-// magnitude scale Σ_j |a_ij·x_j|, the right yardstick when cancellation
-// shrinks |y_i| — and FitsF32 must refuse every finite value float32
-// would silently turn into ±Inf or 0.
+// family, a product over narrowed values must stay within
+// F32EntryBound of the f64 CSR reference — measured componentwise
+// against the row's magnitude scale Σ_j |a_ij·x_j|, the right
+// yardstick when cancellation shrinks |y_i| — and FitsF32 must refuse
+// every finite value float32 would silently turn into ±Inf or 0. The
+// SELL-C-σ bodies live here, so their float32 instance is also held
+// bit-identical to the float64 instance on rounded values; the CSR and
+// SSS instances are held to the same oracle in internal/native.
 
 import (
 	"encoding/binary"
@@ -69,8 +72,46 @@ func precDiff(t *testing.T, label string, m *matrix.CSR, mul func(x, y []float64
 	}
 }
 
-// TestPrecDifferential sweeps every generator family: the reduced CSR
-// and SELL forms must track the f64 reference within F32EntryBound.
+// widened returns the float64 image of narrowed values: what the
+// float64 oracle of a float32 instance runs on.
+func widened(v32 []float32) []float64 {
+	out := make([]float64, len(v32))
+	for i, v := range v32 {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// sellF32 returns the MulVec of s's float32 instance, after checking
+// it bit for bit against the float64 instance on rounded values (NaN
+// matching NaN).
+func sellF32(t *testing.T, s *SellCS) func(x, y []float64) {
+	t.Helper()
+	v32 := NarrowF32(s.Vals)
+	v64 := widened(v32)
+	return func(x, y []float64) {
+		SellCSChunks(s, &v32, x, y, 0, s.NChunks())
+		want := make([]float64, len(y))
+		SellCSChunks(s, &v64, x, want, 0, s.NChunks())
+		sameBits(t, "f32 sellcs", y, want)
+	}
+}
+
+// sameBits fails unless got equals the float64 instance's want bit for
+// bit, NaN matching NaN.
+func sameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: y[%d] = %g, float64 instance on rounded values %g", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPrecDifferential sweeps every generator family: the f64 CSR
+// product on rounded values (the oracle of the CSR float32 instance)
+// and the SELL float32 instances must track the f64 reference within
+// F32EntryBound.
 func TestPrecDifferential(t *testing.T) {
 	for _, fam := range families() {
 		fam := fam
@@ -81,21 +122,21 @@ func TestPrecDifferential(t *testing.T) {
 				if !FitsF32(m.Val) {
 					t.Fatalf("seed %d: generated values must fit float32", seed)
 				}
-				precDiff(t, "prec-csr", m, ConvertPrecCSR(m).MulVec)
+				r := m.Clone()
+				r.Val = widened(NarrowF32(m.Val))
+				precDiff(t, "f32-csr", m, r.MulVec)
 				for _, s := range []*SellCS{ConvertSellCSAuto(m), ConvertSellCS(m, 3, 7)} {
-					ps := ConvertPrecSellCS(s)
-					precDiff(t, "prec-sellcs", m, ps.MulVec)
-					if ps.NNZ() != m.NNZ() {
-						t.Fatalf("seed %d: sell nnz %d != %d", seed, ps.NNZ(), m.NNZ())
-					}
+					precDiff(t, "f32-sellcs", m, sellF32(t, s))
 				}
 			}
 		})
 	}
 }
 
-// TestPrecDifferentialSSS sweeps the symmetric families: the reduced
-// symmetric storage must track the mirrored f64 reference.
+// TestPrecDifferentialSSS sweeps the symmetric families: symmetric
+// storage with a narrowed lower triangle and the f64 diagonal — the
+// values its float32 instance runs on — must track the mirrored f64
+// reference.
 func TestPrecDifferentialSSS(t *testing.T) {
 	for _, fam := range symFamilies() {
 		fam := fam
@@ -103,7 +144,9 @@ func TestPrecDifferentialSSS(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3} {
 				n := 40 + int(seed*37)%300
 				m := fam.build(n, seed)
-				precDiff(t, "prec-sss", m, ConvertPrecSSS(ConvertSSS(m)).MulVec)
+				s := ConvertSSS(m)
+				s.Lower.Val = widened(NarrowF32(s.Lower.Val))
+				precDiff(t, "f32-sss", m, s.MulVec)
 			}
 		})
 	}
@@ -145,15 +188,14 @@ func TestPrecNonFinitePropagation(t *testing.T) {
 		t.Fatal("non-finite values must fit: float32 stores them faithfully")
 	}
 	y := make([]float64, 3)
-	ConvertPrecCSR(m).MulVec([]float64{1, 1, 1}, y)
+	sellF32(t, ConvertSellCSAuto(m))([]float64{1, 1, 1}, y)
 	if !math.IsNaN(y[0]) || !math.IsInf(y[1], 1) || !math.IsInf(y[2], -1) {
 		t.Fatalf("specials did not propagate: y = %v", y)
 	}
 }
 
 // TestPrecF32FullMantissas: random full-mantissa values lose their low
-// bits in float32 but stay well within the bound, and the reduced
-// stream is smaller than the f64 one.
+// bits in float32 but stay well within the bound.
 func TestPrecF32FullMantissas(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 64
@@ -167,33 +209,27 @@ func TestPrecF32FullMantissas(t *testing.T) {
 	if !FitsF32(m.Val) {
 		t.Fatal("normal-range values must fit float32")
 	}
-	p := ConvertPrecCSR(m)
-	precDiff(t, "f32-full-mantissas", m, p.MulVec)
-	if p.Bytes() >= m.Bytes() {
-		t.Fatalf("reduced bytes %d not below f64 bytes %d", p.Bytes(), m.Bytes())
+	lost := 0
+	for j, v := range NarrowF32(m.Val) {
+		if float64(v) != m.Val[j] {
+			lost++
+		}
 	}
+	if lost == 0 {
+		t.Fatal("narrowing kept every full mantissa: nothing was rounded")
+	}
+	precDiff(t, "f32-full-mantissas", m, sellF32(t, ConvertSellCSAuto(m)))
 }
 
-// TestPrecBytesAccounting: Bytes counts 4-byte values and the shared
-// structure arrays, nothing else.
-func TestPrecBytesAccounting(t *testing.T) {
-	coo := matrix.NewCOO(2, 2)
-	coo.Add(0, 0, 1.0)
-	coo.Add(1, 1, 2.0)
-	p := ConvertPrecCSR(coo.ToCSR())
-	want := int64(len(p.Val))*4 + int64(len(p.ColInd))*4 + int64(len(p.RowPtr))*8
-	if p.Bytes() != want {
-		t.Fatalf("Bytes %d, want %d", p.Bytes(), want)
-	}
-}
-
-// FuzzConvertPrecCSR feeds raw float64 bit patterns — subnormals,
-// values beyond MaxFloat32, NaN and ±Inf included — through the f32
-// conversion. Either FitsF32 refuses the values, or every stored f32
-// is within F32EntryBound of its source with specials kept exactly,
-// and PrecCSR.MulVec agrees with the f64 reference within the bound
-// (non-finite rows in kind: the same NaN or the same signed Inf).
-func FuzzConvertPrecCSR(f *testing.F) {
+// FuzzNarrowF32 feeds raw float64 bit patterns — subnormals, values
+// beyond MaxFloat32, NaN and ±Inf included — through NarrowF32. Either
+// FitsF32 refuses the values, or every narrowed value is within
+// F32EntryBound of its source with specials kept exactly, the SELL
+// float32 instance equals the float64 instance on rounded values bit
+// for bit (NaN matching NaN, for MulVec and a 3-wide block), and its
+// product agrees with the f64 reference within the bound (non-finite
+// rows in kind: the same NaN or the same signed Inf).
+func FuzzNarrowF32(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		b := make([]byte, 8*len(vals))
 		for i, v := range vals {
@@ -225,9 +261,8 @@ func FuzzConvertPrecCSR(f *testing.F) {
 		if !FitsF32(m.Val) {
 			return
 		}
-		p := ConvertPrecCSR(m)
-		for j, v := range m.Val {
-			w := float64(p.Val[j])
+		for j, w32 := range NarrowF32(m.Val) {
+			v, w := m.Val[j], float64(w32)
 			switch {
 			case math.IsNaN(v):
 				if !math.IsNaN(w) {
@@ -241,13 +276,15 @@ func FuzzConvertPrecCSR(f *testing.F) {
 				t.Fatalf("entry %d: %g stored as %g, beyond the bound", j, v, w)
 			}
 		}
+		// Full-mantissa x, so a reordered sum would change bits.
 		x := make([]float64, n)
 		for i := range x {
-			x[i] = 1 + 0.25*float64(i%5)
+			x[i] = 1 + 1/float64(i+3)
 		}
+		s := ConvertSellCSAuto(m)
 		ref, scale := precRef(m, x)
 		got := make([]float64, n)
-		p.MulVec(x, got)
+		sellF32(t, s)(x, got)
 		for i := range ref {
 			switch {
 			case math.IsNaN(ref[i]):
@@ -262,5 +299,17 @@ func FuzzConvertPrecCSR(f *testing.F) {
 				t.Fatalf("y[%d] = %.17g, want %.17g within %g*%g", i, got[i], ref[i], precTol, scale[i])
 			}
 		}
+		const k = 3
+		v32 := NarrowF32(s.Vals)
+		v64 := widened(v32)
+		xb := make([]float64, n*k)
+		for i := range xb {
+			xb[i] = 1 + 1/float64(i+3)
+		}
+		yb32 := make([]float64, n*k)
+		yb64 := make([]float64, n*k)
+		SellCSBlockChunks(s, &v32, xb, yb32, k, 0, s.NChunks())
+		SellCSBlockChunks(s, &v64, xb, yb64, k, 0, s.NChunks())
+		sameBits(t, "f32 sellcs block", yb32, yb64)
 	})
 }

@@ -262,6 +262,16 @@ func (s *SellCS) MulVec(x, y []float64) {
 //
 //spmv:hotpath
 func (s *SellCS) MulVecChunks(x, y []float64, lo, hi int) {
+	SellCSChunks(s, &s.Vals, x, y, lo, hi)
+}
+
+// SellCSChunks is the chunk-row body of MulVecChunks over the value
+// array *vals, laid out like s.Vals: s supplies only the geometry
+// (C, ChunkPtr, RowLen, Cols, Perm), so a float32 instance runs on a
+// structure whose f64 values are dropped.
+//
+//spmv:hotpath
+func SellCSChunks[V Value](s *SellCS, vals *[]V, x, y []float64, lo, hi int) {
 	c := s.C
 	for k := lo; k < hi; k++ {
 		ptr := s.ChunkPtr[k]
@@ -274,7 +284,7 @@ func (s *SellCS) MulVecChunks(x, y []float64, lo, hi int) {
 			var sum float64
 			p := ptr + int64(r)
 			for j := int32(0); j < s.RowLen[base+r]; j++ {
-				sum += s.Vals[p] * x[s.Cols[p]]
+				sum += float64((*vals)[p]) * x[s.Cols[p]]
 				p += int64(c)
 			}
 			y[s.Perm[base+r]] = sum
@@ -291,6 +301,14 @@ func (s *SellCS) MulVecChunks(x, y []float64, lo, hi int) {
 //
 //spmv:hotpath
 func (s *SellCS) MulMatChunks(x, y []float64, k, lo, hi int) {
+	SellCSBlockChunks(s, &s.Vals, x, y, k, lo, hi)
+}
+
+// SellCSBlockChunks is the blocked body of MulMatChunks over the value
+// array *vals, under the SellCSChunks geometry contract.
+//
+//spmv:hotpath
+func SellCSBlockChunks[V Value](s *SellCS, vals *[]V, x, y []float64, k, lo, hi int) {
 	c := s.C
 	for ch := lo; ch < hi; ch++ {
 		base := ch * c
@@ -305,7 +323,7 @@ func (s *SellCS) MulMatChunks(x, y []float64, k, lo, hi int) {
 			}
 			p := s.ChunkPtr[ch] + int64(r)
 			for j := int32(0); j < s.RowLen[base+r]; j++ {
-				v := s.Vals[p]
+				v := float64((*vals)[p])
 				xr := x[int(s.Cols[p])*k:][:k]
 				for l := range yr {
 					yr[l] += v * xr[l]

@@ -20,6 +20,15 @@
 // the oracle to rounding, not bit-for-bit — exactly the tolerance the
 // differential suite checks. Scalar tails use FMA too, for the same
 // reason.
+//
+// Every TEXT body starts with PCALIGN $64, which raises the function's
+// alignment to a cache line. Where the linker places a body then no
+// longer moves its loops across line boundaries when unrelated code
+// changes size: on short-row matrices (lap2d, 5 per row) the
+// 32-byte-offset placement of csrGatherRangeAVX512 ran about 20%
+// slower than the line-aligned one on an AVX-512 host.
+// TestAsmBodiesCacheLineAligned checks the placement in the test
+// binary.
 
 #include "textflag.h"
 
@@ -407,22 +416,27 @@ done: \
 
 // func deltaRange8AVX512(rowptr []int64, firstcol []int32, deltas []uint8, overflow []int32, val, x, y []float64, lo, hi, oi int)
 TEXT ·deltaRange8AVX512(SB), NOSPLIT, $0-192
+	PCALIGN $64
 	DELTA_AVX512(VPMOVZXBD, 1, MOVBLZX)
 
 // func deltaRange16AVX512(rowptr []int64, firstcol []int32, deltas []uint16, overflow []int32, val, x, y []float64, lo, hi, oi int)
 TEXT ·deltaRange16AVX512(SB), NOSPLIT, $0-192
+	PCALIGN $64
 	DELTA_AVX512(VPMOVZXWD, 2, MOVWLZX)
 
 // func deltaRange8AVX2(rowptr []int64, firstcol []int32, deltas []uint8, overflow []int32, val, x, y []float64, lo, hi, oi int)
 TEXT ·deltaRange8AVX2(SB), NOSPLIT, $72-192
+	PCALIGN $64
 	DELTA_AVX2(VPMOVZXBD, 1, 8, MOVBLZX)
 
 // func deltaRange16AVX2(rowptr []int64, firstcol []int32, deltas []uint16, overflow []int32, val, x, y []float64, lo, hi, oi int)
 TEXT ·deltaRange16AVX2(SB), NOSPLIT, $72-192
+	PCALIGN $64
 	DELTA_AVX2(VPMOVZXWD, 2, 16, MOVWLZX)
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
+	PCALIGN $64
 	MOVL leaf+0(FP), AX
 	MOVL sub+4(FP), CX
 	CPUID
@@ -434,6 +448,7 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 
 // func xgetbv() (eax, edx uint32)
 TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	PCALIGN $64
 	XORL CX, CX
 	XGETBV
 	MOVL AX, eax+0(FP)
@@ -449,8 +464,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // func csrGatherRangeAVX2(rowptr []int64, colind []int32, val, x, y []float64, lo, hi int)
 //
 // y[i] = sum_j val[j]*x[colind[j]] for rows [lo,hi): 8 elements per
-// iteration as two 4-wide gather+FMA streams, scalar-FMA tail. Aligned
-// to a cache line like csrGatherRangeAVX512.
+// iteration as two 4-wide gather+FMA streams, scalar-FMA tail.
 TEXT ·csrGatherRangeAVX2(SB), NOSPLIT, $0-136
 	PCALIGN $64
 	MOVQ rowptr_base+0(FP), R10
@@ -516,12 +530,6 @@ a2done:
 //
 // The 8-lane form: 16 elements per iteration as two 8-wide
 // gather+FMA streams, one 8-wide step, scalar-FMA tail.
-//
-// The leading PCALIGN raises the function's alignment to a cache line,
-// so where the linker places it no longer moves the row and tail loops
-// across line boundaries: on short-row matrices (lap2d, 5 per row) the
-// 32-byte-offset placement ran about 20% slower than the line-aligned
-// one on an AVX-512 host.
 TEXT ·csrGatherRangeAVX512(SB), NOSPLIT, $0-136
 	PCALIGN $64
 	MOVQ rowptr_base+0(FP), R10
@@ -604,6 +612,7 @@ a5done:
 // accumulates its row's terms in slot order — the same order as the
 // scalar oracle's acc[0..7].
 TEXT ·sellChunkC8AVX2(SB), NOSPLIT, $0-40
+	PCALIGN $64
 	MOVQ vals+0(FP), SI
 	MOVQ cols+8(FP), DI
 	MOVQ x+16(FP), R8
@@ -641,6 +650,7 @@ s2done:
 // The 8-lane form: one chunk column slot is exactly one ZMM gather +
 // one FMA.
 TEXT ·sellChunkC8AVX512(SB), NOSPLIT, $0-40
+	PCALIGN $64
 	MOVQ vals+0(FP), SI
 	MOVQ cols+8(FP), DI
 	MOVQ x+16(FP), R8
@@ -675,6 +685,7 @@ s5done:
 // accumulators hide FMA latency; R15 walks y by one 32-byte row per
 // matrix row.
 TEXT ·csrBlock4RangeAVX2(SB), NOSPLIT, $0-136
+	PCALIGN $64
 	MOVQ rowptr_base+0(FP), R10
 	MOVQ colind_base+24(FP), DI
 	MOVQ val_base+48(FP), SI
@@ -738,6 +749,7 @@ b4done:
 // k=8: one broadcast feeds two 4-wide FMAs per element (the two
 // halves of the 64-byte x row).
 TEXT ·csrBlock8RangeAVX2(SB), NOSPLIT, $0-136
+	PCALIGN $64
 	MOVQ rowptr_base+0(FP), R10
 	MOVQ colind_base+24(FP), DI
 	MOVQ val_base+48(FP), SI
@@ -787,6 +799,7 @@ b8done:
 // k=8 at full ZMM width: one broadcast + one FMA per element, two
 // accumulators to hide FMA latency.
 TEXT ·csrBlock8RangeAVX512(SB), NOSPLIT, $0-136
+	PCALIGN $64
 	MOVQ rowptr_base+0(FP), R10
 	MOVQ colind_base+24(FP), DI
 	MOVQ val_base+48(FP), SI

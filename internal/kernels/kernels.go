@@ -26,6 +26,13 @@
 // the differential-test oracle every assembly body is verified against
 // (dispatch_test.go), and the only bodies built under `-tags noasm` or
 // on non-amd64 hosts. See docs/guide/simd.md.
+//
+// Each pure-Go loop shape has one body generic over the stored value
+// type (formats.Value): CSRRows, CSRVector8Rows, CSRBlockRows, SSSRows
+// and SSSBlockRows here, formats.SellCSChunks and
+// formats.SellCSBlockChunks for SELL-C-σ. The float64 kernels run the
+// float64 instance; the reduced-precision bindings run the float32
+// instance on the same structure, always accumulating in float64.
 package kernels
 
 import (
@@ -41,10 +48,19 @@ type RangeKernel func(m *matrix.CSR, x, y []float64, lo, hi int)
 //
 //spmv:hotpath
 func CSRRange(m *matrix.CSR, x, y []float64, lo, hi int) {
+	CSRRows(m, &m.Val, x, y, lo, hi)
+}
+
+// CSRRows is the scalar CSR row body over the value array *val: m
+// supplies only the structure (RowPtr, ColInd), so the float32
+// instance runs on the same rows with narrowed values.
+//
+//spmv:hotpath
+func CSRRows[V formats.Value](m *matrix.CSR, val *[]V, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		var sum float64
 		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-			sum += m.Val[j] * x[m.ColInd[j]]
+			sum += float64((*val)[j]) * x[m.ColInd[j]]
 		}
 		y[i] = sum
 	}
@@ -58,23 +74,31 @@ func CSRRange(m *matrix.CSR, x, y []float64, lo, hi int) {
 //
 //spmv:hotpath
 func CSRVector8Range(m *matrix.CSR, x, y []float64, lo, hi int) {
+	CSRVector8Rows(m, &m.Val, x, y, lo, hi)
+}
+
+// CSRVector8Rows is the eight-accumulator row body of CSRVector8Range
+// over the value array *val, under the CSRRows structure contract.
+//
+//spmv:hotpath
+func CSRVector8Rows[V formats.Value](m *matrix.CSR, val *[]V, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		jlo, jhi := m.RowPtr[i], m.RowPtr[i+1]
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
 		j := jlo
 		for ; j+8 <= jhi; j += 8 {
-			s0 += m.Val[j] * x[m.ColInd[j]]
-			s1 += m.Val[j+1] * x[m.ColInd[j+1]]
-			s2 += m.Val[j+2] * x[m.ColInd[j+2]]
-			s3 += m.Val[j+3] * x[m.ColInd[j+3]]
-			s4 += m.Val[j+4] * x[m.ColInd[j+4]]
-			s5 += m.Val[j+5] * x[m.ColInd[j+5]]
-			s6 += m.Val[j+6] * x[m.ColInd[j+6]]
-			s7 += m.Val[j+7] * x[m.ColInd[j+7]]
+			s0 += float64((*val)[j]) * x[m.ColInd[j]]
+			s1 += float64((*val)[j+1]) * x[m.ColInd[j+1]]
+			s2 += float64((*val)[j+2]) * x[m.ColInd[j+2]]
+			s3 += float64((*val)[j+3]) * x[m.ColInd[j+3]]
+			s4 += float64((*val)[j+4]) * x[m.ColInd[j+4]]
+			s5 += float64((*val)[j+5]) * x[m.ColInd[j+5]]
+			s6 += float64((*val)[j+6]) * x[m.ColInd[j+6]]
+			s7 += float64((*val)[j+7]) * x[m.ColInd[j+7]]
 		}
 		var tail float64
 		for ; j < jhi; j++ {
-			tail += m.Val[j] * x[m.ColInd[j]]
+			tail += float64((*val)[j]) * x[m.ColInd[j]]
 		}
 		y[i] = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + tail
 	}

@@ -40,7 +40,7 @@ func CSRBlockRange(m *matrix.CSR, x, y []float64, k, lo, hi int) {
 	case 8:
 		block8Impl(m, x, y, lo, hi)
 	default:
-		csrBlockGenericRange(m, x, y, k, lo, hi)
+		CSRBlockRows(m, &m.Val, x, y, k, lo, hi)
 	}
 }
 
@@ -59,7 +59,7 @@ func ScalarCSRBlockRange(m *matrix.CSR, x, y []float64, k, lo, hi int) {
 	case 8:
 		csrBlock8Range(m, x, y, lo, hi)
 	default:
-		csrBlockGenericRange(m, x, y, k, lo, hi)
+		CSRBlockRows(m, &m.Val, x, y, k, lo, hi)
 	}
 }
 
@@ -127,18 +127,19 @@ func csrBlock8Range(m *matrix.CSR, x, y []float64, lo, hi int) {
 	}
 }
 
-// csrBlockGenericRange is the any-k tail: the output row (k floats,
-// L1 resident for the whole row) is the accumulator.
+// CSRBlockRows is the any-k tail over the value array *val, under the
+// CSRRows structure contract: the output row (k floats, L1 resident
+// for the whole row) is the accumulator.
 //
 //spmv:hotpath
-func csrBlockGenericRange(m *matrix.CSR, x, y []float64, k, lo, hi int) {
+func CSRBlockRows[V formats.Value](m *matrix.CSR, val *[]V, x, y []float64, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yr := y[i*k : i*k+k]
 		for l := range yr {
 			yr[l] = 0
 		}
 		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-			v := m.Val[j]
+			v := float64((*val)[j])
 			xr := x[int(m.ColInd[j])*k:][:k]
 			for l := range yr {
 				yr[l] += v * xr[l]

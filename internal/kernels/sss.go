@@ -22,26 +22,29 @@ import (
 // only the per-element column test, which their k-wide updates
 // dwarf).
 
-// SSSRange computes rows [lo, hi) of the symmetric kernel: y[i] gets
-// the diagonal plus lower-triangle dot product of row i, and the
-// mirrored contribution v*x[i] of each stored (i, c) adds into y[c]
-// when c ≥ lo and into window[c-base] otherwise. base must not exceed
-// the smallest column of rows [lo, hi), and the caller zeroes
-// window[0 : lo-base) before the pass; no other window cell and no y
-// cell outside [lo, hi) is touched.
+// SSSRows computes rows [lo, hi) of the symmetric kernel over the
+// lower-triangle value array *val (&s.Lower.Val for the float64
+// instance): y[i] gets the diagonal plus lower-triangle dot product of
+// row i, and the mirrored contribution v*x[i] of each stored (i, c)
+// adds into y[c] when c ≥ lo and into window[c-base] otherwise. base
+// must not exceed the smallest column of rows [lo, hi), and the caller
+// zeroes window[0 : lo-base) before the pass; no other window cell and
+// no y cell outside [lo, hi) is touched. s supplies only the structure
+// (Lower.RowPtr, Lower.ColInd) and the f64 diagonal, so the float32
+// instance keeps the diagonal exact and narrows only the triangle.
 //
 //spmv:hotpath
-func SSSRange(s *formats.SSS, x, y, window []float64, base, lo, hi int) {
+func SSSRows[V formats.Value](s *formats.SSS, val *[]V, x, y, window []float64, base, lo, hi int) {
 	L := s.Lower
 	for i := lo; i < hi; i++ {
 		xi := x[i]
 		sum := s.Diag[i] * xi
 		cols := L.ColInd[L.RowPtr[i]:L.RowPtr[i+1]]
-		vals := L.Val[L.RowPtr[i]:L.RowPtr[i+1]]
+		vals := (*val)[L.RowPtr[i]:L.RowPtr[i+1]]
 		vals = vals[:len(cols)]
 		if len(cols) > 0 && int(cols[0]) < lo {
 			for j, c := range cols {
-				v := vals[j]
+				v := float64(vals[j])
 				sum += v * x[c]
 				if int(c) < lo {
 					window[int(c)-base] += v * xi
@@ -51,7 +54,7 @@ func SSSRange(s *formats.SSS, x, y, window []float64, base, lo, hi int) {
 			}
 		} else {
 			for j, c := range cols {
-				v := vals[j]
+				v := float64(vals[j])
 				sum += v * x[c]
 				y[c] += v * xi
 			}
@@ -60,14 +63,14 @@ func SSSRange(s *formats.SSS, x, y, window []float64, base, lo, hi int) {
 	}
 }
 
-// SSSBlockRange is the blocked multi-RHS form of SSSRange for k
+// SSSBlockRows is the blocked multi-RHS form of SSSRows for k
 // interleaved right-hand sides: the lower triangle streams once per
 // block, each element serving both its own row and its mirror for all
 // k vectors. Row c's k window cells sit at window[(c-base)*k:], and
 // the caller zeroes window[0 : (lo-base)*k).
 //
 //spmv:hotpath
-func SSSBlockRange(s *formats.SSS, x, y, window []float64, k, base, lo, hi int) {
+func SSSBlockRows[V formats.Value](s *formats.SSS, val *[]V, x, y, window []float64, k, base, lo, hi int) {
 	L := s.Lower
 	for i := lo; i < hi; i++ {
 		d := s.Diag[i]
@@ -77,12 +80,12 @@ func SSSBlockRange(s *formats.SSS, x, y, window []float64, k, base, lo, hi int) 
 			yi[l] = d * xi[l]
 		}
 		cols := L.ColInd[L.RowPtr[i]:L.RowPtr[i+1]]
-		vals := L.Val[L.RowPtr[i]:L.RowPtr[i+1]]
+		vals := (*val)[L.RowPtr[i]:L.RowPtr[i+1]]
 		vals = vals[:len(cols)]
 		mixed := len(cols) > 0 && int(cols[0]) < lo
 		for j, col := range cols {
 			c := int(col)
-			v := vals[j]
+			v := float64(vals[j])
 			xc := x[c*k:][:k]
 			var dst []float64
 			if mixed && c < lo {

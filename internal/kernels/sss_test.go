@@ -61,7 +61,7 @@ func TestSSSRangeTwoPhase(t *testing.T) {
 		windows := make([][]float64, len(parts))
 		for tid, r := range parts {
 			windows[tid] = make([]float64, win[tid].Rows())
-			SSSRange(s, x, got, windows[tid], win[tid].Lo, r.Lo, r.Hi)
+			SSSRows(s, &s.Lower.Val, x, got, windows[tid], win[tid].Lo, r.Lo, r.Hi)
 		}
 		for tid, w := range win {
 			for c, v := range windows[tid] {
@@ -89,7 +89,7 @@ func TestSSSBlockRangeTwoPhase(t *testing.T) {
 			windows := make([][]float64, len(parts))
 			for tid, r := range parts {
 				windows[tid] = make([]float64, win[tid].Rows()*k)
-				SSSBlockRange(s, x, y, windows[tid], k, win[tid].Lo, r.Lo, r.Hi)
+				SSSBlockRows(s, &s.Lower.Val, x, y, windows[tid], k, win[tid].Lo, r.Lo, r.Hi)
 			}
 			for tid, w := range win {
 				for c, v := range windows[tid] {
@@ -112,24 +112,24 @@ const sssPoison = 1234.5
 func TestSSSRangeScatterPrefix(t *testing.T) {
 	for name, m := range sssCases() {
 		s := formats.ConvertSSS(m)
-		ps := formats.ConvertPrecSSS(s)
+		v32 := formats.NarrowF32(s.Lower.Val)
 		parts, win := sssParts(s, 3)
 		for _, k := range []int{1, 2, 3, 8} {
 			x := randBlock(m.NCols, k, int64(70+k))
 			run := map[string]func(y, window []float64, base, lo, hi int){
 				"sss": func(y, window []float64, base, lo, hi int) {
 					if k == 1 {
-						SSSRange(s, x, y, window, base, lo, hi)
+						SSSRows(s, &s.Lower.Val, x, y, window, base, lo, hi)
 						return
 					}
-					SSSBlockRange(s, x, y, window, k, base, lo, hi)
+					SSSBlockRows(s, &s.Lower.Val, x, y, window, k, base, lo, hi)
 				},
-				"prec-sss": func(y, window []float64, base, lo, hi int) {
+				"sss-f32": func(y, window []float64, base, lo, hi int) {
 					if k == 1 {
-						PrecSSSRange(ps, x, y, window, base, lo, hi)
+						SSSRows(s, &v32, x, y, window, base, lo, hi)
 						return
 					}
-					PrecSSSBlockRange(ps, x, y, window, k, base, lo, hi)
+					SSSBlockRows(s, &v32, x, y, window, k, base, lo, hi)
 				},
 			}
 			for kern, f := range run {

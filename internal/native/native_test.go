@@ -240,6 +240,36 @@ func TestKernelWidthFollowsGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestAutoSingleThreadRunsStatic: a vec@auto kernel prepared at
+// GOMAXPROCS=1 on a long-row matrix binds the static partition, so its
+// one slot never touches the chunk cursor; bound at two slots the same
+// configuration drains the cursor (sched.Resolve picks Dynamic).
+func TestAutoSingleThreadRunsStatic(t *testing.T) {
+	m := gen.FewDenseRows(2000, 3, 3, 1800, 1)
+	if u := sched.Unevenness(m); u <= 2 {
+		t.Fatalf("unevenness %g, want a long-row matrix above 2", u)
+	}
+	o := ex.Optim{Vectorize: true, Schedule: sched.Auto}
+	x := make([]float64, m.NCols)
+	for i := range x {
+		x[i] = 1
+	}
+	y := make([]float64, m.NRows)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := New()
+	defer e.Close()
+	p := e.Prepare(m, o).(*Prepared)
+	p.MulVec(x, y)
+	if p.Threads() != 1 || p.next.Load() != 0 {
+		t.Fatalf("GOMAXPROCS=1: %d threads, cursor at %d; want 1 thread and no chunk queue", p.Threads(), p.next.Load())
+	}
+	p2 := e.buildPrepared(m, o, 2)
+	p2.MulVec(x, y)
+	if p2.next.Load() == 0 {
+		t.Fatal("two slots on a long-row matrix did not drain the chunk cursor")
+	}
+}
+
 // TestFirstPrepareAllocatesLittle guards against any probe returning
 // to the first Prepare: a bandwidth race there allocated 96 MiB of
 // triad arrays before the kernel was built.

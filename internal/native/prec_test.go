@@ -1,19 +1,24 @@
 package native
 
 // Engine tests for the precision-reduced prepared paths: every
-// schedule/format combination that honors f32 must track the f64 CSR
-// reference within the documented bound on values that fit float32,
-// run its f64 binding on values that do not, report the smaller
-// storage footprint, and stay allocation-free in steady state (the CI
-// alloc job picks up TestAllocFreePrec via -run TestAlloc).
+// schedule/format combination that honors f32 must run the float32
+// instance of its body bit-identical to the float64 instance on
+// rounded values, track the f64 CSR reference within the documented
+// bound on values that fit float32, run its f64 binding on values that
+// do not, report the smaller storage footprint, and stay
+// allocation-free in steady state (the CI alloc job picks up
+// TestAllocFreePrec via -run TestAlloc).
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
+	"github.com/sparsekit/spmvtuner/internal/kernels"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
@@ -61,7 +66,17 @@ func precOptims() map[string]ex.Optim {
 		"sellcs":       {SellCS: true, Vectorize: true},
 		"sellcs-dyn":   {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
 		"sellcs-plain": {SellCS: true},
+		"sss":          {Symmetric: true},
 	}
+}
+
+// precInput picks the matrix o is prepared on: sym for symmetric
+// storage, asym otherwise.
+func precInput(o ex.Optim, asym, sym *matrix.CSR) *matrix.CSR {
+	if o.Symmetric {
+		return sym
+	}
+	return asym
 }
 
 // precVariants names the two inputs every reduced-precision path is
@@ -85,11 +100,11 @@ func scaled(m *matrix.CSR, s float64) *matrix.CSR {
 	return c
 }
 
-// checkPrecVariant prepares o at f32 on m scaled by s. Values that fit
+// checkF32Binding prepares o at f32 on m scaled by s. Values that fit
 // float32 must track the f64 reference within the bound; values that
 // do not must run the f64 binding: same kernel, same footprint,
 // bit-identical results, and Opt reporting f64.
-func checkPrecVariant(t *testing.T, e *Executor, label string, m *matrix.CSR, s float64, o ex.Optim) {
+func checkF32Binding(t *testing.T, e *Executor, label string, m *matrix.CSR, s float64, o ex.Optim) {
 	t.Helper()
 	if s == 1 {
 		o.Precision = ex.PrecF32
@@ -128,28 +143,16 @@ func checkPrecVariant(t *testing.T, e *Executor, label string, m *matrix.CSR, s 
 func TestPreparedPrecMatchesReference(t *testing.T) {
 	e := New()
 	defer e.Close()
-	m := gen.PowerLaw(3000, 6, 1.9, 900, 21)
+	asym := gen.PowerLaw(3000, 6, 1.9, 900, 21)
+	sym := symMatrix(2500, 23)
 	for vname, scales := range precVariants() {
 		for oname, o := range precOptims() {
 			t.Run(vname+"/"+oname, func(t *testing.T) {
 				for _, s := range scales {
-					checkPrecVariant(t, e, vname+"/"+oname, m, s, o)
+					checkF32Binding(t, e, vname+"/"+oname, precInput(o, asym, sym), s, o)
 				}
 			})
 		}
-	}
-}
-
-func TestPreparedPrecSSSMatchesReference(t *testing.T) {
-	e := New()
-	defer e.Close()
-	m := symMatrix(2500, 23)
-	for vname, scales := range precVariants() {
-		t.Run(vname, func(t *testing.T) {
-			for _, s := range scales {
-				checkPrecVariant(t, e, "sss/"+vname, m, s, ex.Optim{Symmetric: true})
-			}
-		})
 	}
 }
 
@@ -248,22 +251,24 @@ func TestPrecFootprintShrinks(t *testing.T) {
 }
 
 // TestAllocFreePrec extends the zero-alloc steady-state guard to every
-// reduced-precision prepared path and its f64 fallback.
+// reduced-precision prepared path and its f64 fallback, the symmetric
+// path's two-phase reduction included.
 func TestAllocFreePrec(t *testing.T) {
 	e := New()
 	defer e.Close()
-	m := gen.FewDenseRows(5000, 5, 2, 1800, 37)
-	x := make([]float64, m.NCols)
-	for i := range x {
-		x[i] = 1 + float64(i%3)
-	}
-	y := make([]float64, m.NRows)
+	asym := gen.FewDenseRows(5000, 5, 2, 1800, 37)
+	sym := symMatrix(3000, 43)
 	for vname, scales := range precVariants() {
-		mv := scaled(m, scales[0])
 		for oname, o := range precOptims() {
 			o.Precision = ex.PrecF32
+			m := scaled(precInput(o, asym, sym), scales[0])
 			t.Run(vname+"/"+oname, func(t *testing.T) {
-				p := e.Prepare(mv, o)
+				x := make([]float64, m.NCols)
+				for i := range x {
+					x[i] = 1 + float64(i%3)
+				}
+				y := make([]float64, m.NRows)
+				p := e.Prepare(m, o)
 				for i := 0; i < 3; i++ {
 					p.MulVec(x, y)
 				}
@@ -275,24 +280,187 @@ func TestAllocFreePrec(t *testing.T) {
 	}
 }
 
-// TestAllocFreePrecSSS: the symmetric reduced path includes the
-// two-phase reduction; it too must be allocation-free.
-func TestAllocFreePrecSSS(t *testing.T) {
+// TestPrecBytesAccounting: an f32 binding's footprint is its f64
+// binding's less 4 bytes per stored value; SELL-C-σ's f32 form also
+// drops the Width and InvPerm arrays its kernel never reads.
+func TestPrecBytesAccounting(t *testing.T) {
 	e := New()
 	defer e.Close()
-	m := symMatrix(3000, 43)
-	x := make([]float64, m.NCols)
-	for i := range x {
-		x[i] = 1 + float64(i%3)
-	}
-	y := make([]float64, m.NRows)
-	for vname, scales := range precVariants() {
-		p := e.Prepare(scaled(m, scales[0]), ex.Optim{Symmetric: true, Precision: ex.PrecF32})
-		for i := 0; i < 3; i++ {
-			p.MulVec(x, y)
+	asym := gen.UniformRandom(700, 7, 3)
+	sym := symMatrix(600, 5)
+	sell := e.SellCSOf(asym)
+	for name, c := range map[string]struct {
+		o    ex.Optim
+		less int
+	}{
+		"csr":    {ex.Optim{}, asym.NNZ()},
+		"sellcs": {ex.Optim{SellCS: true}, len(sell.Vals) + len(sell.Width) + len(sell.InvPerm)},
+		"sss":    {ex.Optim{Symmetric: true}, e.SSSOf(sym).Lower.NNZ()},
+	} {
+		m := precInput(c.o, asym, sym)
+		full := e.Prepare(m, c.o).(*Prepared).MemBytes()
+		c.o.Precision = ex.PrecF32
+		if got, want := e.Prepare(m, c.o).(*Prepared).MemBytes(), full-4*int64(c.less); got != want {
+			t.Errorf("%s: f32 MemBytes %d, want %d (f64 %d less 4 bytes x %d)", name, got, want, full, c.less)
 		}
-		if avg := testing.AllocsPerRun(10, func() { p.MulVec(x, y) }); avg != 0 {
-			t.Fatalf("sss/%s: %.1f allocs per steady-state MulVec, want 0", vname, avg)
+	}
+}
+
+// rounded returns a copy of m whose values are their float32 images
+// widened back: the values the float64 oracle of a float32 instance
+// runs on.
+func rounded(m *matrix.CSR) *matrix.CSR {
+	r := m.Clone()
+	for j, v := range r.Val {
+		r.Val[j] = float64(float32(v))
+	}
+	return r
+}
+
+// emptyRowMatrix returns an n×n matrix with every third row empty and
+// one long row at n/2. The symmetric form mirrors every entry and
+// keeps the empty rows' columns empty too. No coordinate repeats, so
+// no duplicate sum can break the mirror's bit equality.
+func emptyRowMatrix(n int, symmetric bool) *matrix.CSR {
+	rng := rand.New(rand.NewSource(int64(n)))
+	coo := matrix.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		if i%3 == 1 {
+			continue
+		}
+		cnt := 4
+		if i == n/2 {
+			cnt = n / 2
+		}
+		seen := map[int]bool{}
+		for k := 0; k < cnt; k++ {
+			j := rng.Intn(n)
+			if seen[j] || j%3 == 1 || (symmetric && j >= i) {
+				continue
+			}
+			seen[j] = true
+			v := rng.NormFloat64()
+			coo.Add(i, j, v)
+			if symmetric {
+				coo.Add(j, i, v)
+			}
+		}
+		if symmetric {
+			coo.Add(i, i, 4)
+		}
+	}
+	m := coo.ToCSR()
+	if symmetric {
+		m.Sym = matrix.SymSymmetric
+	}
+	return m
+}
+
+// sameBits fails unless got and want agree bit for bit, NaN matching
+// NaN.
+func sameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: y[%d] = %.17g, want %.17g bit for bit", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPrecF32InstanceBitIdentical runs every loop shape's float32
+// instance through the prepared engine and holds it bit-identical to
+// the float64 instance of the same body on float64(float32(v)) values:
+// both compute the same products in the same order. Row-owning shapes
+// (CSR, SELL-C-σ) are partition-independent, so their oracle runs the
+// float64 body over all rows; the symmetric body's window folds depend
+// on the partition, so its oracle is the f64 binding at the same
+// width. A matrix that fails FitsF32 must bind f64 under the same f32
+// configuration: same kernel, f64 reported, bit-identical results.
+func TestPrecF32InstanceBitIdentical(t *testing.T) {
+	e := New()
+	defer e.Close()
+	type oracle func(r *matrix.CSR, nt int, x, y []float64, k int)
+	csrTail := func(r *matrix.CSR, x, y []float64, k int) {
+		kernels.CSRBlockRows(r, &r.Val, x, y, k, 0, r.NRows)
+	}
+	shapes := []struct {
+		name   string
+		o      ex.Optim
+		kernel string
+		mulVec oracle
+	}{
+		{"csr", ex.Optim{}, "prec-csr-f32", func(r *matrix.CSR, _ int, x, y []float64, k int) {
+			if k > 1 {
+				csrTail(r, x, y, k)
+				return
+			}
+			kernels.CSRRange(r, x, y, 0, r.NRows)
+		}},
+		{"csr-vec8", ex.Optim{Vectorize: true}, "prec-csr-vec8-f32", func(r *matrix.CSR, _ int, x, y []float64, k int) {
+			if k > 1 {
+				csrTail(r, x, y, k)
+				return
+			}
+			kernels.CSRVector8Range(r, x, y, 0, r.NRows)
+		}},
+		{"sellcs", ex.Optim{SellCS: true, Vectorize: true}, "prec-sellcs-f32", func(r *matrix.CSR, _ int, x, y []float64, k int) {
+			s := formats.ConvertSellCSAuto(r)
+			if k > 1 {
+				s.MulMat(x, y, k)
+				return
+			}
+			s.MulVec(x, y)
+		}},
+		{"sss", ex.Optim{Symmetric: true}, "prec-sss-f32", func(r *matrix.CSR, nt int, x, y []float64, k int) {
+			e.buildPrepared(r, ex.Optim{Symmetric: true}, nt).MulMat(x, y, k)
+		}},
+	}
+	inputs := map[string][2]*matrix.CSR{
+		"powerlaw":   {gen.PowerLaw(1200, 6, 1.9, 400, 61), symMatrix(900, 63)},
+		"empty-rows": {emptyRowMatrix(700, false), emptyRowMatrix(600, true)},
+	}
+	for _, sh := range shapes {
+		for iname, in := range inputs {
+			m := precInput(sh.o, in[0], in[1])
+			r := rounded(m)
+			unfit := scaled(m, 1e300)
+			for _, policy := range []sched.Policy{sched.StaticNNZ, sched.Dynamic} {
+				for _, nt := range []int{1, 2} {
+					o := sh.o
+					o.Schedule = policy
+					o64 := o
+					o.Precision = ex.PrecF32
+					t.Run(fmt.Sprintf("%s/%s/%s/nt=%d", sh.name, iname, policy, nt), func(t *testing.T) {
+						p := e.buildPrepared(m, o, nt)
+						if p.Kernel() != sh.kernel {
+							t.Fatalf("kernel %q, want %q", p.Kernel(), sh.kernel)
+						}
+						fb, want64 := e.buildPrepared(unfit, o, nt), e.buildPrepared(unfit, o64, nt)
+						if fb.Kernel() != want64.Kernel() || fb.Opt().Precision != ex.PrecF64 {
+							t.Fatalf("unfit values bound %s/%s, want the f64 binding %s",
+								fb.Kernel(), fb.Opt().Precision, want64.Kernel())
+						}
+						rng := rand.New(rand.NewSource(int64(nt)))
+						for _, k := range []int{1, 3, 8} {
+							// Full-mantissa x: products of float32 values
+							// and short-mantissa x sum exactly in any
+							// order, which would hide a reordered body.
+							x := make([]float64, m.NCols*k)
+							for i := range x {
+								x[i] = 1 + rng.Float64()
+							}
+							got := make([]float64, m.NRows*k)
+							want := make([]float64, m.NRows*k)
+							p.MulMat(x, got, k)
+							sh.mulVec(r, nt, x, want, k)
+							sameBits(t, fmt.Sprintf("k=%d", k), got, want)
+							fb.MulMat(x, got, k)
+							want64.MulMat(x, want, k)
+							sameBits(t, fmt.Sprintf("unfit k=%d", k), got, want)
+						}
+					})
+				}
+			}
 		}
 	}
 }

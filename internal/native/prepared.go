@@ -266,9 +266,12 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 // partition and binds its range kernels through bindRanges or bindSym.
 // It compiles o's canonical form on the executor's model, which Opt
 // reports; on the host that form never selects Split, and a Split knob
-// set under any other model runs the CSR default below. A matrix whose
-// values do not fit float32 runs its f64 binding under an f32
-// configuration, and Opt reports PrecF64.
+// set under any other model runs the CSR default below. Under f32 a
+// format binds the float32 instance of its pure-Go body on its
+// f32Form, which shares the f64 conversion's structure and so its
+// partition; precision picks only the value array, the kernel name and
+// the footprint. A matrix whose values do not fit float32 runs its f64
+// binding under an f32 configuration, and Opt reports PrecF64.
 func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 	o = o.Canonical(e.model)
 	if o.EffectivePrecision() == ex.PrecF32 && !formats.FitsF32(m.Val) {
@@ -276,32 +279,19 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 	}
 	p := &Prepared{m: m, opt: o, nt: nt, pool: e.workers, blockW: o.EffectiveBlockWidth(),
 		matrixBytes: m.Bytes()}
-	prec := o.EffectivePrecision()
+	f32 := o.EffectivePrecision() == ex.PrecF32
 	switch o.EffectiveFormat() {
 	case ex.FormatSSS:
 		s := e.SSSOf(m)
 		parts := sched.Prepare(o.Schedule, s.Lower, nt).Parts
-		if prec == ex.PrecF64 {
-			p.kernelName, p.matrixBytes = "sss", s.Bytes()
-			p.bindSym(s.Lower, parts, func(window []float64, base, lo, hi int) {
-				kernels.SSSRange(s, p.x, p.y, window, base, lo, hi)
-			}, func(window []float64, k, base, lo, hi int) {
-				kernels.SSSBlockRange(s, p.x, p.y, window, k, base, lo, hi)
-			})
+		if f32 {
+			f := memoized(e, m, ex.FormatSSS, ex.PrecF32, func(*matrix.CSR) *f32Form[*formats.SSS] { return narrowSSS(s) })
+			p.kernelName, p.matrixBytes = "prec-sss-f32", f.bytes
+			bindSSS(p, f.s, &f.val, parts)
 			break
 		}
-		// The reduced form shares the f64 conversion's lower-triangle
-		// structure, so the partition above balances it and the
-		// windows bindSym derives from s.Lower bound its scatters.
-		ps := memoized(e, m, ex.FormatSSS, prec, func(*matrix.CSR) *formats.PrecSSS {
-			return formats.ConvertPrecSSS(s)
-		})
-		p.kernelName, p.matrixBytes = "prec-sss-"+prec.String(), ps.Bytes()
-		p.bindSym(s.Lower, parts, func(window []float64, base, lo, hi int) {
-			kernels.PrecSSSRange(ps, p.x, p.y, window, base, lo, hi)
-		}, func(window []float64, k, base, lo, hi int) {
-			kernels.PrecSSSBlockRange(ps, p.x, p.y, window, k, base, lo, hi)
-		})
+		p.kernelName, p.matrixBytes = "sss", s.Bytes()
+		bindSSS(p, s, &s.Lower.Val, parts)
 	case ex.FormatSellCS:
 		// Threads own chunks, not rows: statically balanced by padded
 		// element count (the work the kernel streams) from the ChunkPtr
@@ -310,26 +300,22 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 		// rows, so the permuted scatter into y needs no synchronization.
 		s := e.SellCSOf(m)
 		var parts, chunks []sched.Range
-		if r := sched.Resolve(o.Schedule, m); r == sched.Dynamic || r == sched.Guided {
+		if r := sched.Resolve(o.Schedule, m, nt); r == sched.Dynamic || r == sched.Guided {
 			chunks = sched.Chunks(r, s.NChunks(), nt, 0)
 		} else {
 			parts = sched.PartitionPrefix(s.ChunkPtr, s.NChunks(), nt)
 		}
-		if prec == ex.PrecF64 {
-			kern, name := kernels.SellCSVariant(s, o.Vectorize)
-			p.kernelName, p.matrixBytes = name, s.Bytes()
-			p.bindRanges(parts, chunks, func(lo, hi int) { kern(s, p.x, p.y, lo, hi) },
-				func(lo, hi, k int) { kernels.SellCSBlockRange(s, p.x, p.y, k, lo, hi) })
+		if f32 {
+			f := memoized(e, m, ex.FormatSellCS, ex.PrecF32, func(*matrix.CSR) *f32Form[*formats.SellCS] { return narrowSellCS(s) })
+			p.kernelName, p.matrixBytes = "prec-sellcs-f32", f.bytes
+			p.bindRanges(parts, chunks, func(lo, hi int) { formats.SellCSChunks(f.s, &f.val, p.x, p.y, lo, hi) },
+				func(lo, hi, k int) { formats.SellCSBlockChunks(f.s, &f.val, p.x, p.y, k, lo, hi) })
 			break
 		}
-		// The reduced form shares the chunk geometry, so chunk
-		// ownership is unchanged.
-		ps := memoized(e, m, ex.FormatSellCS, prec, func(*matrix.CSR) *formats.PrecSellCS {
-			return formats.ConvertPrecSellCS(s)
-		})
-		p.kernelName, p.matrixBytes = "prec-sellcs-"+prec.String(), ps.Bytes()
-		p.bindRanges(parts, chunks, func(lo, hi int) { kernels.PrecSellCSRange(ps, p.x, p.y, lo, hi) },
-			func(lo, hi, k int) { kernels.PrecSellCSBlockRange(ps, p.x, p.y, k, lo, hi) })
+		kern, name := kernels.SellCSVariant(s, o.Vectorize)
+		p.kernelName, p.matrixBytes = name, s.Bytes()
+		p.bindRanges(parts, chunks, func(lo, hi int) { kern(s, p.x, p.y, lo, hi) },
+			func(lo, hi, k int) { kernels.SellCSBlockRange(s, p.x, p.y, k, lo, hi) })
 	case ex.FormatDelta:
 		// Static partitions under every schedule: each range starts
 		// at its precomputed overflow offset. Every Delta plan binds
@@ -342,15 +328,18 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 			func(lo, hi int) { kern(d, p.x, p.y, lo, hi, offs[lo]) },
 			func(lo, hi, k int) { kernels.DeltaBlockRange(d, p.x, p.y, k, lo, hi, offs[lo]) })
 	default:
-		// The reduced CSR aliases m's structure arrays, so m's nnz
-		// weights partition it exactly.
 		sp := sched.Prepare(o.Schedule, m, nt)
-		if prec != ex.PrecF64 {
-			pc := memoized(e, m, ex.FormatCSR, prec, formats.ConvertPrecCSR)
-			kern, name := kernels.PrecVariant(o.Vectorize)
-			p.kernelName, p.matrixBytes = name+"-"+prec.String(), pc.Bytes()
-			p.bindRanges(sp.Parts, sp.Chunks, func(lo, hi int) { kern(pc, p.x, p.y, lo, hi) },
-				func(lo, hi, k int) { kernels.PrecCSRBlockRange(pc, p.x, p.y, k, lo, hi) })
+		if f32 {
+			// The f32 instance has no register-blocked or asm body:
+			// every block width runs the any-k tail.
+			f := memoized(e, m, ex.FormatCSR, ex.PrecF32, narrowCSR)
+			kern, name := kernels.CSRRows[float32], "prec-csr-f32"
+			if o.Vectorize {
+				kern, name = kernels.CSRVector8Rows[float32], "prec-csr-vec8-f32"
+			}
+			p.kernelName, p.matrixBytes = name, f.bytes
+			p.bindRanges(sp.Parts, sp.Chunks, func(lo, hi int) { kern(f.s, &f.val, p.x, p.y, lo, hi) },
+				func(lo, hi, k int) { kernels.CSRBlockRows(f.s, &f.val, p.x, p.y, k, lo, hi) })
 			break
 		}
 		// The blocked body always runs the register-blocked CSR SpMM
@@ -370,6 +359,51 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 		p.bindRanges(sp.Parts, sp.Chunks, func(lo, hi int) { kern(m, p.x, p.y, lo, hi) }, block)
 	}
 	return p
+}
+
+// f32Form is a format's float32 instance: its f64 conversion's
+// structure, plus the narrowed values and the footprint of what it
+// keeps. The SELL-C-σ and SSS forms drop the conversion's f64 value
+// array, so a prepared f32 kernel never keeps it reachable.
+type f32Form[S any] struct {
+	s     S
+	val   []float32
+	bytes int64
+}
+
+// narrowCSR is the f32 form of m. Its structure is m itself, which the
+// Prepared and the conversion memo hold anyway.
+func narrowCSR(m *matrix.CSR) *f32Form[*matrix.CSR] {
+	return &f32Form[*matrix.CSR]{m, formats.NarrowF32(m.Val), m.Bytes() - 4*int64(m.NNZ())}
+}
+
+// narrowSellCS is the f32 form of a SELL-C-σ conversion. Its kernel
+// reads neither Width nor InvPerm, so the form drops them too.
+func narrowSellCS(s *formats.SellCS) *f32Form[*formats.SellCS] {
+	st := *s
+	st.Vals, st.Width, st.InvPerm = nil, nil, nil
+	return &f32Form[*formats.SellCS]{&st, formats.NarrowF32(s.Vals),
+		s.Bytes() - 4*int64(len(s.Vals)+len(s.Width)+len(s.InvPerm))}
+}
+
+// narrowSSS is the f32 form of a symmetric conversion: the lower
+// triangle narrows, the diagonal stays f64.
+func narrowSSS(s *formats.SSS) *f32Form[*formats.SSS] {
+	lower := *s.Lower
+	lower.Val = nil
+	st := *s
+	st.Lower, st.HasDiag = &lower, nil
+	return &f32Form[*formats.SSS]{&st, formats.NarrowF32(s.Lower.Val), s.Bytes() - 4*int64(s.Lower.NNZ())}
+}
+
+// bindSSS binds the symmetric body's value-type instance over the
+// lower triangle of s, whose values *val holds.
+func bindSSS[V formats.Value](p *Prepared, s *formats.SSS, val *[]V, parts []sched.Range) {
+	p.bindSym(s.Lower, parts, func(window []float64, base, lo, hi int) {
+		kernels.SSSRows(s, val, p.x, p.y, window, base, lo, hi)
+	}, func(window []float64, k, base, lo, hi int) {
+		kernels.SSSBlockRows(s, val, p.x, p.y, window, k, base, lo, hi)
+	})
 }
 
 // bindRanges compiles a range kernel over a partition: with chunks nil

@@ -5,6 +5,7 @@ import (
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/formats"
+	"github.com/sparsekit/spmvtuner/internal/kernels"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 )
 
@@ -36,8 +37,8 @@ const probeSlackULPs = 32
 // PrecisionWithinBudget measures the variant's actual error on this
 // matrix against the f64 reference: one deterministic probe vector, the
 // full-precision product and its componentwise magnitude scale
-// Σ_j |a_ij·x_j| in one CSR walk, then the converted reduced form's
-// product. Every finite row must satisfy
+// Σ_j |a_ij·x_j| in one CSR walk, then the product of the float32
+// instance the engine binds. Every finite row must satisfy
 //
 //	|y_i − ref_i| ≤ (budget + 32·ε₆₄)·Σ_j |a_ij·x_j|
 //
@@ -64,9 +65,9 @@ func PrecisionWithinBudget(m *matrix.CSR, prec ex.Precision, budget float64) boo
 		}
 		ref[i], scale[i] = sum, sc
 	}
-	p := formats.ConvertPrecCSR(m)
+	val := formats.NarrowF32(m.Val)
 	y := make([]float64, m.NRows)
-	p.MulVec(x, y)
+	kernels.CSRRows(m, &val, x, y, 0, m.NRows)
 	tol := budget + probeSlackULPs*0x1p-52
 	for i := range y {
 		if math.IsNaN(ref[i]) || math.IsInf(ref[i], 0) {

@@ -197,13 +197,15 @@ func Unevenness(m *matrix.CSR) float64 {
 // abandons static partitioning.
 const autoUnevenThreshold = 2.0
 
-// Resolve maps Auto to a concrete policy for the given matrix; other
-// policies resolve to themselves.
-func Resolve(p Policy, m *matrix.CSR) Policy {
+// Resolve maps Auto to a concrete policy for the given matrix on nt
+// threads; other policies resolve to themselves. One thread has no
+// imbalance to correct, so Auto resolves to StaticNNZ there and a
+// single thread never drains the dynamic chunk cursor alone.
+func Resolve(p Policy, m *matrix.CSR, nt int) Policy {
 	if p != Auto {
 		return p
 	}
-	if Unevenness(m) > autoUnevenThreshold {
+	if nt > 1 && Unevenness(m) > autoUnevenThreshold {
 		return Dynamic
 	}
 	return StaticNNZ
@@ -214,7 +216,7 @@ func Resolve(p Policy, m *matrix.CSR) Policy {
 // one (the simulator's imbalance model handles those separately) get
 // the nnz-balanced split as their equilibrium assignment.
 func PartitionFor(p Policy, m *matrix.CSR, nt int) []Range {
-	switch Resolve(p, m) {
+	switch Resolve(p, m, nt) {
 	case StaticRows:
 		return PartitionRows(m.NRows, nt)
 	default:
@@ -239,7 +241,7 @@ type Prepared struct {
 // Prepare resolves the policy for m and materializes its partitions
 // for nt threads.
 func Prepare(p Policy, m *matrix.CSR, nt int) Prepared {
-	r := Resolve(p, m)
+	r := Resolve(p, m, nt)
 	out := Prepared{Policy: r, Parts: PartitionFor(r, m, nt)}
 	if r == Dynamic || r == Guided {
 		out.Chunks = Chunks(r, m.NRows, nt, 0)

@@ -134,13 +134,21 @@ func TestUnevenness(t *testing.T) {
 }
 
 func TestResolveAuto(t *testing.T) {
-	if got := Resolve(Auto, gen.UniformRandom(500, 8, 1)); got != StaticNNZ {
+	longRow := gen.FewDenseRows(2000, 3, 3, 1800, 1)
+	if got := Resolve(Auto, gen.UniformRandom(500, 8, 1), 2); got != StaticNNZ {
 		t.Fatalf("auto on balanced matrix = %v, want static-nnz", got)
 	}
-	if got := Resolve(Auto, gen.FewDenseRows(2000, 3, 3, 1800, 1)); got != Dynamic {
-		t.Fatalf("auto on skewed matrix = %v, want dynamic", got)
+	if got := Resolve(Auto, longRow, 2); got != Dynamic {
+		t.Fatalf("auto on skewed matrix at 2 threads = %v, want dynamic", got)
 	}
-	if got := Resolve(Dynamic, gen.UniformRandom(100, 4, 1)); got != Dynamic {
+	// One thread has no imbalance to correct: no chunk cursor.
+	if got := Resolve(Auto, longRow, 1); got != StaticNNZ {
+		t.Fatalf("auto on skewed matrix at 1 thread = %v, want static-nnz", got)
+	}
+	if sp := Prepare(Auto, longRow, 1); sp.Chunks != nil {
+		t.Fatalf("auto at 1 thread prepared %d chunks, want none", len(sp.Chunks))
+	}
+	if got := Resolve(Dynamic, gen.UniformRandom(100, 4, 1), 1); got != Dynamic {
 		t.Fatalf("non-auto policy must resolve to itself, got %v", got)
 	}
 }
@@ -241,8 +249,8 @@ func TestPrepareMaterializesPartitions(t *testing.T) {
 		if sp.Policy == Auto {
 			t.Fatalf("%v: Auto not resolved", p)
 		}
-		if sp.Policy != Resolve(p, m) {
-			t.Fatalf("%v: resolved to %v, want %v", p, sp.Policy, Resolve(p, m))
+		if sp.Policy != Resolve(p, m, nt) {
+			t.Fatalf("%v: resolved to %v, want %v", p, sp.Policy, Resolve(p, m, nt))
 		}
 		if len(sp.Parts) != nt {
 			t.Fatalf("%v: %d parts, want %d", p, len(sp.Parts), nt)

@@ -411,7 +411,7 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	}
 
 	// Assemble per-thread loads.
-	policy := sched.Resolve(o.Schedule, m)
+	policy := sched.Resolve(o.Schedule, m, nt)
 	loads, dynamicChunks := e.assignLoads(m, p, o, policy, nt)
 
 	// Per-element and per-row cost constants for this configuration.
