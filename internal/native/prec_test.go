@@ -56,7 +56,7 @@ func precCheck(t *testing.T, label string, m *matrix.CSR, bound float64, mul fun
 }
 
 // precOptims enumerates the prepared paths that honor reduced
-// precision on an asymmetric matrix.
+// precision; all but "sss" run on an asymmetric matrix.
 func precOptims() map[string]ex.Optim {
 	return map[string]ex.Optim{
 		"csr":          {},
@@ -143,16 +143,31 @@ func checkF32Binding(t *testing.T, e *Executor, label string, m *matrix.CSR, s f
 func TestPreparedPrecMatchesReference(t *testing.T) {
 	e := New()
 	defer e.Close()
-	asym := gen.PowerLaw(3000, 6, 1.9, 900, 21)
-	sym := symMatrix(2500, 23)
+	m := gen.PowerLaw(3000, 6, 1.9, 900, 21)
 	for vname, scales := range precVariants() {
 		for oname, o := range precOptims() {
+			if o.Symmetric {
+				continue // TestPreparedPrecSSSMatchesReference
+			}
 			t.Run(vname+"/"+oname, func(t *testing.T) {
 				for _, s := range scales {
-					checkF32Binding(t, e, vname+"/"+oname, precInput(o, asym, sym), s, o)
+					checkF32Binding(t, e, vname+"/"+oname, m, s, o)
 				}
 			})
 		}
+	}
+}
+
+func TestPreparedPrecSSSMatchesReference(t *testing.T) {
+	e := New()
+	defer e.Close()
+	m := symMatrix(2500, 23)
+	for vname, scales := range precVariants() {
+		t.Run(vname, func(t *testing.T) {
+			for _, s := range scales {
+				checkF32Binding(t, e, "sss/"+vname, m, s, ex.Optim{Symmetric: true})
+			}
+		})
 	}
 }
 
