@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/sparsekit/spmvtuner/internal/bounds"
 	"github.com/sparsekit/spmvtuner/internal/classify"
 	"github.com/sparsekit/spmvtuner/internal/core"
 	"github.com/sparsekit/spmvtuner/internal/features"
@@ -124,7 +123,6 @@ func printAnalysis(m *matrix.CSR, mdl machine.Model, a core.Analysis) {
 		report.F(b.PCSR), report.F(a.Optimized.Gflops),
 		report.Fx(a.Optimized.Gflops/maxf(b.PCSR, 1e-12)))
 	fmt.Printf("preprocessing    %s\n", report.Seconds(a.Plan.PreprocessSeconds))
-	_ = bounds.MicroBenchRuns
 }
 
 func classDescription(c classify.Class) string {

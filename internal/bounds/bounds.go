@@ -32,12 +32,6 @@ type Bounds struct {
 	Baseline ex.Result
 }
 
-// MicroBenchRuns counts the executor invocations Measure performs that
-// would be real micro-benchmark runs on hardware: the baseline run, the
-// P_ML kernel and the P_CMP kernel (P_MB, P_IMB and P_peak come from
-// the bandwidth spec and the baseline's thread times, Section III-B).
-const MicroBenchRuns = 3
-
 // Measure computes all bounds for m on the executor's platform.
 func Measure(e ex.Executor, m *matrix.CSR) Bounds {
 	var b Bounds

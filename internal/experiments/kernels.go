@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/kernels"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/report"
+	"github.com/sparsekit/spmvtuner/internal/stats"
 	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
@@ -40,23 +39,9 @@ type KernelsResult struct {
 // than its scalar oracle on any suite matrix, under best-of-N timing.
 const kernelGateSlack = 0.95
 
-// kernelReps is the best-of-N repetition count; the minimum over reps
-// is the noise-robust per-op time.
+// kernelReps is the loop count each stats.SecondsPerCall call here
+// takes the fastest of: the noise-robust per-op timing.
 const kernelReps = 5
-
-// bestOf times fn (which runs iters kernel operations) kernelReps
-// times and returns the fastest per-op seconds.
-func bestOf(iters int, fn func()) float64 {
-	best := math.Inf(1)
-	for r := 0; r < kernelReps; r++ {
-		start := time.Now()
-		fn()
-		if s := time.Since(start).Seconds() / float64(iters); s < best {
-			best = s
-		}
-	}
-	return best
-}
 
 // Kernels measures every dispatched assembly kernel against its
 // pure-Go oracle, single-threaded and straight at the kernel (no
@@ -89,48 +74,36 @@ func Kernels(cfg Config) (*KernelsResult, error) {
 		}
 
 		// CSR vector kernel: dispatched Variant(vec) vs the oracle.
-		scalarSec := bestOf(iters, func() {
-			for i := 0; i < iters; i++ {
-				kernels.CSRVector8Range(m, x, y, 0, m.NRows)
-			}
+		scalarSec := stats.SecondsPerCall(kernelReps, iters, func() {
+			kernels.CSRVector8Range(m, x, y, 0, m.NRows)
 		})
 		asmK := kernels.Variant(true)
-		asmSec := bestOf(iters, func() {
-			for i := 0; i < iters; i++ {
-				asmK(m, x, y, 0, m.NRows)
-			}
+		asmSec := stats.SecondsPerCall(kernelReps, iters, func() {
+			asmK(m, x, y, 0, m.NRows)
 		})
 		res.add(m, "csr-vec8", rate(scalarSec, 1), rate(asmSec, 1))
 
 		// DeltaCSR decoder at the width Compress picks: the dispatched
 		// DeltaVariant vs the MulVecRows oracle.
 		d := formats.Compress(m)
-		scalarSec = bestOf(iters, func() {
-			for i := 0; i < iters; i++ {
-				kernels.DeltaRange(d, x, y, 0, m.NRows, 0)
-			}
+		scalarSec = stats.SecondsPerCall(kernelReps, iters, func() {
+			kernels.DeltaRange(d, x, y, 0, m.NRows, 0)
 		})
 		deltaK := kernels.DeltaVariant()
-		asmSec = bestOf(iters, func() {
-			for i := 0; i < iters; i++ {
-				deltaK(d, x, y, 0, m.NRows, 0)
-			}
+		asmSec = stats.SecondsPerCall(kernelReps, iters, func() {
+			deltaK(d, x, y, 0, m.NRows, 0)
 		})
 		res.add(m, "delta", rate(scalarSec, 1), rate(asmSec, 1))
 
 		// SELL-C-σ C=8 chunk kernel.
 		s := formats.ConvertSellCSAuto(m)
 		if s.C == 8 {
-			scalarSec = bestOf(iters, func() {
-				for i := 0; i < iters; i++ {
-					kernels.SellCS8Range(s, x, y, 0, s.NChunks())
-				}
+			scalarSec = stats.SecondsPerCall(kernelReps, iters, func() {
+				kernels.SellCS8Range(s, x, y, 0, s.NChunks())
 			})
 			sellK, _ := kernels.SellCSVariant(s, true)
-			asmSec = bestOf(iters, func() {
-				for i := 0; i < iters; i++ {
-					sellK(s, x, y, 0, s.NChunks())
-				}
+			asmSec = stats.SecondsPerCall(kernelReps, iters, func() {
+				sellK(s, x, y, 0, s.NChunks())
 			})
 			res.add(m, "sellcs-c8", rate(scalarSec, 1), rate(asmSec, 1))
 		}
@@ -144,15 +117,11 @@ func Kernels(cfg Config) (*KernelsResult, error) {
 			}
 			yb := make([]float64, m.NRows*k)
 			bi := iters/k + 1
-			scalarSec = bestOf(bi, func() {
-				for i := 0; i < bi; i++ {
-					kernels.ScalarCSRBlockRange(m, xb, yb, k, 0, m.NRows)
-				}
+			scalarSec = stats.SecondsPerCall(kernelReps, bi, func() {
+				kernels.ScalarCSRBlockRange(m, xb, yb, k, 0, m.NRows)
 			})
-			asmSec = bestOf(bi, func() {
-				for i := 0; i < bi; i++ {
-					kernels.CSRBlockRange(m, xb, yb, k, 0, m.NRows)
-				}
+			asmSec = stats.SecondsPerCall(kernelReps, bi, func() {
+				kernels.CSRBlockRange(m, xb, yb, k, 0, m.NRows)
 			})
 			res.add(m, fmt.Sprintf("block%d", k), rate(scalarSec, float64(k)), rate(asmSec, float64(k)))
 		}
@@ -193,17 +162,16 @@ func (r *KernelsResult) add(m *matrix.CSR, kernel string, scalar, asm float64) {
 func (r *KernelsResult) Table() *report.Table {
 	t := report.New(fmt.Sprintf("SIMD assembly kernels vs scalar oracles (single thread, isa=%s)", r.ISA),
 		"matrix", "kernel", "nnz", "scalar Gflops", "asm Gflops", "speedup")
-	logSum, n := 0.0, 0
+	var speedups []float64
 	for _, row := range r.Rows {
 		t.Add(row.Matrix, row.Kernel, report.F(float64(row.NNZ)),
 			report.F(row.Scalar), report.F(row.Asm), report.Fx(row.Speedup))
 		if row.Speedup > 0 {
-			logSum += math.Log(row.Speedup)
-			n++
+			speedups = append(speedups, row.Speedup)
 		}
 	}
-	if n > 0 {
-		t.AddNote("geometric-mean speedup %.2fx over %d (matrix, kernel) pairs", math.Exp(logSum/float64(n)), n)
+	if n := len(speedups); n > 0 {
+		t.AddNote("geometric-mean speedup %.2fx over %d (matrix, kernel) pairs", stats.GeometricMean(speedups), n)
 	}
 	if r.ISA == "scalar" {
 		t.AddNote("no SIMD dispatch on this build/host: both columns ran the pure-Go bodies")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/sparsekit/spmvtuner/internal/bounds"
 	"github.com/sparsekit/spmvtuner/internal/classify"
@@ -13,6 +12,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/stats"
 	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
@@ -94,8 +94,7 @@ func Mixed(cfg Config) (*MixedResult, error) {
 
 	res := &MixedResult{}
 	var gateErr error
-	var logSum float64
-	var gated int
+	var gatedX []float64 // ModelX of the gated rows
 	for _, r := range sel {
 		m := r.Build(c.Scale)
 		set := pg.Classify(bounds.Measure(model, m))
@@ -132,18 +131,10 @@ func Mixed(cfg Config) (*MixedResult, error) {
 
 		iters := reuseIters(m.NNZ())
 		y := make([]float64, m.NRows)
-		timeOp := func(o ex.Optim) float64 {
-			p := e.Prepare(m, o)
-			p.MulVec(x, y) // warm
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				p.MulVec(x, y)
-			}
-			return time.Since(start).Seconds() / float64(iters)
-		}
-
-		f64s := timeOp(ex.Optim{Vectorize: true})
-		f32s := timeOp(ex.Optim{Vectorize: true, Precision: ex.PrecF32})
+		p64 := e.Prepare(m, ex.Optim{Vectorize: true})
+		f64s := stats.SecondsPerCall(1, iters, func() { p64.MulVec(x, y) })
+		p32 := e.Prepare(m, ex.Optim{Vectorize: true, Precision: ex.PrecF32})
+		f32s := stats.SecondsPerCall(1, iters, func() { p32.MulVec(x, y) })
 		f32Err := maxErr(y)
 
 		rF64 := model.Run(ex.Config{Matrix: m, Opt: ex.Optim{Vectorize: true}})
@@ -175,12 +166,11 @@ func Mixed(cfg Config) (*MixedResult, error) {
 			gateErr = fmt.Errorf("mixed: %s: f32 error %.3g exceeds bound %.3g", m.Name, f32Err, formats.F32EntryBound)
 		}
 		if row.Gated && row.ModelX > 0 {
-			logSum += math.Log(row.ModelX)
-			gated++
+			gatedX = append(gatedX, row.ModelX)
 		}
 	}
-	if gated > 0 {
-		res.GeomeanModelX = math.Exp(logSum / float64(gated))
+	if gated := len(gatedX); gated > 0 {
+		res.GeomeanModelX = stats.GeometricMean(gatedX)
 		if res.GeomeanModelX < mixedGateMin && gateErr == nil {
 			gateErr = fmt.Errorf("mixed: geomean modeled f32 speedup %.2fx over %d MB-classified matrices below the %.2fx gate",
 				res.GeomeanModelX, gated, mixedGateMin)

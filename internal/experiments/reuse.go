@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"math"
-	"time"
-
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/report"
+	"github.com/sparsekit/spmvtuner/internal/stats"
 	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
@@ -67,20 +65,10 @@ func Reuse(cfg Config) (ReuseResult, error) {
 		}
 		iters := reuseIters(m.NNZ())
 
-		e.MulVecOnce(m, o, x, y) // warm both paths (thread probe, caches)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			e.MulVecOnce(m, o, x, y)
-		}
-		once := time.Since(start).Seconds() / float64(iters)
-
+		// Each path's untimed first call warms its caches.
+		once := stats.SecondsPerCall(1, iters, func() { e.MulVecOnce(m, o, x, y) })
 		p := e.Prepare(m, o)
-		p.MulVec(x, y)
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			p.MulVec(x, y)
-		}
-		reused := time.Since(start).Seconds() / float64(iters)
+		reused := stats.SecondsPerCall(1, iters, func() { p.MulVec(x, y) })
 
 		row := ReuseRow{
 			Matrix:   m.Name,
@@ -101,17 +89,16 @@ func Reuse(cfg Config) (ReuseResult, error) {
 func (r ReuseResult) Table() *report.Table {
 	t := report.New("Engine: rebuild-every-call vs prepared persistent-pool SpMV (host)",
 		"matrix", "nnz", "opt", "oneshot us/op", "prepared us/op", "speedup")
-	logSum, n := 0.0, 0
+	var speedups []float64
 	for _, row := range r.Rows {
 		t.Add(row.Matrix, report.F(float64(row.NNZ)), row.Opt,
 			report.F(row.OnceUs), report.F(row.ReusedUs), report.Fx(row.Speedup))
 		if row.Speedup > 0 {
-			logSum += math.Log(row.Speedup)
-			n++
+			speedups = append(speedups, row.Speedup)
 		}
 	}
-	if n > 0 {
-		t.AddNote("geometric-mean speedup %.2fx over %d matrices", math.Exp(logSum/float64(n)), n)
+	if n := len(speedups); n > 0 {
+		t.AddNote("geometric-mean speedup %.2fx over %d matrices", stats.GeometricMean(speedups), n)
 	}
 	t.AddNote("prepared kernels do zero planning work and zero allocations per multiply")
 	return t

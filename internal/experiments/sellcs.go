@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"math"
-	"time"
-
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/report"
+	"github.com/sparsekit/spmvtuner/internal/stats"
 	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
@@ -52,17 +50,10 @@ func SellCS(cfg Config) (SellCSResult, error) {
 		}
 		iters := reuseIters(m.NNZ())
 
-		timeOp := func(o ex.Optim) float64 {
-			p := e.Prepare(m, o)
-			p.MulVec(x, y) // warm
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				p.MulVec(x, y)
-			}
-			return time.Since(start).Seconds() / float64(iters)
-		}
-		csr := timeOp(ex.Optim{Vectorize: true})
-		sell := timeOp(ex.Optim{SellCS: true, Vectorize: true})
+		csrK := e.Prepare(m, ex.Optim{Vectorize: true})
+		csr := stats.SecondsPerCall(1, iters, func() { csrK.MulVec(x, y) })
+		sellK := e.Prepare(m, ex.Optim{SellCS: true, Vectorize: true})
+		sell := stats.SecondsPerCall(1, iters, func() { sellK.MulVec(x, y) })
 
 		row := SellCSRow{
 			Matrix: m.Name,
@@ -85,18 +76,17 @@ func SellCS(cfg Config) (SellCSResult, error) {
 func (r SellCSResult) Table() *report.Table {
 	t := report.New("SELL-C-σ vs row-wise CSR vector kernel (host, prepared engine)",
 		"matrix", "nnz", "padding", "csr-vec8 us/op", "sellcs-c8 us/op", "speedup")
-	logSum, n := 0.0, 0
+	var speedups []float64
 	for _, row := range r.Rows {
 		t.Add(row.Matrix, report.F(float64(row.NNZ)), report.Fx(row.Padding),
 			report.F(row.CSRUs), report.F(row.SellUs), report.Fx(row.Speedup))
 		if row.Speedup > 0 {
-			logSum += math.Log(row.Speedup)
-			n++
+			speedups = append(speedups, row.Speedup)
 		}
 	}
-	if n > 0 {
+	if n := len(speedups); n > 0 {
 		t.AddNote("geometric-mean speedup %.2fx over %d matrices (C=%d, σ per matrix: min(%d, rows))",
-			math.Exp(logSum/float64(n)), n, r.C, formats.DefaultSortWindowCap)
+			stats.GeometricMean(speedups), n, r.C, formats.DefaultSortWindowCap)
 	}
 	t.AddNote("padding is the SELL chunk-uniformity cost the σ sorting window shrinks")
 	return t

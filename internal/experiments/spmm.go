@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"time"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/machine"
@@ -10,6 +9,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/opt"
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/stats"
 	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
@@ -69,25 +69,18 @@ func SpMM(cfg Config) (SpMMResult, error) {
 				want[l] = make([]float64, m.NRows)
 			}
 
-			// Per-vector loop: k single-vector multiplies per batch.
 			for l := 0; l < k; l++ {
-				p.MulVec(xs[l], want[l]) // warm + reference
+				p.MulVec(xs[l], want[l]) // reference
 			}
-			start := time.Now()
-			for it := 0; it < iters; it++ {
+			// Per-vector loop: k single-vector multiplies per batch.
+			loop := stats.SecondsPerCall(1, iters, func() {
 				for l := 0; l < k; l++ {
 					p.MulVec(xs[l], ys[l])
 				}
-			}
-			loop := time.Since(start).Seconds() / float64(iters*k)
+			}) / float64(k)
 
 			// Blocked: one matrix stream per block of k vectors.
-			p.MulVecBatch(xs, ys) // warm (pack buffers)
-			start = time.Now()
-			for it := 0; it < iters; it++ {
-				p.MulVecBatch(xs, ys)
-			}
-			blocked := time.Since(start).Seconds() / float64(iters*k)
+			blocked := stats.SecondsPerCall(1, iters, func() { p.MulVecBatch(xs, ys) }) / float64(k)
 
 			var maxDiff float64
 			for l := 0; l < k; l++ {
@@ -128,18 +121,17 @@ func SpMM(cfg Config) (SpMMResult, error) {
 func (r SpMMResult) Table() *report.Table {
 	t := report.New("Blocked SpMM vs per-vector loop (host, prepared engine; per-vector us)",
 		"matrix", "nnz", "k", "loop us/vec", "blocked us/vec", "speedup", "model-x", "maxdiff")
-	logSum, n := 0.0, 0
+	var speedups []float64
 	for _, row := range r.Rows {
 		t.Add(row.Matrix, report.F(float64(row.NNZ)), report.F(float64(row.K)),
 			report.F(row.LoopUs), report.F(row.BlockUs), report.Fx(row.Speedup),
 			report.Fx(row.ModelX), report.F(row.MaxDiff))
 		if row.Speedup > 0 && row.K == 8 {
-			logSum += math.Log(row.Speedup)
-			n++
+			speedups = append(speedups, row.Speedup)
 		}
 	}
-	if n > 0 {
-		t.AddNote("geometric-mean k=8 speedup %.2fx over %d matrices", math.Exp(logSum/float64(n)), n)
+	if n := len(speedups); n > 0 {
+		t.AddNote("geometric-mean k=8 speedup %.2fx over %d matrices", stats.GeometricMean(speedups), n)
 	}
 	t.AddNote("blocking widths swept by the optimizer: %v (opt.BestBlockWidth)", opt.BlockWidths())
 	t.AddNote("the matrix streams once per block of k vectors; per-vector matrix traffic drops by 1/k")

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
 	"github.com/sparsekit/spmvtuner/internal/machine"
 	"github.com/sparsekit/spmvtuner/internal/native"
 	"github.com/sparsekit/spmvtuner/internal/report"
 	"github.com/sparsekit/spmvtuner/internal/sim"
+	"github.com/sparsekit/spmvtuner/internal/stats"
 	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
@@ -72,17 +72,10 @@ func Sym(cfg Config) (SymResult, error) {
 		iters := reuseIters(m.NNZ())
 
 		y := make([]float64, m.NRows)
-		timeOp := func(p ex.PreparedKernel) float64 {
-			p.MulVec(x, y) // warm
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				p.MulVec(x, y)
-			}
-			return time.Since(start).Seconds() / float64(iters)
-		}
-		csr := timeOp(e.Prepare(m, ex.Optim{}))
+		csrK := e.Prepare(m, ex.Optim{})
+		csr := stats.SecondsPerCall(1, iters, func() { csrK.MulVec(x, y) })
 		sssK := e.Prepare(m, ex.Optim{Symmetric: true}).(*native.Prepared)
-		sss := timeOp(sssK)
+		sss := stats.SecondsPerCall(1, iters, func() { sssK.MulVec(x, y) })
 
 		var maxDiff float64
 		for i := range want {

@@ -272,19 +272,17 @@ func (s *SellCS) MulVecChunks(x, y []float64, lo, hi int) {
 //
 //spmv:hotpath
 func SellCSChunks[V Value](s *SellCS, vals *[]V, x, y []float64, lo, hi int) {
-	c := s.C
+	// Locals, not s's fields, in the element loop: the compiler keeps
+	// them in registers instead of reloading the headers per element.
+	c, cols, vs := s.C, s.Cols, *vals
 	for k := lo; k < hi; k++ {
 		ptr := s.ChunkPtr[k]
 		base := k * c
-		rows := c
-		if base+rows > s.NRows {
-			rows = s.NRows - base
-		}
-		for r := 0; r < rows; r++ {
+		for r, n := range s.RowLen[base:min(base+c, s.NRows)] {
 			var sum float64
 			p := ptr + int64(r)
-			for j := int32(0); j < s.RowLen[base+r]; j++ {
-				sum += float64((*vals)[p]) * x[s.Cols[p]]
+			for ; n > 0; n-- {
+				sum += float64(vs[p]) * x[cols[p]]
 				p += int64(c)
 			}
 			y[s.Perm[base+r]] = sum

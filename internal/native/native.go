@@ -1,8 +1,9 @@
 // Package native executes SpMV configurations for real on the host
 // machine: a persistent worker pool driving parallel kernels with
 // per-thread timing, prepared (compile-once, run-many) kernel objects,
-// the warm-cache measurement methodology of Section IV-A, and a
-// STREAM-triad bandwidth probe for calibrating the host model. It
+// and a STREAM-triad bandwidth probe for calibrating the host model.
+// Run and StreamTriad time their kernels with stats.SecondsPerCall,
+// the warm-cache methodology of Section IV-A. It
 // implements the same Executor interface as the simulator, so the
 // entire classification/optimization pipeline runs unchanged on real
 // hardware.
@@ -21,6 +22,7 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/machine"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/plan"
+	"github.com/sparsekit/spmvtuner/internal/stats"
 )
 
 // Executor runs configurations natively.
@@ -217,8 +219,9 @@ func (e *Executor) SellCSOf(m *matrix.CSR) *formats.SellCS {
 }
 
 // Run implements exec.Executor: it executes the configuration and
-// reports the best-of-Iters wall time together with per-thread busy
-// times (warm cache: one untimed warmup pass precedes measurement).
+// reports the best-of-Iters wall time from stats.SecondsPerCall (warm
+// cache: one untimed warmup pass precedes measurement) together with
+// per-thread busy times averaged over the timed passes.
 // Measurement runs on transient goroutines, not the shared worker
 // pool, so profiling stays undistorted by — and does not stall behind —
 // prepared-kernel serving traffic on the same executor; the spawn
@@ -261,35 +264,27 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 		perVec = float64(bw)
 	}
 
-	op(nil) // warmup, untimed
-
-	iters := e.Iters
-	if iters < 1 {
-		iters = 1
-	}
-	best := ex.Result{Seconds: 0}
-	threadTotals := make([]float64, nt)
-	var totalOps int
-	for it := 0; it < iters; it++ {
-		perThread := make([]float64, nt)
-		start := time.Now()
-		op(perThread)
-		secs := time.Since(start).Seconds() / perVec
-		totalOps++
-		for t := range perThread {
-			threadTotals[t] += perThread[t] / perVec
-		}
-		if best.Seconds == 0 || secs < best.Seconds {
-			best.Seconds = secs
-			best.ThreadSeconds = perThread
-		}
-	}
-	// Average per-thread busy times over iterations for stability.
+	// SecondsPerCall's first call is its untimed warm-up, which stamps
+	// no per-thread times: the busy times average the timed calls only.
+	perThread := make([]float64, nt)
 	avg := make([]float64, nt)
+	calls := 0
+	secs := stats.SecondsPerCall(e.Iters, 1, func() {
+		calls++
+		if calls == 1 {
+			op(nil)
+			return
+		}
+		clear(perThread)
+		op(perThread)
+		for t, s := range perThread {
+			avg[t] += s / perVec
+		}
+	})
 	for t := range avg {
-		avg[t] = threadTotals[t] / float64(totalOps)
+		avg[t] /= float64(calls - 1)
 	}
-	best.ThreadSeconds = avg
+	best := ex.Result{Seconds: secs / perVec, ThreadSeconds: avg}
 	best.Gflops = ex.GflopsOf(m, best.Seconds)
 	best.MemBytes = float64(p.matrixBytes)/perVec + float64(m.NCols+m.NRows)*8
 	return best
@@ -416,16 +411,7 @@ func StreamTriad(elems int, nt int, iters int) float64 {
 		}
 		wg.Wait()
 	}
-	triad() // warmup
-	bestSecs := 0.0
-	for it := 0; it < iters; it++ {
-		start := time.Now()
-		triad()
-		secs := time.Since(start).Seconds()
-		if bestSecs == 0 || secs < bestSecs {
-			bestSecs = secs
-		}
-	}
+	bestSecs := stats.SecondsPerCall(iters, 1, triad)
 	bytes := float64(elems) * 8 * 3 // two reads + one write
 	return safeRate(bytes, bestSecs)
 }

@@ -1,13 +1,13 @@
 // Package stats provides the small statistical toolkit used throughout
-// the SpMV tuner: means, medians, deviations, percentiles, and the
-// measurement-summarization methodology of the paper (Section IV-A:
-// rates are summarized over repeated runs using the harmonic mean, and
-// each run's rate is the rate of arithmetic means of absolute counts).
+// the SpMV tuner: means, medians, deviations and percentiles, and
+// SecondsPerCall, the one primitive every per-call kernel timing goes
+// through (the warm-cache methodology of the paper's Section IV-A).
 package stats
 
 import (
 	"math"
 	"sort"
+	"time"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -20,24 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// HarmonicMean returns the harmonic mean of xs, or 0 for an empty
-// slice. Any non-positive entry makes the harmonic mean undefined; such
-// entries cause a return of 0 so callers can treat the result as "no
-// valid rate".
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += 1 / x
-	}
-	return float64(len(xs)) / s
 }
 
 // GeometricMean returns the geometric mean of xs, or 0 for an empty
@@ -87,20 +69,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -140,39 +108,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return cp[lo]*(1-frac) + cp[hi]*frac
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// SumInts returns the sum of xs as an int64 to avoid overflow on large
-// nnz counts.
-func SumInts(xs []int) int64 {
-	var s int64
-	for _, x := range xs {
-		s += int64(x)
-	}
-	return s
-}
-
-// MaxInt returns the maximum of xs, or 0 for an empty slice.
-func MaxInt(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // MinInt returns the minimum of xs, or 0 for an empty slice.
 func MinInt(xs []int) int {
 	if len(xs) == 0 {
@@ -187,52 +122,20 @@ func MinInt(xs []int) int {
 	return m
 }
 
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	StdDev float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		StdDev: StdDev(xs),
-	}
-}
-
-// RateMethodology implements the paper's measurement summarization
-// (Section IV-A): each of Runs benchmark runs performs Ops kernel
-// operations; the run's rate is flops/secs of the arithmetic means of
-// the absolute counts, and the reported rate is the harmonic mean over
-// runs. flopsPerOp is 2*NNZ for SpMV.
-type RateMethodology struct {
-	Runs int // number of benchmark runs (paper: 5)
-	Ops  int // kernel operations per run (paper: 128)
-}
-
-// DefaultMethodology is the paper's 5-run x 128-op warm-cache setup.
-var DefaultMethodology = RateMethodology{Runs: 5, Ops: 128}
-
-// Summarize converts per-run total times (seconds, each covering m.Ops
-// operations) into a single rate in flop/s given flopsPerOp per
-// operation.
-func (m RateMethodology) Summarize(runTotalSeconds []float64, flopsPerOp float64) float64 {
-	rates := make([]float64, 0, len(runTotalSeconds))
-	for _, t := range runTotalSeconds {
-		if t <= 0 {
-			continue
+// SecondsPerCall times op under warm caches: one untimed call, then
+// reps timed loops of n back-to-back calls each. It returns the
+// fastest loop's seconds per call, so a loop that a stall or a
+// preemption slowed does not count. A reps or n below 1 counts as 1.
+func SecondsPerCall(reps, n int, op func()) float64 {
+	reps, n = max(reps, 1), max(n, 1)
+	op()
+	best := math.Inf(1)
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			op()
 		}
-		meanSecs := t / float64(m.Ops)
-		rates = append(rates, flopsPerOp/meanSecs)
+		best = min(best, time.Since(start).Seconds())
 	}
-	return HarmonicMean(rates)
+	return best / float64(n)
 }
