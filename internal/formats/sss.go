@@ -41,6 +41,10 @@ type SSS struct {
 // upper triangle is discarded and reconstructed from the lower one,
 // so any asymmetry would silently corrupt results — callers gate on
 // the symmetry kind, and a violation here is a programming error.
+// The check re-runs the detection rather than trusting m.Sym: one
+// cursor walk over the rows, no transpose, so it costs about one pass
+// over the structure on a symmetric matrix and stops at the first
+// mismatch on an asymmetric one.
 func ConvertSSS(m *matrix.CSR) *SSS {
 	if matrix.DetectSymmetry(m) != matrix.SymSymmetric {
 		panic(fmt.Sprintf("formats: ConvertSSS on a non-symmetric matrix (%dx%d %q)",

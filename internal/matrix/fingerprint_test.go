@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"regexp"
 	"strings"
 	"testing"
@@ -87,5 +89,82 @@ func TestFingerprintShape(t *testing.T) {
 	want := regexp.MustCompile(`^v1-3x3-4-(gen|sym|skew)-[0-9a-f]{16}$`)
 	if !want.MatchString(fp) {
 		t.Fatalf("fingerprint %q does not match %v", fp, want)
+	}
+}
+
+// mixWordReference is the byte-serial FNV-1a step Fingerprint was
+// first written with: eight dependent xor-and-multiply steps per word.
+// It is the oracle for mixWord's folded zero bytes.
+func mixWordReference(h, v uint64) uint64 {
+	for s := 0; s < 64; s += 8 {
+		h ^= (v >> s) & 0xff
+		h *= 1099511628211
+	}
+	return h
+}
+
+// fingerprintReference is Fingerprint over mixWordReference: the
+// version-1 value every stored plan was keyed with.
+func fingerprintReference(m *CSR) string {
+	h := uint64(14695981039346656037)
+	h = mixWordReference(h, uint64(m.NRows))
+	h = mixWordReference(h, uint64(m.NCols))
+	h = mixWordReference(h, uint64(m.SymmetryKind()))
+	for _, p := range m.RowPtr {
+		h = mixWordReference(h, uint64(p))
+	}
+	for _, c := range m.ColInd {
+		h = mixWordReference(h, uint64(uint32(c)))
+	}
+	return fmt.Sprintf("v1-%dx%d-%d-%s-%016x", m.NRows, m.NCols, m.NNZ(), symTag(m.Sym), h)
+}
+
+// TestMixWordMatchesByteSerial checks the folded step on the byte
+// boundaries where the count of hashed bytes changes.
+func TestMixWordMatchesByteSerial(t *testing.T) {
+	words := []uint64{0, 1, 0xff, 0x100, 0xffff, 0x10000, 1<<24 - 1, 1 << 24,
+		1<<32 - 1, 1 << 32, 0x0100000000000001, 1 << 56, 1 << 63, 1<<64 - 1}
+	for _, h := range []uint64{14695981039346656037, 0, 1<<64 - 1, 0x9f2a6c41d03b58e7} {
+		for _, v := range words {
+			if got, want := mixWord(h, v), mixWordReference(h, v); got != want {
+				t.Errorf("mixWord(%#x, %#x) = %#x, want %#x", h, v, got, want)
+			}
+		}
+	}
+}
+
+// TestFingerprintMatchesByteSerial compares Fingerprint with the
+// byte-serial reference on random matrices: square and rectangular,
+// symmetric, with empty rows, with columns past 2^24 (four-byte column
+// words) and the 0×0 matrix.
+func TestFingerprintMatchesByteSerial(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 1))
+	random := func(rows, cols, nnz int, mirror bool) *CSR {
+		coo := NewCOO(rows, cols)
+		for range nnz {
+			r, c := rng.IntN(rows), rng.IntN(cols)
+			coo.Add(r, c, 1)
+			if mirror && r != c {
+				coo.Add(c, r, 1)
+			}
+		}
+		return coo.ToCSR()
+	}
+	ms := []*CSR{
+		NewCOO(0, 0).ToCSR(),
+		NewCOO(5, 5).ToCSR(), // only empty rows
+		random(1, 1, 1, false),
+		random(300, 300, 40, false), // mostly empty rows
+		random(300, 300, 2000, true),
+		random(200, 700, 3000, false),
+		random(64, 1<<25, 500, false),
+		random(1<<17, 1<<17, 300000, false), // row pointers past 2^16
+	}
+	for i, m := range ms {
+		want := fingerprintReference(m.Clone())
+		if got := Fingerprint(m); got != want {
+			t.Errorf("matrix %d (%dx%d, nnz %d): Fingerprint = %s, want %s",
+				i, m.NRows, m.NCols, m.NNZ(), got, want)
+		}
 	}
 }

@@ -45,29 +45,51 @@ func (s Symmetry) String() string {
 // from the lower triangle and must round-trip without drift. A matrix
 // that satisfies both relations (all stored values zero) reports
 // SymSymmetric.
+//
+// It builds no transpose. One pass over the rows keeps a cursor per
+// row at that row's next unmatched lower entry: each upper entry (i,c)
+// must meet the entry (c,i) at row c's cursor, and by the time row i
+// is reached every lower entry of row i must have been met. Rows are
+// walked in order, so the cursors advance in column order. The pass
+// stops at the first mismatch. A row whose columns are not strictly
+// increasing, or leave [0,n), is reported SymGeneral: the symmetric
+// storage path needs canonical rows. The n cursors are the only
+// allocation.
 func DetectSymmetry(m *CSR) Symmetry {
-	if m.NRows != m.NCols {
+	n := m.NRows
+	if n != m.NCols {
 		return SymGeneral
 	}
-	t := m.Transpose()
-	for i := range m.RowPtr {
-		if m.RowPtr[i] != t.RowPtr[i] {
-			return SymGeneral
-		}
-	}
+	rp, ci, v := m.RowPtr, m.ColInd, m.Val
+	next := make([]int64, n)
+	copy(next, rp)
 	sym, skew := true, true
-	for p := range m.ColInd {
-		if m.ColInd[p] != t.ColInd[p] {
-			return SymGeneral
-		}
-		if m.Val[p] != t.Val[p] {
-			sym = false
-		}
-		if m.Val[p] != -t.Val[p] {
-			skew = false
-		}
-		if !sym && !skew {
-			return SymGeneral
+	for i := range n {
+		// Entries before next[i] are row i's lower entries, met in
+		// increasing column order by rows above; the rest must lie on
+		// or above the diagonal.
+		prev := int32(i) - 1
+		for p, end := next[i], rp[i+1]; p < end; p++ {
+			c := ci[p]
+			if c <= prev || int(c) >= n {
+				return SymGeneral
+			}
+			prev = c
+			a := v[p]
+			b := a
+			if int(c) != i {
+				q := next[c]
+				if q >= rp[c+1] || ci[q] != int32(i) {
+					return SymGeneral
+				}
+				next[c] = q + 1
+				b = v[q]
+			}
+			sym = sym && a == b
+			skew = skew && a == -b
+			if !sym && !skew {
+				return SymGeneral
+			}
 		}
 	}
 	if sym {
