@@ -1,8 +1,7 @@
 // Command spmvserve runs the multi-tenant SpMV server over HTTP: many
 // named matrices, each lazily tuned once (warm-started from the plan
 // store when -plans is set), concurrent multiply requests coalesced
-// into register-blocked SpMM batches, and prepared kernels held under
-// an LRU memory budget.
+// into batches, and prepared kernels held under an LRU memory budget.
 //
 //	spmvserve -suite FEM_3D_thermal2,poisson3Db -scale 0.25
 //	spmvserve -mtx /data/bcsstk17.mtx -plans /var/lib/spmv/plans

@@ -88,9 +88,11 @@ func TestPlatformsGuideSamples(t *testing.T) {
 	_ = sim.New(mdl)
 }
 
-// TestBatchingGuideSamples exercises the batching guide: the blocked
+// TestBatchingGuideSamples exercises the batching guide: the
 // MulVecBatch serving shape, the interleaved MulMat entry point, the
-// optimizer's block-width sweep, and the aliasing rule.
+// rule that a batch computes what MulVec does (bit for bit outside a
+// register-blocked group, within 1e-12 inside one), and the aliasing
+// rule.
 func TestBatchingGuideSamples(t *testing.T) {
 	m, err := spmvtuner.SuiteMatrix("poisson3Db", 0.02)
 	if err != nil {
@@ -100,7 +102,8 @@ func TestBatchingGuideSamples(t *testing.T) {
 	defer tuner.Close()
 	tuned := tuner.Tune(m)
 
-	// Batch serving: 16 user vectors, blocked into groups of up to 8.
+	// Batch serving: 16 user vectors, two groups of 8 on a CSR float64
+	// plan, one by one on any other.
 	xs := make([][]float64, 16)
 	ys := make([][]float64, 16)
 	for i := range xs {
@@ -130,11 +133,15 @@ func TestBatchingGuideSamples(t *testing.T) {
 		}
 	}
 
-	// The guide's block-width sweep (internal packages, as it notes).
-	csr := gen.UniformRandom(50000, 12, 1)
-	w, speedup := opt.BestBlockWidth(sim.New(machine.KNL()), csr, ex.Optim{})
-	if w < 1 || speedup < 1 {
-		t.Fatalf("BestBlockWidth = (%d, %g)", w, speedup)
+	// The rule: every batch result is what MulVec computes.
+	yv := make([]float64, m.Rows())
+	for l := range xs {
+		tuned.MulVec(xs[l], yv)
+		for i, want := range yv {
+			if math.Abs(ys[l][i]-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("MulVecBatch vector %d row %d = %g, MulVec %g", l, i, ys[l][i], want)
+			}
+		}
 	}
 
 	// The aliasing rule: in-place multiplication panics.

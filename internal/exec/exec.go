@@ -61,15 +61,6 @@ type Optim struct {
 	// Schedule selects the row-scheduling policy; the zero value is
 	// the paper's default static nnz-balanced partitioning.
 	Schedule sched.Policy
-	// BlockWidth is the multi-RHS SpMM block width: how many
-	// right-hand sides a blocked kernel processes per matrix stream.
-	// 0 leaves the engine's default (DefaultBlockWidth) in place for
-	// batch execution; 1 disables blocking (per-vector loop); values
-	// above 1 fix the width and, in the cost model, price one SpMV as
-	// the per-vector share of a k-blocked SpMM — the bytes-per-k
-	// arithmetic-intensity lift. Single-vector MulVec semantics are
-	// unaffected by this knob.
-	BlockWidth int
 	// Precision selects the stored value precision (the MB-class
 	// bandwidth lever that halves the value stream). The zero value is
 	// full float64. Reduced precision applies to the value payload of
@@ -223,7 +214,7 @@ func (o Optim) Canonical(mdl machine.Model) Optim {
 		return o
 	}
 	f := o.EffectiveFormat()
-	c := Optim{Schedule: o.Schedule, BlockWidth: o.BlockWidth, Precision: o.EffectivePrecision()}
+	c := Optim{Schedule: o.Schedule, Precision: o.EffectivePrecision()}
 	vec := o.Vectorize || o.Prefetch || o.Unroll
 	switch f {
 	case FormatCSR:
@@ -274,25 +265,7 @@ func (o Optim) String() string {
 	if s == "" {
 		s = "none"
 	}
-	s = fmt.Sprintf("%s@%s", s, o.Schedule)
-	if o.BlockWidth > 1 {
-		s += fmt.Sprintf(" x%d", o.BlockWidth)
-	}
-	return s
-}
-
-// DefaultBlockWidth is the SpMM block width the engine uses for batch
-// execution when the configuration does not fix one: it matches the
-// widest register-blocked kernel (k=8) and the modeled SIMD width.
-const DefaultBlockWidth = 8
-
-// EffectiveBlockWidth resolves the SpMM block width batch execution
-// uses: the configured width, or the engine default when unset.
-func (o Optim) EffectiveBlockWidth() int {
-	if o.BlockWidth > 0 {
-		return o.BlockWidth
-	}
-	return DefaultBlockWidth
+	return fmt.Sprintf("%s@%s", s, o.Schedule)
 }
 
 // Config is one executable SpMV setup.
@@ -366,17 +339,19 @@ type PreparedKernel interface {
 	// MulVecBatch computes ys[i] = A*xs[i] for every pair, keeping
 	// workers hot across the batch (the repeated-multiply serving
 	// path: iterative solvers, PageRank, multi-user traffic).
-	// Implementations block the batch into groups of
-	// Opt().EffectiveBlockWidth() vectors and stream the matrix once
-	// per group. The aliasing rule is blanket: no input vector may
-	// overlap ANY output vector — earlier groups' outputs are written
-	// before later groups' inputs are read.
+	// The native engine streams the matrix once per group of 8 (then
+	// one of 4) vectors on the CSR float64 binding only; every other
+	// binding runs the batch vector by vector. The aliasing rule is
+	// blanket: no input vector may overlap ANY output vector — earlier
+	// groups' outputs are written before later groups' inputs are
+	// read.
 	MulVecBatch(xs, ys [][]float64)
 	// MulMat computes Y = A*X for k right-hand sides stored in the
 	// interleaved block layout (X[j*k+l] is element j of vector l;
-	// see matrix.PackBlock), streaming the matrix once for the whole
-	// block. len(x) must be NCols*k and len(y) NRows*k; x and y must
-	// not alias.
+	// see matrix.PackBlock): one matrix stream for the block where
+	// MulVecBatch would block it, k MulVec calls on gathered columns
+	// otherwise. len(x) must be NCols*k and len(y) NRows*k; x and y
+	// must not alias.
 	MulMat(x, y []float64, k int)
 	// Opt returns the configuration the kernel was compiled for.
 	Opt() Optim

@@ -76,28 +76,6 @@ func TestOptimStringMentionsSchedule(t *testing.T) {
 	}
 }
 
-func TestOptimStringMentionsBlockWidth(t *testing.T) {
-	o := Optim{Vectorize: true, BlockWidth: 8}
-	if got := o.String(); got != "vec@static-nnz x8" {
-		t.Fatalf("String() = %q", got)
-	}
-	if got := (Optim{Vectorize: true}).String(); got != "vec@static-nnz" {
-		t.Fatalf("unblocked String() = %q, block suffix must not leak", got)
-	}
-}
-
-func TestEffectiveBlockWidth(t *testing.T) {
-	if w := (Optim{}).EffectiveBlockWidth(); w != DefaultBlockWidth {
-		t.Fatalf("default width = %d, want %d", w, DefaultBlockWidth)
-	}
-	if w := (Optim{BlockWidth: 1}).EffectiveBlockWidth(); w != 1 {
-		t.Fatalf("explicit width 1 = %d", w)
-	}
-	if w := (Optim{BlockWidth: 4}).EffectiveBlockWidth(); w != 4 {
-		t.Fatalf("explicit width 4 = %d", w)
-	}
-}
-
 // TestOptimCanonical pins the host resolver per effective format,
 // kernel knobs and schedule, then checks its invariants over every knob
 // combination: the identity off the host and on bound kernels,
@@ -120,12 +98,12 @@ func TestOptimCanonical(t *testing.T) {
 		{"split/unroll-dynamic", Optim{Split: true, Unroll: true, Compress: true, SellCS: true, Schedule: sched.Dynamic}, Optim{Vectorize: true, Schedule: sched.Dynamic}},
 		{"split/static-rows", Optim{Split: true, Schedule: sched.StaticRows}, Optim{Vectorize: true, Schedule: sched.Auto}},
 		{"split/f32-auto", Optim{Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Vectorize: true, Schedule: sched.Auto}},
-		{"split/prefetch-guided-x4", Optim{Split: true, Prefetch: true, Schedule: sched.Guided, BlockWidth: 4}, Optim{Vectorize: true, Schedule: sched.Guided, BlockWidth: 4}},
+		{"split/prefetch-guided", Optim{Split: true, Prefetch: true, Schedule: sched.Guided}, Optim{Vectorize: true, Schedule: sched.Guided}},
 		{"sellcs/vec+prefetch+unroll-dynamic", Optim{SellCS: true, Vectorize: true, Prefetch: true, Unroll: true, Compress: true, Precision: f32, Schedule: sched.Dynamic}, Optim{SellCS: true, Vectorize: true, Precision: f32, Schedule: sched.Dynamic}},
 		{"sellcs/prefetch-static-rows", Optim{SellCS: true, Prefetch: true, Schedule: sched.StaticRows}, Optim{SellCS: true}},
 		{"sellcs/auto", Optim{SellCS: true, Schedule: sched.Auto}, Optim{SellCS: true, Schedule: sched.Auto}},
 		{"delta/vec+prefetch+unroll-guided", Optim{Compress: true, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Guided}, Optim{Compress: true, Vectorize: true}},
-		{"delta/static-rows-x4", Optim{Compress: true, Schedule: sched.StaticRows, BlockWidth: 4}, Optim{Compress: true, Vectorize: true, Schedule: sched.StaticRows, BlockWidth: 4}},
+		{"delta/static-rows", Optim{Compress: true, Schedule: sched.StaticRows}, Optim{Compress: true, Vectorize: true, Schedule: sched.StaticRows}},
 		{"sss/vec-auto", Optim{Symmetric: true, Vectorize: true, Compress: true, Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Symmetric: true, Precision: f32}},
 		{"regx/vec+prefetch-dynamic", Optim{RegularizeX: true, Vectorize: true, Prefetch: true, Schedule: sched.Dynamic}, Optim{RegularizeX: true, Vectorize: true, Prefetch: true, Schedule: sched.Dynamic}},
 		{"unit/split-f32", Optim{UnitStride: true, Split: true, Precision: f32}, Optim{UnitStride: true, Split: true, Precision: f32}},

@@ -20,6 +20,7 @@ import (
 // client load.
 type ServeMode struct {
 	Mode           string
+	Plan           string // the served plan, e.g. "vec@static-nnz"
 	MaxBatch       int
 	Requests       uint64
 	Batches        uint64
@@ -48,15 +49,16 @@ type ServeResult struct {
 }
 
 // serveDefaultMatrix is the bandwidth-bound banded reference
-// (FEM_3D_thermal2's recipe): exactly the regime where coalescing into
-// register-blocked SpMM cuts per-vector matrix traffic the most.
+// (FEM_3D_thermal2's recipe): the regime where a CSR float64 plan's
+// register-blocked groups cut per-vector matrix traffic the most.
 const serveDefaultMatrix = "FEM_3D_thermal2"
 
 // Serve measures what request coalescing buys a loaded multi-tenant
 // server: the same 16 closed-loop clients drive a sequential server
 // (MaxBatch 1, every request a single-vector call) and a coalescing
-// one (MaxBatch 8, concurrent requests share one matrix stream via
-// blocked SpMM). Both servers run over one shared native pipeline with
+// one (MaxBatch 8, concurrent requests share one MulVecBatch call, and
+// one matrix stream per group of 8 or 4 on a CSR float64 plan). Both
+// servers run over one shared native pipeline with
 // a plan store, and every returned vector is checked against the
 // serial reference — a wrong answer is an error. Whether coalescing is
 // a slowdown is a wall-clock verdict, so Serve leaves it to its caller:
@@ -198,6 +200,7 @@ func serveLoad(eng serve.Engine, cm *matrix.CSR, maxBatch, clients, perClient in
 		return ServeMode{}, maxDiff, fmt.Errorf("stats vanished")
 	}
 	row := ServeMode{
+		Plan:           st.Plan,
 		MaxBatch:       maxBatch,
 		Requests:       st.Requests,
 		Batches:        st.Batches,
@@ -218,13 +221,13 @@ func serveLoad(eng serve.Engine, cm *matrix.CSR, maxBatch, clients, perClient in
 func (r *ServeResult) Table() *report.Table {
 	t := report.New(fmt.Sprintf("Multi-tenant serving: coalesced vs sequential (%s, nnz %d, %d clients x %d reqs, GOMAXPROCS %d)",
 		r.Matrix, r.NNZ, r.Clients, r.PerClient, r.GOMAXPROCS),
-		"mode", "max batch", "req/s", "mean width", "batches", "p50 us", "p99 us", "Gflops")
+		"mode", "plan", "max batch", "req/s", "mean width", "batches", "p50 us", "p99 us", "Gflops")
 	for _, row := range []ServeMode{r.Sequential, r.Coalesced} {
-		t.Add(row.Mode, fmt.Sprintf("%d", row.MaxBatch), report.F(row.ReqPerSec),
+		t.Add(row.Mode, row.Plan, fmt.Sprintf("%d", row.MaxBatch), report.F(row.ReqPerSec),
 			report.F(row.MeanBatchWidth), fmt.Sprintf("%d", row.Batches),
 			report.F(row.P50Micros), report.F(row.P99Micros), report.F(row.Gflops))
 	}
 	t.AddNote("coalescing speedup %.2fx in requests/sec; max deviation from serial reference %.1e", r.Speedup, r.MaxDiff)
-	t.AddNote("coalesced batches execute as register-blocked SpMM: one matrix stream serves up to %d requests", r.Coalesced.MaxBatch)
+	t.AddNote("coalesced batches run as one MulVecBatch of up to %d requests; only a CSR float64 plan streams the matrix once per group of 8 or 4", r.Coalesced.MaxBatch)
 	return t
 }

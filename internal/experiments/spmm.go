@@ -4,30 +4,27 @@ import (
 	"math"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
-	"github.com/sparsekit/spmvtuner/internal/machine"
 	"github.com/sparsekit/spmvtuner/internal/native"
-	"github.com/sparsekit/spmvtuner/internal/opt"
 	"github.com/sparsekit/spmvtuner/internal/report"
-	"github.com/sparsekit/spmvtuner/internal/sim"
 	"github.com/sparsekit/spmvtuner/internal/stats"
 	"github.com/sparsekit/spmvtuner/internal/suite"
 )
 
-// SpMMRow compares the per-vector loop against the blocked multi-RHS
-// path for one (matrix, block width) pair, both through the prepared
-// persistent-pool engine. Blocking streams the matrix once per block
-// of K vectors instead of once per vector, so on bandwidth-bound
-// matrices the per-vector time should approach 1/K of the loop for the
-// matrix-stream share of the traffic.
+// SpMMRow compares the per-vector loop against the batch path for one
+// (matrix, batch width) pair on the CSR gather binding, both through
+// the prepared persistent-pool engine. The batch path streams the
+// matrix once per group of 8, then once for a group of 4, and runs
+// the vectors left over one by one: k = 4 and 8 are one group, k = 5
+// a group plus one per-vector remainder, k = 12 a group of 8 and one
+// of 4.
 type SpMMRow struct {
 	Matrix  string
 	NNZ     int
-	K       int     // block width
+	K       int     // batch width
 	LoopUs  float64 // per-vector microseconds, per-vector MulVec loop
-	BlockUs float64 // per-vector microseconds, blocked MulVecBatch
+	BlockUs float64 // per-vector microseconds, MulVecBatch
 	Speedup float64 // LoopUs / BlockUs
-	ModelX  float64 // cost-model predicted speedup on the host model
-	MaxDiff float64 // max |blocked - per-vector| relative difference
+	MaxDiff float64 // max |batch - per-vector| relative difference
 }
 
 // SpMMResult holds the blocked-SpMM comparison for the selected suite.
@@ -35,10 +32,7 @@ type SpMMResult struct {
 	Rows []SpMMRow
 }
 
-// SpMM runs the blocked multi-RHS comparison natively on the host and
-// sets the cost model's prediction beside each measurement: the
-// modeled bytes-per-k intensity lift is exactly what the optimizer
-// consults (opt.BestBlockWidth) to decide when blocking pays.
+// SpMM runs the batch comparison natively on the host.
 func SpMM(cfg Config) (SpMMResult, error) {
 	c := cfg.withDefaults()
 	sel, err := c.selected("spmm", suite.Evaluation())
@@ -47,7 +41,6 @@ func SpMM(cfg Config) (SpMMResult, error) {
 	}
 	e := native.New()
 	defer e.Close()
-	model := sim.New(machine.Host())
 
 	var res SpMMResult
 	for _, r := range sel {
@@ -56,7 +49,7 @@ func SpMM(cfg Config) (SpMMResult, error) {
 		p := e.Prepare(m, o)
 		iters := reuseIters(m.NNZ())
 
-		for _, k := range []int{2, 4, 8} {
+		for _, k := range []int{4, 5, 8, 12} {
 			xs := make([][]float64, k)
 			ys := make([][]float64, k)
 			want := make([][]float64, k)
@@ -79,7 +72,7 @@ func SpMM(cfg Config) (SpMMResult, error) {
 				}
 			}) / float64(k)
 
-			// Blocked: one matrix stream per block of k vectors.
+			// Batch: one matrix stream per group of 8 or 4 vectors.
 			blocked := stats.SecondsPerCall(1, iters, func() { p.MulVecBatch(xs, ys) }) / float64(k)
 
 			var maxDiff float64
@@ -92,11 +85,6 @@ func SpMM(cfg Config) (SpMMResult, error) {
 				}
 			}
 
-			bo := o
-			bo.BlockWidth = k
-			modelBase := model.Run(ex.Config{Matrix: m, Opt: o}).Seconds
-			modelBlocked := model.Run(ex.Config{Matrix: m, Opt: bo}).Seconds
-
 			row := SpMMRow{
 				Matrix:  m.Name,
 				NNZ:     m.NNZ(),
@@ -108,9 +96,6 @@ func SpMM(cfg Config) (SpMMResult, error) {
 			if blocked > 0 {
 				row.Speedup = loop / blocked
 			}
-			if modelBlocked > 0 {
-				row.ModelX = modelBase / modelBlocked
-			}
 			res.Rows = append(res.Rows, row)
 		}
 	}
@@ -119,13 +104,13 @@ func SpMM(cfg Config) (SpMMResult, error) {
 
 // Table renders the comparison.
 func (r SpMMResult) Table() *report.Table {
-	t := report.New("Blocked SpMM vs per-vector loop (host, prepared engine; per-vector us)",
-		"matrix", "nnz", "k", "loop us/vec", "blocked us/vec", "speedup", "model-x", "maxdiff")
+	t := report.New("Batch SpMM vs per-vector loop (host, prepared engine; per-vector us)",
+		"matrix", "nnz", "k", "loop us/vec", "batch us/vec", "speedup", "maxdiff")
 	var speedups []float64
 	for _, row := range r.Rows {
 		t.Add(row.Matrix, report.F(float64(row.NNZ)), report.F(float64(row.K)),
 			report.F(row.LoopUs), report.F(row.BlockUs), report.Fx(row.Speedup),
-			report.Fx(row.ModelX), report.F(row.MaxDiff))
+			report.F(row.MaxDiff))
 		if row.Speedup > 0 && row.K == 8 {
 			speedups = append(speedups, row.Speedup)
 		}
@@ -133,7 +118,6 @@ func (r SpMMResult) Table() *report.Table {
 	if n := len(speedups); n > 0 {
 		t.AddNote("geometric-mean k=8 speedup %.2fx over %d matrices", stats.GeometricMean(speedups), n)
 	}
-	t.AddNote("blocking widths swept by the optimizer: %v (opt.BestBlockWidth)", opt.BlockWidths())
-	t.AddNote("the matrix streams once per block of k vectors; per-vector matrix traffic drops by 1/k")
+	t.AddNote("only the CSR float64 binding blocks, in groups of 8 then 4; narrower batches run per vector")
 	return t
 }

@@ -261,94 +261,6 @@ func (d *DeltaCSR) MulVecRows(x, y []float64, lo, hi int, overflowStart int) {
 	}
 }
 
-// MulMatRows computes rows [lo, hi) of Y = A*X for k right-hand sides
-// in the interleaved block layout (see matrix.PackBlock), decoding the
-// delta stream once per block instead of once per vector — the
-// MB-class compression and the SpMM traffic amortization compose.
-// overflowStart follows the same contract as MulVecRows.
-//
-//spmv:hotpath
-func (d *DeltaCSR) MulMatRows(x, y []float64, k, lo, hi, overflowStart int) {
-	oi := overflowStart
-	// Two specialized loops, as in MulVecRows: the width test must not
-	// run per decoded element on the throughput path.
-	if d.Width == Delta8 {
-		for i := lo; i < hi; i++ {
-			rlo, rhi := d.RowPtr[i], d.RowPtr[i+1]
-			yr := y[i*k : i*k+k]
-			for l := range yr {
-				yr[l] = 0
-			}
-			if rlo == rhi {
-				continue
-			}
-			col := d.FirstCol[i]
-			v := d.Val[rlo]
-			xr := x[int(col)*k:][:k]
-			for l := range yr {
-				yr[l] = v * xr[l]
-			}
-			for j := rlo + 1; j < rhi; j++ {
-				delta := d.Deltas8[j]
-				if delta == escape {
-					col = d.Overflow[oi]
-					oi++
-				} else {
-					col += int32(delta)
-				}
-				v = d.Val[j]
-				xr = x[int(col)*k:][:k]
-				for l := range yr {
-					yr[l] += v * xr[l]
-				}
-			}
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		rlo, rhi := d.RowPtr[i], d.RowPtr[i+1]
-		yr := y[i*k : i*k+k]
-		for l := range yr {
-			yr[l] = 0
-		}
-		if rlo == rhi {
-			continue
-		}
-		col := d.FirstCol[i]
-		v := d.Val[rlo]
-		xr := x[int(col)*k:][:k]
-		for l := range yr {
-			yr[l] = v * xr[l]
-		}
-		for j := rlo + 1; j < rhi; j++ {
-			delta := d.Deltas16[j]
-			if delta == escape {
-				col = d.Overflow[oi]
-				oi++
-			} else {
-				col += int32(delta)
-			}
-			v = d.Val[j]
-			xr = x[int(col)*k:][:k]
-			for l := range yr {
-				yr[l] += v * xr[l]
-			}
-		}
-	}
-}
-
-// MulMat computes Y = A*X sequentially from the compressed form for k
-// interleaved right-hand sides.
-func (d *DeltaCSR) MulMat(x, y []float64, k int) {
-	if k < 1 || len(x) != d.NCols*k || len(y) != d.NRows*k {
-		panic("formats: DeltaCSR.MulMat dimension mismatch")
-	}
-	if matrix.Aliased(x, y) {
-		panic("formats: DeltaCSR.MulMat input and output must not alias")
-	}
-	d.MulMatRows(x, y, k, 0, d.NRows, 0)
-}
-
 // OverflowOffsets returns, for each row, the index into Overflow where
 // that row's escaped entries begin. Parallel kernels need this so each
 // thread can start mid-stream.

@@ -226,7 +226,7 @@ func TestPrecF32FullMantissas(t *testing.T) {
 // FitsF32 refuses the values, or every narrowed value is within
 // F32EntryBound of its source with specials kept exactly, the SELL
 // float32 instance equals the float64 instance on rounded values bit
-// for bit (NaN matching NaN, for MulVec and a 3-wide block), and its
+// for bit (NaN matching NaN), and its
 // product agrees with the f64 reference within the bound (non-finite
 // rows in kind: the same NaN or the same signed Inf).
 func FuzzNarrowF32(f *testing.F) {
@@ -299,17 +299,5 @@ func FuzzNarrowF32(f *testing.F) {
 				t.Fatalf("y[%d] = %.17g, want %.17g within %g*%g", i, got[i], ref[i], precTol, scale[i])
 			}
 		}
-		const k = 3
-		v32 := NarrowF32(s.Vals)
-		v64 := widened(v32)
-		xb := make([]float64, n*k)
-		for i := range xb {
-			xb[i] = 1 + 1/float64(i+3)
-		}
-		yb32 := make([]float64, n*k)
-		yb64 := make([]float64, n*k)
-		SellCSBlockChunks(s, &v32, xb, yb32, k, 0, s.NChunks())
-		SellCSBlockChunks(s, &v64, xb, yb64, k, 0, s.NChunks())
-		sameBits(t, "f32 sellcs block", yb32, yb64)
 	})
 }

@@ -290,61 +290,6 @@ func SellCSChunks[V Value](s *SellCS, vals *[]V, x, y []float64, lo, hi int) {
 	}
 }
 
-// MulMatChunks computes the contribution of chunks [lo, hi) to
-// Y = A*X for k right-hand sides in the interleaved block layout: each
-// real row's k dot products are written to Y[original row * k ...]
-// through the permutation. Like MulVecChunks, disjoint chunk ranges
-// run in parallel without synchronization; the padded value/column
-// arrays are streamed once per block of k vectors.
-//
-//spmv:hotpath
-func (s *SellCS) MulMatChunks(x, y []float64, k, lo, hi int) {
-	SellCSBlockChunks(s, &s.Vals, x, y, k, lo, hi)
-}
-
-// SellCSBlockChunks is the blocked body of MulMatChunks over the value
-// array *vals, under the SellCSChunks geometry contract.
-//
-//spmv:hotpath
-func SellCSBlockChunks[V Value](s *SellCS, vals *[]V, x, y []float64, k, lo, hi int) {
-	c := s.C
-	for ch := lo; ch < hi; ch++ {
-		base := ch * c
-		rows := c
-		if base+rows > s.NRows {
-			rows = s.NRows - base
-		}
-		for r := 0; r < rows; r++ {
-			yr := y[int(s.Perm[base+r])*k:][:k]
-			for l := range yr {
-				yr[l] = 0
-			}
-			p := s.ChunkPtr[ch] + int64(r)
-			for j := int32(0); j < s.RowLen[base+r]; j++ {
-				v := float64((*vals)[p])
-				xr := x[int(s.Cols[p])*k:][:k]
-				for l := range yr {
-					yr[l] += v * xr[l]
-				}
-				p += int64(c)
-			}
-		}
-	}
-}
-
-// MulMat computes Y = A*X sequentially from the SELL-C-σ form for k
-// interleaved right-hand sides; Y is in original row order.
-func (s *SellCS) MulMat(x, y []float64, k int) {
-	if k < 1 || len(x) != s.NCols*k || len(y) != s.NRows*k {
-		panic(fmt.Sprintf("formats: SellCS.MulMat dimension mismatch: x=%d y=%d for %dx%d with k=%d",
-			len(x), len(y), s.NRows, s.NCols, k))
-	}
-	if matrix.Aliased(x, y) {
-		panic("formats: SellCS.MulMat input and output must not alias")
-	}
-	s.MulMatChunks(x, y, k, 0, s.NChunks())
-}
-
 // SellCSStats computes the padded element count and chunk count of a
 // SELL-C-σ conversion without materializing the padded arrays — the
 // input the analytic cost model needs to price the format (padding is

@@ -192,42 +192,3 @@ func (s *SSS) MulVec(x, y []float64) {
 		y[i] += sum
 	}
 }
-
-// MulMat computes Y = A*X sequentially for k interleaved right-hand
-// sides (the matrix.PackBlock layout), streaming the lower triangle
-// once for the whole block.
-func (s *SSS) MulMat(x, y []float64, k int) {
-	if k < 1 {
-		panic(fmt.Sprintf("formats: SSS MulMat block width %d < 1", k))
-	}
-	if len(x) != s.N*k || len(y) != s.N*k {
-		panic(fmt.Sprintf("formats: SSS MulMat dimension mismatch: x=%d y=%d for n=%d k=%d",
-			len(x), len(y), s.N, k))
-	}
-	if matrix.Aliased(x, y) {
-		panic("formats: SSS MulMat input and output must not alias")
-	}
-	for i := 0; i < s.N; i++ {
-		d := s.Diag[i]
-		xr := x[i*k : i*k+k]
-		yr := y[i*k : i*k+k]
-		for l := range yr {
-			yr[l] = d * xr[l]
-		}
-	}
-	L := s.Lower
-	for i := 0; i < s.N; i++ {
-		xi := x[i*k : i*k+k]
-		yi := y[i*k : i*k+k]
-		for j := L.RowPtr[i]; j < L.RowPtr[i+1]; j++ {
-			c := int(L.ColInd[j])
-			v := L.Val[j]
-			xc := x[c*k : c*k+k]
-			yc := y[c*k : c*k+k]
-			for l := 0; l < k; l++ {
-				yi[l] += v * xc[l]
-				yc[l] += v * xi[l]
-			}
-		}
-	}
-}

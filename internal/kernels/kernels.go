@@ -25,12 +25,14 @@
 // The pure-Go forms below (DeltaCSR.MulVecRows for the decoder) are
 // the differential-test oracle every assembly body is verified against
 // (dispatch_test.go), and the only bodies built under `-tags noasm` or
-// on non-amd64 hosts. See docs/guide/simd.md.
+// on non-amd64 hosts. See docs/guide/simd.md. The register-blocked
+// SpMM bodies (spmm.go) exist only for CSR float64 at k = 4 and 8: no
+// other format or width has a blocked body, since none beat k
+// single-vector multiplies on the measured host.
 //
 // Each pure-Go loop shape has one body generic over the stored value
-// type (formats.Value): CSRRows, CSRVector8Rows, CSRBlockRows, SSSRows
-// and SSSBlockRows here, formats.SellCSChunks and
-// formats.SellCSBlockChunks for SELL-C-σ. The float64 kernels run the
+// type (formats.Value): CSRRows, CSRVector8Rows and SSSRows here,
+// formats.SellCSChunks for SELL-C-σ. The float64 kernels run the
 // float64 instance; the reduced-precision bindings run the float32
 // instance on the same structure, always accumulating in float64.
 package kernels

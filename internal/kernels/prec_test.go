@@ -114,34 +114,3 @@ func TestPrecSSSRangeMatchesReference(t *testing.T) {
 		}
 	})
 }
-
-// TestPrecBlockRangesMatchPerVector: the float32 instance of the any-k
-// tail must equal k single-vector runs of the float32 scalar body bit
-// for bit — both accumulate each lane's products in row order. The
-// bit identity of every float32 instance with its float64 oracle is
-// checked through the prepared engine (native
-// TestPrecF32InstanceBitIdentical).
-func TestPrecBlockRangesMatchPerVector(t *testing.T) {
-	m := testMatrices()["powerlaw"]
-	val := formats.NarrowF32(m.Val)
-	for _, k := range []int{1, 2, 3, 8} {
-		xs := make([][]float64, k)
-		want := make([][]float64, k)
-		for l := 0; l < k; l++ {
-			xs[l] = vec(m.NCols, int64(10+l))
-			want[l] = make([]float64, m.NRows)
-			CSRRows(m, &val, xs[l], want[l], 0, m.NRows)
-		}
-		xb := matrix.PackBlock(nil, xs)
-		yb := make([]float64, m.NRows*k)
-		CSRBlockRows(m, &val, xb, yb, k, 0, m.NRows)
-		for l := 0; l < k; l++ {
-			for i := 0; i < m.NRows; i++ {
-				if math.Float64bits(want[l][i]) != math.Float64bits(yb[i*k+l]) {
-					t.Fatalf("f32 csr block k=%d: y[%d][%d] = %g, want %g bit for bit",
-						k, l, i, yb[i*k+l], want[l][i])
-				}
-			}
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/sparsekit/spmvtuner/internal/formats"
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
 )
@@ -45,12 +44,24 @@ func checkBlock(t *testing.T, label string, got, want []float64, k int) {
 	}
 }
 
-// TestCSRBlockRangeAllWidths covers the register-blocked
-// specializations (2, 4, 8) and the generic tail (3, 5, 9) against the
-// per-vector reference, including a mid-matrix row range.
+// TestCSRBlockRangeAllWidths covers both register-blocked widths
+// (4, 8) against the per-vector reference, including a mid-matrix row
+// range, and checks that every other width is refused.
 func TestCSRBlockRangeAllWidths(t *testing.T) {
 	m := gen.PowerLaw(300, 6, 1.9, 100, 17)
-	for _, k := range []int{1, 2, 3, 4, 5, 8, 9} {
+	for _, k := range []int{1, 2, 3, 5, 9} {
+		x := randBlock(m.NCols, k, int64(k))
+		y := make([]float64, m.NRows*k)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("CSRBlockRange accepted k=%d", k)
+				}
+			}()
+			CSRBlockRange(m, x, y, k, 0, m.NRows)
+		}()
+	}
+	for _, k := range []int{4, 8} {
 		x := randBlock(m.NCols, k, int64(k))
 		want := blockRef(m, x, k)
 		y := make([]float64, m.NRows*k)
@@ -74,40 +85,5 @@ func TestCSRBlockRangeAllWidths(t *testing.T) {
 				t.Fatalf("range k=%d: wrote outside [50,200) at row %d", k, i)
 			}
 		}
-	}
-}
-
-// TestDeltaBlockRangeMidStream drives the blocked DeltaCSR kernel from
-// a mid-matrix row with the matching overflow offset — the parallel
-// dispatch shape.
-func TestDeltaBlockRangeMidStream(t *testing.T) {
-	// Wide scatter forces escaped deltas into the overflow stream.
-	m := gen.Unstructured3D(400, 9, 0.9, 23)
-	d := formats.Compress(m)
-	offs := d.OverflowOffsets()
-	for _, k := range []int{2, 3, 8} {
-		x := randBlock(m.NCols, k, int64(40+k))
-		want := blockRef(m, x, k)
-		y := make([]float64, m.NRows*k)
-		mid := m.NRows / 3
-		DeltaBlockRange(d, x, y, k, 0, mid, 0)
-		DeltaBlockRange(d, x, y, k, mid, m.NRows, offs[mid])
-		checkBlock(t, "delta", y, want, k)
-	}
-}
-
-// TestSellCSBlockRangePartialChunks exercises the blocked SELL kernel
-// over split chunk ranges, as the chunk-partitioned engine runs it.
-func TestSellCSBlockRangePartialChunks(t *testing.T) {
-	m := gen.ShortRows(500, 5, 29)
-	s := formats.ConvertSellCSAuto(m)
-	for _, k := range []int{2, 5, 8} {
-		x := randBlock(m.NCols, k, int64(60+k))
-		want := blockRef(m, x, k)
-		y := make([]float64, m.NRows*k)
-		half := s.NChunks() / 2
-		SellCSBlockRange(s, x, y, k, 0, half)
-		SellCSBlockRange(s, x, y, k, half, s.NChunks())
-		checkBlock(t, "sellcs", y, want, k)
 	}
 }

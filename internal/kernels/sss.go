@@ -18,9 +18,7 @@ import (
 // DetectSymmetry proves symmetric), so a row's first column is its
 // smallest: one test per row sends every row lying entirely at or
 // after lo — all but about one bandwidth of rows per range on a banded
-// matrix — through the branch-free loop into y (the blocked forms skip
-// only the per-element column test, which their k-wide updates
-// dwarf).
+// matrix — through the branch-free loop into y.
 
 // SSSRows computes rows [lo, hi) of the symmetric kernel over the
 // lower-triangle value array *val (&s.Lower.Val for the float64
@@ -60,43 +58,5 @@ func SSSRows[V formats.Value](s *formats.SSS, val *[]V, x, y, window []float64, 
 			}
 		}
 		y[i] = sum
-	}
-}
-
-// SSSBlockRows is the blocked multi-RHS form of SSSRows for k
-// interleaved right-hand sides: the lower triangle streams once per
-// block, each element serving both its own row and its mirror for all
-// k vectors. Row c's k window cells sit at window[(c-base)*k:], and
-// the caller zeroes window[0 : (lo-base)*k).
-//
-//spmv:hotpath
-func SSSBlockRows[V formats.Value](s *formats.SSS, val *[]V, x, y, window []float64, k, base, lo, hi int) {
-	L := s.Lower
-	for i := lo; i < hi; i++ {
-		d := s.Diag[i]
-		xi := x[i*k : i*k+k]
-		yi := y[i*k : i*k+k]
-		for l := range yi {
-			yi[l] = d * xi[l]
-		}
-		cols := L.ColInd[L.RowPtr[i]:L.RowPtr[i+1]]
-		vals := (*val)[L.RowPtr[i]:L.RowPtr[i+1]]
-		vals = vals[:len(cols)]
-		mixed := len(cols) > 0 && int(cols[0]) < lo
-		for j, col := range cols {
-			c := int(col)
-			v := float64(vals[j])
-			xc := x[c*k:][:k]
-			var dst []float64
-			if mixed && c < lo {
-				dst = window[(c-base)*k:][:k]
-			} else {
-				dst = y[c*k:][:k]
-			}
-			for l := range yi {
-				yi[l] += v * xc[l]
-				dst[l] += v * xi[l]
-			}
-		}
 	}
 }

@@ -76,87 +76,52 @@ func TestSSSRangeTwoPhase(t *testing.T) {
 	}
 }
 
-// TestSSSBlockRangeTwoPhase is the blocked analogue across the
-// register-blocked and generic widths.
-func TestSSSBlockRangeTwoPhase(t *testing.T) {
-	for name, m := range sssCases() {
-		s := formats.ConvertSSS(m)
-		parts, win := sssParts(s, 3)
-		for _, k := range []int{1, 2, 3, 8} {
-			x := randBlock(m.NCols, k, int64(50+k))
-			want := blockRef(m, x, k)
-			y := make([]float64, m.NRows*k)
-			windows := make([][]float64, len(parts))
-			for tid, r := range parts {
-				windows[tid] = make([]float64, win[tid].Rows()*k)
-				SSSBlockRows(s, &s.Lower.Val, x, y, windows[tid], k, win[tid].Lo, r.Lo, r.Hi)
-			}
-			for tid, w := range win {
-				for c, v := range windows[tid] {
-					y[w.Lo*k+c] += v
-				}
-			}
-			checkBlock(t, "sss/"+name, y, want, k)
-		}
-	}
-}
-
 // sssPoison marks cells a kernel must not write: finite, so that any
 // accumulation into it changes its bits.
 const sssPoison = 1234.5
 
 // TestSSSRangeScatterPrefix pins the write contract: a range [lo, hi)
 // writes only y[lo:hi) and window[0:lo-base). Every other cell of y
-// and of an n-cell window is poisoned and must keep its bits, for the
-// scalar and blocked kernels in both precisions.
+// and of an n-cell window is poisoned and must keep its bits, in both
+// precisions.
 func TestSSSRangeScatterPrefix(t *testing.T) {
 	for name, m := range sssCases() {
 		s := formats.ConvertSSS(m)
 		v32 := formats.NarrowF32(s.Lower.Val)
 		parts, win := sssParts(s, 3)
-		for _, k := range []int{1, 2, 3, 8} {
-			x := randBlock(m.NCols, k, int64(70+k))
-			run := map[string]func(y, window []float64, base, lo, hi int){
-				"sss": func(y, window []float64, base, lo, hi int) {
-					if k == 1 {
-						SSSRows(s, &s.Lower.Val, x, y, window, base, lo, hi)
-						return
+		x := vec(m.NCols, 71)
+		run := map[string]func(y, window []float64, base, lo, hi int){
+			"sss": func(y, window []float64, base, lo, hi int) {
+				SSSRows(s, &s.Lower.Val, x, y, window, base, lo, hi)
+			},
+			"sss-f32": func(y, window []float64, base, lo, hi int) {
+				SSSRows(s, &v32, x, y, window, base, lo, hi)
+			},
+		}
+		for kern, f := range run {
+			for tid, r := range parts {
+				base := win[tid].Lo
+				y := make([]float64, s.N)
+				window := make([]float64, s.N)
+				for c := range y {
+					if c < r.Lo || c >= r.Hi {
+						y[c] = sssPoison
 					}
-					SSSBlockRows(s, &s.Lower.Val, x, y, window, k, base, lo, hi)
-				},
-				"sss-f32": func(y, window []float64, base, lo, hi int) {
-					if k == 1 {
-						SSSRows(s, &v32, x, y, window, base, lo, hi)
-						return
+				}
+				for c := win[tid].Rows(); c < len(window); c++ {
+					window[c] = sssPoison
+				}
+				f(y, window, base, r.Lo, r.Hi)
+				for c := range y {
+					if (c < r.Lo || c >= r.Hi) && y[c] != sssPoison {
+						t.Fatalf("%s/%s slot %d: y cell %d written outside rows [%d,%d)",
+							name, kern, tid, c, r.Lo, r.Hi)
 					}
-					SSSBlockRows(s, &v32, x, y, window, k, base, lo, hi)
-				},
-			}
-			for kern, f := range run {
-				for tid, r := range parts {
-					base := win[tid].Lo
-					y := make([]float64, s.N*k)
-					window := make([]float64, s.N*k)
-					for c := range y {
-						if c < r.Lo*k || c >= r.Hi*k {
-							y[c] = sssPoison
-						}
-					}
-					for c := win[tid].Rows() * k; c < len(window); c++ {
-						window[c] = sssPoison
-					}
-					f(y, window, base, r.Lo, r.Hi)
-					for c := range y {
-						if (c < r.Lo*k || c >= r.Hi*k) && y[c] != sssPoison {
-							t.Fatalf("%s/%s k=%d slot %d: y cell %d written outside rows [%d,%d)",
-								name, kern, k, tid, c, r.Lo, r.Hi)
-						}
-					}
-					for c := win[tid].Rows() * k; c < len(window); c++ {
-						if window[c] != sssPoison {
-							t.Fatalf("%s/%s k=%d slot %d: window cell %d written past lo-base=%d",
-								name, kern, k, tid, c, win[tid].Rows())
-						}
+				}
+				for c := win[tid].Rows(); c < len(window); c++ {
+					if window[c] != sssPoison {
+						t.Fatalf("%s/%s slot %d: window cell %d written past lo-base=%d",
+							name, kern, tid, c, win[tid].Rows())
 					}
 				}
 			}

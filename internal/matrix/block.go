@@ -152,8 +152,8 @@ func UnpackBlock(ys [][]float64, src []float64) {
 // MulMat computes Y = A*X for k right-hand sides stored in the
 // interleaved block layout (X[j*k+l] is element j of vector l; Y
 // likewise per row). It is the sequential correctness reference for
-// every blocked SpMM kernel, exactly as MulVec anchors the SpMV
-// kernels. X and Y must not alias (see MulVec).
+// the register-blocked SpMM kernels and every prepared MulMat, exactly
+// as MulVec anchors the SpMV kernels. X and Y must not alias (see MulVec).
 func (m *CSR) MulMat(x, y []float64, k int) {
 	if k < 1 {
 		panic(fmt.Sprintf("matrix: MulMat block width %d < 1", k))

@@ -13,7 +13,7 @@ const fingerprintVersion = 1
 // "v1-20000x20000-138000-sym-9f2a6c41d03b58e7". Values are deliberately
 // excluded — a re-valued matrix (new timestep, new edge weights on the
 // same graph) has the same sparsity structure, so every structural
-// tuning decision (format, schedule, block width) carries over and a
+// tuning decision (format, schedule) carries over and a
 // stored execution plan can be reused as-is.
 //
 // The hash is FNV-1a over each field's 8 little-endian bytes, the

@@ -67,12 +67,11 @@ func TestAllocFreeSteadyStateMulVec(t *testing.T) {
 	}
 }
 
-// TestAllocFreeBatch covers the batch serving path — now the blocked
-// SpMM engine: the batch is packed into interleaved blocks and
-// dispatched one barrier per block, and after the first call (which
-// sizes the pack buffers) it must stay allocation-free for every
-// prepared path, including batch shapes that take the register-blocked
-// k=8, the generic-k tail, and the single-vector remainder.
+// TestAllocFreeBatch covers the batch serving path: after the first
+// call (which sizes the CSR binding's pack buffers) it must stay
+// allocation-free for every prepared path, including batch shapes that
+// take a register-blocked group of 8 or 4 and the per-vector
+// remainder.
 func TestAllocFreeBatch(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -98,24 +97,28 @@ func TestAllocFreeBatch(t *testing.T) {
 }
 
 // TestAllocFreeMulMat: the interleaved-block entry point works on
-// caller-owned buffers and must allocate nothing at a stable width.
+// caller-owned buffers and must allocate nothing at a stable width,
+// both where the CSR binding blocks (k=8) and on the per-column
+// fallback every binding takes at k=3, whose gather and product
+// vectors live on the Prepared.
 func TestAllocFreeMulMat(t *testing.T) {
 	e := New()
 	defer e.Close()
 	m := gen.FewDenseRows(4000, 5, 2, 1500, 34)
-	const k = 8
-	x := make([]float64, m.NCols*k)
-	y := make([]float64, m.NRows*k)
-	for i := range x {
-		x[i] = 1 + float64(i%5)
-	}
-	for name, o := range allocOptims() {
-		p := e.Prepare(m, o)
-		for i := 0; i < 3; i++ {
-			p.MulMat(x, y, k)
+	for _, k := range []int{3, 8} {
+		x := make([]float64, m.NCols*k)
+		y := make([]float64, m.NRows*k)
+		for i := range x {
+			x[i] = 1 + float64(i%5)
 		}
-		if avg := testing.AllocsPerRun(5, func() { p.MulMat(x, y, k) }); avg != 0 {
-			t.Fatalf("%s: %.1f allocs per steady-state MulMat, want 0", name, avg)
+		for name, o := range allocOptims() {
+			p := e.Prepare(m, o)
+			for i := 0; i < 3; i++ {
+				p.MulMat(x, y, k)
+			}
+			if avg := testing.AllocsPerRun(5, func() { p.MulMat(x, y, k) }); avg != 0 {
+				t.Fatalf("%s k=%d: %.1f allocs per steady-state MulMat, want 0", name, k, avg)
+			}
 		}
 	}
 }

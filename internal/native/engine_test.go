@@ -1,6 +1,7 @@
 package native
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -203,48 +204,134 @@ func TestPreparedConcurrentMulVec(t *testing.T) {
 	}
 }
 
-// TestPreparedMulVecBatch covers the blocked batch path across batch
-// sizes that exercise the full-width blocks, the generic-k tail, the
-// single-vector tail, and every prepared format.
+// batchBindings is every binding family a batch runs on: the CSR
+// float64 bodies, which stream groups of 8 and 4 vectors through the
+// register-blocked body, and every body that runs a batch vector by
+// vector.
+func batchBindings() map[string]ex.Optim {
+	f32 := ex.PrecF32
+	return map[string]ex.Optim{
+		"csr":          {},
+		"csr-vec8":     {Vectorize: true},
+		"csr-dynamic":  {Schedule: sched.Dynamic},
+		"csr-f32":      {Precision: f32},
+		"csr-vec8-f32": {Vectorize: true, Precision: f32},
+		"delta":        {Compress: true},
+		"sellcs":       {SellCS: true},
+		"sellcs-c8":    {SellCS: true, Vectorize: true},
+		"sellcs-f32":   {SellCS: true, Precision: f32},
+		"sss":          {Symmetric: true},
+		"sss-f32":      {Symmetric: true, Precision: f32},
+	}
+}
+
+// column returns vector l of the interleaved k-wide block b.
+func column(b []float64, k, l int) []float64 {
+	v := make([]float64, len(b)/k)
+	for i := range v {
+		v[i] = b[i*k+l]
+	}
+	return v
+}
+
+// perColumn applies the single-vector multiply mul to every column of
+// the interleaved k-wide block x, writing the interleaved block y.
+func perColumn(x, y []float64, k int, mul func(x, y []float64)) {
+	yv := make([]float64, len(y)/k)
+	for l := 0; l < k; l++ {
+		mul(column(x, k, l), yv)
+		for i, v := range yv {
+			y[i*k+l] = v
+		}
+	}
+}
+
+// nearRef fails unless got is within 1e-12 relative of want.
+func nearRef(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Abs(want[i]-got[i]) > 1e-12*(1+math.Abs(want[i])) {
+			t.Fatalf("%s: y[%d] = %g, want %g", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPreparedMulVecBatch runs every binding's batch paths, MulVecBatch
+// and MulMat, at k = 17 down to 1 on one Prepared per binding, so every
+// group shape runs (8+8+1, 8+4, one group of 4 plus a remainder) and
+// the engine scratch shrinks under it. Every binding runs on a
+// symmetric matrix, and every binding but SSS also on a skewed one
+// whose few dense rows make the dynamic schedule's chunk cursor hand
+// out unequal work. Only the CSR float64 binding blocks: its
+// register-blocked groups (8, then one of 4) must stay within 1e-12 of
+// the reference CSR MulMat. Every other vector, and every vector of
+// every other binding, must equal the binding's own MulVec bit for bit.
 func TestPreparedMulVecBatch(t *testing.T) {
 	e := New()
 	defer e.Close()
-	m := gen.FewDenseRows(2000, 5, 2, 900, 5)
-	opts := map[string]ex.Optim{
-		"vec":      {Vectorize: true},
-		"compress": {Compress: true},
-		"split":    {Split: true},
-		"sellcs":   {SellCS: true, Vectorize: true},
-		"dynamic":  {Schedule: sched.Dynamic},
-		"pervec":   {Vectorize: true, BlockWidth: 1}, // blocking disabled
-		"narrow":   {Vectorize: true, BlockWidth: 4},
-	}
-	for on, o := range opts {
-		for _, batch := range []int{1, 5, 8, 9, 17} {
-			p := e.Prepare(m, o)
-			rng := rand.New(rand.NewSource(int64(9 + batch)))
-			xs := make([][]float64, batch)
-			ys := make([][]float64, batch)
-			for b := 0; b < batch; b++ {
-				xs[b] = make([]float64, m.NCols)
-				for i := range xs[b] {
-					xs[b][i] = rng.NormFloat64()
-				}
-				ys[b] = make([]float64, m.NRows)
+	mats := []*matrix.CSR{symMatrix(1500, 61), gen.FewDenseRows(2000, 5, 2, 900, 5)}
+	for name, o := range batchBindings() {
+		for _, m := range mats {
+			if o.Symmetric && m.Sym != matrix.SymSymmetric {
+				continue
 			}
-			// Twice: buffers and cursors must reset between batches.
-			p.MulVecBatch(xs, ys)
-			p.MulVecBatch(xs, ys)
-			for b := 0; b < batch; b++ {
-				refCheck(t, m, xs[b], ys[b], on)
+			t.Run(name+"/"+m.Name, func(t *testing.T) { checkBatch(t, e, m, name, o) })
+		}
+	}
+}
+
+// checkBatch is one binding's row of TestPreparedMulVecBatch.
+func checkBatch(t *testing.T, e *Executor, m *matrix.CSR, name string, o ex.Optim) {
+	p := e.buildPrepared(m, o, 3)
+	blocks := strings.HasPrefix(name, "csr") && !strings.HasSuffix(name, "f32")
+	if got := p.bodyBlock != nil; got != blocks {
+		t.Fatalf("%s: blocked body = %v, want %v", p.Kernel(), got, blocks)
+	}
+	for k := 17; k >= 1; k-- {
+		rng := rand.New(rand.NewSource(int64(k)))
+		xs, ys, want := make([][]float64, k), make([][]float64, k), make([][]float64, k)
+		for l := range xs {
+			xs[l] = make([]float64, m.NCols)
+			for i := range xs[l] {
+				xs[l][i] = rng.NormFloat64()
+			}
+			ys[l], want[l] = make([]float64, m.NRows), make([]float64, m.NRows)
+			p.MulVec(xs[l], want[l])
+		}
+		xb := matrix.PackBlock(nil, xs)
+		ref := make([]float64, m.NRows*k)
+		m.MulMat(xb, ref, k)
+		grouped := 0
+		if blocks {
+			grouped = k/8*8 + k%8/4*4
+		}
+		// Twice: buffers and cursors must reset between batches.
+		p.MulVecBatch(xs, ys)
+		p.MulVecBatch(xs, ys)
+		for l := range ys {
+			label := fmt.Sprintf("MulVecBatch k=%d vector %d", k, l)
+			if l < grouped {
+				nearRef(t, label, ys[l], column(ref, k, l))
+			} else {
+				sameBits(t, label, ys[l], want[l])
+			}
+		}
+		yb := make([]float64, m.NRows*k)
+		p.MulMat(xb, yb, k)
+		for l := 0; l < k; l++ {
+			label := fmt.Sprintf("MulMat k=%d vector %d", k, l)
+			if blocks && (k == 4 || k == 8) {
+				nearRef(t, label, column(yb, k, l), column(ref, k, l))
+			} else {
+				sameBits(t, label, column(yb, k, l), want[l])
 			}
 		}
 	}
 }
 
 // TestPreparedMulMat drives the interleaved-block entry point for
-// every format at register-blocked and generic widths, including a
-// width above the configured block width.
+// every format at blocked and per-vector widths, including a width
+// above the widest blocked group.
 func TestPreparedMulMat(t *testing.T) {
 	e := New()
 	defer e.Close()

@@ -246,24 +246,6 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	p := e.buildPrepared(m, cfg.Opt, nt) // transient: measurement widths vary
 	p.pool = nil                         // measure on fresh goroutines, off the serving pool
 
-	// A BlockWidth above 1 measures the blocked SpMM path and reports
-	// the per-vector share, so blocked and unblocked configurations
-	// compare directly (the optimizer picks the minimum per-RHS time).
-	// Bound kernels have no blocked form; the knob is inert there.
-	op := func(perThread []float64) { p.mulVecTimed(x, y, perThread) }
-	perVec := 1.0
-	if bw := cfg.Opt.BlockWidth; bw > 1 && !cfg.Opt.IsBoundKernel() {
-		xb := make([]float64, m.NCols*bw)
-		for j := 0; j < m.NCols; j++ {
-			for l := 0; l < bw; l++ {
-				xb[j*bw+l] = x[j] + 0.125*float64(l)
-			}
-		}
-		yb := make([]float64, m.NRows*bw)
-		op = func(perThread []float64) { p.mulMatTimed(xb, yb, bw, perThread) }
-		perVec = float64(bw)
-	}
-
 	// SecondsPerCall's first call is its untimed warm-up, which stamps
 	// no per-thread times: the busy times average the timed calls only.
 	perThread := make([]float64, nt)
@@ -272,21 +254,21 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	secs := stats.SecondsPerCall(e.Iters, 1, func() {
 		calls++
 		if calls == 1 {
-			op(nil)
+			p.mulVecTimed(x, y, nil)
 			return
 		}
 		clear(perThread)
-		op(perThread)
+		p.mulVecTimed(x, y, perThread)
 		for t, s := range perThread {
-			avg[t] += s / perVec
+			avg[t] += s
 		}
 	})
 	for t := range avg {
 		avg[t] /= float64(calls - 1)
 	}
-	best := ex.Result{Seconds: secs / perVec, ThreadSeconds: avg}
+	best := ex.Result{Seconds: secs, ThreadSeconds: avg}
 	best.Gflops = ex.GflopsOf(m, best.Seconds)
-	best.MemBytes = float64(p.matrixBytes)/perVec + float64(m.NCols+m.NRows)*8
+	best.MemBytes = float64(p.matrixBytes) + float64(m.NCols+m.NRows)*8
 	return best
 }
 

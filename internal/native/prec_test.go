@@ -171,8 +171,8 @@ func TestPreparedPrecSSSMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPreparedPrecMulMat: the blocked multi-RHS precision paths must
-// match k independent f64 reference multiplies within the bound.
+// TestPreparedPrecMulMat: the MulMat paths of the precision bindings
+// must match k independent f64 reference multiplies within the bound.
 func TestPreparedPrecMulMat(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -385,49 +385,35 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 // TestPrecF32InstanceBitIdentical runs every loop shape's float32
 // instance through the prepared engine and holds it bit-identical to
 // the float64 instance of the same body on float64(float32(v)) values:
-// both compute the same products in the same order. Row-owning shapes
-// (CSR, SELL-C-σ) are partition-independent, so their oracle runs the
-// float64 body over all rows; the symmetric body's window folds depend
-// on the partition, so its oracle is the f64 binding at the same
-// width. A matrix that fails FitsF32 must bind f64 under the same f32
-// configuration: same kernel, f64 reported, bit-identical results.
+// both compute the same products in the same order. MulMat runs at
+// k = 1, 3 and 8, one column at a time, so the oracle runs column by
+// column too. Row-owning shapes (CSR, SELL-C-σ) are
+// partition-independent, so their oracle runs the float64 body over
+// all rows; the symmetric body's window folds depend on the partition,
+// so its oracle is the f64 binding at the same width. A matrix that
+// fails FitsF32 must bind f64 under the same f32 configuration: same
+// kernel, f64 reported, bit-identical results.
 func TestPrecF32InstanceBitIdentical(t *testing.T) {
 	e := New()
 	defer e.Close()
-	type oracle func(r *matrix.CSR, nt int, x, y []float64, k int)
-	csrTail := func(r *matrix.CSR, x, y []float64, k int) {
-		kernels.CSRBlockRows(r, &r.Val, x, y, k, 0, r.NRows)
-	}
+	type oracle func(r *matrix.CSR, nt int, x, y []float64)
 	shapes := []struct {
 		name   string
 		o      ex.Optim
 		kernel string
 		mulVec oracle
 	}{
-		{"csr", ex.Optim{}, "prec-csr-f32", func(r *matrix.CSR, _ int, x, y []float64, k int) {
-			if k > 1 {
-				csrTail(r, x, y, k)
-				return
-			}
+		{"csr", ex.Optim{}, "prec-csr-f32", func(r *matrix.CSR, _ int, x, y []float64) {
 			kernels.CSRRange(r, x, y, 0, r.NRows)
 		}},
-		{"csr-vec8", ex.Optim{Vectorize: true}, "prec-csr-vec8-f32", func(r *matrix.CSR, _ int, x, y []float64, k int) {
-			if k > 1 {
-				csrTail(r, x, y, k)
-				return
-			}
+		{"csr-vec8", ex.Optim{Vectorize: true}, "prec-csr-vec8-f32", func(r *matrix.CSR, _ int, x, y []float64) {
 			kernels.CSRVector8Range(r, x, y, 0, r.NRows)
 		}},
-		{"sellcs", ex.Optim{SellCS: true, Vectorize: true}, "prec-sellcs-f32", func(r *matrix.CSR, _ int, x, y []float64, k int) {
-			s := formats.ConvertSellCSAuto(r)
-			if k > 1 {
-				s.MulMat(x, y, k)
-				return
-			}
-			s.MulVec(x, y)
+		{"sellcs", ex.Optim{SellCS: true, Vectorize: true}, "prec-sellcs-f32", func(r *matrix.CSR, _ int, x, y []float64) {
+			formats.ConvertSellCSAuto(r).MulVec(x, y)
 		}},
-		{"sss", ex.Optim{Symmetric: true}, "prec-sss-f32", func(r *matrix.CSR, nt int, x, y []float64, k int) {
-			e.buildPrepared(r, ex.Optim{Symmetric: true}, nt).MulMat(x, y, k)
+		{"sss", ex.Optim{Symmetric: true}, "prec-sss-f32", func(r *matrix.CSR, nt int, x, y []float64) {
+			e.buildPrepared(r, ex.Optim{Symmetric: true}, nt).MulVec(x, y)
 		}},
 	}
 	inputs := map[string][2]*matrix.CSR{
@@ -467,7 +453,7 @@ func TestPrecF32InstanceBitIdentical(t *testing.T) {
 							got := make([]float64, m.NRows*k)
 							want := make([]float64, m.NRows*k)
 							p.MulMat(x, got, k)
-							sh.mulVec(r, nt, x, want, k)
+							perColumn(x, want, k, func(x, y []float64) { sh.mulVec(r, nt, x, y) })
 							sameBits(t, fmt.Sprintf("k=%d", k), got, want)
 							fb.MulMat(x, got, k)
 							want64.MulMat(x, want, k)

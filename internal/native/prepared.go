@@ -53,19 +53,14 @@ type Prepared struct {
 	// that write y directly.
 	red *reducer
 
-	// Blocked multi-RHS (SpMM) state. bodyBlock computes slot t's share
-	// of one blocked multiply, reading x/y as an interleaved block of bk
-	// vectors; finishBlock is its post-barrier reduction. blockW is the
-	// width MulVecBatch repartitions batches into; ensureBlock, when
-	// non-nil, grows width-dependent scratch (the SSS windows) before
-	// a dispatch wider than seen so far.
-	bk          int
-	blockW      int
-	bodyBlock   func(t int)
-	finishBlock func()
-	ensureBlock func(k int)
-	// xb, yb are the engine-owned pack buffers of the batch path,
-	// allocated on first blocked batch and reused thereafter (the
+	// bodyBlock, non-nil only for the CSR float64 binding, computes
+	// slot t's share of one register-blocked multiply of bk ∈ {4, 8}
+	// vectors, reading x/y as an interleaved block.
+	bk        int
+	bodyBlock func(t int)
+	// xb, yb are engine-owned scratch: the pack buffers of a blocked
+	// batch, or the gathered column and its product when MulMat runs
+	// per vector. Allocated on first use and reused thereafter (the
 	// zero-alloc steady state covers them).
 	xb, yb []float64 // guarded by mu
 }
@@ -114,55 +109,46 @@ func (p *Prepared) MulVec(x, y []float64) {
 
 // MulVecBatch computes ys[i] = A*xs[i] for every pair, holding the
 // workers hot across the whole batch — the multi-user serving shape
-// where one matrix multiplies many vectors back to back. The batch is
-// repartitioned once into blocks of up to blockW vectors; each block
-// is packed into the interleaved layout and dispatched as ONE pool
-// barrier that streams the matrix a single time for the whole block
-// (per-vector matrix traffic drops by 1/k), with a generic-k kernel
-// covering the tail block. Steady-state calls with a stable batch
-// shape are allocation-free. No input vector may overlap ANY output
-// vector (earlier blocks' outputs are written before later blocks'
-// inputs are packed); the engine rejects such batches.
+// where one matrix multiplies many vectors back to back. Only the CSR
+// float64 binding blocks: it packs groups of 8 vectors, then one group
+// of 4 when at least 4 remain, into the interleaved layout and streams
+// the matrix once per group through the register-blocked body. Every
+// other vector, and every vector of every other binding, runs the
+// binding's own MulVec body; no other blocked body beats it on the
+// measured host (docs/guide/batching.md). Steady-state calls with a
+// stable batch shape are allocation-free. No input vector may overlap
+// ANY output vector (earlier groups' outputs are written before later
+// groups' inputs are packed); the engine rejects such batches.
 func (p *Prepared) MulVecBatch(xs, ys [][]float64) {
 	if matrix.AnyAliased(xs, ys) {
 		panic("native: Prepared.MulVecBatch inputs and outputs must not alias")
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w := p.blockW
-	if w < 2 || p.bodyBlock == nil {
-		for i := range xs {
-			p.mulVecLocked(xs[i], ys[i], nil)
+	i := 0
+	if p.bodyBlock != nil {
+		for _, k := range [...]int{8, 4} {
+			for ; len(xs)-i >= k; i += k {
+				p.xb = matrix.PackBlock(p.xb, xs[i:i+k])
+				p.yb = grow(p.yb, p.m.NRows*k)
+				p.mulBlockLocked(p.xb, p.yb, k)
+				matrix.UnpackBlock(ys[i:i+k], p.yb)
+			}
 		}
-		return
 	}
-	for i := 0; i < len(xs); {
-		k := len(xs) - i
-		if k > w {
-			k = w
-		}
-		if k == 1 {
-			p.mulVecLocked(xs[i], ys[i], nil)
-			i++
-			continue
-		}
-		p.xb = matrix.PackBlock(p.xb, xs[i:i+k])
-		if need := p.m.NRows * k; cap(p.yb) < need {
-			p.yb = make([]float64, need)
-		} else {
-			p.yb = p.yb[:need]
-		}
-		p.mulMatLocked(p.xb, p.yb, k, nil)
-		matrix.UnpackBlock(ys[i:i+k], p.yb)
-		i += k
+	for ; i < len(xs); i++ {
+		p.mulVecLocked(xs[i], ys[i], nil)
 	}
 }
 
 // MulMat computes Y = A*X for k right-hand sides stored in the
 // interleaved block layout (X[j*k+l] is element j of vector l; see
-// matrix.PackBlock), streaming the matrix once for the whole block.
-// Safe for concurrent use; allocation-free in steady state for any k
-// up to the largest seen. x and y must not alias.
+// matrix.PackBlock). The CSR float64 binding at k = 4 or 8 streams the
+// matrix once for the whole block; everywhere else each column is
+// gathered into scratch, multiplied by the MulVec body and scattered
+// back, so the result equals k MulVec calls bit for bit. Safe for
+// concurrent use; allocation-free in steady state for any k. x and y
+// must not alias.
 //
 //spmv:hotpath
 func (p *Prepared) MulMat(x, y []float64, k int) {
@@ -176,8 +162,34 @@ func (p *Prepared) MulMat(x, y []float64, k int) {
 		panic("native: MulMat input and output must not alias")
 	}
 	p.mu.Lock()
-	p.mulMatLocked(x, y, k, nil)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	if k == 1 {
+		p.mulVecLocked(x, y, nil)
+		return
+	}
+	if p.bodyBlock != nil && (k == 4 || k == 8) {
+		p.mulBlockLocked(x, y, k)
+		return
+	}
+	p.xb, p.yb = grow(p.xb, p.m.NCols), grow(p.yb, p.m.NRows)
+	for l := 0; l < k; l++ {
+		for j := range p.xb {
+			p.xb[j] = x[j*k+l]
+		}
+		p.mulVecLocked(p.xb, p.yb, nil)
+		for i, v := range p.yb {
+			y[i*k+l] = v
+		}
+	}
+}
+
+// grow returns buf resized to n, reallocating only when its capacity
+// falls short.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // mulVecTimed is the measurement entry point: perThread, when non-nil,
@@ -214,37 +226,16 @@ func (p *Prepared) runPhase(body func(t int)) {
 	}
 }
 
-// mulMatTimed is the blocked measurement entry point (native Run with
-// a BlockWidth configuration).
-func (p *Prepared) mulMatTimed(x, y []float64, k int, perThread []float64) {
-	p.mu.Lock()
-	p.mulMatLocked(x, y, k, perThread)
-	p.mu.Unlock()
-}
-
-// mulMatLocked dispatches one blocked multiply of k interleaved
-// right-hand sides as a single pool barrier.
+// mulBlockLocked dispatches one register-blocked multiply of k ∈ {4, 8}
+// interleaved right-hand sides as a single pool barrier.
 //
 //spmv:hotpath
 //spmv:locked
-func (p *Prepared) mulMatLocked(x, y []float64, k int, perThread []float64) {
-	if k == 1 {
-		p.mulVecLocked(x, y, perThread)
-		return
-	}
-	if p.bodyBlock == nil {
-		panic("native: bound kernels have no blocked form")
-	}
-	if p.ensureBlock != nil {
-		p.ensureBlock(k)
-	}
-	p.x, p.y, p.timing, p.bk = x, y, perThread, k
+func (p *Prepared) mulBlockLocked(x, y []float64, k int) {
+	p.x, p.y, p.bk = x, y, k
 	p.next.Store(0)
 	p.runPhase(p.bodyBlock)
-	if p.finishBlock != nil {
-		p.finishBlock()
-	}
-	p.x, p.y, p.timing, p.bk = nil, nil, nil, 0
+	p.x, p.y, p.bk = nil, nil, 0
 }
 
 // wrap adds the optional per-thread timing shell around a slot body.
@@ -263,7 +254,7 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 // buildPrepared compiles a configuration into a Prepared kernel bound
 // to the executor's worker pool. It accepts bound kernels (Run measures
 // them); the public Prepare rejects them. Each format picks its own
-// partition and binds its range kernels through bindRanges or bindSym.
+// partition and binds its range kernels through slots or bindSym.
 // It compiles o's canonical form on the executor's model, which Opt
 // reports; on the host that form never selects Split, and a Split knob
 // set under any other model runs the CSR default below. Under f32 a
@@ -277,8 +268,7 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 	if o.EffectivePrecision() == ex.PrecF32 && !formats.FitsF32(m.Val) {
 		o.Precision = ex.PrecF64
 	}
-	p := &Prepared{m: m, opt: o, nt: nt, pool: e.workers, blockW: o.EffectiveBlockWidth(),
-		matrixBytes: m.Bytes()}
+	p := &Prepared{m: m, opt: o, nt: nt, pool: e.workers, matrixBytes: m.Bytes()}
 	f32 := o.EffectivePrecision() == ex.PrecF32
 	switch o.EffectiveFormat() {
 	case ex.FormatSSS:
@@ -308,14 +298,12 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 		if f32 {
 			f := memoized(e, m, ex.FormatSellCS, ex.PrecF32, func(*matrix.CSR) *f32Form[*formats.SellCS] { return narrowSellCS(s) })
 			p.kernelName, p.matrixBytes = "prec-sellcs-f32", f.bytes
-			p.bindRanges(parts, chunks, func(lo, hi int) { formats.SellCSChunks(f.s, &f.val, p.x, p.y, lo, hi) },
-				func(lo, hi, k int) { formats.SellCSBlockChunks(f.s, &f.val, p.x, p.y, k, lo, hi) })
+			p.body = p.slots(parts, chunks, func(lo, hi int) { formats.SellCSChunks(f.s, &f.val, p.x, p.y, lo, hi) })
 			break
 		}
 		kern, name := kernels.SellCSVariant(s, o.Vectorize)
 		p.kernelName, p.matrixBytes = name, s.Bytes()
-		p.bindRanges(parts, chunks, func(lo, hi int) { kern(s, p.x, p.y, lo, hi) },
-			func(lo, hi, k int) { kernels.SellCSBlockRange(s, p.x, p.y, k, lo, hi) })
+		p.body = p.slots(parts, chunks, func(lo, hi int) { kern(s, p.x, p.y, lo, hi) })
 	case ex.FormatDelta:
 		// Static partitions under every schedule: each range starts
 		// at its precomputed overflow offset. Every Delta plan binds
@@ -324,39 +312,34 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 		offs := d.OverflowOffsets()
 		kern := kernels.DeltaVariant()
 		p.kernelName, p.matrixBytes = kernels.DeltaVariantName(), d.Bytes()
-		p.bindRanges(sched.Prepare(o.Schedule, m, nt).Parts, nil,
-			func(lo, hi int) { kern(d, p.x, p.y, lo, hi, offs[lo]) },
-			func(lo, hi, k int) { kernels.DeltaBlockRange(d, p.x, p.y, k, lo, hi, offs[lo]) })
+		p.body = p.slots(sched.Prepare(o.Schedule, m, nt).Parts, nil,
+			func(lo, hi int) { kern(d, p.x, p.y, lo, hi, offs[lo]) })
 	default:
 		sp := sched.Prepare(o.Schedule, m, nt)
 		if f32 {
-			// The f32 instance has no register-blocked or asm body:
-			// every block width runs the any-k tail.
 			f := memoized(e, m, ex.FormatCSR, ex.PrecF32, narrowCSR)
 			kern, name := kernels.CSRRows[float32], "prec-csr-f32"
 			if o.Vectorize {
 				kern, name = kernels.CSRVector8Rows[float32], "prec-csr-vec8-f32"
 			}
 			p.kernelName, p.matrixBytes = name, f.bytes
-			p.bindRanges(sp.Parts, sp.Chunks, func(lo, hi int) { kern(f.s, &f.val, p.x, p.y, lo, hi) },
-				func(lo, hi, k int) { kernels.CSRBlockRows(f.s, &f.val, p.x, p.y, k, lo, hi) })
+			p.body = p.slots(sp.Parts, sp.Chunks, func(lo, hi int) { kern(f.s, &f.val, p.x, p.y, lo, hi) })
 			break
 		}
-		// The blocked body always runs the register-blocked CSR SpMM
-		// kernel: the vector gather optimizes the one-vector loop, and
-		// register blocking across right-hand sides IS that
-		// optimization for blocks. The bound probes do not compute SpMV
-		// and have no blocked form.
+		// The one blocked binding: register blocking across right-hand
+		// sides is the gather kernel's optimization for blocks. The
+		// bound probes do not compute SpMV and have no blocked form.
 		kern := kernels.Variant(o.Vectorize)
 		p.kernelName = kernels.VariantName(o.Vectorize)
-		block := func(lo, hi, k int) { kernels.CSRBlockRange(m, p.x, p.y, k, lo, hi) }
 		switch {
 		case o.RegularizeX:
-			kern, p.kernelName, block = kernels.RegularizedRange, "regularized", nil
+			kern, p.kernelName = kernels.RegularizedRange, "regularized"
 		case o.UnitStride:
-			kern, p.kernelName, block = kernels.UnitStrideRange, "unit-stride", nil
+			kern, p.kernelName = kernels.UnitStrideRange, "unit-stride"
+		default:
+			p.bodyBlock = p.slots(sp.Parts, sp.Chunks, func(lo, hi int) { kernels.CSRBlockRange(m, p.x, p.y, p.bk, lo, hi) })
 		}
-		p.bindRanges(sp.Parts, sp.Chunks, func(lo, hi int) { kern(m, p.x, p.y, lo, hi) }, block)
+		p.body = p.slots(sp.Parts, sp.Chunks, func(lo, hi int) { kern(m, p.x, p.y, lo, hi) })
 	}
 	return p
 }
@@ -401,26 +384,12 @@ func narrowSSS(s *formats.SSS) *f32Form[*formats.SSS] {
 func bindSSS[V formats.Value](p *Prepared, s *formats.SSS, val *[]V, parts []sched.Range) {
 	p.bindSym(s.Lower, parts, func(window []float64, base, lo, hi int) {
 		kernels.SSSRows(s, val, p.x, p.y, window, base, lo, hi)
-	}, func(window []float64, k, base, lo, hi int) {
-		kernels.SSSBlockRows(s, val, p.x, p.y, window, k, base, lo, hi)
 	})
 }
 
-// bindRanges compiles a range kernel over a partition: with chunks nil
-// slot t runs parts[t]; otherwise the slots drain chunks through the
-// shared cursor (the dynamic and guided schedules). block is body's
-// blocked multi-RHS form; a nil block leaves bodyBlock nil, so batch
-// calls fall back to per-vector multiplies and MulMat rejects the
-// kernel.
-func (p *Prepared) bindRanges(parts, chunks []sched.Range, body func(lo, hi int), block func(lo, hi, k int)) {
-	p.body = p.slots(parts, chunks, body)
-	if block != nil {
-		p.bodyBlock = p.slots(parts, chunks, func(lo, hi int) { block(lo, hi, p.bk) })
-	}
-}
-
-// slots builds the slot body that runs run over slot t's share of the
-// partition bindRanges describes.
+// slots builds the slot body that runs run over a partition: with
+// chunks nil slot t runs parts[t]; otherwise the slots drain chunks
+// through the shared cursor (the dynamic and guided schedules).
 func (p *Prepared) slots(parts, chunks []sched.Range, run func(lo, hi int)) func(t int) {
 	if chunks == nil {
 		return p.wrap(func(t int) { run(parts[t].Lo, parts[t].Hi) })
@@ -447,9 +416,9 @@ func (p *Prepared) slots(parts, chunks []sched.Range, run func(lo, hi int)) func
 // not nt·n. parts is the static partition under
 // every schedule: a dynamic cursor would leave a thread's rows, and so
 // its window, unknown until run time.
-func (p *Prepared) bindSym(lower *matrix.CSR, parts []sched.Range, body func(window []float64, base, lo, hi int), block func(window []float64, k, base, lo, hi int)) {
+func (p *Prepared) bindSym(lower *matrix.CSR, parts []sched.Range, body func(window []float64, base, lo, hi int)) {
 	win := formats.SymWindows(lower, parts)
-	red := newReducer(win, p.blockW)
+	red := newReducer(win)
 	p.red = red
 	p.body = p.wrap(func(t int) {
 		w := red.slot(t)
@@ -457,11 +426,4 @@ func (p *Prepared) bindSym(lower *matrix.CSR, parts []sched.Range, body func(win
 		body(w, win[t].Lo, parts[t].Lo, parts[t].Hi)
 	})
 	p.finish = func() { red.reduce(p.y) }
-	p.ensureBlock = red.ensureBlock
-	p.bodyBlock = p.wrap(func(t int) {
-		w := red.slotBlock(t, p.bk)
-		clear(w)
-		block(w, p.bk, win[t].Lo, parts[t].Lo, parts[t].Hi)
-	})
-	p.finishBlock = func() { red.reduceBlock(p.y, p.bk) }
 }

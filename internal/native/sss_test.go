@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
@@ -93,12 +94,11 @@ func TestPreparedSSSMulMatMatchesReference(t *testing.T) {
 }
 
 // TestPreparedSSSShrinkingBlockWidth is the stale-partials regression
-// test: the blocked reduction buffer's slot offsets are k-dependent,
-// so running a wide block and then a narrower one on the same kernel
-// must not fold leftovers from the wide layout into y (the default
-// batch path hits exactly this — a blockW-8 engine serving a batch
-// with a 2-7 vector tail). Thread width is pinned above 1: the bug is
-// invisible at nt=1.
+// test: MulMat runs the SSS binding once per column over one set of
+// conflict windows and scratch vectors, so widths that shrink and grow
+// on the same kernel must not fold leftovers of an earlier column or
+// call into y. Thread width is pinned above 1: the windows are empty
+// at nt=1.
 func TestPreparedSSSShrinkingBlockWidth(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -281,8 +281,7 @@ func TestPreparedSSSWindowShapes(t *testing.T) {
 // TestSSSScratchFollowsBandwidth: on lap3d (80³ rows, bandwidth 80²)
 // at two threads, the reduction scratch is slot 1's conflict window of
 // one bandwidth — at most 2·80² cells — not the nt·n cells of a
-// full-vector buffer per thread, and the blocked buffer is blockW
-// times that.
+// full-vector buffer per thread, and the engine holds nothing more.
 func TestSSSScratchFollowsBandwidth(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -294,8 +293,8 @@ func TestSSSScratchFollowsBandwidth(t *testing.T) {
 		if cells <= 0 || cells > 2*80*80 {
 			t.Fatalf("%s: %d window cells at nt=2, want (0, %d]", p.Kernel(), cells, 2*80*80)
 		}
-		if got, want := len(p.red.buf)+cap(p.red.bufBlock), (1+p.blockW)*cells; got != want {
-			t.Fatalf("%s: scratch %d cells, want (1+blockW)·cells = %d", p.Kernel(), got, want)
+		if got := cap(p.red.buf); got != cells {
+			t.Fatalf("%s: scratch %d cells, want the %d window cells", p.Kernel(), got, cells)
 		}
 	}
 }
@@ -387,19 +386,25 @@ func BenchmarkMulVecSSS(b *testing.B) {
 
 // TestPreparePlanRejectsHugeBlockWidth: a well-formed SSS plan file
 // with a 2^40 block width once made PreparePlan panic sizing the
-// reduction windows. The file fails at decode, and the same plan handed
-// to PreparePlan directly returns an error before anything is built.
+// reduction windows. Plans no longer carry a block width, so the file
+// fails at decode as an unknown field, and the same plan without the
+// field compiles the SSS kernel.
 func TestPreparePlanRejectsHugeBlockWidth(t *testing.T) {
 	const file = `{"version":1,"machine":"host","classes":[],"format":"sss","schedule":"static-nnz","blockWidth":1099511627776,"symmetric":true}`
-	if _, err := plan.Decode([]byte(file)); err == nil {
-		t.Fatal("the 2^40 block-width plan decoded")
+	if _, err := plan.Decode([]byte(file)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("decode of the 2^40 block-width plan = %v, want an unknown-field error", err)
+	}
+	p, err := plan.Decode([]byte(strings.Replace(file, `"blockWidth":1099511627776,`, "", 1)))
+	if err != nil {
+		t.Fatal(err)
 	}
 	e := New()
 	defer e.Close()
-	m := symMatrix(200, 3)
-	p := plan.Plan{Version: plan.CurrentVersion, Machine: "host",
-		Opt: ex.Optim{Symmetric: true, BlockWidth: 1 << 40}}
-	if k, err := e.PreparePlan(m, p); err == nil {
-		t.Fatalf("PreparePlan compiled %v", k.Opt())
+	k, err := e.PreparePlan(symMatrix(200, 3), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := k.(*Prepared).Kernel(); got != "sss" {
+		t.Fatalf("PreparePlan bound %q, want sss", got)
 	}
 }

@@ -447,41 +447,6 @@ func symCandidates() []ex.Optim {
 	return []ex.Optim{SymSSS.Apply(ex.Optim{})}
 }
 
-// BlockWidths lists the multi-RHS SpMM block widths the engine
-// implements register-blocked kernels for, plus the unblocked width 1.
-func BlockWidths() []int { return []int{1, 2, 4, 8} }
-
-// BestBlockWidth sweeps the SpMM block widths for one configuration
-// and returns the width with the lowest modeled/measured per-vector
-// time, together with its speedup over the unblocked run. Blocking
-// pays exactly when the configuration is bandwidth bound on the matrix
-// stream — the cost model's bytes-per-k lift makes that prediction
-// without touching the hardware.
-func BestBlockWidth(e ex.Executor, m *matrix.CSR, o ex.Optim) (int, float64) {
-	o.BlockWidth = 1
-	return bestBlockWidthFrom(e, m, o, e.Run(ex.Config{Matrix: m, Opt: o}).Seconds)
-}
-
-// bestBlockWidthFrom sweeps the non-unit widths against an
-// already-measured width-1 baseline — the oracle reuses its sweep
-// winner's time instead of re-running it.
-func bestBlockWidthFrom(e ex.Executor, m *matrix.CSR, o ex.Optim, base float64) (int, float64) {
-	bestW, bestSecs := 1, base
-	for _, w := range BlockWidths() {
-		if w == 1 {
-			continue
-		}
-		o.BlockWidth = w
-		if s := e.Run(ex.Config{Matrix: m, Opt: o}).Seconds; s < bestSecs {
-			bestW, bestSecs = w, s
-		}
-	}
-	if base <= 0 || bestSecs <= 0 {
-		return 1, 1
-	}
-	return bestW, base / bestSecs
-}
-
 // sweep measures all candidates and returns the best configuration
 // (by modeled/measured time) plus the total preprocessing cost of
 // trying everything. With extended set, the SELL-C-σ configurations
@@ -526,12 +491,6 @@ func sweep(e ex.Executor, m *matrix.CSR, c CostParams, pairs, triples, extended 
 // sweep (it cannot know the winner without trying).
 type Oracle struct {
 	Costs CostParams
-	// Batch, when above 1, tells the oracle the kernel will serve
-	// batches of at least that many right-hand sides: it additionally
-	// sweeps the SpMM block widths for the winning configuration and
-	// folds the best into the plan. Zero keeps the paper's
-	// single-vector oracle unchanged.
-	Batch int
 	// AccuracyBudget, when positive, adds a reduced-precision
 	// post-pass on the sweep winner (bestPrecisionFrom): f32 is
 	// measured like any other candidate but kept only when the f64
@@ -547,22 +506,9 @@ func NewOracle() *Oracle { return &Oracle{Costs: DefaultCostParams()} }
 func (o *Oracle) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
 	best, bestSecs, pre := sweep(e, m, o.Costs, true, true, true)
 	if o.AccuracyBudget > 0 {
-		// Precision runs before the block-width pass so a widened batch
-		// kernel is measured over the value stream it will actually
-		// read.
 		var dp float64
-		best, bestSecs, dp = bestPrecisionFrom(e, m, best, bestSecs, o.AccuracyBudget, o.Costs)
+		best, _, dp = bestPrecisionFrom(e, m, best, bestSecs, o.AccuracyBudget, o.Costs)
 		pre += dp
-	}
-	if o.Batch > 1 {
-		// The sweep already timed the winner at width 1; only the
-		// non-unit widths run, each priced like any other measured
-		// candidate. The width is pinned even when it is 1: leaving the
-		// knob at 0 would hand batch execution the engine default (8),
-		// contradicting the measurement that said blocking loses here.
-		w, _ := bestBlockWidthFrom(e, m, best, bestSecs)
-		best.BlockWidth = w
-		pre += float64(len(BlockWidths())-1) * float64(o.Costs.MeasureIters) * bestSecs
 	}
 	return plan.Plan{Optimizer: o.Name(), Opt: best, PreprocessSeconds: pre}
 }

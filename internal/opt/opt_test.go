@@ -295,56 +295,6 @@ func trainStubTree() *ml.Tree {
 	return ml.Fit(ds, ml.TreeParams{})
 }
 
-// TestBestBlockWidthPrefersBlockingWhenBandwidthBound: on an
-// out-of-cache matrix the modeled sweep must pick a width above 1 with
-// a real predicted speedup, and the width must come from the
-// implemented set.
-func TestBestBlockWidthPrefersBlockingWhenBandwidthBound(t *testing.T) {
-	e := sim.New(machine.KNL())
-	m := gen.UniformRandom(400000, 12, 3)
-	w, speedup := BestBlockWidth(e, m, ex.Optim{})
-	if w <= 1 || speedup <= 1 {
-		t.Fatalf("BestBlockWidth = (%d, %.2fx), want blocking to pay on an MB-bound matrix", w, speedup)
-	}
-	found := false
-	for _, c := range BlockWidths() {
-		if c == w {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("width %d not in the implemented set %v", w, BlockWidths())
-	}
-}
-
-// TestOracleBatchFoldsBlockWidth: the batch-aware oracle must select a
-// block width on a bandwidth-bound matrix, and the single-vector
-// oracle must keep the paper's plan untouched.
-func TestOracleBatchFoldsBlockWidth(t *testing.T) {
-	e := sim.New(machine.KNL())
-	m := gen.UniformRandom(400000, 12, 5)
-	single := NewOracle().Plan(e, m)
-	if single.Opt.BlockWidth != 0 {
-		t.Fatalf("single-vector oracle set BlockWidth=%d", single.Opt.BlockWidth)
-	}
-	batch := &Oracle{Costs: DefaultCostParams(), Batch: 8}
-	bp := batch.Plan(e, m)
-	if bp.Opt.BlockWidth <= 1 {
-		t.Fatalf("batch oracle kept BlockWidth=%d on an MB-bound matrix", bp.Opt.BlockWidth)
-	}
-	if bp.PreprocessSeconds <= single.PreprocessSeconds {
-		t.Fatal("batch oracle did not charge the width sweep to preprocessing")
-	}
-	// A cache-resident compute-bound matrix gains nothing from
-	// blocking; the batch oracle must pin width 1 explicitly (0 would
-	// hand batch execution the engine default of 8).
-	tiny := gen.Dense(96, 1)
-	tp := batch.Plan(e, tiny)
-	if tp.Opt.BlockWidth == 0 {
-		t.Fatal("batch oracle left BlockWidth unset: batch execution would fall back to the engine default instead of the measured width")
-	}
-}
-
 // countingExec counts Run calls per canonical configuration.
 type countingExec struct {
 	ex.Executor

@@ -2,8 +2,8 @@
 // decision for one matrix on one platform, promoted from an ephemeral
 // in-process knob set to a first-class, versioned, JSON-serializable
 // artifact. A Plan carries everything needed to skip re-tuning — the
-// storage format, the full optimization knob set, the schedule policy
-// and SpMM block width — plus the provenance an audit needs: which
+// storage format, the full optimization knob set and the schedule
+// policy — plus the provenance an audit needs: which
 // optimizer decided, on which platform model, against which matrix
 // structure (fingerprint), at what predicted/measured rate, produced
 // by which library version.
@@ -61,8 +61,8 @@ type Plan struct {
 	Classes    classify.Set
 	HasClasses bool
 	// Opt is the full optimization knob set the plan executes:
-	// format-selecting knobs, kernel knobs, schedule policy and SpMM
-	// block width. Bound-kernel probes are not plans and are rejected
+	// format-selecting knobs, kernel knobs and schedule policy.
+	// Bound-kernel probes are not plans and are rejected
 	// by Valid.
 	Opt ex.Optim
 	// PreprocessSeconds is t_pre of Section IV-D: what the decision
@@ -98,7 +98,6 @@ type planJSON struct {
 	HasClasses        bool     `json:"hasClasses,omitempty"`
 	Format            string   `json:"format"`
 	Schedule          string   `json:"schedule"`
-	BlockWidth        int      `json:"blockWidth,omitempty"`
 	Vectorize         bool     `json:"vectorize,omitempty"`
 	Prefetch          bool     `json:"prefetch,omitempty"`
 	Unroll            bool     `json:"unroll,omitempty"`
@@ -132,10 +131,7 @@ func FormatName(f ex.Format) string {
 
 // Valid checks the plan's internal invariants: the schema version,
 // that the knob set is a real optimization (bound-kernel probes do not
-// compute SpMV and must never be stored), a block width no wider than
-// the widest register-blocked kernel (exec.DefaultBlockWidth: the
-// engine sizes per-slot scratch by it, so an unbounded width from an
-// untrusted file would allocate without bound), and a schedule policy
+// compute SpMV and must never be stored), and a schedule policy
 // String can render (so the wire form round-trips).
 func (p Plan) Valid() error {
 	if p.Version != CurrentVersion {
@@ -143,9 +139,6 @@ func (p Plan) Valid() error {
 	}
 	if p.Opt.IsBoundKernel() {
 		return fmt.Errorf("plan: bound-kernel probe %s is not an executable plan", p.Opt)
-	}
-	if p.Opt.BlockWidth < 0 || p.Opt.BlockWidth > ex.DefaultBlockWidth {
-		return fmt.Errorf("plan: block width %d outside [0,%d]", p.Opt.BlockWidth, ex.DefaultBlockWidth)
 	}
 	if _, err := sched.ParsePolicy(p.Opt.Schedule.String()); err != nil {
 		return fmt.Errorf("plan: unserializable schedule policy %d", int(p.Opt.Schedule))
@@ -203,7 +196,6 @@ func (p Plan) MarshalJSON() ([]byte, error) {
 		HasClasses:        p.HasClasses,
 		Format:            FormatName(p.Opt.EffectiveFormat()),
 		Schedule:          p.Opt.Schedule.String(),
-		BlockWidth:        p.Opt.BlockWidth,
 		Vectorize:         p.Opt.Vectorize,
 		Prefetch:          p.Opt.Prefetch,
 		Unroll:            p.Opt.Unroll,
@@ -267,16 +259,15 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		Classes:     set,
 		HasClasses:  w.HasClasses,
 		Opt: ex.Optim{
-			Vectorize:  w.Vectorize,
-			Prefetch:   w.Prefetch,
-			Unroll:     w.Unroll,
-			Compress:   w.Compress,
-			Split:      w.Split,
-			SellCS:     w.SellCS,
-			Symmetric:  w.Symmetric,
-			Schedule:   policy,
-			BlockWidth: w.BlockWidth,
-			Precision:  prec,
+			Vectorize: w.Vectorize,
+			Prefetch:  w.Prefetch,
+			Unroll:    w.Unroll,
+			Compress:  w.Compress,
+			Split:     w.Split,
+			SellCS:    w.SellCS,
+			Symmetric: w.Symmetric,
+			Schedule:  policy,
+			Precision: prec,
 		},
 		PreprocessSeconds: w.PreprocessSeconds,
 		PredictedGflops:   w.PredictedGflops,

@@ -19,16 +19,15 @@ import (
 // everything the engine accepts.
 func randomPlan(rng *rand.Rand) Plan {
 	o := ex.Optim{
-		Vectorize:  rng.Intn(2) == 0,
-		Prefetch:   rng.Intn(2) == 0,
-		Unroll:     rng.Intn(2) == 0,
-		Compress:   rng.Intn(2) == 0,
-		Split:      rng.Intn(2) == 0,
-		SellCS:     rng.Intn(2) == 0,
-		Symmetric:  rng.Intn(2) == 0,
-		Schedule:   sched.Policy(rng.Intn(5)),
-		BlockWidth: []int{0, 1, 2, 4, 8}[rng.Intn(5)],
-		Precision:  ex.Precision(rng.Intn(2)),
+		Vectorize: rng.Intn(2) == 0,
+		Prefetch:  rng.Intn(2) == 0,
+		Unroll:    rng.Intn(2) == 0,
+		Compress:  rng.Intn(2) == 0,
+		Split:     rng.Intn(2) == 0,
+		SellCS:    rng.Intn(2) == 0,
+		Symmetric: rng.Intn(2) == 0,
+		Schedule:  sched.Policy(rng.Intn(5)),
+		Precision: ex.Precision(rng.Intn(2)),
 	}
 	var set classify.Set
 	has := rng.Intn(2) == 0
@@ -160,14 +159,13 @@ func TestValidRejectsBoundKernelsAndBadWidths(t *testing.T) {
 	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{UnitStride: true}}).Valid(); err == nil {
 		t.Fatal("unit-stride probe accepted")
 	}
-	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{BlockWidth: -2}}).Valid(); err == nil {
-		t.Fatal("negative block width accepted")
-	}
-	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{BlockWidth: ex.DefaultBlockWidth}}).Valid(); err != nil {
-		t.Fatalf("the widest register-blocked width rejected: %v", err)
-	}
-	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{BlockWidth: ex.DefaultBlockWidth + 1}}).Valid(); err == nil {
-		t.Fatal("block width above the widest kernel accepted")
+	// Batch blocking is an engine rule, not a plan knob: a plan file
+	// naming any block width, even one an older library wrote, is
+	// rejected.
+	for _, w := range []string{"-2", "0", "1", "4", "8", "9"} {
+		if _, err := Decode([]byte(strings.Replace(hugeBlockWidthPlan, "1099511627776", w, 1))); err == nil {
+			t.Fatalf("plan with blockWidth %s accepted", w)
+		}
 	}
 	if _, err := (Plan{Version: CurrentVersion, Opt: ex.Optim{RegularizeX: true}}).MarshalJSON(); err == nil {
 		t.Fatal("bound kernel plan serialized")
@@ -180,17 +178,17 @@ func TestValidRejectsBoundKernelsAndBadWidths(t *testing.T) {
 	}
 }
 
-// hugeBlockWidthPlan is a strictly well-formed plan file whose block
-// width would make the engine size SSS scratch at cells×2^40 floats.
+// hugeBlockWidthPlan is an otherwise well-formed plan file carrying a
+// 2^40 block width, the hostile form of a field plans no longer have.
 const hugeBlockWidthPlan = `{"version":1,"machine":"host","classes":[],"format":"sss","schedule":"static-nnz","blockWidth":1099511627776,"symmetric":true}`
 
 func TestDecodeRejectsHugeBlockWidth(t *testing.T) {
-	if _, err := Decode([]byte(hugeBlockWidthPlan)); err == nil || !strings.Contains(err.Error(), "block width") {
-		t.Fatalf("decode of a 2^40 block width = %v, want a block-width error", err)
+	if _, err := Decode([]byte(hugeBlockWidthPlan)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("decode of a 2^40 block width = %v, want an unknown-field error", err)
 	}
-	ok := strings.Replace(hugeBlockWidthPlan, "1099511627776", "8", 1)
+	ok := strings.Replace(hugeBlockWidthPlan, `"blockWidth":1099511627776,`, "", 1)
 	if _, err := Decode([]byte(ok)); err != nil {
-		t.Fatalf("the same plan at width 8 rejected: %v", err)
+		t.Fatalf("the same plan without the field rejected: %v", err)
 	}
 }
 

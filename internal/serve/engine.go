@@ -10,8 +10,9 @@ import (
 )
 
 // Kernel is the executable the server dispatches batches to: a
-// prepared, concurrency-safe SpMV whose MulVecBatch coalesces the
-// batch into register-blocked SpMM blocks. Both the facade's Tuned and
+// prepared, concurrency-safe SpMV whose MulVecBatch runs a coalesced
+// batch in one call (see native.Prepared.MulVecBatch for which plans
+// block it). Both the facade's Tuned and
 // the native engine's prepared kernels satisfy it.
 type Kernel interface {
 	MulVec(x, y []float64)

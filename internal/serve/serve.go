@@ -1,10 +1,11 @@
 // Package serve is the multi-tenant SpMV serving layer: a registry of
 // named matrices, each lazily tuned once through a shared Engine and
 // served by a per-matrix dispatcher that coalesces concurrent
-// independent single-vector requests into register-blocked SpMM
-// batches (the k<=8 blocked kernels stream the matrix once per batch,
-// so per-vector matrix traffic — the bandwidth-bound regime's cost —
-// drops by up to the batch width). Prepared kernels live in an
+// independent single-vector requests into one MulVecBatch call per
+// batch: one queue hand-off and one kernel lock for the batch, and on
+// a CSR float64 plan one matrix stream per group of 8 or 4 requests
+// (every other plan runs the batch vector by vector; see
+// docs/guide/batching.md). Prepared kernels live in an
 // LRU-evicted cache under a configurable memory budget; an evicted
 // matrix re-prepares from its stored plan on the next request, with
 // zero new tuning measurements when the engine carries a plan store.
@@ -39,8 +40,8 @@ var (
 
 // Defaults for the zero Config.
 const (
-	// DefaultMaxBatch matches the widest register-blocked SpMM kernel:
-	// coalescing past it would just split into multiple blocks.
+	// DefaultMaxBatch matches the widest register-blocked group:
+	// coalescing past it would just split into multiple groups.
 	DefaultMaxBatch = 8
 	// DefaultWindow is how long the first request of a batch waits for
 	// company before the batch dispatches anyway. Small against any

@@ -111,19 +111,6 @@ func TestPrecInertOnUnsupportedFormats(t *testing.T) {
 	}
 }
 
-// TestPrecComposesWithBlockWidth: the halved value stream and the
-// blocked-SpMM intensity lift must compose — the reduced blocked run
-// streams fewer bytes per vector than the f64 blocked run.
-func TestPrecComposesWithBlockWidth(t *testing.T) {
-	e := New(machine.KNL())
-	m := gen.UniformRandom(400000, 12, 7)
-	base := run(e, m, ex.Optim{BlockWidth: 8})
-	red := run(e, m, ex.Optim{BlockWidth: 8, Precision: ex.PrecF32})
-	if red.MemBytes >= base.MemBytes {
-		t.Fatalf("blocked f32 traffic %.3g not below blocked f64 %.3g", red.MemBytes, base.MemBytes)
-	}
-}
-
 // TestPrecHelpsSymmetricStream: the reduced lower-triangle stream must
 // compose with SSS on a bandwidth-bound symmetric matrix.
 func TestPrecHelpsSymmetricStream(t *testing.T) {

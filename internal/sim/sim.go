@@ -517,30 +517,6 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 		yBytes = costs.YBytesScalarPerRow + 4
 	}
 
-	// Blocked multi-RHS SpMM (the BlockWidth knob): a k-wide block
-	// streams the matrix once for k vectors, so the per-vector share of
-	// every matrix-stream term drops by 1/k — the arithmetic-intensity
-	// lift that is the whole point of blocking. The interleaved layout
-	// packs the k values of one x element into ceil(k*8/line) lines, so
-	// one gather line serves the entire block: per-vector irregular
-	// traffic and exposed latency shrink by blockLines/k. Per-vector
-	// flops, y stores and compulsory x data are unchanged. Everything
-	// below reports the per-RHS share of one blocked multiply, directly
-	// comparable with an unblocked run. Bound kernels have no blocked
-	// form (the knob is inert, matching the native engine).
-	missScale, blockInv := 1.0, 1.0
-	if bw := o.BlockWidth; bw > 1 && !o.IsBoundKernel() {
-		blockInv = 1 / float64(bw)
-		valBytes *= blockInv
-		idxBytes *= blockInv
-		rowBytes *= blockInv
-		blockLines := (bw*8 + mdl.CacheLineBytes - 1) / mdl.CacheLineBytes
-		missScale = float64(blockLines) * blockInv
-		// The row loop and per-chunk/per-row setup run once per block.
-		rowOv *= blockInv
-		vecRowOv *= blockInv
-	}
-
 	lineBytes := float64(mdl.CacheLineBytes)
 	cps := mdl.CyclesPerSecond()
 	mlp := mdl.MLP
@@ -570,7 +546,7 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 			// x[i] streaming: one line per lineElems rows.
 			xBytes = float64(ld.rows) * 8
 		} else {
-			xBytes = float64(ld.miss) * missScale * lineBytes
+			xBytes = float64(ld.miss) * lineBytes
 		}
 		bytes := float64(ld.nnz)*(valBytes+idxBytes) +
 			float64(ld.rows)*(rowBytes+yBytes) + xBytes
@@ -588,18 +564,17 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 			seqMiss := float64(ld.rows) / float64(mdl.LineElems())
 			tLat = seqMiss * (1 - mdl.HWPrefetchEff) * missLatNs * 1e-9 * float64(k) / mlp
 		} else {
-			tLat = float64(ld.miss) * missScale * missLatNs * 1e-9 * float64(k) / mlp
+			tLat = float64(ld.miss) * missLatNs * 1e-9 * float64(k) / mlp
 		}
 
 		tt := maxf3(tComp, tBW, tLat)
-		// Dynamic scheduling pays a dequeue per chunk (per block when
-		// blocked — one barrier serves all k vectors).
+		// Dynamic scheduling pays a dequeue per chunk.
 		if dynamicChunks > 0 {
-			tt += float64(dynamicChunks) / float64(nt) * costs.ChunkAtomicNs * 1e-9 * blockInv
+			tt += float64(dynamicChunks) / float64(nt) * costs.ChunkAtomicNs * 1e-9
 		}
 		// The split kernel's step 2 reduction synchronizes per long row.
 		if format == ex.FormatSplit && p.nLong > 0 {
-			tt += float64(p.nLong) * costs.SyncNsPerLongRow * 1e-9 * blockInv
+			tt += float64(p.nLong) * costs.SyncNsPerLongRow * 1e-9
 		}
 		threadSecs[t] = tt
 		totalBytes += bytes

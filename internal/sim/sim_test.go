@@ -431,63 +431,6 @@ func TestSellCSDynamicSchedulePaysDequeues(t *testing.T) {
 	}
 }
 
-// TestBlockWidthLiftsBandwidthBound: on a bandwidth-bound matrix the
-// blocked SpMM model must predict a monotone per-vector improvement as
-// the block width amortizes the matrix stream (1 ≥ 2 ≥ 4 ≥ 8), with
-// per-vector traffic shrinking accordingly, while the flop count per
-// vector stays put (Gflops rises with the same ratio).
-func TestBlockWidthLiftsBandwidthBound(t *testing.T) {
-	e := New(machine.KNL())
-	m := gen.UniformRandom(400000, 12, 7) // far out of LLC: MB-bound
-	prev := run(e, m, ex.Optim{})
-	if prev.Breakdown.Binding() != "bandwidth" {
-		t.Skipf("matrix not bandwidth bound on KNL: %s", prev.Breakdown.Binding())
-	}
-	for _, w := range []int{2, 4, 8} {
-		r := run(e, m, ex.Optim{BlockWidth: w})
-		if r.Seconds >= prev.Seconds {
-			t.Fatalf("width %d: per-vector %g s, want below %g s", w, r.Seconds, prev.Seconds)
-		}
-		if r.MemBytes >= prev.MemBytes {
-			t.Fatalf("width %d: per-vector traffic %g B did not shrink from %g B", w, r.MemBytes, prev.MemBytes)
-		}
-		prev = r
-	}
-}
-
-// TestBlockWidthInertOnBoundKernels: the probes have no blocked form.
-func TestBlockWidthInertOnBoundKernels(t *testing.T) {
-	e := New(machine.KNL())
-	m := gen.UniformRandom(50000, 8, 9)
-	plain := run(e, m, ex.Optim{UnitStride: true})
-	blocked := run(e, m, ex.Optim{UnitStride: true, BlockWidth: 8})
-	if plain.Seconds != blocked.Seconds {
-		t.Fatalf("bound kernel changed under BlockWidth: %g vs %g", plain.Seconds, blocked.Seconds)
-	}
-}
-
-// TestBlockWidthAppliesToEveryFormat: the intensity lift must compose
-// with the format knobs — each format's blocked run beats its own
-// unblocked run on an out-of-cache matrix.
-func TestBlockWidthAppliesToEveryFormat(t *testing.T) {
-	e := New(machine.KNL())
-	m := gen.FewDenseRows(300000, 10, 3, 150000, 11)
-	for name, o := range map[string]ex.Optim{
-		"csr":    {},
-		"delta":  {Compress: true},
-		"split":  {Split: true},
-		"sellcs": {SellCS: true, Vectorize: true},
-	} {
-		base := run(e, m, o)
-		bo := o
-		bo.BlockWidth = 8
-		blocked := run(e, m, bo)
-		if blocked.Seconds >= base.Seconds {
-			t.Fatalf("%s: blocked %g s not below unblocked %g s", name, blocked.Seconds, base.Seconds)
-		}
-	}
-}
-
 // TestHostPricesCanonicalForm checks that the host model prices every
 // knob set exactly as its canonical form, bit for bit, so knob sets
 // that bind one kernel get one price, while KNC still prices the

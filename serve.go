@@ -27,8 +27,8 @@ var (
 // and no memory budget.
 type ServerConfig struct {
 	// MaxBatch caps how many concurrent MulVec requests one dispatch
-	// coalesces into a blocked SpMM call (default 8, the widest
-	// register-blocked kernel; 1 disables coalescing).
+	// coalesces into a MulVecBatch call (default 8, the widest
+	// register-blocked group; 1 disables coalescing).
 	MaxBatch int
 	// Window is how long an under-filled batch waits for more arrivals
 	// before dispatching; already-queued requests never wait. Sparse
@@ -53,10 +53,11 @@ type ServerStats = serve.MatrixStats
 
 // Server is a multi-tenant SpMV service over one Tuner: many
 // registered matrices, many concurrent callers. Concurrent MulVec
-// requests against the same matrix are coalesced into register-blocked
-// SpMM batches (the matrix streams once per batch, so per-vector
-// memory traffic — the bandwidth-bound regime's cost — drops by up to
-// the batch width), and prepared kernels live in an LRU cache under
+// requests against the same matrix are coalesced into one MulVecBatch
+// call per batch (one dispatch for the batch; a CSR float64 plan also
+// streams the matrix once per group of 8 or 4 requests, every other
+// plan multiplies them one by one), and prepared kernels live in an
+// LRU cache under
 // the configured memory budget, re-preparing from the tuner's plan
 // store after eviction. All methods are safe for concurrent use.
 type Server struct {

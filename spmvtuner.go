@@ -472,11 +472,12 @@ func (k *Tuned) MulVec(x, y []float64) {
 
 // MulVecBatch computes ys[i] = A*xs[i] for every pair, keeping the
 // worker pool hot across the whole batch — the serving shape where one
-// tuned matrix multiplies many user vectors back to back. The engine
-// repartitions the batch into blocks of up to 8 vectors and streams
-// the matrix once per block (see docs/guide/batching.md), so large
-// batches run well past single-vector throughput. The aliasing rule
-// is blanket: no input vector may overlap ANY output vector.
+// tuned matrix multiplies many user vectors back to back. A plan that
+// runs the CSR float64 kernel streams the matrix once per group of 8
+// vectors, then once for a group of 4 when at least 4 remain; every
+// other vector, and every vector of every other plan, runs through
+// MulVec's kernel (see docs/guide/batching.md). The aliasing rule is
+// blanket: no input vector may overlap ANY output vector.
 func (k *Tuned) MulVecBatch(xs, ys [][]float64) {
 	if len(xs) != len(ys) {
 		panic(fmt.Sprintf("spmvtuner: MulVecBatch length mismatch: %d inputs, %d outputs", len(xs), len(ys)))
@@ -488,7 +489,7 @@ func (k *Tuned) MulVecBatch(xs, ys [][]float64) {
 		}
 	}
 	// The aliasing rule is blanket across the batch, not per pair: an
-	// earlier block's outputs are written before a later block's inputs
+	// earlier group's outputs are written before a later group's inputs
 	// are packed, so ANY shared input/output buffer reads overwritten
 	// data.
 	if matrix.AnyAliased(xs, ys) {
@@ -500,10 +501,11 @@ func (k *Tuned) MulVecBatch(xs, ys [][]float64) {
 // MulMat computes Y = A*X for nrhs right-hand sides stored in the
 // interleaved block layout: X is one []float64 of length Cols()*nrhs
 // where element j of vector l lives at X[j*nrhs+l], and Y likewise
-// with Rows()*nrhs. The matrix is streamed once per block of
-// right-hand sides — the blocked SpMM serving path, with no packing
-// cost when the caller already holds interleaved blocks. X and Y must
-// not alias.
+// with Rows()*nrhs. A CSR float64 plan at nrhs = 4 or 8 streams the
+// matrix once for the block, with no packing cost; every other case
+// gathers each vector, multiplies it as MulVec does and scatters the
+// result, so it equals nrhs MulVec calls bit for bit. X and Y must not
+// alias.
 func (k *Tuned) MulMat(x, y []float64, nrhs int) {
 	if nrhs < 1 {
 		panic(fmt.Sprintf("spmvtuner: MulMat nrhs %d < 1", nrhs))
