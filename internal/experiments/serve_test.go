@@ -18,6 +18,11 @@ func TestServeExperiment(t *testing.T) {
 	if res.Sequential.Requests != want || res.Coalesced.Requests != want {
 		t.Fatalf("request counts %d/%d, want %d", res.Sequential.Requests, res.Coalesced.Requests, want)
 	}
+	for _, row := range []ServeMode{res.Sequential, res.Coalesced} {
+		if row.Plan != "vec@static-nnz" {
+			t.Fatalf("%s served plan %q, want the seeded vec@static-nnz", row.Mode, row.Plan)
+		}
+	}
 	if res.Sequential.MeanBatchWidth != 1 {
 		t.Fatalf("sequential mean batch width %.2f, want exactly 1", res.Sequential.MeanBatchWidth)
 	}

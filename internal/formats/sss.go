@@ -41,51 +41,62 @@ type SSS struct {
 // upper triangle is discarded and reconstructed from the lower one,
 // so any asymmetry would silently corrupt results — callers gate on
 // the symmetry kind, and a violation here is a programming error.
-// The check re-runs the detection rather than trusting m.Sym: one
-// cursor walk over the rows, no transpose, so it costs about one pass
-// over the structure on a symmetric matrix and stops at the first
-// mismatch on an asymmetric one.
+//
+// The check does not trust m.Sym, and it is the conversion's own
+// pass: DetectSymmetry's cursor walk, run here. When the walk reaches
+// row i, the entries before row i's cursor are exactly its lower
+// part, already matched by the rows above, so the walk records each
+// row's lower length and its diagonal as it goes and panics at the
+// first mismatch. A second pass copies each row's lower part with one
+// copy, reading only the lower triangle.
 func ConvertSSS(m *matrix.CSR) *SSS {
-	if matrix.DetectSymmetry(m) != matrix.SymSymmetric {
+	n := m.NRows
+	asymmetric := func() {
 		panic(fmt.Sprintf("formats: ConvertSSS on a non-symmetric matrix (%dx%d %q)",
 			m.NRows, m.NCols, m.Name))
 	}
-	n := m.NRows
+	if n != m.NCols {
+		asymmetric()
+	}
 	s := &SSS{
 		N:       n,
 		Diag:    make([]float64, n),
 		HasDiag: make([]bool, n),
 		Name:    m.Name,
 	}
-	lower := &matrix.CSR{
-		NRows:  n,
-		NCols:  n,
-		RowPtr: make([]int64, n+1),
-	}
-	var lowerNNZ int64
-	for i := 0; i < n; i++ {
-		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-			if int(m.ColInd[j]) < i {
-				lowerNNZ++
+	lower := &matrix.CSR{NRows: n, NCols: n, RowPtr: make([]int64, n+1)}
+	rp, ci, v := m.RowPtr, m.ColInd, m.Val
+	next := make([]int64, n)
+	copy(next, rp)
+	for i := range n {
+		lower.RowPtr[i+1] = lower.RowPtr[i] + next[i] - rp[i]
+		prev := int32(i) - 1
+		for p, end := next[i], rp[i+1]; p < end; p++ {
+			c := ci[p]
+			if c <= prev || int(c) >= n {
+				asymmetric()
 			}
+			prev = c
+			if int(c) == i {
+				if v[p] != v[p] { // NaN equals no mirror, not even itself
+					asymmetric()
+				}
+				s.Diag[i], s.HasDiag[i] = v[p], true
+				continue
+			}
+			q := next[c]
+			if q >= rp[c+1] || ci[q] != int32(i) || v[q] != v[p] {
+				asymmetric()
+			}
+			next[c] = q + 1
 		}
 	}
-	lower.ColInd = make([]int32, 0, lowerNNZ)
-	lower.Val = make([]float64, 0, lowerNNZ)
-	for i := 0; i < n; i++ {
-		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-			c := int(m.ColInd[j])
-			switch {
-			case c < i:
-				lower.ColInd = append(lower.ColInd, m.ColInd[j])
-				lower.Val = append(lower.Val, m.Val[j])
-			case c == i:
-				s.Diag[i] = m.Val[j]
-				s.HasDiag[i] = true
-			}
-			// c > i: implied by the stored (c, i) mirror.
-		}
-		lower.RowPtr[i+1] = int64(len(lower.ColInd))
+	lower.ColInd = make([]int32, lower.RowPtr[n])
+	lower.Val = make([]float64, lower.RowPtr[n])
+	for i := range n {
+		w, k := lower.RowPtr[i], lower.RowPtr[i+1]-lower.RowPtr[i]
+		copy(lower.ColInd[w:], ci[rp[i]:rp[i]+k])
+		copy(lower.Val[w:], v[rp[i]:rp[i]+k])
 	}
 	s.Lower = lower
 	return s

@@ -14,8 +14,8 @@
 // "rows cols nnz" (coordinate) or "rows cols" (array), read as by
 // fmt.Sscan. A coordinate entry line holds "row col value", or
 // "row col" for pattern files, with 1-based indices read as by
-// strconv.Atoi and values read by strconv.ParseFloat; an array line
-// holds one value, in column-major order. Fields split at white space
+// strconv.Atoi and values read as strconv.ParseFloat reads them, to
+// the same bits; an array line holds one value, in column-major order. Fields split at white space
 // as strings.Fields splits it, so '\r', tabs and Unicode spaces
 // separate fields, and fields past the needed ones are ignored, as is
 // anything after the last entry the size line announces. Duplicate
@@ -24,9 +24,16 @@
 //
 // Parsing. Read reads the entries in blocks of a few MiB cut at line
 // ends, parses the blocks on runtime.GOMAXPROCS(0) workers and builds
-// the CSR arrays in one counting pass by row. Memory is bounded by the
-// input size and the declared dimensions (at most maxDim): no buffer
-// is sized from the entry count a header claims.
+// the CSR arrays in one counting pass by row. A plain decimal value,
+// [+-]?digits[.digits]?([eE][+-]?digits)? as Write emits it, is
+// converted by an exact fast path: the mantissa is scanned eight
+// digits at a time and converted by the Eisel–Lemire algorithm, which
+// returns strconv.ParseFloat's bits or declines. Hex, inf and nan,
+// more than about 19 significant digits, subnormals, overflow and the
+// values it cannot round with certainty take strconv.ParseFloat.
+// Memory is bounded by the input size and the declared dimensions (at
+// most maxDim): no buffer is sized from the entry count a header
+// claims.
 package mmio
 
 import (

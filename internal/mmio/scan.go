@@ -217,12 +217,8 @@ func (p *lineParser) fast(c *chunk, line []byte) bool {
 		return true
 	}
 	if p.array {
-		f, _, ok := field(line, i)
+		v, ok := value(line, i)
 		if !ok {
-			return false
-		}
-		v, err := strconv.ParseFloat(string(f), 64)
-		if err != nil {
 			return false
 		}
 		c.vals = append(c.vals, v)
@@ -237,12 +233,8 @@ func (p *lineParser) fast(c *chunk, line []byte) bool {
 		return false
 	}
 	if !p.pattern {
-		fv, _, ok := field(line, i)
+		v, ok := value(line, i)
 		if !ok {
-			return false
-		}
-		v, err := strconv.ParseFloat(string(fv), 64)
-		if err != nil {
 			return false
 		}
 		c.vals = append(c.vals, v)
@@ -250,6 +242,23 @@ func (p *lineParser) fast(c *chunk, line []byte) bool {
 	c.rows = append(c.rows, int32(row-1))
 	c.cols = append(c.cols, int32(col-1))
 	return true
+}
+
+// value converts the value token that starts at the first non-space
+// byte at or after i: by parseDecimal when it is a plain decimal, else
+// as strconv.ParseFloat reads it. ok is false when the token is
+// missing, holds a non-ASCII byte or is not a number.
+func value(line []byte, i int) (float64, bool) {
+	i = skipSpace(line, i)
+	if v, _, ok := parseDecimal(line, i); ok {
+		return v, true
+	}
+	f, _, ok := field(line, i)
+	if !ok {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(f), 64)
+	return v, err == nil
 }
 
 // general parses one line as the line-at-a-time parser did: it appends
