@@ -50,7 +50,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "suite size multiplier for -suite preloads")
 		mtxCSV   = flag.String("mtx", "", "comma-separated MatrixMarket files to preload (named by file stem)")
 		maxBatch = flag.Int("max-batch", 0, "max requests coalesced per batch (default 8)")
-		window   = flag.Duration("window", 0, "coalescing window for under-filled batches (default 100us)")
 		budgetMB = flag.Int64("budget-mb", 0, "prepared-kernel memory budget in MiB (0 = unlimited)")
 		queue    = flag.Int("queue", 0, "per-matrix queue depth before 503 (default 256)")
 		plans    = flag.String("plans", "", "plan store directory (persists tuning across restarts)")
@@ -67,7 +66,6 @@ func main() {
 
 	srv := spmv.NewServer(tuner, spmv.ServerConfig{
 		MaxBatch:     *maxBatch,
-		Window:       *window,
 		MemoryBudget: *budgetMB << 20,
 		QueueDepth:   *queue,
 	})

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/sparsekit/spmvtuner"
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
@@ -374,7 +373,6 @@ func TestServingGuideSamples(t *testing.T) {
 
 	srv := spmvtuner.NewServer(tuner, spmvtuner.ServerConfig{
 		MaxBatch:     8,
-		Window:       100 * time.Microsecond,
 		MemoryBudget: 1 << 30,
 	})
 	defer srv.Close()

@@ -58,13 +58,10 @@ type Pipeline struct {
 	// artifact carries an analytic prediction, and a store-loaded plan
 	// is re-priced before it is trusted — a plan whose recorded
 	// PredictedGflops disagrees with the local twin by more than
-	// TwinTolerance was decided on a different machine shape and is
-	// re-tuned instead of blindly reused. All of this is analytic:
-	// the gate costs zero hardware measurements.
+	// DefaultTwinTolerance was decided on a different machine shape
+	// and is re-tuned instead of blindly reused. All of this is
+	// analytic: the gate costs zero hardware measurements.
 	Twin ex.Executor
-	// TwinTolerance is the relative deviation the validation gate
-	// accepts; zero means DefaultTwinTolerance.
-	TwinTolerance float64
 	// AccuracyBudget, when positive, opts the pipeline into reduced-
 	// precision value storage (an f32 value stream, admitted from a
 	// budget of 1e-6 up): the optimizer may fold it into MB-classed
@@ -75,8 +72,9 @@ type Pipeline struct {
 	AccuracyBudget float64
 }
 
-// DefaultTwinTolerance is the twin validation gate's default: a
-// stored prediction within 50% of the local twin's is trusted.
+// DefaultTwinTolerance is the relative deviation the twin validation
+// gate accepts: a stored prediction within 50% of the local twin's is
+// trusted.
 // Analytic models are good to tens of percent (the paper's Table IV
 // framing), so a factor-of-two disagreement means a different
 // machine, not model noise.
@@ -164,11 +162,7 @@ func (p *Pipeline) twinTrusts(m *matrix.CSR, pl plan.Plan) bool {
 	if local <= 0 {
 		return true
 	}
-	tol := p.TwinTolerance
-	if tol <= 0 {
-		tol = DefaultTwinTolerance
-	}
-	return math.Abs(pl.PredictedGflops-local)/local <= tol
+	return math.Abs(pl.PredictedGflops-local)/local <= DefaultTwinTolerance
 }
 
 // storeKey is the (fingerprint, machine, version) identity Prepare

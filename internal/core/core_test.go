@@ -318,18 +318,3 @@ func TestPrepareTwinGateLegacyPlansPass(t *testing.T) {
 		t.Fatal("legacy plan without a prediction must pass the gate")
 	}
 }
-
-func TestTwinToleranceConfigurable(t *testing.T) {
-	p := New(sim.New(machine.KNL()))
-	p.Twin = sim.New(machine.KNL())
-	m := gen.UniformRandom(120000, 6, 17)
-	pl := p.PlanOnly(m)
-	pl.PredictedGflops = 1e-9 // absurdly slow recorded prediction
-	if p.twinTrusts(m, pl) {
-		t.Fatal("default tolerance accepted a wildly off prediction")
-	}
-	p.TwinTolerance = 1e12
-	if !p.twinTrusts(m, pl) {
-		t.Fatal("huge tolerance should accept anything")
-	}
-}

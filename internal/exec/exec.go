@@ -195,13 +195,15 @@ const hostCodename = "host"
 // Vectorize (one dispatched gather body serves all three); every Delta
 // configuration becomes Compress+Vectorize (one dispatched vector
 // decoder serves every delta knob set: the paper's MB pairing of
-// compression with vectorization); every Split configuration becomes
-// the CSR gather body, and a static schedule becomes Auto, the pool's
-// other IMB remedy (the host has no decomposed kernel: the gather body
-// under Auto beat it on every suite matrix with long rows); knobs the
-// effective format's body ignores are cleared — Vectorize, Prefetch
-// and Unroll under SSS, Prefetch and Unroll under SELL-C-σ, and every
-// format knob EffectiveFormat supersedes; Precision becomes
+// compression with vectorization); every SELL-C-σ configuration
+// becomes SellCS+Vectorize (the host converts at the vector-width
+// chunk height, which the C=8 chunk body serves); every Split
+// configuration becomes the CSR gather body, and a static schedule
+// becomes Auto, the pool's other IMB remedy (the host has no
+// decomposed kernel: the gather body under Auto beat it on every
+// suite matrix with long rows); knobs the effective format's body
+// ignores are cleared — Vectorize, Prefetch and Unroll under SSS, and
+// every format knob EffectiveFormat supersedes; Precision becomes
 // EffectivePrecision. Delta and SSS run a static row partition under
 // every schedule, so theirs resolves to static-rows or static-nnz;
 // SELL-C-σ splits chunks by padded elements under either static
@@ -225,7 +227,7 @@ func (o Optim) Canonical(mdl machine.Model) Optim {
 			c.Schedule = sched.Auto
 		}
 	case FormatSellCS:
-		c.SellCS, c.Vectorize = true, o.Vectorize
+		c.SellCS, c.Vectorize = true, true
 	case FormatDelta:
 		c.Compress, c.Vectorize = true, true
 	case FormatSSS:

@@ -100,8 +100,8 @@ func TestOptimCanonical(t *testing.T) {
 		{"split/f32-auto", Optim{Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Vectorize: true, Schedule: sched.Auto}},
 		{"split/prefetch-guided", Optim{Split: true, Prefetch: true, Schedule: sched.Guided}, Optim{Vectorize: true, Schedule: sched.Guided}},
 		{"sellcs/vec+prefetch+unroll-dynamic", Optim{SellCS: true, Vectorize: true, Prefetch: true, Unroll: true, Compress: true, Precision: f32, Schedule: sched.Dynamic}, Optim{SellCS: true, Vectorize: true, Precision: f32, Schedule: sched.Dynamic}},
-		{"sellcs/prefetch-static-rows", Optim{SellCS: true, Prefetch: true, Schedule: sched.StaticRows}, Optim{SellCS: true}},
-		{"sellcs/auto", Optim{SellCS: true, Schedule: sched.Auto}, Optim{SellCS: true, Schedule: sched.Auto}},
+		{"sellcs/prefetch-static-rows", Optim{SellCS: true, Prefetch: true, Schedule: sched.StaticRows}, Optim{SellCS: true, Vectorize: true}},
+		{"sellcs/auto", Optim{SellCS: true, Schedule: sched.Auto}, Optim{SellCS: true, Vectorize: true, Schedule: sched.Auto}},
 		{"delta/vec+prefetch+unroll-guided", Optim{Compress: true, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Guided}, Optim{Compress: true, Vectorize: true}},
 		{"delta/static-rows", Optim{Compress: true, Schedule: sched.StaticRows}, Optim{Compress: true, Vectorize: true, Schedule: sched.StaticRows}},
 		{"sss/vec-auto", Optim{Symmetric: true, Vectorize: true, Compress: true, Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Symmetric: true, Precision: f32}},

@@ -179,7 +179,7 @@ func optimizersFor(mdl machine.Model, tc TrainedClassifier) (prof *opt.ProfileGu
 	fp := featureParams(mdl)
 	prof = opt.NewProfileGuided(fp)
 	feat = opt.NewFeatureGuided(tc.Tree, tc.Names, fp)
-	oracle = opt.NewOracle()
+	oracle = &opt.Oracle{}
 	return prof, feat, oracle
 }
 

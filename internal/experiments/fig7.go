@@ -53,7 +53,7 @@ func Fig7(platform string, cfg Config) (Fig7Result, error) {
 	e := sim.New(mdl)
 	prof, feat, oracle := optimizersFor(mdl, tc)
 	mkl := ref.MKL{}
-	ie := ref.NewInspectorExecutor()
+	ie := ref.InspectorExecutor{}
 	withIE := mdl.Codename != "knc" // Fig 7: "MKL Inspector-Executor is not available on KNC"
 
 	res := Fig7Result{Platform: mdl.Codename, TrainCV: tc.CV.ExactMatchRatio}

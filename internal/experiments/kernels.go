@@ -101,7 +101,7 @@ func Kernels(cfg Config) (*KernelsResult, error) {
 			scalarSec = stats.SecondsPerCall(kernelReps, iters, func() {
 				kernels.SellCS8Range(s, x, y, 0, s.NChunks())
 			})
-			sellK, _ := kernels.SellCSVariant(s, true)
+			sellK, _ := kernels.SellCSVariant(s)
 			asmSec = stats.SecondsPerCall(kernelReps, iters, func() {
 				sellK(s, x, y, 0, s.NChunks())
 			})

@@ -47,11 +47,11 @@ func Table5(cfg Config) (Table5Result, error) {
 	prof, feat, _ := optimizersFor(mdl, tc)
 
 	optimizers := []opt.Optimizer{
-		opt.NewTrivialSingle(),
-		opt.NewTrivialCombined(),
+		opt.TrivialSingle{},
+		opt.TrivialCombined{},
 		prof,
 		feat,
-		ref.NewInspectorExecutor(),
+		ref.InspectorExecutor{},
 	}
 	mkl := ref.MKL{}
 

@@ -330,7 +330,7 @@ func TestDispatchQuick(t *testing.T) {
 		}
 
 		s := formats.ConvertSellCS(m, 8, formats.DefaultSortWindow(m.NRows))
-		ks, _ := SellCSVariant(s, true)
+		ks, _ := SellCSVariant(s)
 		SellCS8Range(s, x, want, 0, s.NChunks())
 		ks(s, x, got, 0, s.NChunks())
 		for i := range want {
@@ -473,7 +473,7 @@ func TestISAConsistency(t *testing.T) {
 	if ISA() != "scalar" {
 		wantSell += "-" + ISA()
 	}
-	if _, name := SellCSVariant(s, true); name != wantSell {
+	if _, name := SellCSVariant(s); name != wantSell {
 		t.Fatalf("SellCSVariant = %q, want %q", name, wantSell)
 	}
 	wantDelta := "delta"

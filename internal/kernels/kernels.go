@@ -270,13 +270,13 @@ func isaSuffix() string {
 }
 
 // SellCSVariant selects the SELL-C-σ chunk kernel: when the chunk
-// height matches the vector width and vectorization is requested, the
-// widest column-major form the host dispatches (the AVX2/AVX-512 body
-// with an ISA-suffixed name, the 8-accumulator pure-Go form
-// otherwise); the plain row walk in every other case.
-func SellCSVariant(s *formats.SellCS, vectorize bool) (func(s *formats.SellCS, x, y []float64, lo, hi int), string) {
+// height matches the vector width, the widest column-major form the
+// host dispatches (the AVX2/AVX-512 body with an ISA-suffixed name,
+// the 8-accumulator pure-Go form otherwise); the plain row walk at
+// any other chunk height.
+func SellCSVariant(s *formats.SellCS) (func(s *formats.SellCS, x, y []float64, lo, hi int), string) {
 	switch {
-	case !vectorize || s.C != 8:
+	case s.C != 8:
 		return SellCSRange, "sellcs"
 	case len(tiers) > 0:
 		return tiers[0].sell, "sellcs-c8" + isaSuffix()

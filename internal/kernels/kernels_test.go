@@ -177,16 +177,13 @@ func TestSellCS8RangeFallsBackForOtherC(t *testing.T) {
 func TestSellCSVariantSelection(t *testing.T) {
 	m := gen.UniformRandom(200, 5, 10)
 	s8 := formats.ConvertSellCS(m, 8, 64)
-	// The C=8 vectorized variant carries the dispatched ISA as a
-	// suffix ("sellcs-c8-avx512" etc.); "sellcs-c8" when scalar.
-	if _, name := SellCSVariant(s8, true); !strings.HasPrefix(name, "sellcs-c8") {
-		t.Fatalf("vectorized C=8 variant = %q, want sellcs-c8[-isa]", name)
-	}
-	if _, name := SellCSVariant(s8, false); name != "sellcs" {
-		t.Fatalf("scalar variant = %q, want sellcs", name)
+	// The C=8 variant carries the dispatched ISA as a suffix
+	// ("sellcs-c8-avx512" etc.); "sellcs-c8" for the pure-Go body.
+	if _, name := SellCSVariant(s8); !strings.HasPrefix(name, "sellcs-c8") {
+		t.Fatalf("C=8 variant = %q, want sellcs-c8[-isa]", name)
 	}
 	s4 := formats.ConvertSellCS(m, 4, 64)
-	if _, name := SellCSVariant(s4, true); name != "sellcs" {
+	if _, name := SellCSVariant(s4); name != "sellcs" {
 		t.Fatalf("C=4 variant = %q, want sellcs", name)
 	}
 }

@@ -423,13 +423,15 @@ func TestPreparedIntrospection(t *testing.T) {
 		s.Opt() != (ex.Optim{Vectorize: true, Schedule: sched.Auto}) {
 		t.Fatalf("split+prefetch binds %q as %v, want %q as vec@auto", s.Kernel(), s.Opt(), p.Kernel())
 	}
-	// The vectorized C=8 kernel name carries the dispatched ISA suffix
-	// ("sellcs-c8-avx512" etc.) when assembly is in play.
-	if s := e.Prepare(m, ex.Optim{SellCS: true, Vectorize: true}).(*Prepared); !strings.HasPrefix(s.Kernel(), "sellcs-c8") {
-		t.Fatalf("sellcs kernel = %q", s.Kernel())
+	// The C=8 kernel name carries the dispatched ISA suffix
+	// ("sellcs-c8-avx512" etc.) when assembly is in play, and every
+	// SELL-C-σ knob set binds it.
+	sell := e.Prepare(m, ex.Optim{SellCS: true, Vectorize: true}).(*Prepared)
+	if !strings.HasPrefix(sell.Kernel(), "sellcs-c8") {
+		t.Fatalf("sellcs kernel = %q", sell.Kernel())
 	}
-	if s := e.Prepare(m, ex.Optim{SellCS: true}).(*Prepared); s.Kernel() != "sellcs" {
-		t.Fatalf("plain sellcs kernel = %q", s.Kernel())
+	if s := e.Prepare(m, ex.Optim{SellCS: true}).(*Prepared); s.Kernel() != sell.Kernel() {
+		t.Fatalf("plain sellcs kernel = %q, want %q", s.Kernel(), sell.Kernel())
 	}
 	// Precedence: Split wins over SellCS, SellCS wins over Compress.
 	if s := e.Prepare(m, ex.Optim{Split: true, SellCS: true}).(*Prepared); s.Kernel() != p.Kernel() {
@@ -441,7 +443,7 @@ func TestPreparedIntrospection(t *testing.T) {
 }
 
 // TestPreparedCacheBounded: a stream of distinct matrices through
-// MulVec must not grow the kernel cache without bound.
+// Prepare must not grow the kernel cache without bound.
 func TestPreparedCacheBounded(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -449,7 +451,7 @@ func TestPreparedCacheBounded(t *testing.T) {
 	y := make([]float64, 20)
 	for i := 0; i < maxPreparedKernels+10; i++ {
 		m := gen.Banded(20, 2, 1.0, int64(i))
-		e.MulVec(m, ex.Optim{}, x, y)
+		e.Prepare(m, ex.Optim{}).MulVec(x, y)
 	}
 	e.mu.Lock()
 	n := len(e.prepared)
@@ -480,7 +482,7 @@ func TestFormatCachesBounded(t *testing.T) {
 			if o.Symmetric {
 				m = symMatrix(20, seed)
 			}
-			e.MulVec(m, o, x, y)
+			e.Prepare(m, o).MulVec(x, y)
 		}
 	}
 	e.mu.Lock()

@@ -299,7 +299,7 @@ func (e *Executor) PreparePlan(m *matrix.CSR, p plan.Plan) (ex.PreparedKernel, e
 }
 
 // maxPreparedKernels bounds the executor's kernel cache so a stream of
-// distinct matrices through MulVec cannot retain memory without bound;
+// distinct matrices through Prepare cannot retain memory without bound;
 // long-lived serving paths hold their own Prepared references and are
 // unaffected by eviction.
 const maxPreparedKernels = 256
@@ -323,16 +323,6 @@ func (e *Executor) preparedFor(m *matrix.CSR, o ex.Optim) *Prepared {
 	putBounded(e.prepared, key, p, maxPreparedKernels) // an evicted kernel still works for its holders
 	e.mu.Unlock()
 	return p
-}
-
-// MulVec computes y = A*x with the optimized configuration — the
-// user-facing native multiply (bound kernels are rejected). Repeated
-// calls reuse the memoized prepared kernel and are allocation-free.
-func (e *Executor) MulVec(m *matrix.CSR, o ex.Optim, x, y []float64) {
-	if o.IsBoundKernel() {
-		panic("native: bound kernels do not compute SpMV")
-	}
-	e.preparedFor(m, o).MulVec(x, y)
 }
 
 // MulVecOnce computes y = A*x rebuilding the execution plan from

@@ -26,7 +26,7 @@ func checkMulVec(t *testing.T, m *matrix.CSR, o ex.Optim) {
 	want := make([]float64, m.NRows)
 	m.MulVec(x, want)
 	got := make([]float64, m.NRows)
-	e.MulVec(m, o, x, got)
+	e.Prepare(m, o).MulVec(x, got)
 	for i := range want {
 		if math.Abs(want[i]-got[i]) > 1e-9*(1+math.Abs(want[i])) {
 			t.Fatalf("opt %v: y[%d] = %g, want %g", o, i, got[i], want[i])
@@ -116,10 +116,10 @@ func TestMulVecRejectsBoundKernels(t *testing.T) {
 	m := gen.Banded(100, 2, 1.0, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MulVec accepted a bound kernel")
+			t.Fatal("Prepare accepted a bound kernel")
 		}
 	}()
-	e.MulVec(m, ex.Optim{RegularizeX: true}, make([]float64, 100), make([]float64, 100))
+	e.Prepare(m, ex.Optim{RegularizeX: true}).MulVec(make([]float64, 100), make([]float64, 100))
 }
 
 func TestFormatsMemoized(t *testing.T) {

@@ -301,7 +301,7 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 			p.body = p.slots(parts, chunks, func(lo, hi int) { formats.SellCSChunks(f.s, &f.val, p.x, p.y, lo, hi) })
 			break
 		}
-		kern, name := kernels.SellCSVariant(s, o.Vectorize)
+		kern, name := kernels.SellCSVariant(s)
 		p.kernelName, p.matrixBytes = name, s.Bytes()
 		p.body = p.slots(parts, chunks, func(lo, hi int) { kern(s, p.x, p.y, lo, hi) })
 	case ex.FormatDelta:

@@ -178,31 +178,18 @@ type Optimizer interface {
 	Plan(e ex.Executor, m *matrix.CSR) plan.Plan
 }
 
-// CostParams models the preprocessing-time constants of Section IV-D.
-type CostParams struct {
-	// ProfileIters is the number of iterations each profiling
+// The preprocessing-time constants of Section IV-D.
+const (
+	// profileIters is the number of iterations each profiling
 	// micro-benchmark runs (baseline, P_ML kernel, P_CMP kernel).
-	ProfileIters int
-	// MeasureIters is the timing loop the trivial optimizers run per
+	profileIters = 16
+	// measureIters is the timing loop the trivial optimizers run per
 	// candidate ("We run 64 SpMV iterations to get valid timing
 	// measurements", Section IV-D).
-	MeasureIters int
+	measureIters = 64
 	// JITSeconds is the fixed runtime code-generation cost.
-	JITSeconds float64
-	// InspectorPasses is the number of matrix sweeps the MKL-style
-	// inspector performs.
-	InspectorPasses int
-}
-
-// DefaultCostParams returns the calibrated constants.
-func DefaultCostParams() CostParams {
-	return CostParams{
-		ProfileIters:    16,
-		MeasureIters:    64,
-		JITSeconds:      2e-3,
-		InspectorPasses: 3,
-	}
-}
+	JITSeconds = 2e-3
+)
 
 // sweepSeconds is the time of one streaming pass over the matrix at
 // the platform's main-memory bandwidth: the unit of conversion and
@@ -290,7 +277,6 @@ func (Baseline) Plan(ex.Executor, *matrix.CSR) plan.Plan {
 // Fig 4 rules, and applies the matching optimizations.
 type ProfileGuided struct {
 	Th     classify.Thresholds
-	Costs  CostParams
 	FeatPr features.Params
 	// AccuracyBudget, when positive, opts the classifier into reduced-
 	// precision value storage for MB-classed matrices: the strongest
@@ -300,9 +286,9 @@ type ProfileGuided struct {
 }
 
 // NewProfileGuided returns the optimizer with the paper's tuned
-// thresholds and default cost constants.
+// thresholds.
 func NewProfileGuided(fp features.Params) *ProfileGuided {
-	return &ProfileGuided{Th: classify.DefaultThresholds(), Costs: DefaultCostParams(), FeatPr: fp}
+	return &ProfileGuided{Th: classify.DefaultThresholds(), FeatPr: fp}
 }
 
 // Name implements Optimizer.
@@ -334,11 +320,11 @@ func (p *ProfileGuided) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
 	if b.PCMP > 0 {
 		perIter += m.Flops() / b.PCMP / 1e9
 	}
-	pre := float64(p.Costs.ProfileIters)*perIter +
+	pre := profileIters*perIter +
 		rowSweepSeconds(m, mdl) +
 		ConversionSeconds(m, mdl, o) +
 		probe +
-		p.Costs.JITSeconds
+		JITSeconds
 	return plan.Plan{Optimizer: p.Name(), Classes: set, HasClasses: true, Opt: o, PreprocessSeconds: pre}
 }
 
@@ -349,7 +335,6 @@ func (p *ProfileGuided) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
 type FeatureGuided struct {
 	Tree   *ml.Tree
 	Names  []features.Name
-	Costs  CostParams
 	FeatPr features.Params
 	// AccuracyBudget mirrors ProfileGuided.AccuracyBudget: positive
 	// opts MB-classed matrices into in-budget reduced precision.
@@ -358,7 +343,7 @@ type FeatureGuided struct {
 
 // NewFeatureGuided wraps a trained tree over the given feature subset.
 func NewFeatureGuided(tree *ml.Tree, names []features.Name, fp features.Params) *FeatureGuided {
-	return &FeatureGuided{Tree: tree, Names: names, Costs: DefaultCostParams(), FeatPr: fp}
+	return &FeatureGuided{Tree: tree, Names: names, FeatPr: fp}
 }
 
 // Name implements Optimizer.
@@ -378,7 +363,7 @@ func (f *FeatureGuided) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
 	pre := FeatureExtractionSeconds(m, mdl, f.Names) +
 		ConversionSeconds(m, mdl, o) +
 		probe +
-		f.Costs.JITSeconds
+		JITSeconds
 	return plan.Plan{Optimizer: f.Name(), Classes: set, HasClasses: true, Opt: o, PreprocessSeconds: pre}
 }
 
@@ -453,7 +438,7 @@ func symCandidates() []ex.Optim {
 // join the pool. Candidates run in their canonical form on the
 // executor's platform, each form once: on the host, knob sets that
 // bind the same kernel are one candidate.
-func sweep(e ex.Executor, m *matrix.CSR, c CostParams, pairs, triples, extended bool) (best ex.Optim, bestSecs, pre float64) {
+func sweep(e ex.Executor, m *matrix.CSR, pairs, triples, extended bool) (best ex.Optim, bestSecs, pre float64) {
 	mdl := e.Machine()
 	baseSecs := e.Run(ex.Config{Matrix: m}).Seconds
 	best, bestSecs = ex.Optim{}, baseSecs
@@ -476,8 +461,8 @@ func sweep(e ex.Executor, m *matrix.CSR, c CostParams, pairs, triples, extended 
 		seen[o] = true
 		r := e.Run(ex.Config{Matrix: m, Opt: o})
 		pre += ConversionSeconds(m, mdl, o) +
-			float64(c.MeasureIters)*r.Seconds +
-			c.JITSeconds
+			measureIters*r.Seconds +
+			JITSeconds
 		if r.Seconds < bestSecs {
 			best, bestSecs = o, r.Seconds
 		}
@@ -490,7 +475,6 @@ func sweep(e ex.Executor, m *matrix.CSR, c CostParams, pairs, triples, extended 
 // classifiers can produce. Its preprocessing cost equals the full
 // sweep (it cannot know the winner without trying).
 type Oracle struct {
-	Costs CostParams
 	// AccuracyBudget, when positive, adds a reduced-precision
 	// post-pass on the sweep winner (bestPrecisionFrom): f32 is
 	// measured like any other candidate but kept only when the f64
@@ -499,15 +483,12 @@ type Oracle struct {
 	AccuracyBudget float64
 }
 
-// NewOracle returns the oracle with default cost constants.
-func NewOracle() *Oracle { return &Oracle{Costs: DefaultCostParams()} }
-
 // Plan implements Optimizer.
 func (o *Oracle) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
-	best, bestSecs, pre := sweep(e, m, o.Costs, true, true, true)
+	best, bestSecs, pre := sweep(e, m, true, true, true)
 	if o.AccuracyBudget > 0 {
 		var dp float64
-		best, _, dp = bestPrecisionFrom(e, m, best, bestSecs, o.AccuracyBudget, o.Costs)
+		best, _, dp = bestPrecisionFrom(e, m, best, bestSecs, o.AccuracyBudget)
 		pre += dp
 	}
 	return plan.Plan{Optimizer: o.Name(), Opt: best, PreprocessSeconds: pre}
@@ -518,37 +499,27 @@ func (*Oracle) Name() string { return "oracle" }
 
 // TrivialSingle tries every single optimization and keeps the best
 // (Table V's "trivial-single").
-type TrivialSingle struct {
-	Costs CostParams
-}
-
-// NewTrivialSingle returns the optimizer with default cost constants.
-func NewTrivialSingle() *TrivialSingle { return &TrivialSingle{Costs: DefaultCostParams()} }
+type TrivialSingle struct{}
 
 // Name implements Optimizer.
-func (*TrivialSingle) Name() string { return "trivial-single" }
+func (TrivialSingle) Name() string { return "trivial-single" }
 
 // Plan implements Optimizer.
-func (t *TrivialSingle) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
-	best, _, pre := sweep(e, m, t.Costs, false, false, false)
+func (t TrivialSingle) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
+	best, _, pre := sweep(e, m, false, false, false)
 	return plan.Plan{Optimizer: t.Name(), Opt: best, PreprocessSeconds: pre}
 }
 
 // TrivialCombined additionally tries all 2-combinations (Table V's
 // "trivial-combined": 15 configurations).
-type TrivialCombined struct {
-	Costs CostParams
-}
-
-// NewTrivialCombined returns the optimizer with default cost constants.
-func NewTrivialCombined() *TrivialCombined { return &TrivialCombined{Costs: DefaultCostParams()} }
+type TrivialCombined struct{}
 
 // Name implements Optimizer.
-func (*TrivialCombined) Name() string { return "trivial-combined" }
+func (TrivialCombined) Name() string { return "trivial-combined" }
 
 // Plan implements Optimizer.
-func (t *TrivialCombined) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
-	best, _, pre := sweep(e, m, t.Costs, true, false, false)
+func (t TrivialCombined) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
+	best, _, pre := sweep(e, m, true, false, false)
 	return plan.Plan{Optimizer: t.Name(), Opt: best, PreprocessSeconds: pre}
 }
 

@@ -230,7 +230,7 @@ func TestProfileGuidedImprovesOverBaseline(t *testing.T) {
 func TestOracleAtLeastAsGoodAsEveryCandidate(t *testing.T) {
 	e := sim.New(machine.KNC())
 	m := gen.FewDenseRows(100000, 5, 3, 60000, 3)
-	oracle := NewOracle().Plan(e, m)
+	oracle := (&Oracle{}).Plan(e, m)
 	oracleSecs := Evaluate(e, m, oracle).Seconds
 	for _, o := range candidateOptims(true, true) {
 		if s := e.Run(ex.Config{Matrix: m, Opt: o}).Seconds; s < oracleSecs*(1-1e-9) {
@@ -246,8 +246,8 @@ func TestOracleAtLeastAsGoodAsEveryCandidate(t *testing.T) {
 func TestTrivialOptimizersCostOrdering(t *testing.T) {
 	e := sim.New(machine.KNC())
 	m := gen.UniformRandom(100000, 8, 4)
-	single := NewTrivialSingle().Plan(e, m)
-	combined := NewTrivialCombined().Plan(e, m)
+	single := TrivialSingle{}.Plan(e, m)
+	combined := TrivialCombined{}.Plan(e, m)
 	if single.PreprocessSeconds <= 0 {
 		t.Fatal("trivial-single must pay preprocessing")
 	}
@@ -267,8 +267,8 @@ func TestPreprocessOrderingMatchesTableV(t *testing.T) {
 	tree := trainStubTree()
 	feat := NewFeatureGuided(tree, features.ONNZSubset(), features.DefaultParams).Plan(e, m)
 	prof := NewProfileGuided(features.DefaultParams).Plan(e, m)
-	single := NewTrivialSingle().Plan(e, m)
-	combined := NewTrivialCombined().Plan(e, m)
+	single := TrivialSingle{}.Plan(e, m)
+	combined := TrivialCombined{}.Plan(e, m)
 
 	if !(feat.PreprocessSeconds < prof.PreprocessSeconds &&
 		prof.PreprocessSeconds < single.PreprocessSeconds &&
@@ -324,7 +324,7 @@ func TestSweepRunsEachCanonicalCandidateOnce(t *testing.T) {
 	m := gen.Poisson2D(200, 200)
 	m.Sym = matrix.SymSymmetric
 	c := &countingExec{Executor: sim.New(host), runs: map[ex.Optim]int{}}
-	NewOracle().Plan(c, m)
+	(&Oracle{}).Plan(c, m)
 	want := map[ex.Optim]bool{{}: true}
 	cands := append(append(candidateOptims(true, true), sellCandidates()...), symCandidates()...)
 	for _, o := range cands {
@@ -344,7 +344,7 @@ func TestSweepRunsEachCanonicalCandidateOnce(t *testing.T) {
 	for _, tc := range []struct {
 		opt  Optimizer
 		want int
-	}{{NewTrivialSingle(), 1 + 5}, {NewTrivialCombined(), 1 + 15}} {
+	}{{TrivialSingle{}, 1 + 5}, {TrivialCombined{}, 1 + 15}} {
 		c := &countingExec{Executor: knc, runs: map[ex.Optim]int{}}
 		tc.opt.Plan(c, m)
 		if c.total() != tc.want || len(c.runs) != tc.want {

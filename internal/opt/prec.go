@@ -146,13 +146,13 @@ func hasBreakdown(b ex.Breakdown) bool {
 // (b) the measured probe confirms the error budget on this matrix.
 // Returns the (possibly updated) winner, its per-iteration time, and
 // the preprocessing cost of the pass.
-func bestPrecisionFrom(e ex.Executor, m *matrix.CSR, best ex.Optim, bestSecs float64, budget float64, c CostParams) (ex.Optim, float64, float64) {
+func bestPrecisionFrom(e ex.Executor, m *matrix.CSR, best ex.Optim, bestSecs float64, budget float64) (ex.Optim, float64, float64) {
 	cands := PrecisionCandidates(budget)
 	if len(cands) == 0 {
 		return best, bestSecs, 0
 	}
 	base := e.Run(ex.Config{Matrix: m, Opt: best})
-	pre := float64(c.MeasureIters) * base.Seconds
+	pre := measureIters * base.Seconds
 	if hasBreakdown(base.Breakdown) && base.Breakdown.Binding() != "bandwidth" {
 		// The analytic model says matrix bytes are not the limiter:
 		// halving them cannot pay, so no variant is even measured.
@@ -165,7 +165,7 @@ func bestPrecisionFrom(e ex.Executor, m *matrix.CSR, best ex.Optim, bestSecs flo
 			continue
 		}
 		r := e.Run(ex.Config{Matrix: m, Opt: cand})
-		pre += sweepSeconds(m, e.Machine()) + float64(c.MeasureIters)*r.Seconds
+		pre += sweepSeconds(m, e.Machine()) + measureIters*r.Seconds
 		if r.Seconds >= winSecs*precisionWinMargin {
 			continue
 		}

@@ -86,7 +86,7 @@ func TestPrecisionKeepsF64WhenUnfit(t *testing.T) {
 	} {
 		pass := func(m *matrix.CSR) ex.Optim {
 			secs := e.Run(ex.Config{Matrix: m, Opt: c.o}).Seconds
-			got, _, _ := bestPrecisionFrom(e, m, c.o, secs, formats.F32EntryBound, DefaultCostParams())
+			got, _, _ := bestPrecisionFrom(e, m, c.o, secs, formats.F32EntryBound)
 			return got
 		}
 		if got := pass(c.m); got.EffectivePrecision() != ex.PrecF32 {
@@ -113,13 +113,13 @@ func TestPrecisionKeepsF64WhenUnfit(t *testing.T) {
 func TestOracleSelectsPrecisionWhenBandwidthBound(t *testing.T) {
 	e := sim.New(machine.KNC())
 	m := gen.Banded(400000, 16, 1.0, 2)
-	o := NewOracle()
+	o := &Oracle{}
 	o.AccuracyBudget = formats.F32EntryBound
 	pl := o.Plan(e, m)
 	if got := pl.Opt.EffectivePrecision(); got == ex.PrecF64 {
 		t.Fatalf("budgeted oracle kept f64 on a bandwidth-bound matrix: %+v", pl.Opt)
 	}
-	exact := NewOracle().Plan(e, m)
+	exact := (&Oracle{}).Plan(e, m)
 	rRed := Evaluate(e, m, pl)
 	rF64 := Evaluate(e, m, exact)
 	if rRed.Seconds >= rF64.Seconds {
@@ -141,7 +141,7 @@ func TestOracleSelectsPrecisionWhenBandwidthBound(t *testing.T) {
 func TestOracleKeepsF64WhenNotBandwidthBound(t *testing.T) {
 	e := sim.New(machine.KNC())
 	m := gen.Banded(2000, 8, 1.0, 3)
-	o := NewOracle()
+	o := &Oracle{}
 	o.AccuracyBudget = formats.F32EntryBound
 	pl := o.Plan(e, m)
 	if b := Evaluate(e, m, pl).Breakdown.Binding(); b == "bandwidth" {
@@ -157,7 +157,7 @@ func TestOracleKeepsF64WhenNotBandwidthBound(t *testing.T) {
 func TestOracleWithoutBudgetNeverReduces(t *testing.T) {
 	e := sim.New(machine.KNC())
 	m := gen.Banded(400000, 16, 1.0, 2)
-	pl := NewOracle().Plan(e, m)
+	pl := (&Oracle{}).Plan(e, m)
 	if got := pl.Opt.EffectivePrecision(); got != ex.PrecF64 {
 		t.Fatalf("unbudgeted oracle reduced precision: %s", got)
 	}

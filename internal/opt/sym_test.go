@@ -62,7 +62,7 @@ func TestOracleSweepsSymmetricCandidates(t *testing.T) {
 	m := coo.ToCSR()
 	m.Sym = matrix.SymSymmetric
 
-	plan := NewOracle().Plan(e, m)
+	plan := (&Oracle{}).Plan(e, m)
 	if !plan.Opt.Symmetric {
 		t.Fatalf("oracle plan %v did not pick symmetric storage on an MB-bound symmetric matrix", plan.Opt)
 	}
@@ -74,7 +74,7 @@ func TestOracleSweepsSymmetricCandidates(t *testing.T) {
 	// symmetric plan (the sweep is gated on the kind).
 	bare := m.Clone()
 	bare.Sym = matrix.SymUnknown
-	if p := NewOracle().Plan(e, bare); p.Opt.Symmetric {
+	if p := (&Oracle{}).Plan(e, bare); p.Opt.Symmetric {
 		t.Fatalf("oracle proposed symmetric storage without the annotated kind: %v", p.Opt)
 	}
 }

@@ -35,27 +35,23 @@ func (MKL) Plan(_ ex.Executor, _ *matrix.CSR) plan.Plan {
 // analysis stage sweeps the matrix a few times, then builds an
 // optimized executor (vectorized, unrolled, nnz-balanced). Its
 // preprocessing cost is real and appears in Table V.
-type InspectorExecutor struct {
-	Costs opt.CostParams
-}
+type InspectorExecutor struct{}
 
-// NewInspectorExecutor returns the comparator with default cost
-// constants.
-func NewInspectorExecutor() *InspectorExecutor {
-	return &InspectorExecutor{Costs: opt.DefaultCostParams()}
-}
+// inspectorPasses is the number of matrix sweeps the inspector
+// performs.
+const inspectorPasses = 3
 
 // Name implements opt.Optimizer.
-func (*InspectorExecutor) Name() string { return "mkl-inspector" }
+func (InspectorExecutor) Name() string { return "mkl-inspector" }
 
 // Plan implements opt.Optimizer.
-func (ie *InspectorExecutor) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
+func (ie InspectorExecutor) Plan(e ex.Executor, m *matrix.CSR) plan.Plan {
 	mdl := e.Machine()
-	// Inspection sweeps the matrix InspectorPasses times and builds
+	// Inspection sweeps the matrix inspectorPasses times and builds
 	// the internal representation (one more pass), plus a fixed
 	// autotuning stage.
 	sweep := float64(m.Bytes()) / (mdl.StreamMainGBs * 1e9)
-	pre := float64(ie.Costs.InspectorPasses+1)*sweep + 4*ie.Costs.JITSeconds
+	pre := (inspectorPasses+1)*sweep + 4*opt.JITSeconds
 	return plan.Plan{
 		Optimizer:         ie.Name(),
 		Opt:               ex.Optim{Vectorize: true, Unroll: true, Schedule: sched.StaticNNZ},

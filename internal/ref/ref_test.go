@@ -30,7 +30,7 @@ func TestMKLPlanShape(t *testing.T) {
 func TestInspectorExecutorPlan(t *testing.T) {
 	e := sim.New(machine.KNL())
 	m := gen.Banded(100000, 8, 1.0, 2)
-	ie := NewInspectorExecutor()
+	ie := InspectorExecutor{}
 	p := ie.Plan(e, m)
 	if !p.Opt.Vectorize || !p.Opt.Unroll || p.Opt.Schedule != sched.StaticNNZ {
 		t.Fatalf("IE plan %v", p.Opt)
@@ -51,7 +51,7 @@ func TestIEBeatsMKLOnImbalance(t *testing.T) {
 	e := sim.New(machine.KNL())
 	m := gen.PowerLaw(300000, 10, 1.8, 60000, 3)
 	mkl := opt.Evaluate(e, m, MKL{}.Plan(e, m)).Seconds
-	ie := opt.Evaluate(e, m, NewInspectorExecutor().Plan(e, m)).Seconds
+	ie := opt.Evaluate(e, m, InspectorExecutor{}.Plan(e, m)).Seconds
 	if ie >= mkl {
 		t.Fatalf("IE (%.3g) should beat MKL (%.3g) on skewed matrix", ie, mkl)
 	}
@@ -59,8 +59,8 @@ func TestIEBeatsMKLOnImbalance(t *testing.T) {
 
 func TestOptimizersImplementInterface(t *testing.T) {
 	var _ opt.Optimizer = MKL{}
-	var _ opt.Optimizer = NewInspectorExecutor()
-	if (MKL{}).Name() != "mkl" || NewInspectorExecutor().Name() != "mkl-inspector" {
+	var _ opt.Optimizer = InspectorExecutor{}
+	if (MKL{}).Name() != "mkl" || (InspectorExecutor{}).Name() != "mkl-inspector" {
 		t.Fatal("names wrong")
 	}
 }
@@ -68,7 +68,7 @@ func TestOptimizersImplementInterface(t *testing.T) {
 func TestMKLBoundKernelNeverPlanned(t *testing.T) {
 	e := sim.New(machine.Broadwell())
 	m := gen.UniformRandom(5000, 5, 9)
-	for _, p := range []plan.Plan{MKL{}.Plan(e, m), NewInspectorExecutor().Plan(e, m)} {
+	for _, p := range []plan.Plan{MKL{}.Plan(e, m), InspectorExecutor{}.Plan(e, m)} {
 		if p.Opt.IsBoundKernel() {
 			t.Fatal("reference kernels must be real SpMV")
 		}

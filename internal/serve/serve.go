@@ -5,7 +5,9 @@
 // batch: one queue hand-off and one kernel lock for the batch, and on
 // a CSR float64 plan one matrix stream per group of 8 or 4 requests
 // (every other plan runs the batch vector by vector; see
-// docs/guide/batching.md). Prepared kernels live in an
+// docs/guide/batching.md). A batch is what is queued when the
+// dispatcher comes free plus what arrives across one scheduler yield;
+// no timer holds a request back. Prepared kernels live in an
 // LRU-evicted cache under a configurable memory budget; an evicted
 // matrix re-prepares from its stored plan on the next request, with
 // zero new tuning measurements when the engine carries a plan store.
@@ -17,6 +19,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,11 +46,6 @@ const (
 	// DefaultMaxBatch matches the widest register-blocked group:
 	// coalescing past it would just split into multiple groups.
 	DefaultMaxBatch = 8
-	// DefaultWindow is how long the first request of a batch waits for
-	// company before the batch dispatches anyway. Small against any
-	// non-trivial multiply, so sparse traffic falls through to
-	// single-vector latency plus at most the window.
-	DefaultWindow = 100 * time.Microsecond
 	// DefaultQueueDepth bounds each matrix's pending requests; beyond
 	// it submissions fail fast with ErrBusy.
 	DefaultQueueDepth = 256
@@ -59,30 +57,24 @@ const (
 // Config tunes the server. The zero value serves with the defaults
 // above and no memory budget.
 type Config struct {
-	// MaxBatch caps how many requests one dispatch coalesces (clamped
-	// to >= 1; 1 disables coalescing — the sequential baseline).
+	// MaxBatch caps how many requests one dispatch coalesces (zero
+	// or less means DefaultMaxBatch; 1 disables coalescing — the
+	// sequential baseline).
 	MaxBatch int
-	// Window is the coalescing window: how long the first request in
-	// an under-filled batch waits for more arrivals. Requests already
-	// queued are always drained without waiting; a full batch
-	// dispatches immediately. Zero keeps only the greedy drain
-	// (negative disables even the default).
-	Window time.Duration
 	// MemoryBudget bounds the resident bytes of prepared kernels;
 	// least-recently-used kernels are evicted (and their engine
 	// resources released) to stay under it. The kernel serving the
 	// current request is never evicted. Zero means unlimited.
 	MemoryBudget int64
-	// QueueDepth bounds each matrix's pending request queue.
+	// QueueDepth bounds each matrix's pending request queue; beyond it
+	// submissions fail with ErrBusy (zero or less means
+	// DefaultQueueDepth).
 	QueueDepth int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.Window == 0 {
-		c.Window = DefaultWindow
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = DefaultQueueDepth
@@ -154,7 +146,7 @@ type MatrixStats struct {
 	MeanBatchWidth float64
 
 	// Latency percentiles over the recent-request reservoir, measured
-	// submit-to-completion (queueing + coalescing window + execution).
+	// submit-to-completion (queueing + coalescing + execution).
 	P50LatencyMicros float64
 	P99LatencyMicros float64
 
@@ -410,34 +402,24 @@ func (s *Server) dispatch(e *entry) {
 	}
 }
 
-// collect coalesces a batch: the already-queued requests cost no wait;
-// an under-filled batch then lingers up to the window for company.
+// collect coalesces a batch without a timer: it drains what is
+// queued, and an under-filled batch yields the processor once and
+// drains again. When a P is free the yield returns at once, so the
+// batch leaves with what was queued; at GOMAXPROCS=1 the yield runs
+// the clients the previous batch just answered, so their next
+// requests join this batch instead of each leaving alone.
 func (s *Server) collect(e *entry, first *request) []*request {
 	batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
-	max := s.cfg.MaxBatch
-	for len(batch) < max {
+	for yielded := false; len(batch) < s.cfg.MaxBatch; {
 		select {
 		case r := <-e.ch:
 			batch = append(batch, r)
-			continue
 		default:
-		}
-		break
-	}
-	if len(batch) == max || s.cfg.Window <= 0 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.Window)
-	defer timer.Stop()
-	for len(batch) < max {
-		select {
-		case r := <-e.ch:
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-e.stop:
-			// Serve what we have; the next loop iteration shuts down.
-			return batch
+			if yielded {
+				return batch
+			}
+			runtime.Gosched()
+			yielded = true
 		}
 	}
 	return batch

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,7 +70,7 @@ func TestServeCoalescingDifferential(t *testing.T) {
 
 	for width := 1; width <= 8; width++ {
 		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
-			srv := New(eng, Config{MaxBatch: width, Window: 50 * time.Microsecond})
+			srv := New(eng, Config{MaxBatch: width})
 			defer srv.Close()
 			for name, m := range ms {
 				if err := srv.Register(name, m); err != nil {
@@ -146,6 +147,7 @@ type stubKernel struct {
 	entered chan struct{} // signaled on every kernel call when non-nil
 	gate    chan struct{} // received from on every call when non-nil
 	batches atomic.Int64
+	widest  atomic.Int64 // widest MulVecBatch call; the dispatcher is the only caller
 }
 
 func (k *stubKernel) wait() {
@@ -165,6 +167,9 @@ func (k *stubKernel) MulVec(x, y []float64) {
 
 func (k *stubKernel) MulVecBatch(xs, ys [][]float64) {
 	k.batches.Add(1)
+	if w := int64(len(xs)); w > k.widest.Load() {
+		k.widest.Store(w)
+	}
 	k.wait()
 	for i := range xs {
 		k.m.MulVec(xs[i], ys[i])
@@ -329,7 +334,7 @@ func TestServerCoalescesQueuedRequests(t *testing.T) {
 	eng := newStubEngine()
 	eng.entered = make(chan struct{}, 16)
 	eng.gate = make(chan struct{})
-	srv := New(eng, Config{MaxBatch: 8, Window: -1})
+	srv := New(eng, Config{MaxBatch: 8})
 	defer srv.Close()
 	m := smallMatrix(4)
 	if err := srv.Register("a", m); err != nil {
@@ -379,11 +384,63 @@ func TestServerCoalescesQueuedRequests(t *testing.T) {
 	}
 }
 
+// TestServerCoalescesAtOneThread runs closed-loop clients on one P.
+// The dispatcher's yield is what runs the clients the previous batch
+// just answered, so their next requests join the batch; without it
+// every batch would leave carrying a single request.
+func TestServerCoalescesAtOneThread(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const maxBatch, clients, perClient = 8, 8, 50
+	eng := newStubEngine()
+	srv := New(eng, Config{MaxBatch: maxBatch})
+	defer srv.Close()
+	m := smallMatrix(6)
+	if err := srv.Register("a", m); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := make([]float64, m.NCols)
+			y := make([]float64, m.NRows)
+			for i := 0; i < perClient; i++ {
+				if err := srv.MulVec("a", x, y); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	st, _ := srv.StatsFor("a")
+	if st.Requests != clients*perClient {
+		t.Fatalf("served %d requests, want %d", st.Requests, clients*perClient)
+	}
+	if st.MeanBatchWidth < 4 {
+		t.Fatalf("mean batch width %.2f at GOMAXPROCS=1, want >= 4", st.MeanBatchWidth)
+	}
+	t.Logf("mean batch width %.2f", st.MeanBatchWidth)
+	eng.mu.Lock()
+	widest := eng.kernels[m].widest.Load()
+	eng.mu.Unlock()
+	if widest > maxBatch {
+		t.Fatalf("a batch carried %d requests, cap %d", widest, maxBatch)
+	}
+}
+
 func TestServerBusyBackpressure(t *testing.T) {
 	eng := newStubEngine()
 	eng.entered = make(chan struct{}, 16)
 	eng.gate = make(chan struct{})
-	srv := New(eng, Config{MaxBatch: 8, Window: -1, QueueDepth: 1})
+	srv := New(eng, Config{MaxBatch: 8, QueueDepth: 1})
 	defer srv.Close()
 	m := smallMatrix(5)
 	if err := srv.Register("a", m); err != nil {
@@ -464,7 +521,7 @@ func TestServerDeregister(t *testing.T) {
 // least recently registered one.
 func TestServerEvictionLRU(t *testing.T) {
 	eng := newStubEngine()
-	srv := New(eng, Config{MemoryBudget: 100, Window: -1})
+	srv := New(eng, Config{MemoryBudget: 100})
 	defer srv.Close()
 	ma, mb, mc := smallMatrix(10), smallMatrix(11), smallMatrix(12)
 	for _, v := range []struct {
@@ -570,7 +627,7 @@ func TestServerCloseCompletesInFlight(t *testing.T) {
 	eng := newStubEngine()
 	eng.entered = make(chan struct{}, 16)
 	eng.gate = make(chan struct{}, 16)
-	srv := New(eng, Config{Window: -1})
+	srv := New(eng, Config{})
 	m := smallMatrix(20)
 	if err := srv.Register("a", m); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package spmvtuner
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/sparsekit/spmvtuner/internal/calib"
 	"github.com/sparsekit/spmvtuner/internal/matrix"
@@ -23,27 +22,13 @@ var (
 )
 
 // ServerConfig tunes a Server. The zero value coalesces up to 8
-// requests per batch with a 100µs window, a 256-deep per-matrix queue,
-// and no memory budget.
-type ServerConfig struct {
-	// MaxBatch caps how many concurrent MulVec requests one dispatch
-	// coalesces into a MulVecBatch call (default 8, the widest
-	// register-blocked group; 1 disables coalescing).
-	MaxBatch int
-	// Window is how long an under-filled batch waits for more arrivals
-	// before dispatching; already-queued requests never wait. Sparse
-	// traffic therefore falls through to single-vector execution at
-	// most Window late (default 100µs; negative disables the wait).
-	Window time.Duration
-	// MemoryBudget bounds the resident bytes of prepared kernels;
-	// least-recently-used kernels are evicted to stay under it and
-	// re-prepare from their stored plan — never re-tune — on the next
-	// request. Zero means unlimited.
-	MemoryBudget int64
-	// QueueDepth bounds each matrix's pending requests; submissions
-	// beyond it fail fast with ErrServerBusy (default 256).
-	QueueDepth int
-}
+// requests per batch, queues up to 256 requests per matrix, and sets
+// no memory budget. MaxBatch of 1 disables coalescing; MemoryBudget
+// bounds the resident bytes of prepared kernels, evicting the least
+// recently used, which re-prepare from their stored plan (never
+// re-tune) on their next request; a full queue fails submissions with
+// ErrServerBusy.
+type ServerConfig = serve.Config
 
 // ServerStats is one matrix's serving counters: traffic, coalescing
 // effectiveness, latency percentiles, achieved throughput, the kernel
@@ -73,13 +58,8 @@ func NewServer(t *Tuner, cfg ServerConfig) *Server {
 		panic("spmvtuner: NewServer requires a Tuner")
 	}
 	return &Server{
-		inner: serve.New(tunerEngine{t}, serve.Config{
-			MaxBatch:     cfg.MaxBatch,
-			Window:       cfg.Window,
-			MemoryBudget: cfg.MemoryBudget,
-			QueueDepth:   cfg.QueueDepth,
-		}),
-		t: t,
+		inner: serve.New(tunerEngine{t}, cfg),
+		t:     t,
 	}
 }
 
