@@ -206,19 +206,16 @@ func BenchmarkNativeTunedSpMV(b *testing.B) {
 	}
 }
 
-// BenchmarkMulVecReuse compares the rebuild-every-call execution path
-// against the persistent prepared kernel on the same matrix and
-// configuration. "oneshot" repartitions rows and spawns fresh
-// goroutines per multiply (the pre-engine shape); "prepared" dispatches
-// to the parked worker pool and must report 0 allocs/op — the
-// steady-state serving contract of the execution engine.
+// BenchmarkMulVecReuse times the persistent prepared kernel on a small
+// and a large matrix: every multiply dispatches to the parked worker
+// pool and must report 0 allocs/op, the steady-state serving contract
+// of the execution engine.
 func BenchmarkMulVecReuse(b *testing.B) {
 	e := native.New()
 	defer e.Close()
 	opt := ex.Optim{Vectorize: true, Prefetch: true}
-	// Small: fork/join and planning overhead dominate. Large: the
-	// kernel is memory-bound and the engine's win is the 0-alloc
-	// steady state.
+	// Small: dispatch overhead dominates. Large: the kernel is
+	// memory-bound.
 	for _, size := range []struct {
 		name  string
 		scale float64
@@ -232,14 +229,6 @@ func BenchmarkMulVecReuse(b *testing.B) {
 		for i := range x {
 			x[i] = 1
 		}
-		b.Run(size.name+"/oneshot", func(b *testing.B) {
-			e.MulVecOnce(m.csr, opt, x, y) // probe threads outside the loop
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.MulVecOnce(m.csr, opt, x, y)
-			}
-		})
 		b.Run(size.name+"/prepared", func(b *testing.B) {
 			p := e.Prepare(m.csr, opt)
 			p.MulVec(x, y) // warm: formats converted, workers parked

@@ -7,7 +7,6 @@
 //	spmvbench -exp table4               # classifier accuracy
 //	spmvbench -exp table5               # overhead amortization
 //	spmvbench -exp platforms            # Table III
-//	spmvbench -exp reuse -scale 0.1     # engine: one-shot vs prepared
 //	spmvbench -exp sellcs -scale 0.1    # SELL-C-σ vs CSR vector kernel
 //	spmvbench -exp spmm -scale 0.1      # batch SpMM vs per-vector loop
 //	spmvbench -exp sym -scale 0.1       # symmetric SSS vs expanded CSR
@@ -18,9 +17,9 @@
 //	spmvbench -exp mixed -scale 0.25    # reduced-precision value streams vs f64
 //	spmvbench -exp all -scale 0.25      # every modeled experiment
 //
-// The reuse, sellcs, spmm, sym, warm and serve experiments run
-// natively on the host through the persistent worker-pool engine;
-// everything else is modeled, and "all" covers only the modeled set
+// The sellcs, spmm, sym, warm and serve experiments run natively on
+// the host through the persistent worker-pool engine; everything else
+// is modeled, and "all" covers only the modeled set
 // (request the native ones explicitly). The warm and serve
 // experiments assert their own invariants (zero warm-path
 // measurements and identical plans; coalesced throughput at least
@@ -66,7 +65,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("spmvbench", flag.ExitOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: fig1, fig3, fig7, table4, table5, platforms, features, reuse, sellcs, spmm, sym, warm, serve, twin, kernels, mixed, ablate-*, all")
+		exp      = fs.String("exp", "all", "experiment: fig1, fig3, fig7, table4, table5, platforms, features, sellcs, spmm, sym, warm, serve, twin, kernels, mixed, ablate-*, all")
 		platform = fs.String("platform", "", "fig7 platform: knc, knl, bdw (default: all three)")
 		scale    = fs.Float64("scale", 1.0, "suite size multiplier (1.0 = reproduction size)")
 		corpus   = fs.Int("corpus", 210, "training corpus size")
@@ -147,8 +146,6 @@ func run(args []string) error {
 		emit(experiments.Platforms())
 	case "features":
 		emit(experiments.FeatureTable(cfg))
-	case "reuse":
-		err = show(experiments.Reuse(cfg))
 	case "sellcs":
 		err = show(experiments.SellCS(cfg))
 	case "spmm":

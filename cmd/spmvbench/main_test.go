@@ -8,7 +8,7 @@ import (
 )
 
 func TestUnknownMatrixRejectedBeforeAnyExperiment(t *testing.T) {
-	for _, exp := range []string{"reuse", "fig1", "sellcs", "serve", "twin"} {
+	for _, exp := range []string{"spmm", "fig1", "sellcs", "serve", "twin"} {
 		err := run([]string{"-exp", exp, "-scale", "0.01", "-matrix", "poisson3Db,no-such-matrix"})
 		if err == nil || !strings.Contains(err.Error(), `"no-such-matrix"`) {
 			t.Errorf("-exp %s: err = %v, want unknown -matrix", exp, err)

@@ -42,10 +42,10 @@ func Measure(e ex.Executor, m *matrix.CSR) Bounds {
 	b.PCSR = b.Baseline.Gflops
 
 	// P_ML: convert irregular accesses to regular ones.
-	b.PML = e.Run(ex.Config{Matrix: m, Opt: ex.Optim{RegularizeX: true}}).Gflops
+	b.PML = e.Run(ex.Config{Matrix: m, Probe: ex.ProbeML}).Gflops
 
 	// P_CMP: eliminate indirect memory references entirely.
-	b.PCMP = e.Run(ex.Config{Matrix: m, Opt: ex.Optim{UnitStride: true}}).Gflops
+	b.PCMP = e.Run(ex.Config{Matrix: m, Probe: ex.ProbeCMP}).Gflops
 
 	// P_IMB: median thread time of the baseline. Idle threads (empty
 	// partitions on tiny matrices) are excluded so the bound stays

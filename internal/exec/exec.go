@@ -14,9 +14,8 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
-// Optim selects the software optimizations applied to one SpMV run —
-// the knobs of the paper's optimization pool (Table II) plus the two
-// modified "bound kernels" of Section III-B.
+// Optim selects the software optimizations applied to one SpMV run:
+// the knobs of the paper's optimization pool (Table II).
 type Optim struct {
 	// Vectorize enables SIMD execution (8 lanes on Phi, 4 on
 	// Broadwell). On the host it selects the dispatched gather body
@@ -67,19 +66,7 @@ type Optim struct {
 	// the effective format; see EffectivePrecision for the formats
 	// that honor it.
 	Precision Precision
-
-	// RegularizeX turns every access to x into a regular access by
-	// pointing all column indices at the row index: the P_ML bound
-	// kernel. Not a real optimization — it changes results.
-	RegularizeX bool
-	// UnitStride removes indirect references entirely, reading x[i]
-	// only: the P_CMP bound kernel. Not a real optimization.
-	UnitStride bool
 }
-
-// IsBoundKernel reports whether the configuration is a measurement
-// probe rather than a semantics-preserving optimization.
-func (o Optim) IsBoundKernel() bool { return o.RegularizeX || o.UnitStride }
 
 // Precision selects the value-storage precision of a configuration.
 // The zero value is full double precision, so every pre-existing knob
@@ -125,8 +112,8 @@ func ParsePrecision(s string) (Precision, bool) {
 type Format int
 
 const (
-	// FormatCSR is the canonical row-wise layout (and what bound
-	// kernels read).
+	// FormatCSR is the canonical row-wise layout (and what the bound
+	// probes read).
 	FormatCSR Format = iota
 	// FormatDelta is DeltaCSR: delta-compressed column indices.
 	FormatDelta
@@ -142,7 +129,7 @@ const (
 // EffectiveFormat resolves the storage format one configuration
 // actually executes — the single source of the format precedence the
 // native engine, the analytic cost model, and conversion pricing all
-// share: bound kernels read plain CSR, Symmetric wins over everything
+// share: Symmetric wins over everything
 // (halving the element stream outcompresses any re-encoding of it,
 // and the SSS reduction spreads the mirrored work evenly), Split wins
 // over SellCS (a dominating long row would explode a chunk's padding),
@@ -151,8 +138,6 @@ const (
 // priced.
 func (o Optim) EffectiveFormat() Format {
 	switch {
-	case o.IsBoundKernel():
-		return FormatCSR
 	case o.Symmetric:
 		return FormatSSS
 	case o.Split:
@@ -166,15 +151,14 @@ func (o Optim) EffectiveFormat() Format {
 }
 
 // EffectivePrecision resolves the value precision a configuration
-// actually stores — the precision analogue of EffectiveFormat. Bound
-// kernels read the canonical f64 CSR (they are measurement probes of
-// the unmodified stream), and the Delta and Split forms keep f64
-// values (no precision converter reaches them), so reduced precision
+// actually stores — the precision analogue of EffectiveFormat. The
+// Delta and Split forms keep f64 values (no precision converter
+// reaches them), so reduced precision
 // is honored exactly on the formats with contiguous value payloads:
 // CSR, SELL-C-σ and SSS. Everywhere else the knob is inert — never
 // converted, never priced.
 func (o Optim) EffectivePrecision() Precision {
-	if o.Precision == PrecF64 || o.IsBoundKernel() {
+	if o.Precision == PrecF64 {
 		return PrecF64
 	}
 	switch o.EffectiveFormat() {
@@ -207,12 +191,11 @@ const hostCodename = "host"
 // EffectivePrecision. Delta and SSS run a static row partition under
 // every schedule, so theirs resolves to static-rows or static-nnz;
 // SELL-C-σ splits chunks by padded elements under either static
-// schedule, so its static-rows becomes static-nnz. Bound kernels, and
-// every configuration on the paper's modeled platforms, are returned
-// unchanged: the simulator prices those knobs as distinct kernels
-// there.
+// schedule, so its static-rows becomes static-nnz. Every configuration
+// on the paper's modeled platforms is returned unchanged: the
+// simulator prices those knobs as distinct kernels there.
 func (o Optim) Canonical(mdl machine.Model) Optim {
-	if mdl.Codename != hostCodename || o.IsBoundKernel() {
+	if mdl.Codename != hostCodename {
 		return o
 	}
 	f := o.EffectiveFormat()
@@ -261,8 +244,6 @@ func (o Optim) String() string {
 	add("split", o.Split)
 	add("sellcs", o.SellCS)
 	add("sym", o.Symmetric)
-	add("regx", o.RegularizeX)
-	add("unit", o.UnitStride)
 	add(o.Precision.String(), o.Precision != PrecF64)
 	if s == "" {
 		s = "none"
@@ -270,12 +251,38 @@ func (o Optim) String() string {
 	return fmt.Sprintf("%s@%s", s, o.Schedule)
 }
 
+// Probe selects one of the bound micro-benchmarks of Section III-B,
+// which measure what the baseline would reach with one bottleneck
+// removed. A probe does not compute A*x: it is a measurement, never a
+// plan, so no Optim can express one. The zero value runs no probe.
+//
+// On the host the two probe bodies (kernels.RegularizedRange and
+// kernels.UnitStrideRange) are byte-identical today and neither loads
+// a column index, so P_ML and P_CMP read the same timing; step 1 of
+// ROADMAP.md's "Train and check the tuner's decisions on the host"
+// item fixes that.
+type Probe int
+
+const (
+	// ProbeML is the P_ML micro-benchmark: every access to x is made
+	// regular by reading x at the row index instead of the column
+	// index.
+	ProbeML Probe = iota + 1
+	// ProbeCMP is the P_CMP micro-benchmark: indirect references are
+	// eliminated entirely, so no column index is loaded.
+	ProbeCMP
+)
+
 // Config is one executable SpMV setup.
 type Config struct {
 	Matrix *matrix.CSR
 	// Threads overrides the platform thread count when positive.
 	Threads int
 	Opt     Optim
+	// Probe, when nonzero, runs that bound micro-benchmark over the
+	// baseline CSR under the default schedule in place of an SpMV;
+	// executors ignore Opt then.
+	Probe Probe
 }
 
 // Result reports one SpMV execution (or model evaluation).
@@ -380,8 +387,7 @@ type Releaser interface {
 // back to planning-only behavior when the assertion fails.
 type PreparedExecutor interface {
 	Executor
-	// Prepare compiles one configuration. Bound kernels are rejected
-	// (they do not compute SpMV).
+	// Prepare compiles one configuration.
 	Prepare(m *matrix.CSR, o Optim) PreparedKernel
 	// Close releases the executor's persistent resources (worker
 	// pool). Idempotent; prepared kernels stay usable afterwards via a

@@ -18,22 +18,11 @@ func TestOptimString(t *testing.T) {
 		{Optim{Vectorize: true, Compress: true}, "compress+vec@static-nnz"},
 		{Optim{Prefetch: true, Schedule: sched.Auto}, "prefetch@auto"},
 		{Optim{Split: true, Unroll: true}, "unroll+split@static-nnz"},
-		{Optim{RegularizeX: true}, "regx@static-nnz"},
-		{Optim{UnitStride: true}, "unit@static-nnz"},
 	}
 	for _, c := range cases {
 		if got := c.o.String(); got != c.want {
 			t.Errorf("String(%+v) = %q, want %q", c.o, got, c.want)
 		}
-	}
-}
-
-func TestIsBoundKernel(t *testing.T) {
-	if (Optim{Vectorize: true}).IsBoundKernel() {
-		t.Fatal("vectorize is not a bound kernel")
-	}
-	if !(Optim{RegularizeX: true}).IsBoundKernel() || !(Optim{UnitStride: true}).IsBoundKernel() {
-		t.Fatal("bound kernels not detected")
 	}
 }
 
@@ -78,8 +67,7 @@ func TestOptimStringMentionsSchedule(t *testing.T) {
 
 // TestOptimCanonical pins the host resolver per effective format,
 // kernel knobs and schedule, then checks its invariants over every knob
-// combination: the identity off the host and on bound kernels,
-// idempotent, and blind to the effective precision and to every
+// combination: the identity off the host, idempotent, and blind to the effective precision and to every
 // effective format but Split, which runs as CSR.
 func TestOptimCanonical(t *testing.T) {
 	host, knc := machine.Host(), machine.KNC()
@@ -105,8 +93,6 @@ func TestOptimCanonical(t *testing.T) {
 		{"delta/vec+prefetch+unroll-guided", Optim{Compress: true, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Guided}, Optim{Compress: true, Vectorize: true}},
 		{"delta/static-rows", Optim{Compress: true, Schedule: sched.StaticRows}, Optim{Compress: true, Vectorize: true, Schedule: sched.StaticRows}},
 		{"sss/vec-auto", Optim{Symmetric: true, Vectorize: true, Compress: true, Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Symmetric: true, Precision: f32}},
-		{"regx/vec+prefetch-dynamic", Optim{RegularizeX: true, Vectorize: true, Prefetch: true, Schedule: sched.Dynamic}, Optim{RegularizeX: true, Vectorize: true, Prefetch: true, Schedule: sched.Dynamic}},
-		{"unit/split-f32", Optim{UnitStride: true, Split: true, Precision: f32}, Optim{UnitStride: true, Split: true, Precision: f32}},
 	}
 	for _, r := range rows {
 		if got := r.in.Canonical(host); got != r.onHost {
@@ -118,29 +104,25 @@ func TestOptimCanonical(t *testing.T) {
 	}
 
 	policies := []sched.Policy{sched.StaticNNZ, sched.StaticRows, sched.Dynamic, sched.Guided, sched.Auto}
-	for bits := 0; bits < 1<<9; bits++ {
+	for bits := 0; bits < 1<<7; bits++ {
 		for _, p := range policies {
 			for _, prec := range []Precision{PrecF64, PrecF32} {
 				bit := func(i int) bool { return bits>>i&1 == 1 }
 				o := Optim{
 					Vectorize: bit(0), Prefetch: bit(1), Unroll: bit(2), Compress: bit(3), Split: bit(4),
-					SellCS: bit(5), Symmetric: bit(6), RegularizeX: bit(7), UnitStride: bit(8),
-					Schedule: p, Precision: prec,
+					SellCS: bit(5), Symmetric: bit(6), Schedule: p, Precision: prec,
 				}
 				if got := o.Canonical(knc); got != o {
 					t.Fatalf("knc Canonical(%v) = %v, want the identity", o, got)
 				}
 				c := o.Canonical(host)
-				if o.IsBoundKernel() && c != o {
-					t.Fatalf("bound kernel %v canonicalized to %v", o, c)
-				}
 				if again := c.Canonical(host); again != c {
 					t.Fatalf("Canonical not idempotent: %v -> %v -> %v", o, c, again)
 				}
 				// Split is the one format the host resolves to another:
 				// the CSR gather body.
 				want := o.EffectiveFormat()
-				if want == FormatSplit && !o.IsBoundKernel() {
+				if want == FormatSplit {
 					want = FormatCSR
 				}
 				if c.EffectiveFormat() != want || c.EffectivePrecision() != o.EffectivePrecision() {

@@ -75,6 +75,19 @@ func (c Config) selected(exp string, all []suite.Recipe) ([]suite.Recipe, error)
 	return out, nil
 }
 
+// reuseIters sizes a native timing loop so small matrices average away
+// scheduler noise without making large ones slow.
+func reuseIters(nnz int) int {
+	it := 2_000_000 / (nnz + 1)
+	if it < 5 {
+		it = 5
+	}
+	if it > 200 {
+		it = 200
+	}
+	return it
+}
+
 // featureParams derives the feature-extraction parameters from a
 // platform (LLC capacity and line size feed the size/misses features).
 func featureParams(mdl machine.Model) features.Params {

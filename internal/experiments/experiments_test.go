@@ -366,7 +366,7 @@ func TestWarmExperiment(t *testing.T) {
 }
 
 // TestUnknownMatrixIsAnError pins the -matrix contract on a modeled
-// experiment (fig1) and a native one (reuse): a name outside the
+// experiment (fig1) and a native one (sellcs): a name outside the
 // experiment's suite is an error naming it, before any matrix runs,
 // instead of a silently shorter table.
 func TestUnknownMatrixIsAnError(t *testing.T) {
@@ -375,16 +375,16 @@ func TestUnknownMatrixIsAnError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `fig1: unknown matrix "not-a-matrix"`) {
 		t.Fatalf("fig1: err = %v", err)
 	}
-	_, err = Reuse(cfg)
-	if err == nil || !strings.Contains(err.Error(), `reuse: unknown matrix "not-a-matrix"`) {
-		t.Fatalf("reuse: err = %v", err)
+	_, err = SellCS(cfg)
+	if err == nil || !strings.Contains(err.Error(), `sellcs: unknown matrix "not-a-matrix"`) {
+		t.Fatalf("sellcs: err = %v", err)
 	}
 	// Names from another suite list are unknown to this experiment too.
 	if _, err := Sym(Config{Scale: 0.02, Matrices: []string{"poisson3Db"}}); err == nil {
 		t.Fatal("sym accepted a non-symmetric suite matrix")
 	}
-	res, err := Reuse(Config{Scale: 0.02, Matrices: []string{"small-dense"}})
+	res, err := SellCS(Config{Scale: 0.02, Matrices: []string{"small-dense"}})
 	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("reuse over one known matrix: %d rows, err %v", len(res.Rows), err)
+		t.Fatalf("sellcs over one known matrix: %d rows, err %v", len(res.Rows), err)
 	}
 }

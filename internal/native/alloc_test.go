@@ -30,7 +30,6 @@ func allocOptims() map[string]ex.Optim {
 		"compress":       {Compress: true},
 		"split":          {Split: true},
 		"sellcs":         {SellCS: true, Vectorize: true},
-		"sellcs-plain":   {SellCS: true},
 		"sellcs-dynamic": {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
 		"dynamic":        {Schedule: sched.Dynamic},
 		"guided":         {Schedule: sched.Guided},

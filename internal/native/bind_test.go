@@ -37,12 +37,14 @@ const (
 	symUnfitIn
 )
 
-// bindingTable enumerates every binding buildPrepared can compile,
-// including the bound probes the public Prepare rejects. The MemBytes
-// figures are the converted footprints of the fixed test matrices;
-// none depends on the host ISA.
+// csrBytes is the CSR footprint of the fixed asymmetric test matrix.
+const csrBytes = 47888
+
+// bindingTable enumerates every plan binding buildPrepared can
+// compile. The MemBytes figures are the converted footprints of the
+// fixed test matrices; none depends on the host ISA.
 func bindingTable() []bindingRow {
-	const csrBytes, sellBytes = 47888, 72428
+	const sellBytes = 72428
 	f32 := ex.PrecF32
 	return []bindingRow{
 		{"csr", asymIn, ex.Optim{}, "csr", csrBytes, true},
@@ -52,9 +54,6 @@ func bindingTable() []bindingRow {
 		{"vec+prefetch", asymIn, ex.Optim{Vectorize: true, Prefetch: true}, "csr-vec8%isa", csrBytes, true},
 		{"prefetch", asymIn, ex.Optim{Prefetch: true}, "csr-vec8%isa", csrBytes, true},
 		{"unroll", asymIn, ex.Optim{Unroll: true}, "csr-vec8%isa", csrBytes, true},
-		{"regularized", asymIn, ex.Optim{RegularizeX: true}, "regularized", csrBytes, false},
-		{"unit-stride", asymIn, ex.Optim{UnitStride: true}, "unit-stride", csrBytes, false},
-		{"unit-stride-dynamic", asymIn, ex.Optim{UnitStride: true, Schedule: sched.Dynamic}, "unit-stride", csrBytes, false},
 		// The host has no Split body: every Split knob set binds the
 		// gather body (exec.Optim.Canonical).
 		{"split", asymIn, ex.Optim{Split: true}, "csr-vec8%isa", csrBytes, true},
@@ -84,8 +83,8 @@ func bindingTable() []bindingRow {
 
 // TestBindingCharacterization pins the kernel name, the MemBytes
 // footprint and the presence of a blocked body for every reachable
-// binding, so a change to how kernels are bound cannot silently select
-// a different kernel or account a different footprint.
+// binding and bound probe, so a change to how kernels are bound cannot
+// silently select a different kernel or account a different footprint.
 func TestBindingCharacterization(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -99,9 +98,12 @@ func TestBindingCharacterization(t *testing.T) {
 		isa = "-" + kernels.ISA()
 		delta = "delta-vec8" + isa
 	}
-	for _, row := range bindingTable() {
+	check := func(row bindingRow, probe ex.Probe) {
 		t.Run(row.name, func(t *testing.T) {
-			p := e.buildPrepared(inputs[row.in], row.o, 3)
+			p := e.buildPrepared(inputs[row.in], row.o, 3, probe)
+			if probe != 0 && p.Opt() != (ex.Optim{}) {
+				t.Errorf("probe compiled knobs %v", p.Opt())
+			}
 			if want := strings.NewReplacer("%isa", isa, "%delta", delta).Replace(row.kernel); p.Kernel() != want {
 				t.Errorf("Kernel() = %q, want %q", p.Kernel(), want)
 			}
@@ -112,5 +114,20 @@ func TestBindingCharacterization(t *testing.T) {
 				t.Errorf("blocked body = %v, want %v", got, row.blocked)
 			}
 		})
+	}
+	for _, row := range bindingTable() {
+		check(row, 0)
+	}
+	// The bound probes Run binds, each over the baseline CSR whatever
+	// knobs the configuration carries: the dynamic row's are ignored.
+	for _, pr := range []struct {
+		probe ex.Probe
+		row   bindingRow
+	}{
+		{ex.ProbeML, bindingRow{"regularized", asymIn, ex.Optim{}, "regularized", csrBytes, false}},
+		{ex.ProbeCMP, bindingRow{"unit-stride", asymIn, ex.Optim{}, "unit-stride", csrBytes, false}},
+		{ex.ProbeCMP, bindingRow{"unit-stride-dynamic", asymIn, ex.Optim{Vectorize: true, Schedule: sched.Dynamic}, "unit-stride", csrBytes, false}},
+	} {
+		check(pr.row, pr.probe)
 	}
 }

@@ -99,7 +99,6 @@ func TestPreparedMatchesReference(t *testing.T) {
 		"dynamic":        {Schedule: sched.Dynamic},
 		"guided":         {Schedule: sched.Guided},
 		"sellcs":         {SellCS: true, Vectorize: true},
-		"sellcs-plain":   {SellCS: true},
 		"sellcs-dynamic": {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
 	}
 	e := New()
@@ -157,18 +156,6 @@ func TestPreparedMemoizedCanonical(t *testing.T) {
 	}
 }
 
-func TestPreparedRejectsBoundKernels(t *testing.T) {
-	e := New()
-	defer e.Close()
-	m := gen.Banded(100, 2, 1.0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Prepare accepted a bound kernel")
-		}
-	}()
-	e.Prepare(m, ex.Optim{UnitStride: true})
-}
-
 // TestPreparedConcurrentMulVec drives one prepared kernel from many
 // goroutines at once; run with -race this is the engine's thread-safety
 // proof. Each goroutine owns its output vector, the kernel serializes
@@ -217,7 +204,6 @@ func batchBindings() map[string]ex.Optim {
 		"csr-f32":      {Precision: f32},
 		"csr-vec8-f32": {Vectorize: true, Precision: f32},
 		"delta":        {Compress: true},
-		"sellcs":       {SellCS: true},
 		"sellcs-c8":    {SellCS: true, Vectorize: true},
 		"sellcs-f32":   {SellCS: true, Precision: f32},
 		"sss":          {Symmetric: true},
@@ -282,7 +268,7 @@ func TestPreparedMulVecBatch(t *testing.T) {
 
 // checkBatch is one binding's row of TestPreparedMulVecBatch.
 func checkBatch(t *testing.T, e *Executor, m *matrix.CSR, name string, o ex.Optim) {
-	p := e.buildPrepared(m, o, 3)
+	p := e.buildPrepared(m, o, 3, 0)
 	blocks := strings.HasPrefix(name, "csr") && !strings.HasSuffix(name, "f32")
 	if got := p.bodyBlock != nil; got != blocks {
 		t.Fatalf("%s: blocked body = %v, want %v", p.Kernel(), got, blocks)

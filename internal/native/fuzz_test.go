@@ -121,9 +121,6 @@ func fuzzMatrix(n int, seed int64, long, sym bool, extra []byte) *matrix.CSR {
 // the f32 storage bound under f32.
 func FuzzPreparedDifferential(f *testing.F) {
 	for i, row := range bindingTable() {
-		if row.o.IsBoundKernel() {
-			continue
-		}
 		op, k := i%3, fuzzWidths[i%len(fuzzWidths)]
 		f.Add(encodeKnobs(row.o, op, k, 1+i%3, true), uint8(200+i%50), int64(i), []byte{})
 	}
@@ -150,7 +147,7 @@ func FuzzPreparedDifferential(f *testing.F) {
 		if threads == 0 {
 			p = e.Prepare(m, o).(*Prepared)
 		} else {
-			p = e.buildPrepared(m, o, min(threads+1, n))
+			p = e.buildPrepared(m, o, min(threads+1, n), 0)
 		}
 
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))

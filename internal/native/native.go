@@ -218,15 +218,16 @@ func (e *Executor) SellCSOf(m *matrix.CSR) *formats.SellCS {
 	return memoized(e, m, ex.FormatSellCS, ex.PrecF64, formats.ConvertSellCSAuto)
 }
 
-// Run implements exec.Executor: it executes the configuration and
-// reports the best-of-Iters wall time from stats.SecondsPerCall (warm
-// cache: one untimed warmup pass precedes measurement) together with
-// per-thread busy times averaged over the timed passes.
-// Measurement runs on transient goroutines, not the shared worker
-// pool, so profiling stays undistorted by — and does not stall behind —
-// prepared-kernel serving traffic on the same executor; the spawn
-// overhead it includes is exactly what the classifier thresholds were
-// tuned against.
+// Run implements exec.Executor: it executes the configuration, or the
+// bound probe cfg.Probe selects over the baseline CSR, and reports the
+// best-of-Iters wall time from stats.SecondsPerCall (warm cache: one
+// untimed warmup pass precedes measurement) together with per-thread
+// busy times averaged over the timed passes. The measured kernel runs
+// on the executor's worker pool, the shape every served multiply runs
+// in, so a measurement and a served call of one kernel time the same
+// dispatch. Under concurrent serving a measured call can wait on the
+// pool lock behind another kernel's dispatch rather than share CPUs
+// with it.
 func (e *Executor) Run(cfg ex.Config) ex.Result {
 	m := cfg.Matrix
 	nt := cfg.Threads
@@ -243,8 +244,7 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	}
 	y := make([]float64, m.NRows)
 
-	p := e.buildPrepared(m, cfg.Opt, nt) // transient: measurement widths vary
-	p.pool = nil                         // measure on fresh goroutines, off the serving pool
+	p := e.buildPrepared(m, cfg.Opt, nt, cfg.Probe) // transient: measurement widths vary
 
 	// SecondsPerCall's first call is its untimed warm-up, which stamps
 	// no per-thread times: the busy times average the timed calls only.
@@ -274,12 +274,8 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 
 // Prepare implements exec.PreparedExecutor: it compiles the
 // configuration into a persistent kernel bound to the executor's worker
-// pool, memoized per (matrix, optimization) pair. Bound kernels are
-// rejected — they do not compute SpMV.
+// pool, memoized per (matrix, optimization) pair.
 func (e *Executor) Prepare(m *matrix.CSR, o ex.Optim) ex.PreparedKernel {
-	if o.IsBoundKernel() {
-		panic("native: bound kernels do not compute SpMV")
-	}
 	return e.preparedFor(m, o)
 }
 
@@ -318,24 +314,11 @@ func (e *Executor) preparedFor(m *matrix.CSR, o ex.Optim) *Prepared {
 	}
 	// Compile outside the lock: format conversion can be expensive and
 	// the conversion memo takes e.mu itself.
-	p = e.buildPrepared(m, o, nt)
+	p = e.buildPrepared(m, o, nt, 0)
 	e.mu.Lock()
 	putBounded(e.prepared, key, p, maxPreparedKernels) // an evicted kernel still works for its holders
 	e.mu.Unlock()
 	return p
-}
-
-// MulVecOnce computes y = A*x rebuilding the execution plan from
-// scratch and spawning fresh goroutines — the pre-pool execution shape,
-// retained as the baseline BenchmarkMulVecReuse compares the prepared
-// engine against.
-func (e *Executor) MulVecOnce(m *matrix.CSR, o ex.Optim, x, y []float64) {
-	if o.IsBoundKernel() {
-		panic("native: bound kernels do not compute SpMV")
-	}
-	p := e.buildPrepared(m, o, e.defaultThreads(m))
-	p.pool = nil // transient fork/join, as before the engine existed
-	p.MulVec(x, y)
 }
 
 // minMeasurableSecs is the floor below which a triad timing is noise:

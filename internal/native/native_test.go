@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	ex "github.com/sparsekit/spmvtuner/internal/exec"
@@ -103,23 +104,70 @@ func TestRunThreadsCappedByRows(t *testing.T) {
 func TestBoundKernelsExecute(t *testing.T) {
 	e := New()
 	m := gen.UniformRandom(3000, 6, 7)
-	for _, o := range []ex.Optim{{RegularizeX: true}, {UnitStride: true}} {
-		r := e.Run(ex.Config{Matrix: m, Opt: o})
+	for _, p := range []ex.Probe{ex.ProbeML, ex.ProbeCMP} {
+		r := e.Run(ex.Config{Matrix: m, Probe: p})
 		if r.Seconds <= 0 {
-			t.Fatalf("bound kernel %v did not run", o)
+			t.Fatalf("bound probe %d did not run", p)
 		}
 	}
 }
 
-func TestMulVecRejectsBoundKernels(t *testing.T) {
-	e := New()
-	m := gen.Banded(100, 2, 1.0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Prepare accepted a bound kernel")
+// TestRunOverlapsServedMulVec: a measured Run dispatches on the worker
+// pool that serves prepared kernels, so a 2-slot Run on one matrix
+// and 2-slot MulVec calls on another matrix of the same executor take
+// turns on the pool lock. Under -race both must finish, and every
+// served answer must match CSR.MulVec.
+func TestRunOverlapsServedMulVec(t *testing.T) {
+	mdl := machine.Host()
+	mdl.Cores, mdl.ThreadsPerCore = 2, 1
+	e := NewWithModel(mdl)
+	defer e.Close()
+	measured := gen.UniformRandom(3000, 6, 71)
+	served := gen.FewDenseRows(2500, 5, 2, 1200, 72)
+	// Two slots whatever GOMAXPROCS is, so every call takes the lock.
+	p := e.buildPrepared(served, ex.Optim{Vectorize: true}, 2, 0)
+	x := make([]float64, served.NCols)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	want := make([]float64, served.NRows)
+	served.MulVec(x, want)
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for _, probe := range []ex.Probe{0, ex.ProbeML, ex.ProbeCMP} {
+			r := e.Run(ex.Config{Matrix: measured, Threads: 2, Opt: ex.Optim{Vectorize: true}, Probe: probe})
+			if r.Seconds <= 0 || len(r.ThreadSeconds) != 2 {
+				t.Errorf("probe %d: %g s over %d threads", probe, r.Seconds, len(r.ThreadSeconds))
+			}
 		}
 	}()
-	e.Prepare(m, ex.Optim{RegularizeX: true}).MulVec(make([]float64, 100), make([]float64, 100))
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y := make([]float64, served.NRows)
+			for {
+				p.MulVec(x, y)
+				for i := range want {
+					if math.Abs(want[i]-y[i]) > 1e-12*(1+math.Abs(want[i])) {
+						t.Errorf("served y[%d] = %g, want %g", i, y[i], want[i])
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFormatsMemoized(t *testing.T) {
@@ -263,7 +311,7 @@ func TestAutoSingleThreadRunsStatic(t *testing.T) {
 	if p.Threads() != 1 || p.next.Load() != 0 {
 		t.Fatalf("GOMAXPROCS=1: %d threads, cursor at %d; want 1 thread and no chunk queue", p.Threads(), p.next.Load())
 	}
-	p2 := e.buildPrepared(m, o, 2)
+	p2 := e.buildPrepared(m, o, 2, 0)
 	p2.MulVec(x, y)
 	if p2.next.Load() == 0 {
 		t.Fatal("two slots on a long-row matrix did not drain the chunk cursor")

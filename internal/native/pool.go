@@ -96,9 +96,8 @@ func (p *Pool) Close() {
 	})
 }
 
-// spawnRun is the transient fork/join path: the pre-pool execution
-// shape, kept as the fallback for oversized or closed pools and as the
-// baseline the prepared engine is benchmarked against.
+// spawnRun is the transient fork/join path: Run's fallback for a
+// closed pool or a dispatch wider than the pool.
 func spawnRun(nt int, fn func(t int)) {
 	var wg sync.WaitGroup
 	for t := 0; t < nt; t++ {

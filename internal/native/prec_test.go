@@ -59,14 +59,13 @@ func precCheck(t *testing.T, label string, m *matrix.CSR, bound float64, mul fun
 // precision; all but "sss" run on an asymmetric matrix.
 func precOptims() map[string]ex.Optim {
 	return map[string]ex.Optim{
-		"csr":          {},
-		"csr-vec8":     {Vectorize: true},
-		"csr-dynamic":  {Schedule: sched.Dynamic},
-		"csr-guided":   {Schedule: sched.Guided},
-		"sellcs":       {SellCS: true, Vectorize: true},
-		"sellcs-dyn":   {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
-		"sellcs-plain": {SellCS: true},
-		"sss":          {Symmetric: true},
+		"csr":         {},
+		"csr-vec8":    {Vectorize: true},
+		"csr-dynamic": {Schedule: sched.Dynamic},
+		"csr-guided":  {Schedule: sched.Guided},
+		"sellcs":      {SellCS: true, Vectorize: true},
+		"sellcs-dyn":  {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
+		"sss":         {Symmetric: true},
 	}
 }
 
@@ -216,9 +215,9 @@ func TestPreparedPrecMulMat(t *testing.T) {
 }
 
 // TestPrecEffectivePrecisionFallbacks: formats without a reduced value
-// stream (Delta, Split) and bound kernels silently execute exact f64 —
-// the knob is inert, not an error — and the engine must produce the
-// same result as the f64 path.
+// stream (Delta, Split) silently execute exact f64 — the knob is
+// inert, not an error — and the engine must produce the same result as
+// the f64 path.
 func TestPrecEffectivePrecisionFallbacks(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -413,7 +412,7 @@ func TestPrecF32InstanceBitIdentical(t *testing.T) {
 			formats.ConvertSellCSAuto(r).MulVec(x, y)
 		}},
 		{"sss", ex.Optim{Symmetric: true}, "prec-sss-f32", func(r *matrix.CSR, nt int, x, y []float64) {
-			e.buildPrepared(r, ex.Optim{Symmetric: true}, nt).MulVec(x, y)
+			e.buildPrepared(r, ex.Optim{Symmetric: true}, nt, 0).MulVec(x, y)
 		}},
 	}
 	inputs := map[string][2]*matrix.CSR{
@@ -432,11 +431,11 @@ func TestPrecF32InstanceBitIdentical(t *testing.T) {
 					o64 := o
 					o.Precision = ex.PrecF32
 					t.Run(fmt.Sprintf("%s/%s/%s/nt=%d", sh.name, iname, policy, nt), func(t *testing.T) {
-						p := e.buildPrepared(m, o, nt)
+						p := e.buildPrepared(m, o, nt, 0)
 						if p.Kernel() != sh.kernel {
 							t.Fatalf("kernel %q, want %q", p.Kernel(), sh.kernel)
 						}
-						fb, want64 := e.buildPrepared(unfit, o, nt), e.buildPrepared(unfit, o64, nt)
+						fb, want64 := e.buildPrepared(unfit, o, nt, 0), e.buildPrepared(unfit, o64, nt, 0)
 						if fb.Kernel() != want64.Kernel() || fb.Opt().Precision != ex.PrecF64 {
 							t.Fatalf("unfit values bound %s/%s, want the f64 binding %s",
 								fb.Kernel(), fb.Opt().Precision, want64.Kernel())

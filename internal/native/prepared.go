@@ -24,7 +24,7 @@ type Prepared struct {
 	opt        ex.Optim
 	nt         int
 	kernelName string
-	pool       *Pool // nil: transient fork/join execution (MulVecOnce)
+	pool       *Pool // every dispatch, measured or served, runs here
 	// matrixBytes is the matrix stream the compiled kernel actually
 	// reads per multiply: the converted format's footprint when one
 	// was built (SSS ≈ half the mirrored CSR, Delta's compressed
@@ -207,23 +207,11 @@ func (p *Prepared) mulVecTimed(x, y []float64, perThread []float64) {
 func (p *Prepared) mulVecLocked(x, y, perThread []float64) {
 	p.x, p.y, p.timing = x, y, perThread
 	p.next.Store(0)
-	p.runPhase(p.body)
+	p.pool.Run(p.nt, p.body)
 	if p.finish != nil {
 		p.finish()
 	}
 	p.x, p.y, p.timing = nil, nil, nil
-}
-
-// runPhase dispatches one barrier of the kernel — through the
-// persistent pool when bound, transient goroutines otherwise.
-//
-//spmv:hotpath
-func (p *Prepared) runPhase(body func(t int)) {
-	if p.pool != nil {
-		p.pool.Run(p.nt, body)
-	} else {
-		spawnRun(p.nt, body)
-	}
 }
 
 // mulBlockLocked dispatches one register-blocked multiply of k ∈ {4, 8}
@@ -234,7 +222,7 @@ func (p *Prepared) runPhase(body func(t int)) {
 func (p *Prepared) mulBlockLocked(x, y []float64, k int) {
 	p.x, p.y, p.bk = x, y, k
 	p.next.Store(0)
-	p.runPhase(p.bodyBlock)
+	p.pool.Run(p.nt, p.bodyBlock)
 	p.x, p.y, p.bk = nil, nil, 0
 }
 
@@ -252,9 +240,10 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 }
 
 // buildPrepared compiles a configuration into a Prepared kernel bound
-// to the executor's worker pool. It accepts bound kernels (Run measures
-// them); the public Prepare rejects them. Each format picks its own
-// partition and binds its range kernels through slots or bindSym.
+// to the executor's worker pool. A nonzero probe, which only Run
+// passes, ignores o and binds that bound probe over the baseline CSR
+// under the default schedule. Each format picks its own partition and
+// binds its range kernels through slots or bindSym.
 // It compiles o's canonical form on the executor's model, which Opt
 // reports; on the host that form never selects Split, and a Split knob
 // set under any other model runs the CSR default below. Under f32 a
@@ -263,7 +252,10 @@ func (p *Prepared) wrap(work func(t int)) func(t int) {
 // partition; precision picks only the value array, the kernel name and
 // the footprint. A matrix whose values do not fit float32 runs its f64
 // binding under an f32 configuration, and Opt reports PrecF64.
-func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
+func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int, probe ex.Probe) *Prepared {
+	if probe != 0 {
+		o = ex.Optim{}
+	}
 	o = o.Canonical(e.model)
 	if o.EffectivePrecision() == ex.PrecF32 && !formats.FitsF32(m.Val) {
 		o.Precision = ex.PrecF64
@@ -331,10 +323,10 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int) *Prepared {
 		// bound probes do not compute SpMV and have no blocked form.
 		kern := kernels.Variant(o.Vectorize)
 		p.kernelName = kernels.VariantName(o.Vectorize)
-		switch {
-		case o.RegularizeX:
+		switch probe {
+		case ex.ProbeML:
 			kern, p.kernelName = kernels.RegularizedRange, "regularized"
-		case o.UnitStride:
+		case ex.ProbeCMP:
 			kern, p.kernelName = kernels.UnitStrideRange, "unit-stride"
 		default:
 			p.bodyBlock = p.slots(sp.Parts, sp.Chunks, func(lo, hi int) { kernels.CSRBlockRange(m, p.x, p.y, p.bk, lo, hi) })

@@ -103,7 +103,7 @@ func TestPreparedSSSShrinkingBlockWidth(t *testing.T) {
 	e := New()
 	defer e.Close()
 	m := symMatrix(1200, 41)
-	p := e.buildPrepared(m, ex.Optim{Symmetric: true}, 4)
+	p := e.buildPrepared(m, ex.Optim{Symmetric: true}, 4, 0)
 	rng := rand.New(rand.NewSource(19))
 	for _, k := range []int{8, 2, 5, 3} { // shrink, grow, shrink
 		x := make([]float64, m.NCols*k)
@@ -268,9 +268,9 @@ func TestPreparedSSSWindowShapes(t *testing.T) {
 				}
 			}
 			for _, k := range []int{1, 2, 3, 8} {
-				run(e.buildPrepared(m, o, sh.nt), k)
+				run(e.buildPrepared(m, o, sh.nt, 0), k)
 			}
-			p := e.buildPrepared(m, o, sh.nt)
+			p := e.buildPrepared(m, o, sh.nt, 0)
 			for _, k := range []int{4, 2, 1, 4} {
 				run(p, k)
 			}
@@ -288,7 +288,7 @@ func TestSSSScratchFollowsBandwidth(t *testing.T) {
 	m := gen.Poisson3D(80, 80, 80)
 	m.Sym = matrix.SymSymmetric
 	for _, prec := range []ex.Precision{ex.PrecF64, ex.PrecF32} {
-		p := e.buildPrepared(m, ex.Optim{Symmetric: true, Precision: prec}, 2)
+		p := e.buildPrepared(m, ex.Optim{Symmetric: true, Precision: prec}, 2, 0)
 		cells := p.ReduceCells()
 		if cells <= 0 || cells > 2*80*80 {
 			t.Fatalf("%s: %d window cells at nt=2, want (0, %d]", p.Kernel(), cells, 2*80*80)

@@ -62,8 +62,6 @@ type Plan struct {
 	HasClasses bool
 	// Opt is the full optimization knob set the plan executes:
 	// format-selecting knobs, kernel knobs and schedule policy.
-	// Bound-kernel probes are not plans and are rejected
-	// by Valid.
 	Opt ex.Optim
 	// PreprocessSeconds is t_pre of Section IV-D: what the decision
 	// cost when it was made — exactly the cost a store hit skips.
@@ -129,16 +127,11 @@ func FormatName(f ex.Format) string {
 	}
 }
 
-// Valid checks the plan's internal invariants: the schema version,
-// that the knob set is a real optimization (bound-kernel probes do not
-// compute SpMV and must never be stored), and a schedule policy
-// String can render (so the wire form round-trips).
+// Valid checks the plan's internal invariants: the schema version and
+// a schedule policy String can render (so the wire form round-trips).
 func (p Plan) Valid() error {
 	if p.Version != CurrentVersion {
 		return fmt.Errorf("plan: version %d, this library speaks %d", p.Version, CurrentVersion)
-	}
-	if p.Opt.IsBoundKernel() {
-		return fmt.Errorf("plan: bound-kernel probe %s is not an executable plan", p.Opt)
 	}
 	if _, err := sched.ParsePolicy(p.Opt.Schedule.String()); err != nil {
 		return fmt.Errorf("plan: unserializable schedule policy %d", int(p.Opt.Schedule))

@@ -153,11 +153,14 @@ func TestDecodeRejectsBadScheduleAndClasses(t *testing.T) {
 }
 
 func TestValidRejectsBoundKernelsAndBadWidths(t *testing.T) {
-	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{RegularizeX: true}}).Valid(); err == nil {
-		t.Fatal("bound kernel plan accepted")
-	}
-	if err := (Plan{Version: CurrentVersion, Opt: ex.Optim{UnitStride: true}}).Valid(); err == nil {
-		t.Fatal("unit-stride probe accepted")
+	// A bound probe is an exec.Config field, not a knob of Optim, so no
+	// Plan value can hold one; a plan file naming a probe knob fails
+	// as an unknown field.
+	for _, knob := range []string{"regularizeX", "unitStride", "probe"} {
+		bad := strings.Replace(hugeBlockWidthPlan, `"blockWidth":1099511627776`, `"`+knob+`":true`, 1)
+		if _, err := Decode([]byte(bad)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("plan naming %s: err = %v, want an unknown-field error", knob, err)
+		}
 	}
 	// Batch blocking is an engine rule, not a plan knob: a plan file
 	// naming any block width, even one an older library wrote, is
@@ -166,9 +169,6 @@ func TestValidRejectsBoundKernelsAndBadWidths(t *testing.T) {
 		if _, err := Decode([]byte(strings.Replace(hugeBlockWidthPlan, "1099511627776", w, 1))); err == nil {
 			t.Fatalf("plan with blockWidth %s accepted", w)
 		}
-	}
-	if _, err := (Plan{Version: CurrentVersion, Opt: ex.Optim{RegularizeX: true}}).MarshalJSON(); err == nil {
-		t.Fatal("bound kernel plan serialized")
 	}
 	// Classes without HasClasses must fail at Valid/Marshal time, not
 	// only at decode — otherwise a store could persist an entry it can

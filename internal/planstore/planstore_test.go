@@ -226,9 +226,9 @@ func TestDeleteRemovesMemoryAndDisk(t *testing.T) {
 func TestPutRejectsInvalidPlan(t *testing.T) {
 	s := New(4)
 	bad := testPlan("fp", "host")
-	bad.Opt.RegularizeX = true
+	bad.Opt.Precision = ex.PrecF32 + 1
 	if err := s.Put(key("fp", "host"), bad); err == nil {
-		t.Fatal("bound-kernel plan stored")
+		t.Fatal("plan with an unknown precision stored")
 	}
 }
 

@@ -372,8 +372,13 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	p := e.profileOf(m)
 	// Price what runs on this platform: on the host model, knob sets
 	// that bind one kernel resolve to one canonical form (the identity
-	// on the paper's platforms, whose kernels the knobs do select).
+	// on the paper's platforms, whose kernels the knobs do select). A
+	// bound probe runs over the baseline CSR and ignores cfg.Opt.
 	o := cfg.Opt.Canonical(mdl)
+	if cfg.Probe != 0 {
+		o = ex.Optim{}
+	}
+	unitStride := cfg.Probe == ex.ProbeCMP
 	// The engine's format precedence, from the shared resolver:
 	// superseded format knobs are inert here exactly as in
 	// buildPrepared and ConversionSeconds.
@@ -418,10 +423,10 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	//
 	// Scalar path: flops + index handling + the machine's pipeline
 	// stalls on streaming loads (dominant on KNC's in-order cores).
-	// The P_CMP bound kernel (UnitStride) drops the indirect load
-	// chain, shrinking both index cost and stalls.
+	// The P_CMP probe drops the indirect load chain, shrinking both
+	// index cost and stalls.
 	scalarCyc := 2/mdl.ScalarFlopsPerCycle + costs.IndexCycles + mdl.ScalarStallCycles
-	if o.UnitStride {
+	if unitStride {
 		scalarCyc = 2/mdl.ScalarFlopsPerCycle + costs.UnitStrideIndexCycles +
 			mdl.ScalarStallCycles*costs.UnitStrideStallFactor
 	}
@@ -444,7 +449,7 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	// row pays mask/remainder setup — the short-row penalty.
 	vecCyc := (2/mdl.ScalarFlopsPerCycle+costs.IndexCycles)*costs.VecOpOverheadFactor +
 		mdl.GatherCyclesPerElem*float64(mdl.SIMDLanes)
-	if o.UnitStride {
+	if unitStride {
 		// Unit-stride vector loads need no gather.
 		vecCyc = (2/mdl.ScalarFlopsPerCycle + costs.UnitStrideIndexCycles) * costs.VecOpOverheadFactor
 	}
@@ -504,7 +509,7 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	if o.EffectivePrecision() != ex.PrecF64 && (format != ex.FormatSSS || sssActive) && p.fitsF32(m) {
 		valBytes *= 0.5
 	}
-	if o.UnitStride {
+	if unitStride {
 		idxBytes = 0 // the P_CMP kernel loads no column indices
 	}
 	yBytes := costs.YBytesScalarPerRow
@@ -523,7 +528,7 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	if prefetchActive {
 		mlp = mdl.PrefetchMLP
 	}
-	regular := o.RegularizeX || o.UnitStride
+	regular := cfg.Probe != 0
 
 	threadSecs := make([]float64, nt)
 	var totalBytes float64

@@ -17,6 +17,11 @@ func run(e *Executor, m *matrix.CSR, o ex.Optim) ex.Result {
 	return e.Run(ex.Config{Matrix: m, Opt: o})
 }
 
+// probe prices one bound micro-benchmark of m.
+func probe(e *Executor, m *matrix.CSR, p ex.Probe) ex.Result {
+	return e.Run(ex.Config{Matrix: m, Probe: p})
+}
+
 func TestBaselineProducesPositiveTimes(t *testing.T) {
 	e := New(machine.KNC())
 	m := gen.UniformRandom(20000, 10, 1)
@@ -213,19 +218,26 @@ func TestBoundKernels(t *testing.T) {
 	e := New(machine.KNC())
 	m := gen.UniformRandom(60000, 12, 5)
 	base := run(e, m, ex.Optim{}).Seconds
-	ml := run(e, m, ex.Optim{RegularizeX: true}).Seconds
-	cmp := run(e, m, ex.Optim{UnitStride: true}).Seconds
+	ml := probe(e, m, ex.ProbeML).Seconds
+	cmp := probe(e, m, ex.ProbeCMP).Seconds
 	if ml >= base {
 		t.Fatalf("P_ML kernel should beat baseline on irregular matrix: %.3g vs %.3g", ml, base)
 	}
 	if cmp > ml {
 		t.Fatalf("P_CMP (unit stride) %.3g should be <= P_ML %.3g", cmp, ml)
 	}
+	// A probe measures the baseline CSR whatever the knobs say.
+	for _, p := range []ex.Probe{ex.ProbeML, ex.ProbeCMP} {
+		knobs := ex.Optim{Vectorize: true, Compress: true, Schedule: sched.Dynamic}
+		if got, want := e.Run(ex.Config{Matrix: m, Opt: knobs, Probe: p}).Seconds, probe(e, m, p).Seconds; got != want {
+			t.Fatalf("probe %d priced the knobs: %.3g s, want %.3g", p, got, want)
+		}
+	}
 
 	// On a regular matrix the ML kernel changes little.
 	reg := gen.Banded(60000, 12, 1.0, 5)
 	baseR := run(e, reg, ex.Optim{}).Seconds
-	mlR := run(e, reg, ex.Optim{RegularizeX: true}).Seconds
+	mlR := probe(e, reg, ex.ProbeML).Seconds
 	if ratio := baseR / mlR; ratio > 1.6 {
 		t.Fatalf("P_ML gain on regular matrix = %.2f, should be small", ratio)
 	}
@@ -250,11 +262,11 @@ func TestPlatformLatencyDiversity(t *testing.T) {
 	m := gen.UniformRandom(60000, 12, 9)
 	gainKNC := func() float64 {
 		e := New(machine.KNC())
-		return run(e, m, ex.Optim{}).Seconds / run(e, m, ex.Optim{RegularizeX: true}).Seconds
+		return run(e, m, ex.Optim{}).Seconds / probe(e, m, ex.ProbeML).Seconds
 	}()
 	gainBDW := func() float64 {
 		e := New(machine.Broadwell())
-		return run(e, m, ex.Optim{}).Seconds / run(e, m, ex.Optim{RegularizeX: true}).Seconds
+		return run(e, m, ex.Optim{}).Seconds / probe(e, m, ex.ProbeML).Seconds
 	}()
 	if gainKNC <= gainBDW {
 		t.Fatalf("P_ML/P_CSR gain: KNC %.2f should exceed Broadwell %.2f", gainKNC, gainBDW)
