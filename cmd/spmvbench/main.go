@@ -19,8 +19,8 @@
 //
 // The sellcs, spmm, sym, warm and serve experiments run natively on
 // the host through the persistent worker-pool engine; everything else
-// is modeled, and "all" covers only the modeled set
-// (request the native ones explicitly). The warm and serve
+// is modeled, and "all" covers only the modeled set (request the
+// native ones explicitly). The warm and serve
 // experiments assert their own invariants (zero warm-path
 // measurements and identical plans; coalesced throughput at least
 // sequential and reference-exact answers) and exit nonzero when they

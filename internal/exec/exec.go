@@ -129,13 +129,12 @@ const (
 // EffectiveFormat resolves the storage format one configuration
 // actually executes — the single source of the format precedence the
 // native engine, the analytic cost model, and conversion pricing all
-// share: Symmetric wins over everything
-// (halving the element stream outcompresses any re-encoding of it,
-// and the SSS reduction spreads the mirrored work evenly), Split wins
-// over SellCS (a dominating long row would explode a chunk's padding),
-// and SellCS wins over Compress (the SELL layout replaces the index
-// stream). Superseded format knobs are inert: never converted, never
-// priced.
+// share: Symmetric wins over everything (halving the element stream
+// outcompresses any re-encoding of it, and the SSS reduction spreads
+// the mirrored work evenly), Split wins over SellCS (a dominating long
+// row would explode a chunk's padding), and SellCS wins over Compress
+// (the SELL layout replaces the index stream). Superseded format knobs
+// are inert: never converted, never priced.
 func (o Optim) EffectiveFormat() Format {
 	switch {
 	case o.Symmetric:
@@ -153,10 +152,9 @@ func (o Optim) EffectiveFormat() Format {
 // EffectivePrecision resolves the value precision a configuration
 // actually stores — the precision analogue of EffectiveFormat. The
 // Delta and Split forms keep f64 values (no precision converter
-// reaches them), so reduced precision
-// is honored exactly on the formats with contiguous value payloads:
-// CSR, SELL-C-σ and SSS. Everywhere else the knob is inert — never
-// converted, never priced.
+// reaches them), so reduced precision is honored exactly on the
+// formats with contiguous value payloads: CSR, SELL-C-σ and SSS.
+// Everywhere else the knob is inert — never converted, never priced.
 func (o Optim) EffectivePrecision() Precision {
 	if o.Precision == PrecF64 {
 		return PrecF64
