@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/sparsekit/spmvtuner/internal/kernels"
+	"github.com/sparsekit/spmvtuner/internal/plan"
 )
 
 // TestTuneWarmStartsInProcess: the default in-memory plan store must
@@ -301,4 +302,53 @@ func tuneFromStoredPlan(t *testing.T, dir, file string, knobs []string, name str
 		}
 	}
 	return k
+}
+
+// TestLegacyPlanMigratesToCurrentFingerprint: a warm start from a plan
+// stored under its version-1 fingerprint refiles it. The version-1
+// file is gone, the store holds the plan under the fingerprint Tune
+// reports, and a second Tuner warm-starts from that file.
+func TestLegacyPlanMigratesToCurrentFingerprint(t *testing.T) {
+	const file = "v1-30000x30000-229980-gen-98d6d2f4f0599b84.host.v1.json"
+	stored, err := os.ReadFile(filepath.Join("testdata", "legacy-host-knobs", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, file), stored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := SuiteMatrix("ASIC_680k", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tu := NewTuner(WithPlanStore(dir))
+	k := tu.Tune(m)
+	if err := tu.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info := k.Info()
+	if !info.Warm {
+		t.Fatal("the version-1 plan did not warm-start")
+	}
+	if _, err := os.Stat(filepath.Join(dir, file)); !os.IsNotExist(err) {
+		t.Fatalf("the version-1 file survived the migration: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, info.Fingerprint+".host.v1.json"))
+	if err != nil {
+		t.Fatalf("no plan stored under the current fingerprint: %v", err)
+	}
+	if pl, err := plan.Decode(data); err != nil {
+		t.Fatalf("migrated plan does not decode: %v", err)
+	} else if pl.Fingerprint != info.Fingerprint {
+		t.Fatalf("migrated plan fingerprint %q, want %q", pl.Fingerprint, info.Fingerprint)
+	}
+
+	again := NewTuner(WithPlanStore(dir))
+	defer again.Close()
+	k2 := again.Tune(m)
+	if got := k2.Info(); !got.Warm || got.Fingerprint != info.Fingerprint || got.Optimizations != info.Optimizations {
+		t.Fatalf("second Tuner: warm=%v %s %s, want a warm start from %s %s",
+			got.Warm, got.Fingerprint, got.Optimizations, info.Fingerprint, info.Optimizations)
+	}
 }

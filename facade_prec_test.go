@@ -151,9 +151,10 @@ func TestWarmStartOnUnfitValuesRunsF64(t *testing.T) {
 
 // TestStoredRetiredPrecisionPlanRetunes: testdata/retired-precision
 // holds a plan file an earlier release stored for bandedMB(20000, 40)
-// with a precision this version no longer implements. The plan fails
-// the strict decode, so Tune re-tunes cold, computes a correct
-// product, and replaces the stale file with a plan that decodes.
+// with a precision this version no longer implements, under its
+// version-1 fingerprint. The plan fails the strict decode, so Tune
+// re-tunes cold, computes a correct product, deletes the stale file
+// and stores a plan that decodes under the current fingerprint.
 func TestStoredRetiredPrecisionPlanRetunes(t *testing.T) {
 	const name = "v1-20000x20000-1618360-sym-59c958ed70debb4c.bdw.v1.json"
 	stale, err := os.ReadFile(filepath.Join("testdata", "retired-precision", name))
@@ -193,9 +194,12 @@ func TestStoredRetiredPrecisionPlanRetunes(t *testing.T) {
 	if err := tuner.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := os.ReadFile(filepath.Join(dir, name))
+	if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+		t.Fatalf("the stale version-1 file survived the re-tune: %v", err)
+	}
+	fresh, err := os.ReadFile(filepath.Join(dir, tuned.Info().Fingerprint+".bdw.v1.json"))
 	if err != nil {
-		t.Fatalf("the re-tuned plan was not stored under the stale file's name: %v", err)
+		t.Fatalf("the re-tuned plan was not stored under its fingerprint: %v", err)
 	}
 	if pl, err := plan.Decode(fresh); err != nil {
 		t.Fatalf("stored plan still fails to decode: %v", err)

@@ -175,6 +175,44 @@ func (p *Pipeline) storeKey(fp string) planstore.Key {
 	}
 }
 
+// legacyFingerprint is matrix.LegacyFingerprint, held in a variable so
+// tests can count the legacy hashes a lookup computes.
+var legacyFingerprint = matrix.LegacyFingerprint
+
+// stored is the plan-store lookup Prepare and PriceOn share: the plan
+// filed under m's fingerprint fp, or else one filed under m's
+// version-1 fingerprint, which it migrates. The version-1 hash runs
+// only when the store holds an entry file of m's version-1 shape for
+// this machine and plan version, so a miss on a store without one
+// costs no second hash. A migrated plan must validate against the
+// version-1 value; it is then refiled under fp and its old file
+// deleted. A stale one is deleted and reported as a miss.
+func (p *Pipeline) stored(m *matrix.CSR, fp string) (plan.Plan, bool) {
+	key := p.storeKey(fp)
+	if pl, ok := p.Store.Get(key); ok {
+		return pl, true
+	}
+	if !p.Store.HasShape(matrix.LegacyShape(m), key.Machine, key.Version) {
+		return plan.Plan{}, false
+	}
+	old := p.storeKey(legacyFingerprint(m))
+	pl, ok := p.Store.Get(old)
+	if !ok {
+		return plan.Plan{}, false
+	}
+	if err := pl.ValidateForFingerprint(m, old.Fingerprint); err != nil {
+		p.Store.Delete(old)
+		return plan.Plan{}, false
+	}
+	pl.Fingerprint = fp
+	// The old file goes only once the new one is written, so a failed
+	// write leaves the next process a plan to migrate.
+	if p.Store.Put(key, pl) == nil {
+		p.Store.Delete(old)
+	}
+	return pl, true
+}
+
 // Analyze diagnoses the matrix: bounds, classes, features, the chosen
 // plan and its modeled result. Analysis always runs live — it is the
 // diagnostic entry point — but the plan it returns is fully bound, so
@@ -213,7 +251,7 @@ func (p *Pipeline) PlanOnly(m *matrix.CSR) plan.Plan {
 func (p *Pipeline) PriceOn(twin ex.Executor, m *matrix.CSR) (plan.Plan, ex.Result) {
 	fp := matrix.Fingerprint(m)
 	if p.Store != nil {
-		if pl, ok := p.Store.Get(p.storeKey(fp)); ok && pl.ValidateForFingerprint(m, fp) == nil {
+		if pl, ok := p.stored(m, fp); ok && pl.ValidateForFingerprint(m, fp) == nil {
 			pl.Opt = pl.Opt.Canonical(twin.Machine())
 			return pl, opt.Evaluate(twin, m, pl)
 		}
@@ -249,7 +287,7 @@ func (p *Pipeline) Prepare(m *matrix.CSR) (plan.Plan, ex.PreparedKernel, bool) {
 	var key planstore.Key
 	if p.Store != nil {
 		key = p.storeKey(fp)
-		if pl, ok := p.Store.Get(key); ok {
+		if pl, ok := p.stored(m, fp); ok {
 			// A plan stored before canonical storage may spell one
 			// kernel with several knobs; serve it under the one name.
 			pl.Opt = pl.Opt.Canonical(p.Exec.Machine())

@@ -15,15 +15,23 @@ var benchMatrices = []struct {
 	scale float64
 }{{"lap3d", 1}, {"lap2d", 0.25}, {"pattern1", 1}}
 
-// BenchmarkFingerprint times the structural hash alone: the symmetry
-// kind is resolved before the timer starts.
+// BenchmarkFingerprint times the structural hash alone, the current
+// four-lane form (v2) and the FNV-1a chain kept for migrating stored
+// plans (v1): the symmetry kind is resolved before the timer starts.
 func BenchmarkFingerprint(b *testing.B) {
-	for _, bm := range benchMatrices {
-		b.Run(bm.name, func(b *testing.B) {
-			m := suite.ByName(bm.name, bm.scale)
-			m.SymmetryKind()
-			for b.Loop() {
-				matrix.Fingerprint(m)
+	for _, leg := range []struct {
+		name string
+		fp   func(*matrix.CSR) string
+	}{{"v1", matrix.LegacyFingerprint}, {"v2", matrix.Fingerprint}} {
+		b.Run(leg.name, func(b *testing.B) {
+			for _, bm := range benchMatrices {
+				b.Run(bm.name, func(b *testing.B) {
+					m := suite.ByName(bm.name, bm.scale)
+					m.SymmetryKind()
+					for b.Loop() {
+						leg.fp(m)
+					}
+				})
 			}
 		})
 	}

@@ -5,6 +5,7 @@ package matrix
 // unsorted) exactly as the transpose-based reference does.
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -66,6 +67,40 @@ func FuzzDetectSymmetry(f *testing.F) {
 		if got, want := DetectSymmetry(m), detectSymmetryReference(m); got != want {
 			t.Fatalf("DetectSymmetry = %v, reference %v on %dx%d rowptr %v cols %v vals %v",
 				got, want, m.NRows, m.NCols, m.RowPtr, m.ColInd, m.Val)
+		}
+	})
+}
+
+// FuzzFingerprint checks the unrolled four-lane hash against
+// fingerprintV2Reference on arbitrary arrays: data[0] picks the
+// symmetry kind and data[1] the row-pointer count; the next 8 bytes
+// per row pointer and then 4 bytes per column index are read as
+// little-endian words, so values of every width and sign occur. The
+// hash never validates the CSR, so neither does the fuzzer.
+func FuzzFingerprint(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(make([]byte, 200))
+	f.Add([]byte{2, 9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := &CSR{Sym: SymGeneral}
+		if len(data) >= 2 {
+			m.Sym = Symmetry(1 + int(data[0])%3)
+			nr := int(data[1]) % 40
+			data = data[2:]
+			m.RowPtr = make([]int64, nr)
+			for i := range m.RowPtr {
+				var w [8]byte
+				data = data[copy(w[:], data):]
+				m.RowPtr[i] = int64(binary.LittleEndian.Uint64(w[:]))
+			}
+			for ; len(data) >= 4; data = data[4:] {
+				m.ColInd = append(m.ColInd, int32(binary.LittleEndian.Uint32(data)))
+			}
+			m.NRows, m.NCols = max(nr-1, 0), len(m.ColInd)
+		}
+		if got, want := fingerprintV2(m), fingerprintV2Reference(m); got != want {
+			t.Fatalf("rowptr %v colind %v: lanes %#x, reference %#x", m.RowPtr, m.ColInd, got, want)
 		}
 	})
 }

@@ -15,24 +15,41 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
-// allocOptims is every distinct prepared execution path: the plain and
-// vectorized row kernels, prefetch, unroll, each converted format
-// (DeltaCSR through its dispatched vector decoder, SELL-C-σ), a Split
-// plan (the gather body under the auto schedule), and the
-// cursor-driven dynamic and guided schedules.
+// allocOptims is every distinct prepared execution path, one row per
+// (binding, schedule) pair: the plain and vectorized row kernels, each
+// converted format (DeltaCSR through its dispatched vector decoder,
+// SELL-C-σ), a Split plan (the gather body under the auto schedule),
+// and the cursor-driven dynamic and guided schedules. Knobs the host
+// folds into one of these (prefetch, unroll) add no path;
+// TestAllocOptimsDistinct keeps them out.
 func allocOptims() map[string]ex.Optim {
 	return map[string]ex.Optim{
 		"baseline":       {},
 		"vec8":           {Vectorize: true},
-		"prefetch":       {Prefetch: true},
-		"unroll":         {Unroll: true},
-		"vec8+prefetch":  {Vectorize: true, Prefetch: true},
 		"compress":       {Compress: true},
 		"split":          {Split: true},
 		"sellcs":         {SellCS: true, Vectorize: true},
 		"sellcs-dynamic": {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
 		"dynamic":        {Schedule: sched.Dynamic},
 		"guided":         {Schedule: sched.Guided},
+	}
+}
+
+// TestAllocOptimsDistinct fails when two allocOptims rows bind the
+// same kernel under the same schedule: such a row times a path
+// another row already covers.
+func TestAllocOptimsDistinct(t *testing.T) {
+	e := New()
+	defer e.Close()
+	m := gen.FewDenseRows(6000, 5, 2, 2000, 31)
+	seen := map[string]string{}
+	for name, o := range allocOptims() {
+		p := e.Prepare(m, o).(*Prepared)
+		path := p.Kernel() + "@" + p.Opt().Schedule.String()
+		if prev, ok := seen[path]; ok {
+			t.Errorf("rows %s and %s both bind %s", prev, name, path)
+		}
+		seen[path] = name
 	}
 }
 

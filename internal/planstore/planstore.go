@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"github.com/sparsekit/spmvtuner/internal/plan"
@@ -54,6 +55,10 @@ type Store struct {
 	// never leave an older plan on disk with the marker gone.
 	dirty  map[Key]plan.Plan // guarded by mu
 	closed bool              // guarded by mu
+	// shapes counts the entry files in dir per shape name (shapeName):
+	// indexed once at Open, then kept by the writes and removals of
+	// this store (under wmu, then mu).
+	shapes map[string]int // guarded by mu
 
 	// wmu serializes disk writes: renames from concurrent Puts of the
 	// same key must not land out of order. Held outside mu.
@@ -77,12 +82,14 @@ func New(capacity int) *Store {
 		entries:  make(map[Key]*list.Element),
 		lru:      list.New(),
 		dirty:    make(map[Key]plan.Plan),
+		shapes:   make(map[string]int),
 	}
 }
 
 // Open returns a store persisted under dir (created if missing), with
 // a memory LRU front of the given capacity (<= 0: DefaultCapacity).
-// Evicting from the memory front never deletes the on-disk entry.
+// Evicting from the memory front never deletes the on-disk entry. Open
+// lists dir once to index its entry files by shape (HasShape).
 func Open(dir string, capacity int) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("planstore: empty directory")
@@ -90,9 +97,59 @@ func Open(dir string, capacity int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("planstore: %w", err)
 	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("planstore: %w", err)
+	}
 	s := New(capacity)
 	s.dir = dir
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range ents {
+		if name := e.Name(); e.Type().IsRegular() && strings.HasSuffix(name, ".json") && !strings.HasPrefix(name, ".") {
+			s.shapes[shapeName(name)]++
+		}
+	}
 	return s, nil
+}
+
+// shapeName cuts the hash, the last '-'-separated field of the
+// fingerprint, out of an entry file name:
+// "v1-30000x30000-229980-gen-98d6d2f4f0599b84.host.v1.json" becomes
+// "v1-30000x30000-229980-gen-.host.v1.json".
+func shapeName(name string) string {
+	fp, rest, _ := strings.Cut(name, ".")
+	return fp[:strings.LastIndexByte(fp, '-')+1] + "." + rest
+}
+
+// HasShape reports whether the directory holds an entry file for the
+// machine and version whose fingerprint starts with shape and ends in
+// one more '-'-separated field, the hash. It answers from an index
+// built at Open, so files that another process adds afterwards are
+// not seen. Callers use it to look a plan up under an older
+// fingerprint form only when one of the right shape is on disk, so
+// the older hash is never computed for nothing. A memory-only store
+// holds no files.
+func (s *Store) HasShape(shape, machine string, version int) bool {
+	if s.dir == "" {
+		return false
+	}
+	name := shapeName(entryName(Key{Fingerprint: shape, Machine: machine, Version: version}))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shapes[name] > 0
+}
+
+// removeFile deletes the key's entry file and drops it from the shape
+// index. Callers hold wmu.
+func (s *Store) removeFile(k Key) {
+	if os.Remove(s.filename(k)) == nil {
+		s.mu.Lock()
+		if n := shapeName(entryName(k)); s.shapes[n] > 0 {
+			s.shapes[n]--
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Dir returns the backing directory, or "" for a memory-only store.
@@ -110,8 +167,12 @@ func (s *Store) Len() int {
 // alphanumeric with - and x), but sanitize defensively anyway so a
 // hostile codename cannot escape the store directory.
 func (s *Store) filename(k Key) string {
-	return filepath.Join(s.dir,
-		fmt.Sprintf("%s.%s.v%d.json", sanitize(k.Fingerprint), sanitize(k.Machine), k.Version))
+	return filepath.Join(s.dir, entryName(k))
+}
+
+// entryName is the key's entry file name within the store directory.
+func entryName(k Key) string {
+	return fmt.Sprintf("%s.%s.v%d.json", sanitize(k.Fingerprint), sanitize(k.Machine), k.Version)
 }
 
 // sanitize keeps [A-Za-z0-9._-] and maps everything else to '_'.
@@ -165,7 +226,7 @@ func (s *Store) Get(k Key) (plan.Plan, bool) {
 		_, resurfaced := s.entries[k]
 		s.mu.Unlock()
 		if !resurfaced {
-			os.Remove(path)
+			s.removeFile(k)
 		}
 		s.wmu.Unlock()
 		return plan.Plan{}, false
@@ -247,6 +308,7 @@ func (s *Store) writeBack(k Key) error {
 	if werr == nil {
 		werr = cerr
 	}
+	_, statErr := os.Lstat(path)
 	if werr == nil {
 		werr = os.Rename(tmp.Name(), path)
 	}
@@ -255,6 +317,9 @@ func (s *Store) writeBack(k Key) error {
 		return fmt.Errorf("planstore: %w", werr)
 	}
 	s.mu.Lock()
+	if statErr != nil {
+		s.shapes[shapeName(entryName(k))]++
+	}
 	if cur, ok := s.dirty[k]; ok && cur == pl {
 		delete(s.dirty, k)
 	}
@@ -280,7 +345,7 @@ func (s *Store) Delete(k Key) {
 	s.mu.Unlock()
 	if dir != "" {
 		s.wmu.Lock()
-		os.Remove(s.filename(k))
+		s.removeFile(k)
 		s.wmu.Unlock()
 	}
 }

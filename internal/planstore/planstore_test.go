@@ -260,12 +260,27 @@ func TestStoreConcurrency(t *testing.T) {
 					t.Errorf("cross-key read: want %s got %s", fp, pl.Fingerprint)
 					return
 				}
+				s.HasShape("fp-", "host", plan.CurrentVersion)
 			}
 		}(g)
 	}
 	wg.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The shape index still counts exactly the files left on disk.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".json") {
+			files++
+		}
+	}
+	if got := s.shapes[shapeName(entryName(key("fp-", "host")))]; got != files {
+		t.Fatalf("shape index counts %d entry files, the directory holds %d", got, files)
 	}
 }
 
@@ -275,5 +290,67 @@ func TestSanitize(t *testing.T) {
 	}
 	if got := sanitize("../../etc/passwd"); strings.ContainsAny(got, "/") {
 		t.Fatalf("path separator survived: %s", got)
+	}
+}
+
+// TestHasShapeTracksEntryFiles: the shape index holds the entry files
+// found at Open and follows this store's own writes and removals,
+// including a corrupt entry Get deletes. Temp files, other machines
+// and other versions do not count, and a memory-only store has none.
+func TestHasShapeTracksEntryFiles(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{
+		"v1-4x4-9-gen-0123456789abcdef.host.v1.json",
+		"v1-4x4-9-gen-fedcba9876543210.host.v1.json",
+		"v1-8x8-20-sym-0123456789abcdef.bdw.v1.json",
+		".plan-123.tmp",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"version": 1, "form`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	has := func(shape, mach string) bool { return s.HasShape(shape, mach, plan.CurrentVersion) }
+	if !has("v1-4x4-9-gen-", "host") || !has("v1-8x8-20-sym-", "bdw") {
+		t.Fatal("entry files present at Open not indexed")
+	}
+	if has("v1-4x4-9-gen-", "bdw") || has("v1-8x8-20-sym-", "host") || s.HasShape("v1-4x4-9-gen-", "host", 9) {
+		t.Fatal("a shape matched another machine or version")
+	}
+
+	// Two files share the first shape: it stays until both are gone.
+	s.Delete(key("v1-4x4-9-gen-0123456789abcdef", "host"))
+	if !has("v1-4x4-9-gen-", "host") {
+		t.Fatal("shape dropped while a file of it remains")
+	}
+	if _, ok := s.Get(key("v1-4x4-9-gen-fedcba9876543210", "host")); ok {
+		t.Fatal("corrupt entry served")
+	}
+	if has("v1-4x4-9-gen-", "host") {
+		t.Fatal("shape kept after its last file was removed")
+	}
+
+	// Writes add shapes; deleting a key twice removes it once.
+	k := key("v2-4x4-9-gen-0123456789abcdef", "host")
+	if err := s.Put(k, testPlan(k.Fingerprint, "host")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k, testPlan(k.Fingerprint, "host")); err != nil {
+		t.Fatal(err)
+	}
+	if !has("v2-4x4-9-gen-", "host") {
+		t.Fatal("a written entry is not indexed")
+	}
+	s.Delete(k)
+	s.Delete(k)
+	if has("v2-4x4-9-gen-", "host") {
+		t.Fatal("a deleted entry is still indexed")
+	}
+
+	if New(4).HasShape("v1-4x4-9-gen-", "host", plan.CurrentVersion) {
+		t.Fatal("a memory-only store reported a file")
 	}
 }

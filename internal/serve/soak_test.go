@@ -229,6 +229,13 @@ func TestServerEvictionUnderLoadReprepFromPlan(t *testing.T) {
 	if r0 == 0 {
 		t.Fatal("cold tunes performed no measurements — counter shim is not wired")
 	}
+	// Phase 1 leaves m3 resident, and its goroutine below can finish
+	// before another preparation evicts it. Re-warming m0 from its
+	// stored plan evicts m3 first, so every matrix re-prepares at least
+	// once whatever the goroutines' order.
+	if err := srv.Warm("m0"); err != nil {
+		t.Fatal(err)
+	}
 
 	// Phase 2: the eviction storm. Every request on a non-resident
 	// matrix re-prepares; the counter must stay at r0 throughout.
