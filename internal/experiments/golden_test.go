@@ -26,22 +26,28 @@ func rendered[R interface{ Table() *report.Table }](r R, err error) (string, err
 }
 
 // TestGoldenModeledOutputs diffs the modeled reproduction's Fig 1,
-// Fig 3, Table IV and Table V against the outputs checked in under
+// Fig 3, Table IV, Table V and the three Fig 7 panels against the
+// outputs checked in under
 // testdata/golden, so a change to the cost model, the bounds, the
 // classifiers or the optimizers shows up as a reviewed diff of those
 // files. Rewrite them with
 //
 //	go test ./internal/experiments -run TestGoldenModeledOutputs -update
 func TestGoldenModeledOutputs(t *testing.T) {
-	for _, tc := range []struct {
+	type goldenCase struct {
 		name string
 		run  func() (string, error)
-	}{
+	}
+	cases := []goldenCase{
 		{"fig1", func() (string, error) { return rendered(Fig1(golden)) }},
 		{"fig3", func() (string, error) { return rendered(Fig3(golden)) }},
 		{"table4", func() (string, error) { return rendered(Table4(golden), nil) }},
 		{"table5", func() (string, error) { return rendered(Table5(golden)) }},
-	} {
+	}
+	for _, code := range []string{"knc", "knl", "bdw"} {
+		cases = append(cases, goldenCase{"fig7-" + code, func() (string, error) { return rendered(Fig7(code, golden)) }})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := tc.run()
 			if err != nil {
