@@ -273,8 +273,8 @@ func TestSymmetryGuideSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := spmvtuner.NewTuner(spmvtuner.OnPlatform("bdw")).Analyze(wide)
-	if a.Optimizations == "" {
-		t.Fatal("empty modeled analysis")
+	if a.Optimizations != "vec+sym@static-nnz" {
+		t.Fatalf("modeled analysis = %q, want the guide's vec+sym@static-nnz", a.Optimizations)
 	}
 
 	// Direct conversion path (internal packages, as the guide notes):
@@ -477,7 +477,7 @@ func TestSIMDGuideSamples(t *testing.T) {
 			t.Fatalf("delta oracle contract broken at row %d: %g vs %g", i, got[i], want[i])
 		}
 	}
-	if s := (ex.Optim{Compress: true}).Canonical(machine.Host()).String(); s != "compress+vec@static-nnz" {
+	if s := (ex.Optim{Format: ex.FormatDelta}).Canonical(machine.Host()).String(); s != "compress+vec@static-nnz" {
 		t.Fatalf("host Delta plan reads %q", s)
 	}
 

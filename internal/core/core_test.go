@@ -53,7 +53,7 @@ func TestFeatureGuidedModeUsesTree(t *testing.T) {
 	a := p.Analyze(m)
 	// The constant tree always says IMB; the skewed matrix then gets
 	// the decomposition.
-	if !a.Classes.Has(classify.IMB) || !a.Plan.Opt.Split {
+	if !a.Classes.Has(classify.IMB) || a.Plan.Opt.Format != ex.FormatSplit {
 		t.Fatalf("feature-guided path broken: %v / %v", a.Classes, a.Plan.Opt)
 	}
 }
@@ -152,7 +152,7 @@ func TestPrepareDropsStaleStoreEntry(t *testing.T) {
 		Version:     plan.CurrentVersion,
 		Fingerprint: key.Fingerprint,
 		Machine:     key.Machine,
-		Opt:         ex.Optim{Symmetric: true},
+		Opt:         ex.Optim{Format: ex.FormatSSS},
 		Library:     plan.Library,
 	}
 	if err := p.Store.Put(key, bad); err != nil {
@@ -163,12 +163,12 @@ func TestPrepareDropsStaleStoreEntry(t *testing.T) {
 	if warm {
 		t.Fatal("stale symmetric plan served for a general matrix")
 	}
-	if pl.Opt.Symmetric {
+	if pl.Opt.Format == ex.FormatSSS {
 		t.Fatalf("retune kept the stale knob set: %+v", pl)
 	}
 	// The stale entry must be gone: the retuned plan now occupies the
 	// slot.
-	if got, ok := p.Store.Get(key); !ok || got.Opt.Symmetric {
+	if got, ok := p.Store.Get(key); !ok || got.Opt.Format == ex.FormatSSS {
 		t.Fatalf("store not healed: ok=%v got=%+v", ok, got)
 	}
 }

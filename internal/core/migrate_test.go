@@ -147,11 +147,11 @@ func TestPrepareMigratesLegacyPlan(t *testing.T) {
 	// general matrix) is deleted without being refiled: PriceOn, which
 	// writes nothing itself, leaves an empty store, and Prepare tunes
 	// cold.
-	stale := ex.Optim{Symmetric: true}
+	stale := ex.Optim{Format: ex.FormatSSS}
 	p := New(sim.New(machine.KNL()))
 	dir := legacyPlan(t, p, m, stale)
 	p.Store = openStore(t, dir, nil)
-	if pl, _ := p.PriceOn(sim.New(machine.KNL()), m); pl.Opt.Symmetric {
+	if pl, _ := p.PriceOn(sim.New(machine.KNL()), m); pl.Opt.Format == ex.FormatSSS {
 		t.Fatalf("PriceOn priced the stale version-1 plan %v", pl.Opt)
 	}
 	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
@@ -160,7 +160,7 @@ func TestPrepareMigratesLegacyPlan(t *testing.T) {
 	dir = legacyPlan(t, p, m, stale)
 	p.Store = openStore(t, dir, nil)
 	pl, _, warm := p.Prepare(m)
-	if warm || pl.Opt.Symmetric {
+	if warm || pl.Opt.Format == ex.FormatSSS {
 		t.Fatalf("stale version-1 plan served: warm=%v %v", warm, pl.Opt)
 	}
 	if _, err := os.Stat(filepath.Join(dir, matrix.LegacyFingerprint(m)+".knl.v1.json")); !os.IsNotExist(err) {

@@ -31,40 +31,16 @@ type Optim struct {
 	// optimization's scalar half). Priced on the paper's platforms;
 	// folded into Vectorize on the host, like Prefetch.
 	Unroll bool
-	// Compress stores the matrix in DeltaCSR (the MB-class
-	// optimization: compression + vectorization). On the host every
-	// Delta plan runs the dispatched vector decoder, so Canonical sets
-	// Vectorize with it.
-	Compress bool
-	// Split decomposes long rows per Fig 5 (the IMB-class
-	// optimization for uneven row lengths). The simulator prices it
-	// for the paper's platforms; the host has no decomposed kernel,
-	// so Canonical resolves it to the gather body under the auto
-	// schedule.
-	Split bool
-	// SellCS stores the matrix in the SELL-C-σ sliced-ELLPACK format
-	// (rows sorted by length in σ-windows, chunks of C rows padded to
-	// the chunk width, column-major storage) and runs the chunked
-	// kernel — the wide-SIMD remedy for imbalanced short-row irregular
-	// matrices. See EffectiveFormat for the precedence when combined
-	// with the other format knobs.
-	SellCS bool
-	// Symmetric stores the matrix in SSS form (strictly lower
-	// triangle + diagonal) and runs the symmetric kernel — the
-	// strongest MB-class remedy, halving the dominant matrix stream at
-	// the price of folding each thread's conflict window (the mirrored
-	// contributions below its rows) into y after the barrier. Valid
-	// only for matrices whose
-	// Sym kind is symmetric; the optimizers gate on it.
-	Symmetric bool
+	// Format selects the storage format the configuration runs and
+	// its kernel family; the zero value is plain CSR.
+	Format Format
 	// Schedule selects the row-scheduling policy; the zero value is
 	// the paper's default static nnz-balanced partitioning.
 	Schedule sched.Policy
 	// Precision selects the stored value precision (the MB-class
 	// bandwidth lever that halves the value stream). The zero value is
 	// full float64. Reduced precision applies to the value payload of
-	// the effective format; see EffectivePrecision for the formats
-	// that honor it.
+	// the format; see EffectivePrecision for the formats that honor it.
 	Precision Precision
 }
 
@@ -108,59 +84,81 @@ func ParsePrecision(s string) (Precision, bool) {
 	return PrecF64, false
 }
 
-// Format identifies the storage format a configuration executes.
+// Format identifies the storage format a configuration executes. The
+// constants are ordered by strength: composing two format choices keeps
+// the later constant (max), so SSS beats everything (halving the
+// element stream outcompresses any re-encoding of it, and the SSS
+// reduction spreads the mirrored work evenly), Split beats SELL-C-σ (a
+// dominating long row would explode a chunk's padding), and SELL-C-σ
+// beats Delta (the SELL layout replaces the index stream).
 type Format int
 
 const (
 	// FormatCSR is the canonical row-wise layout (and what the bound
 	// probes read).
 	FormatCSR Format = iota
-	// FormatDelta is DeltaCSR: delta-compressed column indices.
+	// FormatDelta is DeltaCSR: delta-compressed column indices (the
+	// MB-class optimization: compression + vectorization). On the host
+	// every Delta plan runs the dispatched vector decoder, so
+	// Canonical sets Vectorize with it.
 	FormatDelta
-	// FormatSplit is the Fig 5 long-row decomposition, priced by the
-	// simulator on the paper's platforms only.
-	FormatSplit
-	// FormatSellCS is SELL-C-σ: sorted, column-padded row chunks.
+	// FormatSellCS is SELL-C-σ: rows sorted by length in σ-windows,
+	// chunks of C rows padded to the chunk width, column-major storage,
+	// run by the chunked kernel — the wide-SIMD remedy for imbalanced
+	// short-row irregular matrices.
 	FormatSellCS
-	// FormatSSS is symmetric storage: lower triangle CSR + diagonal.
+	// FormatSplit is the Fig 5 long-row decomposition (the IMB-class
+	// optimization for uneven row lengths), priced by the simulator on
+	// the paper's platforms only: the host has no decomposed kernel,
+	// so Canonical resolves it to the gather body under the auto
+	// schedule.
+	FormatSplit
+	// FormatSSS is symmetric storage: strictly lower triangle CSR +
+	// diagonal, run by the symmetric kernel — the strongest MB-class
+	// remedy, halving the dominant matrix stream at the price of
+	// folding each thread's conflict window (the mirrored
+	// contributions below its rows) into y after the barrier. Valid
+	// only for matrices whose Sym kind is symmetric; the optimizers
+	// gate on it.
 	FormatSSS
 )
 
-// EffectiveFormat resolves the storage format one configuration
-// actually executes — the single source of the format precedence the
-// native engine, the analytic cost model, and conversion pricing all
-// share: Symmetric wins over everything (halving the element stream
-// outcompresses any re-encoding of it, and the SSS reduction spreads
-// the mirrored work evenly), Split wins over SellCS (a dominating long
-// row would explode a chunk's padding), and SellCS wins over Compress
-// (the SELL layout replaces the index stream). Superseded format knobs
-// are inert: never converted, never priced.
-func (o Optim) EffectiveFormat() Format {
-	switch {
-	case o.Symmetric:
-		return FormatSSS
-	case o.Split:
-		return FormatSplit
-	case o.SellCS:
-		return FormatSellCS
-	case o.Compress:
-		return FormatDelta
+// formatFacts holds what the packages share about each format.
+var formatFacts = [...]struct {
+	// wire names the format in plan files.
+	wire string
+	// tag names the format in Optim.String; lead puts it before the
+	// kernel knobs' tags rather than after them.
+	tag  string
+	lead bool
+	// f32 reports whether a float32 value payload exists: the formats
+	// with contiguous value arrays. Delta and Split keep f64 values.
+	f32 bool
+}{
+	FormatCSR:    {wire: "csr", f32: true},
+	FormatDelta:  {wire: "delta-csr", tag: "compress", lead: true},
+	FormatSellCS: {wire: "sell-c-sigma", tag: "sellcs", f32: true},
+	FormatSplit:  {wire: "split-csr", tag: "split"},
+	FormatSSS:    {wire: "sss", tag: "sym", f32: true},
+}
+
+// Valid reports whether f names a format.
+func (f Format) Valid() bool { return f >= FormatCSR && int(f) < len(formatFacts) }
+
+// String renders the format's plan wire name, e.g. "sell-c-sigma".
+func (f Format) String() string {
+	if !f.Valid() {
+		return fmt.Sprintf("format(%d)", int(f))
 	}
-	return FormatCSR
+	return formatFacts[f].wire
 }
 
 // EffectivePrecision resolves the value precision a configuration
-// actually stores — the precision analogue of EffectiveFormat. The
-// Delta and Split forms keep f64 values (no precision converter
-// reaches them), so reduced precision is honored exactly on the
-// formats with contiguous value payloads: CSR, SELL-C-σ and SSS.
-// Everywhere else the knob is inert — never converted, never priced.
+// actually stores: reduced precision is honored exactly on the formats
+// with contiguous value payloads (CSR, SELL-C-σ and SSS); on Delta and
+// Split the knob is inert — never converted, never priced.
 func (o Optim) EffectivePrecision() Precision {
-	if o.Precision == PrecF64 {
-		return PrecF64
-	}
-	switch o.EffectiveFormat() {
-	case FormatCSR, FormatSellCS, FormatSSS:
+	if o.Format.Valid() && formatFacts[o.Format].f32 {
 		return o.Precision
 	}
 	return PrecF64
@@ -175,18 +173,16 @@ const hostCodename = "host"
 // when the native engine binds them to the same kernel and partition
 // for every matrix. On the host, Prefetch and Unroll fold into
 // Vectorize (one dispatched gather body serves all three); every Delta
-// configuration becomes Compress+Vectorize (one dispatched vector
-// decoder serves every delta knob set: the paper's MB pairing of
-// compression with vectorization); every SELL-C-σ configuration
-// becomes SellCS+Vectorize (the host converts at the vector-width
-// chunk height, which the C=8 chunk body serves); every Split
-// configuration becomes the CSR gather body, and a static schedule
-// becomes Auto, the pool's other IMB remedy (the host has no
-// decomposed kernel: the gather body under Auto beat it on every
-// suite matrix with long rows); knobs the effective format's body
-// ignores are cleared — Vectorize, Prefetch and Unroll under SSS, and
-// every format knob EffectiveFormat supersedes; Precision becomes
-// EffectivePrecision. Delta and SSS run a static row partition under
+// configuration sets Vectorize (one dispatched vector decoder serves
+// every delta knob set: the paper's MB pairing of compression with
+// vectorization); so does every SELL-C-σ configuration (the host
+// converts at the vector-width chunk height, which the C=8 chunk body
+// serves); every Split configuration becomes the CSR gather body, and
+// a static schedule becomes Auto, the pool's other IMB remedy (the
+// host has no decomposed kernel: the gather body under Auto beat it on
+// every suite matrix with long rows); knobs the format's body ignores
+// are cleared — Vectorize, Prefetch and Unroll under SSS; Precision
+// becomes EffectivePrecision. Delta and SSS run a static row partition under
 // every schedule, so theirs resolves to static-rows or static-nnz;
 // SELL-C-σ splits chunks by padded elements under either static
 // schedule, so its static-rows becomes static-nnz. Every configuration
@@ -196,23 +192,18 @@ func (o Optim) Canonical(mdl machine.Model) Optim {
 	if mdl.Codename != hostCodename {
 		return o
 	}
-	f := o.EffectiveFormat()
-	c := Optim{Schedule: o.Schedule, Precision: o.EffectivePrecision()}
-	vec := o.Vectorize || o.Prefetch || o.Unroll
+	f := o.Format
+	c := Optim{Format: f, Schedule: o.Schedule, Precision: o.EffectivePrecision()}
 	switch f {
 	case FormatCSR:
-		c.Vectorize = vec
+		c.Vectorize = o.Vectorize || o.Prefetch || o.Unroll
 	case FormatSplit:
-		c.Vectorize = true
+		c.Format, c.Vectorize = FormatCSR, true
 		if c.Schedule == sched.StaticNNZ || c.Schedule == sched.StaticRows {
 			c.Schedule = sched.Auto
 		}
-	case FormatSellCS:
-		c.SellCS, c.Vectorize = true, true
-	case FormatDelta:
-		c.Compress, c.Vectorize = true, true
-	case FormatSSS:
-		c.Symmetric = true
+	case FormatSellCS, FormatDelta:
+		c.Vectorize = true
 	}
 	static := f == FormatDelta || f == FormatSSS
 	if (static && c.Schedule != sched.StaticRows) ||
@@ -227,7 +218,7 @@ func (o Optim) Canonical(mdl machine.Model) Optim {
 func (o Optim) String() string {
 	s := ""
 	add := func(tag string, on bool) {
-		if !on {
+		if !on || tag == "" {
 			return
 		}
 		if s != "" {
@@ -235,13 +226,15 @@ func (o Optim) String() string {
 		}
 		s += tag
 	}
-	add("compress", o.Compress)
+	f := formatFacts[FormatCSR]
+	if o.Format.Valid() {
+		f = formatFacts[o.Format]
+	}
+	add(f.tag, f.lead)
 	add("vec", o.Vectorize)
 	add("prefetch", o.Prefetch)
 	add("unroll", o.Unroll)
-	add("split", o.Split)
-	add("sellcs", o.SellCS)
-	add("sym", o.Symmetric)
+	add(f.tag, !f.lead)
 	add(o.Precision.String(), o.Precision != PrecF64)
 	if s == "" {
 		s = "none"

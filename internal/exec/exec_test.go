@@ -9,20 +9,60 @@ import (
 	"github.com/sparsekit/spmvtuner/internal/sched"
 )
 
+// TestOptimString pins the string of every format under each kernel
+// knob: the Delta tag leads the kernel knobs, every other format's tag
+// follows them.
 func TestOptimString(t *testing.T) {
+	all := Optim{Vectorize: true, Prefetch: true, Unroll: true}
+	with := func(o Optim, f Format) Optim { o.Format = f; return o }
 	cases := []struct {
 		o    Optim
 		want string
 	}{
 		{Optim{}, "none@static-nnz"},
-		{Optim{Vectorize: true, Compress: true}, "compress+vec@static-nnz"},
 		{Optim{Prefetch: true, Schedule: sched.Auto}, "prefetch@auto"},
-		{Optim{Split: true, Unroll: true}, "unroll+split@static-nnz"},
+		{all, "vec+prefetch+unroll@static-nnz"},
+		{Optim{Precision: PrecF32}, "f32@static-nnz"},
+		{Optim{Format: FormatDelta}, "compress@static-nnz"},
+		{Optim{Vectorize: true, Format: FormatDelta}, "compress+vec@static-nnz"},
+		{with(all, FormatDelta), "compress+vec+prefetch+unroll@static-nnz"},
+		{Optim{Format: FormatSellCS}, "sellcs@static-nnz"},
+		{Optim{Vectorize: true, Format: FormatSellCS, Precision: PrecF32}, "vec+sellcs+f32@static-nnz"},
+		{with(all, FormatSellCS), "vec+prefetch+unroll+sellcs@static-nnz"},
+		{Optim{Format: FormatSplit, Unroll: true}, "unroll+split@static-nnz"},
+		{with(all, FormatSplit), "vec+prefetch+unroll+split@static-nnz"},
+		{Optim{Format: FormatSSS, Schedule: sched.StaticRows}, "sym@static-rows"},
+		{Optim{Format: FormatSSS, Precision: PrecF32}, "sym+f32@static-nnz"},
+		{with(all, FormatSSS), "vec+prefetch+unroll+sym@static-nnz"},
+		// The composed SymSSS+CompressVec plan the modeled classifiers
+		// pick for a bandwidth-bound symmetric matrix runs SSS alone.
+		{Optim{Vectorize: true, Format: FormatSSS}, "vec+sym@static-nnz"},
 	}
 	for _, c := range cases {
 		if got := c.o.String(); got != c.want {
 			t.Errorf("String(%+v) = %q, want %q", c.o, got, c.want)
 		}
+	}
+}
+
+// TestFormatOrderIsPrecedence pins the constant order, which is what
+// composing two format choices (max) resolves by: CSR < Delta <
+// SELL-C-σ < Split < SSS, and nothing past SSS.
+func TestFormatOrderIsPrecedence(t *testing.T) {
+	order := []string{"csr", "delta-csr", "sell-c-sigma", "split-csr", "sss"}
+	for i, want := range order {
+		if f := Format(i); !f.Valid() || f.String() != want {
+			t.Errorf("Format(%d) = %q (valid %v), want %q", i, f, f.Valid(), want)
+		}
+	}
+	if f := Format(len(order)); f.Valid() {
+		t.Errorf("Format(%d) = %q is valid past SSS", int(f), f)
+	}
+	if f := Format(-1); f.Valid() {
+		t.Errorf("Format(-1) is valid")
+	}
+	if max(FormatDelta, FormatSellCS, FormatSplit) != FormatSplit || max(FormatSplit, FormatSSS) != FormatSSS {
+		t.Error("max does not compose formats by precedence")
 	}
 }
 
@@ -65,10 +105,10 @@ func TestOptimStringMentionsSchedule(t *testing.T) {
 	}
 }
 
-// TestOptimCanonical pins the host resolver per effective format,
-// kernel knobs and schedule, then checks its invariants over every knob
-// combination: the identity off the host, idempotent, and blind to the effective precision and to every
-// effective format but Split, which runs as CSR.
+// TestOptimCanonical pins the host resolver per format, kernel knobs
+// and schedule, then checks its invariants over every knob combination:
+// the identity off the host, idempotent, and blind to the effective
+// precision and to every format but Split, which runs as CSR.
 func TestOptimCanonical(t *testing.T) {
 	host, knc := machine.Host(), machine.KNC()
 	f32 := PrecF32
@@ -82,17 +122,17 @@ func TestOptimCanonical(t *testing.T) {
 		{"csr/unroll-static-rows", Optim{Unroll: true, Schedule: sched.StaticRows}, Optim{Vectorize: true, Schedule: sched.StaticRows}},
 		{"csr/vec+prefetch+unroll-dynamic", Optim{Vectorize: true, Prefetch: true, Unroll: true, Schedule: sched.Dynamic}, Optim{Vectorize: true, Schedule: sched.Dynamic}},
 		{"csr/prefetch-f32-guided", Optim{Prefetch: true, Precision: f32, Schedule: sched.Guided}, Optim{Vectorize: true, Precision: f32, Schedule: sched.Guided}},
-		{"split", Optim{Split: true}, Optim{Vectorize: true, Schedule: sched.Auto}},
-		{"split/unroll-dynamic", Optim{Split: true, Unroll: true, Compress: true, SellCS: true, Schedule: sched.Dynamic}, Optim{Vectorize: true, Schedule: sched.Dynamic}},
-		{"split/static-rows", Optim{Split: true, Schedule: sched.StaticRows}, Optim{Vectorize: true, Schedule: sched.Auto}},
-		{"split/f32-auto", Optim{Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Vectorize: true, Schedule: sched.Auto}},
-		{"split/prefetch-guided", Optim{Split: true, Prefetch: true, Schedule: sched.Guided}, Optim{Vectorize: true, Schedule: sched.Guided}},
-		{"sellcs/vec+prefetch+unroll-dynamic", Optim{SellCS: true, Vectorize: true, Prefetch: true, Unroll: true, Compress: true, Precision: f32, Schedule: sched.Dynamic}, Optim{SellCS: true, Vectorize: true, Precision: f32, Schedule: sched.Dynamic}},
-		{"sellcs/prefetch-static-rows", Optim{SellCS: true, Prefetch: true, Schedule: sched.StaticRows}, Optim{SellCS: true, Vectorize: true}},
-		{"sellcs/auto", Optim{SellCS: true, Schedule: sched.Auto}, Optim{SellCS: true, Vectorize: true, Schedule: sched.Auto}},
-		{"delta/vec+prefetch+unroll-guided", Optim{Compress: true, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Guided}, Optim{Compress: true, Vectorize: true}},
-		{"delta/static-rows", Optim{Compress: true, Schedule: sched.StaticRows}, Optim{Compress: true, Vectorize: true, Schedule: sched.StaticRows}},
-		{"sss/vec-auto", Optim{Symmetric: true, Vectorize: true, Compress: true, Split: true, Precision: f32, Schedule: sched.Auto}, Optim{Symmetric: true, Precision: f32}},
+		{"split", Optim{Format: FormatSplit}, Optim{Vectorize: true, Schedule: sched.Auto}},
+		{"split/unroll-dynamic", Optim{Format: FormatSplit, Unroll: true, Schedule: sched.Dynamic}, Optim{Vectorize: true, Schedule: sched.Dynamic}},
+		{"split/static-rows", Optim{Format: FormatSplit, Schedule: sched.StaticRows}, Optim{Vectorize: true, Schedule: sched.Auto}},
+		{"split/f32-auto", Optim{Format: FormatSplit, Precision: f32, Schedule: sched.Auto}, Optim{Vectorize: true, Schedule: sched.Auto}},
+		{"split/prefetch-guided", Optim{Format: FormatSplit, Prefetch: true, Schedule: sched.Guided}, Optim{Vectorize: true, Schedule: sched.Guided}},
+		{"sellcs/vec+prefetch+unroll-dynamic", Optim{Format: FormatSellCS, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Dynamic}, Optim{Format: FormatSellCS, Vectorize: true, Precision: f32, Schedule: sched.Dynamic}},
+		{"sellcs/prefetch-static-rows", Optim{Format: FormatSellCS, Prefetch: true, Schedule: sched.StaticRows}, Optim{Format: FormatSellCS, Vectorize: true}},
+		{"sellcs/auto", Optim{Format: FormatSellCS, Schedule: sched.Auto}, Optim{Format: FormatSellCS, Vectorize: true, Schedule: sched.Auto}},
+		{"delta/vec+prefetch+unroll-guided", Optim{Format: FormatDelta, Vectorize: true, Prefetch: true, Unroll: true, Precision: f32, Schedule: sched.Guided}, Optim{Format: FormatDelta, Vectorize: true}},
+		{"delta/static-rows", Optim{Format: FormatDelta, Schedule: sched.StaticRows}, Optim{Format: FormatDelta, Vectorize: true, Schedule: sched.StaticRows}},
+		{"sss/vec-auto", Optim{Format: FormatSSS, Vectorize: true, Precision: f32, Schedule: sched.Auto}, Optim{Format: FormatSSS, Precision: f32}},
 	}
 	for _, r := range rows {
 		if got := r.in.Canonical(host); got != r.onHost {
@@ -104,29 +144,31 @@ func TestOptimCanonical(t *testing.T) {
 	}
 
 	policies := []sched.Policy{sched.StaticNNZ, sched.StaticRows, sched.Dynamic, sched.Guided, sched.Auto}
-	for bits := 0; bits < 1<<7; bits++ {
-		for _, p := range policies {
-			for _, prec := range []Precision{PrecF64, PrecF32} {
-				bit := func(i int) bool { return bits>>i&1 == 1 }
-				o := Optim{
-					Vectorize: bit(0), Prefetch: bit(1), Unroll: bit(2), Compress: bit(3), Split: bit(4),
-					SellCS: bit(5), Symmetric: bit(6), Schedule: p, Precision: prec,
-				}
-				if got := o.Canonical(knc); got != o {
-					t.Fatalf("knc Canonical(%v) = %v, want the identity", o, got)
-				}
-				c := o.Canonical(host)
-				if again := c.Canonical(host); again != c {
-					t.Fatalf("Canonical not idempotent: %v -> %v -> %v", o, c, again)
-				}
-				// Split is the one format the host resolves to another:
-				// the CSR gather body.
-				want := o.EffectiveFormat()
-				if want == FormatSplit {
-					want = FormatCSR
-				}
-				if c.EffectiveFormat() != want || c.EffectivePrecision() != o.EffectivePrecision() {
-					t.Fatalf("Canonical(%v) = %v moved the effective format or precision", o, c)
+	for bits := 0; bits < 1<<3; bits++ {
+		for f := FormatCSR; f.Valid(); f++ {
+			for _, p := range policies {
+				for _, prec := range []Precision{PrecF64, PrecF32} {
+					bit := func(i int) bool { return bits>>i&1 == 1 }
+					o := Optim{
+						Vectorize: bit(0), Prefetch: bit(1), Unroll: bit(2),
+						Format: f, Schedule: p, Precision: prec,
+					}
+					if got := o.Canonical(knc); got != o {
+						t.Fatalf("knc Canonical(%v) = %v, want the identity", o, got)
+					}
+					c := o.Canonical(host)
+					if again := c.Canonical(host); again != c {
+						t.Fatalf("Canonical not idempotent: %v -> %v -> %v", o, c, again)
+					}
+					// Split is the one format the host resolves to
+					// another: the CSR gather body.
+					want := f
+					if want == FormatSplit {
+						want = FormatCSR
+					}
+					if c.Format != want || c.EffectivePrecision() != o.EffectivePrecision() {
+						t.Fatalf("Canonical(%v) = %v moved the format or the effective precision", o, c)
+					}
 				}
 			}
 		}

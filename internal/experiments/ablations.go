@@ -51,7 +51,7 @@ func AblateDelta(cfg Config) AblateDeltaResult {
 			costs := sim.DefaultCosts()
 			costs.DeltaBytesPerElem = bpe
 			e := sim.NewWithCosts(machine.KNC(), costs)
-			return base / e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Vectorize: true, Compress: true}}).Seconds
+			return base / e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Vectorize: true, Format: ex.FormatDelta}}).Seconds
 		}
 		row.Speedup8 = speedupFor(row.BPE8)
 		row.Speedup16 = speedupFor(row.BPE16)
@@ -109,7 +109,7 @@ func AblateSplit(cfg Config) AblateSplitResult {
 			// The simulator uses its own default threshold; the sweep
 			// reports how many rows each threshold would extract next
 			// to the modeled split speedup so the plateau is visible.
-			split := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Split: true}}).Seconds
+			split := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Format: ex.FormatSplit}}).Seconds
 			res.Rows = append(res.Rows, AblateSplitRow{
 				Matrix: name, Threshold: th, LongRows: longRows(m, th), Speedup: base / split,
 			})

@@ -52,7 +52,7 @@ func SellCS(cfg Config) (SellCSResult, error) {
 
 		csrK := e.Prepare(m, ex.Optim{Vectorize: true})
 		csr := stats.SecondsPerCall(1, iters, func() { csrK.MulVec(x, y) })
-		sellK := e.Prepare(m, ex.Optim{SellCS: true, Vectorize: true})
+		sellK := e.Prepare(m, ex.Optim{Format: ex.FormatSellCS, Vectorize: true})
 		sell := stats.SecondsPerCall(1, iters, func() { sellK.MulVec(x, y) })
 
 		row := SellCSRow{

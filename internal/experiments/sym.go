@@ -74,7 +74,7 @@ func Sym(cfg Config) (SymResult, error) {
 		y := make([]float64, m.NRows)
 		csrK := e.Prepare(m, ex.Optim{})
 		csr := stats.SecondsPerCall(1, iters, func() { csrK.MulVec(x, y) })
-		sssK := e.Prepare(m, ex.Optim{Symmetric: true}).(*native.Prepared)
+		sssK := e.Prepare(m, ex.Optim{Format: ex.FormatSSS}).(*native.Prepared)
 		sss := stats.SecondsPerCall(1, iters, func() { sssK.MulVec(x, y) })
 
 		var maxDiff float64
@@ -107,7 +107,7 @@ func Sym(cfg Config) (SymResult, error) {
 			row.Speedup = csr / sss
 		}
 		base := model.Run(ex.Config{Matrix: m}).Seconds
-		pred := model.Run(ex.Config{Matrix: m, Opt: ex.Optim{Symmetric: true}}).Seconds
+		pred := model.Run(ex.Config{Matrix: m, Opt: ex.Optim{Format: ex.FormatSSS}}).Seconds
 		if pred > 0 {
 			row.ModelX = base / pred
 		}

@@ -26,10 +26,10 @@ func allocOptims() map[string]ex.Optim {
 	return map[string]ex.Optim{
 		"baseline":       {},
 		"vec8":           {Vectorize: true},
-		"compress":       {Compress: true},
-		"split":          {Split: true},
-		"sellcs":         {SellCS: true, Vectorize: true},
-		"sellcs-dynamic": {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
+		"compress":       {Format: ex.FormatDelta},
+		"split":          {Format: ex.FormatSplit},
+		"sellcs":         {Format: ex.FormatSellCS, Vectorize: true},
+		"sellcs-dynamic": {Format: ex.FormatSellCS, Vectorize: true, Schedule: sched.Dynamic},
 		"dynamic":        {Schedule: sched.Dynamic},
 		"guided":         {Schedule: sched.Guided},
 	}
@@ -67,7 +67,7 @@ func TestAllocFreeSteadyStateMulVec(t *testing.T) {
 	for name, o := range allocOptims() {
 		t.Run(name, func(t *testing.T) {
 			p := e.Prepare(m, o)
-			if k := p.(*Prepared).Kernel(); o.Compress && k != kernels.DeltaVariantName() {
+			if k := p.(*Prepared).Kernel(); o.Format == ex.FormatDelta && k != kernels.DeltaVariantName() {
 				t.Fatalf("%s binds %q, want the dispatched delta decoder %q", name, k, kernels.DeltaVariantName())
 			}
 			// Warm: first calls may grow goroutine stacks or touch

@@ -56,28 +56,28 @@ func bindingTable() []bindingRow {
 		{"unroll", asymIn, ex.Optim{Unroll: true}, "csr-vec8%isa", csrBytes, true},
 		// The host has no Split body: every Split knob set binds the
 		// gather body (exec.Optim.Canonical).
-		{"split", asymIn, ex.Optim{Split: true}, "csr-vec8%isa", csrBytes, true},
-		{"split+vec", asymIn, ex.Optim{Split: true, Vectorize: true}, "csr-vec8%isa", csrBytes, true},
-		{"split+unroll-dynamic", asymIn, ex.Optim{Split: true, Unroll: true, Schedule: sched.Dynamic}, "csr-vec8%isa", csrBytes, true},
-		{"delta", asymIn, ex.Optim{Compress: true}, "%delta", 39918, false},
-		{"delta+vec+prefetch-guided", asymIn, ex.Optim{Compress: true, Vectorize: true, Prefetch: true, Schedule: sched.Guided}, "%delta", 39918, false},
+		{"split", asymIn, ex.Optim{Format: ex.FormatSplit}, "csr-vec8%isa", csrBytes, true},
+		{"split+vec", asymIn, ex.Optim{Format: ex.FormatSplit, Vectorize: true}, "csr-vec8%isa", csrBytes, true},
+		{"split+unroll-dynamic", asymIn, ex.Optim{Format: ex.FormatSplit, Unroll: true, Schedule: sched.Dynamic}, "csr-vec8%isa", csrBytes, true},
+		{"delta", asymIn, ex.Optim{Format: ex.FormatDelta}, "%delta", 39918, false},
+		{"delta+vec+prefetch-guided", asymIn, ex.Optim{Format: ex.FormatDelta, Vectorize: true, Prefetch: true, Schedule: sched.Guided}, "%delta", 39918, false},
 		// Every host SELL-C-σ knob set binds the C=8 chunk body
 		// (exec.Optim.Canonical).
-		{"sellcs", asymIn, ex.Optim{SellCS: true}, "sellcs-c8%isa", sellBytes, false},
-		{"sellcs-dynamic", asymIn, ex.Optim{SellCS: true, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, false},
-		{"sellcs+vec", asymIn, ex.Optim{SellCS: true, Vectorize: true}, "sellcs-c8%isa", sellBytes, false},
-		{"sellcs+vec-dynamic", asymIn, ex.Optim{SellCS: true, Vectorize: true, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, false},
-		{"sellcs+prefetch+unroll", asymIn, ex.Optim{SellCS: true, Prefetch: true, Unroll: true}, "sellcs-c8%isa", sellBytes, false},
-		{"sss", symIn, ex.Optim{Symmetric: true}, "sss", 43744, false},
-		{"sss+vec-dynamic", symIn, ex.Optim{Symmetric: true, Vectorize: true, Schedule: sched.Dynamic}, "sss", 43744, false},
+		{"sellcs", asymIn, ex.Optim{Format: ex.FormatSellCS}, "sellcs-c8%isa", sellBytes, false},
+		{"sellcs-dynamic", asymIn, ex.Optim{Format: ex.FormatSellCS, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, false},
+		{"sellcs+vec", asymIn, ex.Optim{Format: ex.FormatSellCS, Vectorize: true}, "sellcs-c8%isa", sellBytes, false},
+		{"sellcs+vec-dynamic", asymIn, ex.Optim{Format: ex.FormatSellCS, Vectorize: true, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, false},
+		{"sellcs+prefetch+unroll", asymIn, ex.Optim{Format: ex.FormatSellCS, Prefetch: true, Unroll: true}, "sellcs-c8%isa", sellBytes, false},
+		{"sss", symIn, ex.Optim{Format: ex.FormatSSS}, "sss", 43744, false},
+		{"sss+vec-dynamic", symIn, ex.Optim{Format: ex.FormatSSS, Vectorize: true, Schedule: sched.Dynamic}, "sss", 43744, false},
 		{"csr-f32", asymIn, ex.Optim{Precision: f32}, "prec-csr-f32", 33528, false},
 		{"csr-f32-unfit", asymUnfitIn, ex.Optim{Precision: f32}, "csr", csrBytes, true},
 		{"csr+vec-f32-guided", asymIn, ex.Optim{Vectorize: true, Precision: f32, Schedule: sched.Guided}, "prec-csr-vec8-f32", 33528, false},
-		{"sellcs-f32", asymIn, ex.Optim{SellCS: true, Precision: f32}, "prec-sellcs-f32", 48288, false},
-		{"sellcs-f32-unfit-dynamic", asymUnfitIn, ex.Optim{SellCS: true, Precision: f32, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, false},
-		{"sss-f32", symIn, ex.Optim{Symmetric: true, Precision: f32}, "prec-sss-f32", 31832, false},
-		{"sss-f32-unfit", symUnfitIn, ex.Optim{Symmetric: true, Precision: f32}, "sss", 43744, false},
-		{"delta-f32", asymIn, ex.Optim{Compress: true, Precision: f32}, "%delta", 39918, false},
+		{"sellcs-f32", asymIn, ex.Optim{Format: ex.FormatSellCS, Precision: f32}, "prec-sellcs-f32", 48288, false},
+		{"sellcs-f32-unfit-dynamic", asymUnfitIn, ex.Optim{Format: ex.FormatSellCS, Precision: f32, Schedule: sched.Dynamic}, "sellcs-c8%isa", sellBytes, false},
+		{"sss-f32", symIn, ex.Optim{Format: ex.FormatSSS, Precision: f32}, "prec-sss-f32", 31832, false},
+		{"sss-f32-unfit", symUnfitIn, ex.Optim{Format: ex.FormatSSS, Precision: f32}, "sss", 43744, false},
+		{"delta-f32", asymIn, ex.Optim{Format: ex.FormatDelta, Precision: f32}, "%delta", 39918, false},
 	}
 }
 

@@ -93,13 +93,13 @@ func TestPreparedMatchesReference(t *testing.T) {
 	}
 	opts := map[string]ex.Optim{
 		"baseline":       {},
-		"compress":       {Compress: true},
-		"split":          {Split: true},
+		"compress":       {Format: ex.FormatDelta},
+		"split":          {Format: ex.FormatSplit},
 		"vec+prefetch":   {Vectorize: true, Prefetch: true},
 		"dynamic":        {Schedule: sched.Dynamic},
 		"guided":         {Schedule: sched.Guided},
-		"sellcs":         {SellCS: true, Vectorize: true},
-		"sellcs-dynamic": {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
+		"sellcs":         {Format: ex.FormatSellCS, Vectorize: true},
+		"sellcs-dynamic": {Format: ex.FormatSellCS, Vectorize: true, Schedule: sched.Dynamic},
 	}
 	e := New()
 	defer e.Close()
@@ -134,7 +134,7 @@ func TestPreparedMemoized(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("prepared kernel not memoized")
 	}
-	if p3 := e.Prepare(m, ex.Optim{Compress: true}); p3 == p1 {
+	if p3 := e.Prepare(m, ex.Optim{Format: ex.FormatDelta}); p3 == p1 {
 		t.Fatal("distinct configurations share a kernel")
 	}
 }
@@ -150,8 +150,8 @@ func TestPreparedMemoizedCanonical(t *testing.T) {
 	if q := e.Prepare(m, ex.Optim{Vectorize: true, Prefetch: true, Unroll: true}); q != p {
 		t.Fatal("vec+prefetch+unroll did not share the vec kernel")
 	}
-	d := e.Prepare(m, ex.Optim{Compress: true})
-	if q := e.Prepare(m, ex.Optim{Compress: true, Vectorize: true, Schedule: sched.Dynamic}); q != d {
+	d := e.Prepare(m, ex.Optim{Format: ex.FormatDelta})
+	if q := e.Prepare(m, ex.Optim{Format: ex.FormatDelta, Vectorize: true, Schedule: sched.Dynamic}); q != d {
 		t.Fatal("compress+vec@dynamic did not share the compress kernel")
 	}
 }
@@ -164,7 +164,7 @@ func TestPreparedConcurrentMulVec(t *testing.T) {
 	e := New()
 	defer e.Close()
 	m := gen.FewDenseRows(4000, 5, 3, 2000, 21)
-	for _, o := range []ex.Optim{{}, {Split: true}, {Compress: true}, {Schedule: sched.Dynamic}, {SellCS: true, Vectorize: true}} {
+	for _, o := range []ex.Optim{{}, {Format: ex.FormatSplit}, {Format: ex.FormatDelta}, {Schedule: sched.Dynamic}, {Format: ex.FormatSellCS, Vectorize: true}} {
 		p := e.Prepare(m, o)
 		rng := rand.New(rand.NewSource(3))
 		x := make([]float64, m.NCols)
@@ -203,11 +203,11 @@ func batchBindings() map[string]ex.Optim {
 		"csr-dynamic":  {Schedule: sched.Dynamic},
 		"csr-f32":      {Precision: f32},
 		"csr-vec8-f32": {Vectorize: true, Precision: f32},
-		"delta":        {Compress: true},
-		"sellcs-c8":    {SellCS: true, Vectorize: true},
-		"sellcs-f32":   {SellCS: true, Precision: f32},
-		"sss":          {Symmetric: true},
-		"sss-f32":      {Symmetric: true, Precision: f32},
+		"delta":        {Format: ex.FormatDelta},
+		"sellcs-c8":    {Format: ex.FormatSellCS, Vectorize: true},
+		"sellcs-f32":   {Format: ex.FormatSellCS, Precision: f32},
+		"sss":          {Format: ex.FormatSSS},
+		"sss-f32":      {Format: ex.FormatSSS, Precision: f32},
 	}
 }
 
@@ -258,7 +258,7 @@ func TestPreparedMulVecBatch(t *testing.T) {
 	mats := []*matrix.CSR{symMatrix(1500, 61), gen.FewDenseRows(2000, 5, 2, 900, 5)}
 	for name, o := range batchBindings() {
 		for _, m := range mats {
-			if o.Symmetric && m.Sym != matrix.SymSymmetric {
+			if o.Format == ex.FormatSSS && m.Sym != matrix.SymSymmetric {
 				continue
 			}
 			t.Run(name+"/"+m.Name, func(t *testing.T) { checkBatch(t, e, m, name, o) })
@@ -324,9 +324,9 @@ func TestPreparedMulMat(t *testing.T) {
 	m := gen.FewDenseRows(1500, 5, 2, 700, 6)
 	opts := map[string]ex.Optim{
 		"vec":      {Vectorize: true},
-		"compress": {Compress: true},
-		"split":    {Split: true},
-		"sellcs":   {SellCS: true, Vectorize: true},
+		"compress": {Format: ex.FormatDelta},
+		"split":    {Format: ex.FormatSplit},
+		"sellcs":   {Format: ex.FormatSellCS, Vectorize: true},
 		"guided":   {Schedule: sched.Guided},
 	}
 	for on, o := range opts {
@@ -405,26 +405,19 @@ func TestPreparedIntrospection(t *testing.T) {
 		t.Fatalf("kernel = %q", p.Kernel())
 	}
 	// A Split plan runs the same gather body under the auto schedule.
-	if s := e.Prepare(m, ex.Optim{Split: true, Prefetch: true}).(*Prepared); s.Kernel() != p.Kernel() ||
+	if s := e.Prepare(m, ex.Optim{Format: ex.FormatSplit, Prefetch: true}).(*Prepared); s.Kernel() != p.Kernel() ||
 		s.Opt() != (ex.Optim{Vectorize: true, Schedule: sched.Auto}) {
 		t.Fatalf("split+prefetch binds %q as %v, want %q as vec@auto", s.Kernel(), s.Opt(), p.Kernel())
 	}
 	// The C=8 kernel name carries the dispatched ISA suffix
 	// ("sellcs-c8-avx512" etc.) when assembly is in play, and every
 	// SELL-C-σ knob set binds it.
-	sell := e.Prepare(m, ex.Optim{SellCS: true, Vectorize: true}).(*Prepared)
+	sell := e.Prepare(m, ex.Optim{Format: ex.FormatSellCS, Vectorize: true}).(*Prepared)
 	if !strings.HasPrefix(sell.Kernel(), "sellcs-c8") {
 		t.Fatalf("sellcs kernel = %q", sell.Kernel())
 	}
-	if s := e.Prepare(m, ex.Optim{SellCS: true}).(*Prepared); s.Kernel() != sell.Kernel() {
+	if s := e.Prepare(m, ex.Optim{Format: ex.FormatSellCS}).(*Prepared); s.Kernel() != sell.Kernel() {
 		t.Fatalf("plain sellcs kernel = %q, want %q", s.Kernel(), sell.Kernel())
-	}
-	// Precedence: Split wins over SellCS, SellCS wins over Compress.
-	if s := e.Prepare(m, ex.Optim{Split: true, SellCS: true}).(*Prepared); s.Kernel() != p.Kernel() {
-		t.Fatalf("split+sellcs kernel = %q, want %q", s.Kernel(), p.Kernel())
-	}
-	if s := e.Prepare(m, ex.Optim{SellCS: true, Compress: true, Vectorize: true}).(*Prepared); !strings.HasPrefix(s.Kernel(), "sellcs-c8") {
-		t.Fatalf("sellcs+compress kernel = %q", s.Kernel())
 	}
 }
 
@@ -456,8 +449,8 @@ func TestFormatCachesBounded(t *testing.T) {
 	defer e.Close()
 	f32 := ex.PrecF32
 	streams := []ex.Optim{
-		{Compress: true}, {SellCS: true}, {Symmetric: true},
-		{Precision: f32}, {SellCS: true, Precision: f32}, {Symmetric: true, Precision: f32},
+		{Format: ex.FormatDelta}, {Format: ex.FormatSellCS}, {Format: ex.FormatSSS},
+		{Precision: f32}, {Format: ex.FormatSellCS, Precision: f32}, {Format: ex.FormatSSS, Precision: f32},
 	}
 	x := make([]float64, 20)
 	y := make([]float64, 20)
@@ -465,7 +458,7 @@ func TestFormatCachesBounded(t *testing.T) {
 		for j, o := range streams {
 			seed := int64(i*len(streams) + j)
 			m := gen.Banded(20, 2, 1.0, seed)
-			if o.Symmetric {
+			if o.Format == ex.FormatSSS {
 				m = symMatrix(20, seed)
 			}
 			e.Prepare(m, o).MulVec(x, y)
@@ -477,7 +470,7 @@ func TestFormatCachesBounded(t *testing.T) {
 		t.Fatalf("memo holds %d conversion kinds, want %d", len(e.conversions), len(streams))
 	}
 	for _, o := range streams {
-		kind := conversionKind{o.EffectiveFormat(), o.EffectivePrecision()}
+		kind := conversionKind{o.Format, o.EffectivePrecision()}
 		if n := len(e.conversions[kind]); n != maxFormatCacheEntries {
 			t.Errorf("%v cache holds %d conversions, want the cap %d", kind, n, maxFormatCacheEntries)
 		}

@@ -14,7 +14,9 @@ import (
 
 // The fuzz target's knob word, one field per bit range:
 //
-//	0-6   Vectorize, Prefetch, Unroll, Compress, Split, SellCS, Symmetric
+//	0-2   Vectorize, Prefetch, Unroll
+//	3-6   Delta, Split, SELL-C-σ, SSS (fuzzFormats; the strongest set
+//	      bit is the format, none is CSR)
 //	7-8   schedule (fuzzPolicies)
 //	9-10  precision (f64, f32; 2 and 3 read as f64)
 //	11-12 block width k (fuzzWidths)
@@ -26,6 +28,7 @@ import (
 var (
 	fuzzPolicies = []sched.Policy{sched.StaticNNZ, sched.Dynamic, sched.Guided, sched.Auto}
 	fuzzWidths   = []int{1, 2, 4, 8}
+	fuzzFormats  = []ex.Format{ex.FormatDelta, ex.FormatSplit, ex.FormatSellCS, ex.FormatSSS}
 )
 
 const (
@@ -37,10 +40,13 @@ const (
 // encodeKnobs packs one configuration into the knob word.
 func encodeKnobs(o ex.Optim, op, k, threads int, long bool) uint32 {
 	var w uint32
-	for i, on := range []bool{o.Vectorize, o.Prefetch, o.Unroll, o.Compress, o.Split, o.SellCS, o.Symmetric} {
+	for i, on := range []bool{o.Vectorize, o.Prefetch, o.Unroll} {
 		if on {
 			w |= 1 << i
 		}
+	}
+	if i := slices.Index(fuzzFormats, o.Format); i >= 0 {
+		w |= 1 << (3 + i)
 	}
 	if long {
 		w |= 1 << 15
@@ -61,9 +67,13 @@ func decodeKnobs(w uint32) (o ex.Optim, op, k, threads int, long bool) {
 	}
 	o = ex.Optim{
 		Vectorize: bit(0), Prefetch: bit(1), Unroll: bit(2),
-		Compress: bit(3), Split: bit(4), SellCS: bit(5), Symmetric: bit(6),
 		Schedule:  fuzzPolicies[w>>7&3],
 		Precision: prec,
+	}
+	for i, f := range fuzzFormats {
+		if bit(3 + i) {
+			o.Format = max(o.Format, f)
+		}
 	}
 	return o, int(w >> 13 & 3 % 3), fuzzWidths[w>>11&3], int(w >> 16 & 3), bit(15)
 }
@@ -124,15 +134,15 @@ func FuzzPreparedDifferential(f *testing.F) {
 		op, k := i%3, fuzzWidths[i%len(fuzzWidths)]
 		f.Add(encodeKnobs(row.o, op, k, 1+i%3, true), uint8(200+i%50), int64(i), []byte{})
 	}
-	f.Add(encodeKnobs(ex.Optim{Symmetric: true, Schedule: sched.Dynamic}, opMulMat, 8, 0, false), uint8(0), int64(1), []byte{0, 0, 0, 9})
+	f.Add(encodeKnobs(ex.Optim{Format: ex.FormatSSS, Schedule: sched.Dynamic}, opMulMat, 8, 0, false), uint8(0), int64(1), []byte{0, 0, 0, 9})
 	// Column gaps wider than 255 give DeltaCSR overflow entries in
 	// every thread's partition.
 	var gaps []byte
 	for r := 0; r < 256; r += 8 {
 		gaps = append(gaps, byte(r), 0, 0, 16, byte(r), 1, 63, 16)
 	}
-	f.Add(encodeKnobs(ex.Optim{Compress: true}, opMulVec, 1, 3, true), uint8(255), int64(3), gaps)
-	f.Add(encodeKnobs(ex.Optim{Compress: true}, opMulMat, 4, 2, true), uint8(255), int64(3), gaps)
+	f.Add(encodeKnobs(ex.Optim{Format: ex.FormatDelta}, opMulVec, 1, 3, true), uint8(255), int64(3), gaps)
+	f.Add(encodeKnobs(ex.Optim{Format: ex.FormatDelta}, opMulMat, 4, 2, true), uint8(255), int64(3), gaps)
 	f.Add(encodeKnobs(ex.Optim{Schedule: sched.Auto}, opMulVecBatch, 4, 0, true), uint8(255), int64(2), []byte{})
 	e := New()
 	f.Cleanup(func() { e.Close() })
@@ -142,7 +152,7 @@ func FuzzPreparedDifferential(f *testing.F) {
 		if long {
 			n += 64
 		}
-		m := fuzzMatrix(n, seed, long, o.Symmetric, extra)
+		m := fuzzMatrix(n, seed, long, o.Format == ex.FormatSSS, extra)
 		var p *Prepared
 		if threads == 0 {
 			p = e.Prepare(m, o).(*Prepared)

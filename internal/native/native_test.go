@@ -47,15 +47,15 @@ func TestMulVecAllConfigurations(t *testing.T) {
 		"vec":          {Vectorize: true},
 		"prefetch":     {Prefetch: true},
 		"unroll":       {Unroll: true},
-		"compress":     {Compress: true},
-		"split":        {Split: true},
+		"compress":     {Format: ex.FormatDelta},
+		"split":        {Format: ex.FormatSplit},
 		"vec+prefetch": {Vectorize: true, Prefetch: true},
 		"dynamic":      {Schedule: sched.Dynamic},
 		"guided":       {Schedule: sched.Guided},
 		"auto":         {Schedule: sched.Auto},
 		"static-rows":  {Schedule: sched.StaticRows},
-		"everything":   {Vectorize: true, Prefetch: true, Compress: true, Schedule: sched.Auto},
-		"split+vec":    {Split: true, Vectorize: true},
+		"everything":   {Vectorize: true, Prefetch: true, Format: ex.FormatDelta, Schedule: sched.Auto},
+		"split+vec":    {Format: ex.FormatSplit, Vectorize: true},
 	}
 	for mn, m := range mats {
 		for on, o := range opts {

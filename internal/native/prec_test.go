@@ -63,16 +63,16 @@ func precOptims() map[string]ex.Optim {
 		"csr-vec8":    {Vectorize: true},
 		"csr-dynamic": {Schedule: sched.Dynamic},
 		"csr-guided":  {Schedule: sched.Guided},
-		"sellcs":      {SellCS: true, Vectorize: true},
-		"sellcs-dyn":  {SellCS: true, Vectorize: true, Schedule: sched.Dynamic},
-		"sss":         {Symmetric: true},
+		"sellcs":      {Format: ex.FormatSellCS, Vectorize: true},
+		"sellcs-dyn":  {Format: ex.FormatSellCS, Vectorize: true, Schedule: sched.Dynamic},
+		"sss":         {Format: ex.FormatSSS},
 	}
 }
 
 // precInput picks the matrix o is prepared on: sym for symmetric
 // storage, asym otherwise.
 func precInput(o ex.Optim, asym, sym *matrix.CSR) *matrix.CSR {
-	if o.Symmetric {
+	if o.Format == ex.FormatSSS {
 		return sym
 	}
 	return asym
@@ -145,7 +145,7 @@ func TestPreparedPrecMatchesReference(t *testing.T) {
 	m := gen.PowerLaw(3000, 6, 1.9, 900, 21)
 	for vname, scales := range precVariants() {
 		for oname, o := range precOptims() {
-			if o.Symmetric {
+			if o.Format == ex.FormatSSS {
 				continue // TestPreparedPrecSSSMatchesReference
 			}
 			t.Run(vname+"/"+oname, func(t *testing.T) {
@@ -164,7 +164,7 @@ func TestPreparedPrecSSSMatchesReference(t *testing.T) {
 	for vname, scales := range precVariants() {
 		t.Run(vname, func(t *testing.T) {
 			for _, s := range scales {
-				checkF32Binding(t, e, "sss/"+vname, m, s, ex.Optim{Symmetric: true})
+				checkF32Binding(t, e, "sss/"+vname, m, s, ex.Optim{Format: ex.FormatSSS})
 			}
 		})
 	}
@@ -178,7 +178,7 @@ func TestPreparedPrecMulMat(t *testing.T) {
 	m := gen.PowerLaw(1500, 5, 2.0, 500, 29)
 	for oname, o := range map[string]ex.Optim{
 		"csr":    {Precision: ex.PrecF32},
-		"sellcs": {SellCS: true, Vectorize: true, Precision: ex.PrecF32},
+		"sellcs": {Format: ex.FormatSellCS, Vectorize: true, Precision: ex.PrecF32},
 	} {
 		for _, k := range []int{2, 3, 8} {
 			p := e.Prepare(m, o)
@@ -227,14 +227,14 @@ func TestPrecEffectivePrecisionFallbacks(t *testing.T) {
 		x[i] = 1 + 0.5*float64(i%3)
 	}
 	for name, o := range map[string]ex.Optim{
-		"delta": {Compress: true, Precision: ex.PrecF32},
-		"split": {Split: true, Precision: ex.PrecF32},
+		"delta": {Format: ex.FormatDelta, Precision: ex.PrecF32},
+		"split": {Format: ex.FormatSplit, Precision: ex.PrecF32},
 	} {
 		if got := o.EffectivePrecision(); got != ex.PrecF64 {
 			t.Fatalf("%s: EffectivePrecision = %v, want f64", name, got)
 		}
 		want := make([]float64, m.NRows)
-		e.Prepare(m, ex.Optim{Compress: o.Compress, Split: o.Split}).MulVec(x, want)
+		e.Prepare(m, ex.Optim{Format: o.Format}).MulVec(x, want)
 		got := make([]float64, m.NRows)
 		e.Prepare(m, o).MulVec(x, got)
 		for i := range want {
@@ -308,8 +308,8 @@ func TestPrecBytesAccounting(t *testing.T) {
 		less int
 	}{
 		"csr":    {ex.Optim{}, asym.NNZ()},
-		"sellcs": {ex.Optim{SellCS: true}, len(sell.Vals) + len(sell.Width) + len(sell.InvPerm)},
-		"sss":    {ex.Optim{Symmetric: true}, e.SSSOf(sym).Lower.NNZ()},
+		"sellcs": {ex.Optim{Format: ex.FormatSellCS}, len(sell.Vals) + len(sell.Width) + len(sell.InvPerm)},
+		"sss":    {ex.Optim{Format: ex.FormatSSS}, e.SSSOf(sym).Lower.NNZ()},
 	} {
 		m := precInput(c.o, asym, sym)
 		full := e.Prepare(m, c.o).(*Prepared).MemBytes()
@@ -408,11 +408,11 @@ func TestPrecF32InstanceBitIdentical(t *testing.T) {
 		{"csr-vec8", ex.Optim{Vectorize: true}, "prec-csr-vec8-f32", func(r *matrix.CSR, _ int, x, y []float64) {
 			kernels.CSRVector8Range(r, x, y, 0, r.NRows)
 		}},
-		{"sellcs", ex.Optim{SellCS: true, Vectorize: true}, "prec-sellcs-f32", func(r *matrix.CSR, _ int, x, y []float64) {
+		{"sellcs", ex.Optim{Format: ex.FormatSellCS, Vectorize: true}, "prec-sellcs-f32", func(r *matrix.CSR, _ int, x, y []float64) {
 			formats.ConvertSellCSAuto(r).MulVec(x, y)
 		}},
-		{"sss", ex.Optim{Symmetric: true}, "prec-sss-f32", func(r *matrix.CSR, nt int, x, y []float64) {
-			e.buildPrepared(r, ex.Optim{Symmetric: true}, nt, 0).MulVec(x, y)
+		{"sss", ex.Optim{Format: ex.FormatSSS}, "prec-sss-f32", func(r *matrix.CSR, nt int, x, y []float64) {
+			e.buildPrepared(r, ex.Optim{Format: ex.FormatSSS}, nt, 0).MulVec(x, y)
 		}},
 	}
 	inputs := map[string][2]*matrix.CSR{

@@ -262,7 +262,7 @@ func (e *Executor) buildPrepared(m *matrix.CSR, o ex.Optim, nt int, probe ex.Pro
 	}
 	p := &Prepared{m: m, opt: o, nt: nt, pool: e.workers, matrixBytes: m.Bytes()}
 	f32 := o.EffectivePrecision() == ex.PrecF32
-	switch o.EffectiveFormat() {
+	switch o.Format {
 	case ex.FormatSSS:
 		s := e.SSSOf(m)
 		parts := sched.Prepare(o.Schedule, s.Lower, nt).Parts

@@ -43,15 +43,15 @@ func TestExecutorRelease(t *testing.T) {
 	// the asymmetric conversions at every precision, m3 the symmetric
 	// ones, m2 a plain CSR kernel and a SELL conversion.
 	f32 := ex.PrecF32
-	k1 := e.Prepare(m1, ex.Optim{Compress: true})
+	k1 := e.Prepare(m1, ex.Optim{Format: ex.FormatDelta})
 	k2 := e.Prepare(m2, ex.Optim{})
-	e.Prepare(m2, ex.Optim{SellCS: true})
+	e.Prepare(m2, ex.Optim{Format: ex.FormatSellCS})
 	for _, o := range []ex.Optim{
-		{Unroll: true}, {Split: true}, {Precision: f32}, {SellCS: true, Precision: f32},
+		{Unroll: true}, {Format: ex.FormatSplit}, {Precision: f32}, {Format: ex.FormatSellCS, Precision: f32},
 	} {
 		e.Prepare(m1, o)
 	}
-	e.Prepare(m3, ex.Optim{Symmetric: true, Precision: f32})
+	e.Prepare(m3, ex.Optim{Format: ex.FormatSSS, Precision: f32})
 
 	// m1: 5 kernels + delta, f32 CSR, SELL and its f32 form (the
 	// Split kernel converts nothing: it runs the CSR gather body).
@@ -93,7 +93,7 @@ func TestExecutorRelease(t *testing.T) {
 	}
 
 	// A fresh Prepare after release rebuilds and re-memoizes.
-	k1b := e.Prepare(m1, ex.Optim{Compress: true})
+	k1b := e.Prepare(m1, ex.Optim{Format: ex.FormatDelta})
 	if k1b == k1 {
 		t.Fatalf("Prepare after Release returned the evicted kernel")
 	}
@@ -118,7 +118,7 @@ func TestExecutorReleaseMemBytes(t *testing.T) {
 	if p.MemBytes() != m.Bytes() {
 		t.Fatalf("CSR kernel MemBytes = %d, want %d", p.MemBytes(), m.Bytes())
 	}
-	d := e.Prepare(m, ex.Optim{Compress: true}).(*Prepared)
+	d := e.Prepare(m, ex.Optim{Format: ex.FormatDelta}).(*Prepared)
 	if d.MemBytes() <= 0 || d.MemBytes() == m.Bytes() {
 		t.Fatalf("delta kernel MemBytes = %d, want converted footprint != CSR %d", d.MemBytes(), m.Bytes())
 	}

@@ -55,7 +55,7 @@ func TestPreparedSSSMatchesReference(t *testing.T) {
 	want := make([]float64, m.NRows)
 	m.MulVec(x, want)
 
-	p := e.Prepare(m, ex.Optim{Symmetric: true})
+	p := e.Prepare(m, ex.Optim{Format: ex.FormatSSS})
 	if p.(*Prepared).Kernel() != "sss" {
 		t.Fatalf("kernel = %q, want sss", p.(*Prepared).Kernel())
 	}
@@ -83,7 +83,7 @@ func TestPreparedSSSMulMatMatchesReference(t *testing.T) {
 		want := make([]float64, m.NRows*k)
 		m.MulMat(x, want, k)
 		got := make([]float64, m.NRows*k)
-		p := e.Prepare(m, ex.Optim{Symmetric: true})
+		p := e.Prepare(m, ex.Optim{Format: ex.FormatSSS})
 		p.MulMat(x, got, k)
 		for i := range want {
 			if math.Abs(want[i]-got[i]) > 1e-12*(1+math.Abs(want[i])) {
@@ -103,7 +103,7 @@ func TestPreparedSSSShrinkingBlockWidth(t *testing.T) {
 	e := New()
 	defer e.Close()
 	m := symMatrix(1200, 41)
-	p := e.buildPrepared(m, ex.Optim{Symmetric: true}, 4, 0)
+	p := e.buildPrepared(m, ex.Optim{Format: ex.FormatSSS}, 4, 0)
 	rng := rand.New(rand.NewSource(19))
 	for _, k := range []int{8, 2, 5, 3} { // shrink, grow, shrink
 		x := make([]float64, m.NCols*k)
@@ -241,7 +241,7 @@ func TestPreparedSSSWindowShapes(t *testing.T) {
 	for _, sh := range symWindowShapes() {
 		m := sh.m
 		for _, prec := range []ex.Precision{ex.PrecF64, ex.PrecF32} {
-			o := ex.Optim{Symmetric: true, Schedule: sh.s, Precision: prec}
+			o := ex.Optim{Format: ex.FormatSSS, Schedule: sh.s, Precision: prec}
 			tol := 1e-12
 			if prec == ex.PrecF32 {
 				tol = formats.F32EntryBound + 64*0x1p-52
@@ -288,7 +288,7 @@ func TestSSSScratchFollowsBandwidth(t *testing.T) {
 	m := gen.Poisson3D(80, 80, 80)
 	m.Sym = matrix.SymSymmetric
 	for _, prec := range []ex.Precision{ex.PrecF64, ex.PrecF32} {
-		p := e.buildPrepared(m, ex.Optim{Symmetric: true, Precision: prec}, 2, 0)
+		p := e.buildPrepared(m, ex.Optim{Format: ex.FormatSSS, Precision: prec}, 2, 0)
 		cells := p.ReduceCells()
 		if cells <= 0 || cells > 2*80*80 {
 			t.Fatalf("%s: %d window cells at nt=2, want (0, %d]", p.Kernel(), cells, 2*80*80)
@@ -307,7 +307,7 @@ func TestPrepareSSSPanicsOnAsymmetric(t *testing.T) {
 			t.Fatal("Prepare accepted Symmetric on an asymmetric matrix")
 		}
 	}()
-	e.Prepare(gen.UniformRandom(500, 4, 9), ex.Optim{Symmetric: true})
+	e.Prepare(gen.UniformRandom(500, 4, 9), ex.Optim{Format: ex.FormatSSS})
 }
 
 // TestAllocFreeSSS extends the zero-alloc guards to the symmetric
@@ -317,7 +317,7 @@ func TestAllocFreeSSS(t *testing.T) {
 	e := New()
 	defer e.Close()
 	m := symMatrix(3000, 21)
-	o := ex.Optim{Symmetric: true}
+	o := ex.Optim{Format: ex.FormatSSS}
 	p := e.Prepare(m, o)
 
 	x := make([]float64, m.NCols)
@@ -381,7 +381,7 @@ func BenchmarkMulVecSSS(b *testing.B) {
 		}
 	}
 	b.Run("csr", func(b *testing.B) { run(b, ex.Optim{}) })
-	b.Run("sss", func(b *testing.B) { run(b, ex.Optim{Symmetric: true}) })
+	b.Run("sss", func(b *testing.B) { run(b, ex.Optim{Format: ex.FormatSSS}) })
 }
 
 // TestPreparePlanRejectsHugeBlockWidth: a well-formed SSS plan file

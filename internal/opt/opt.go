@@ -78,16 +78,18 @@ func (m Member) String() string {
 	}
 }
 
-// Apply folds the member's knobs into an Optim.
+// Apply folds the member's knobs into an Optim. A format member keeps
+// the stronger of its format and o's (the order of the ex.Format
+// constants), so a joint application runs one format.
 func (m Member) Apply(o ex.Optim) ex.Optim {
 	switch m {
 	case CompressVec:
-		o.Compress = true
+		o.Format = max(o.Format, ex.FormatDelta)
 		o.Vectorize = true
 	case Prefetch:
 		o.Prefetch = true
 	case SplitRows:
-		o.Split = true
+		o.Format = max(o.Format, ex.FormatSplit)
 	case AutoSched:
 		o.Schedule = sched.Auto
 	case UnrollVec:
@@ -96,10 +98,10 @@ func (m Member) Apply(o ex.Optim) ex.Optim {
 	case SellC:
 		// SELL-C-σ is a vectorized format: the chunk height is the
 		// vector width, so selecting it implies vector execution.
-		o.SellCS = true
+		o.Format = max(o.Format, ex.FormatSellCS)
 		o.Vectorize = true
 	case SymSSS:
-		o.Symmetric = true
+		o.Format = max(o.Format, ex.FormatSSS)
 	}
 	return o
 }
@@ -125,9 +127,8 @@ func MembersFor(set classify.Set, fs features.Set) []Member {
 		if fs.Symmetric {
 			// A bandwidth-bound symmetric matrix gets symmetric
 			// storage: halving the element stream beats re-encoding it
-			// (EffectiveFormat already resolves SSS over Delta when
-			// both are selected, so CompressVec joins only for its
-			// vectorization half).
+			// (Apply keeps SSS over Delta, so CompressVec joins only
+			// for its vectorization half).
 			ms = append(ms, SymSSS)
 		}
 		ms = append(ms, CompressVec)
@@ -205,21 +206,20 @@ func rowSweepSeconds(m *matrix.CSR, mdl machine.Model) float64 {
 }
 
 // ConversionSeconds is the format-conversion cost of the selected
-// optimizations. Only the effective storage format converts — the
-// engine's precedence is Symmetric over Split over SellCS over
-// Compress, and a superseded format is never built, so it costs
-// nothing: the long-row decomposition and delta compression rewrite
-// the matrix in two passes (analyze + emit); SELL-C-σ takes three
-// (measure + window-sort row lengths, size chunks, emit the padded
-// column-major storage); the symmetric extraction takes four — its
-// exactness verification builds and compares a full transpose (~two
-// sweeps) before the count + emit passes. The remaining members only
-// select kernels. It prices o's canonical form on mdl, so a host Split
-// configuration, which runs as CSR, converts nothing.
+// optimizations: the long-row decomposition and delta compression
+// rewrite the matrix in two passes (analyze + emit); SELL-C-σ takes
+// three (measure + window-sort row lengths, size chunks, emit the
+// padded column-major storage); the symmetric extraction is priced at
+// four. formats.ConvertSSS does less — one cursor-walk pass that checks
+// symmetry and counts the lower triangle, then one copy pass — so the
+// four sweeps overstate the host conversion; they stay the modeled
+// price so Table V holds. The kernel knobs only select kernels. It
+// prices o's canonical form on mdl, so a host Split configuration,
+// which runs as CSR, converts nothing.
 func ConversionSeconds(m *matrix.CSR, mdl machine.Model, o ex.Optim) float64 {
 	o = o.Canonical(mdl)
 	var s float64
-	switch o.EffectiveFormat() {
+	switch o.Format {
 	case ex.FormatSplit, ex.FormatDelta:
 		s = 2 * sweepSeconds(m, mdl)
 	case ex.FormatSellCS:
@@ -400,13 +400,14 @@ func candidateOptims(pairs, triples bool) []ex.Optim {
 
 // sellCandidates returns the extended-format configurations beyond the
 // Table V pool: SELL-C-σ alone and joined with each pool member the
-// classifier can co-select (every subset of {compression, prefetch,
-// unrolling} — the Split and AutoSched members are mutually exclusive
-// with SellC in MembersFor). The oracle sweeps these so it dominates
-// every configuration the classifiers can produce.
+// classifier can co-select (every subset of {prefetch, unrolling} —
+// the Split and AutoSched members are mutually exclusive with SellC in
+// MembersFor, and CompressVec joined with SellC keeps FormatSellCS,
+// adding nothing). The oracle sweeps these so it dominates every
+// configuration the classifiers can produce.
 func sellCandidates() []ex.Optim {
-	joinable := []Member{CompressVec, Prefetch, UnrollVec}
-	out := make([]ex.Optim, 0, 8)
+	joinable := []Member{Prefetch, UnrollVec}
+	out := make([]ex.Optim, 0, 4)
 	for mask := 0; mask < 1<<len(joinable); mask++ {
 		o := SellC.Apply(ex.Optim{})
 		for i, m := range joinable {
@@ -423,11 +424,11 @@ func sellCandidates() []ex.Optim {
 // oracle sweeps when the matrix carries the symmetric kind. There is
 // exactly one: the SSS kernel has no vectorize/prefetch/unroll
 // variants (both the native engine and the cost model treat those
-// knobs as inert under FormatSSS), Split and AutoSched are excluded
-// by design (the reduction already spreads the mirrored work evenly
-// and the binding resolves schedules statically), and Compress is
-// superseded by the format precedence — joining any of them would
-// only re-measure SSS under another name.
+// knobs as inert under FormatSSS), AutoSched is excluded by design
+// (the reduction already spreads the mirrored work evenly and the
+// binding resolves schedules statically), and CompressVec and
+// SplitRows would keep FormatSSS — joining any of them would only
+// re-measure SSS under another name.
 func symCandidates() []ex.Optim {
 	return []ex.Optim{SymSSS.Apply(ex.Optim{})}
 }

@@ -16,9 +16,9 @@ import (
 
 func TestMemberApply(t *testing.T) {
 	cases := map[Member]func(ex.Optim) bool{
-		CompressVec: func(o ex.Optim) bool { return o.Compress && o.Vectorize },
+		CompressVec: func(o ex.Optim) bool { return o.Format == ex.FormatDelta && o.Vectorize },
 		Prefetch:    func(o ex.Optim) bool { return o.Prefetch },
-		SplitRows:   func(o ex.Optim) bool { return o.Split },
+		SplitRows:   func(o ex.Optim) bool { return o.Format == ex.FormatSplit },
 		AutoSched:   func(o ex.Optim) bool { return o.Schedule == sched.Auto },
 		UnrollVec:   func(o ex.Optim) bool { return o.Unroll && o.Vectorize },
 	}
@@ -68,7 +68,7 @@ func TestSellCMemberExtendsThePool(t *testing.T) {
 	// …but applies the SELL-C-σ knobs (the format is inherently
 	// vectorized).
 	o := SellC.Apply(ex.Optim{})
-	if !o.SellCS || !o.Vectorize {
+	if o.Format != ex.FormatSellCS || !o.Vectorize {
 		t.Fatalf("SellC knobs incomplete: %v", o)
 	}
 	if SellC.String() != "sell-c-sigma" {
@@ -104,13 +104,14 @@ func TestSellCandidatesCoverClassifierOutputs(t *testing.T) {
 	for _, o := range sellCandidates() {
 		cands[o] = true
 	}
-	if len(cands) != 8 {
-		t.Fatalf("extended candidates = %d, want 8", len(cands))
+	// SELL-C-σ alone and with each subset of {prefetch, unrolling}.
+	if len(cands) != 4 {
+		t.Fatalf("extended candidates = %d, want 4", len(cands))
 	}
 	flat := features.Set{NNZAvg: 8, NNZMax: 10}
 	for set := classify.Set(0); set < 16; set++ {
 		o := OptimFor(set, flat)
-		if o.SellCS && !cands[o] {
+		if o.Format == ex.FormatSellCS && !cands[o] {
 			t.Fatalf("classifier output %v missing from oracle candidates", o)
 		}
 	}
@@ -119,8 +120,8 @@ func TestSellCandidatesCoverClassifierOutputs(t *testing.T) {
 func TestSellConversionCost(t *testing.T) {
 	m := gen.Banded(5000, 4, 1.0, 1)
 	mdl := machine.KNC()
-	cs := ConversionSeconds(m, mdl, ex.Optim{SellCS: true})
-	cd := ConversionSeconds(m, mdl, ex.Optim{Compress: true})
+	cs := ConversionSeconds(m, mdl, ex.Optim{Format: ex.FormatSellCS})
+	cd := ConversionSeconds(m, mdl, ex.Optim{Format: ex.FormatDelta})
 	if cs <= cd {
 		t.Fatalf("SELL conversion (%g) must cost more than delta (%g): it rewrites and sorts", cs, cd)
 	}
@@ -129,8 +130,23 @@ func TestSellConversionCost(t *testing.T) {
 func TestOptimForJointApplication(t *testing.T) {
 	fs := features.Set{NNZAvg: 8, NNZMax: 5000}
 	o := OptimFor(classify.NewSet(classify.ML, classify.IMB, classify.MB), fs)
-	if !o.Prefetch || !o.Split || !o.Compress || !o.Vectorize {
+	if !o.Prefetch || o.Format != ex.FormatSplit || !o.Vectorize {
 		t.Fatalf("joint application incomplete: %v", o)
+	}
+}
+
+// TestApplyKeepsStrongerFormat: joining two format members in either
+// order runs the stronger format, so a joint application never carries
+// two formats.
+func TestApplyKeepsStrongerFormat(t *testing.T) {
+	members := []Member{CompressVec, SellC, SplitRows, SymSSS}
+	for _, a := range members {
+		for _, b := range members {
+			fa, fb := a.Apply(ex.Optim{}).Format, b.Apply(ex.Optim{}).Format
+			if got := b.Apply(a.Apply(ex.Optim{})).Format; got != max(fa, fb) {
+				t.Errorf("%v then %v runs %v, want %v", a, b, got, max(fa, fb))
+			}
+		}
 	}
 }
 
@@ -152,18 +168,10 @@ func TestConversionSeconds(t *testing.T) {
 	if s := ConversionSeconds(m, mdl, ex.Optim{}); s != 0 {
 		t.Fatalf("no-conversion cost = %g, want 0", s)
 	}
-	cd := ConversionSeconds(m, mdl, ex.Optim{Compress: true})
-	cs := ConversionSeconds(m, mdl, ex.Optim{Split: true})
+	cd := ConversionSeconds(m, mdl, ex.Optim{Format: ex.FormatDelta})
+	cs := ConversionSeconds(m, mdl, ex.Optim{Format: ex.FormatSplit})
 	if cd <= 0 || cs <= 0 {
 		t.Fatalf("conversion costs wrong: %g %g", cd, cs)
-	}
-	// Only the effective format converts: Split supersedes both SellCS
-	// and Compress (the engine never builds the superseded structure).
-	if both := ConversionSeconds(m, mdl, ex.Optim{Compress: true, Split: true}); both != cs {
-		t.Fatalf("split+compress cost %g, want split-only %g", both, cs)
-	}
-	if both := ConversionSeconds(m, mdl, ex.Optim{Compress: true, SellCS: true}); both != ConversionSeconds(m, mdl, ex.Optim{SellCS: true}) {
-		t.Fatalf("sell+compress must cost the SELL conversion only, got %g", both)
 	}
 }
 
@@ -210,7 +218,7 @@ func TestProfileGuidedPlanSelectsSensibly(t *testing.T) {
 	if !ps.Classes.Has(classify.IMB) {
 		t.Errorf("skewed matrix classes %v, want IMB", ps.Classes)
 	}
-	if !ps.Opt.Split {
+	if ps.Opt.Format != ex.FormatSplit {
 		t.Errorf("dominating rows must select decomposition, got %v", ps.Opt)
 	}
 }
@@ -318,7 +326,7 @@ func (c *countingExec) total() int {
 // times each canonical form once — knob sets binding the same kernel
 // are one candidate — while on KNC every knob set is its own kernel,
 // so the trivial optimizers still run Table V's 5 and 15 candidates
-// (plus the baseline).
+// (plus the baseline), and the oracle every distinct knob set once.
 func TestSweepRunsEachCanonicalCandidateOnce(t *testing.T) {
 	host := machine.Host()
 	m := gen.Poisson2D(200, 200)
@@ -344,7 +352,13 @@ func TestSweepRunsEachCanonicalCandidateOnce(t *testing.T) {
 	for _, tc := range []struct {
 		opt  Optimizer
 		want int
-	}{{TrivialSingle{}, 1 + 5}, {TrivialCombined{}, 1 + 15}} {
+	}{
+		{TrivialSingle{}, 1 + 5},
+		{TrivialCombined{}, 1 + 15},
+		// 10 triples less compress+split+unroll, which runs Split like
+		// the split+unroll pair; 4 SELL-C-σ candidates and one SSS.
+		{&Oracle{}, 1 + 15 + 9 + 4 + 1},
+	} {
 		c := &countingExec{Executor: knc, runs: map[ex.Optim]int{}}
 		tc.opt.Plan(c, m)
 		if c.total() != tc.want || len(c.runs) != tc.want {

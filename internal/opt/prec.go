@@ -91,14 +91,14 @@ func probeSeconds(m *matrix.CSR, e ex.Executor) float64 {
 // stream are alternative MB levers over the same element bytes (the
 // reduced stream saves 4 bytes per entry where delta saves ~3 on the
 // index side, and they do not compose today), so a configuration whose
-// effective format is Delta retries without Compress. Returns ok=false
+// format is Delta retries as CSR. Returns ok=false
 // when the configuration still cannot honor p (Split format, bound
 // kernels).
 func precCandidate(o ex.Optim, p ex.Precision) (ex.Optim, bool) {
 	cand := o
 	cand.Precision = p
-	if cand.EffectivePrecision() != p && cand.EffectiveFormat() == ex.FormatDelta {
-		cand.Compress = false
+	if cand.EffectivePrecision() != p && cand.Format == ex.FormatDelta {
+		cand.Format = ex.FormatCSR
 	}
 	return cand, cand.EffectivePrecision() == p
 }

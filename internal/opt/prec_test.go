@@ -81,8 +81,8 @@ func TestPrecisionKeepsF64WhenUnfit(t *testing.T) {
 		o    ex.Optim
 	}{
 		{"csr+vec", banded, ex.Optim{Vectorize: true}},
-		{"sellcs", banded, ex.Optim{SellCS: true, Vectorize: true}},
-		{"sss", sym, ex.Optim{Symmetric: true}},
+		{"sellcs", banded, ex.Optim{Format: ex.FormatSellCS, Vectorize: true}},
+		{"sss", sym, ex.Optim{Format: ex.FormatSSS}},
 	} {
 		pass := func(m *matrix.CSR) ex.Optim {
 			secs := e.Run(ex.Config{Matrix: m, Opt: c.o}).Seconds
@@ -216,7 +216,7 @@ func TestApplyPrecisionTradesDelta(t *testing.T) {
 	m := gen.Banded(5000, 8, 1.0, 3)
 	o := CompressVec.Apply(ex.Optim{})
 	got := ApplyPrecision(m, o, formats.F32EntryBound)
-	if got.Compress {
+	if got.Format == ex.FormatDelta {
 		t.Fatalf("ApplyPrecision kept Compress alongside a reduced stream: %+v", got)
 	}
 	if got.EffectivePrecision() != ex.PrecF32 {
@@ -266,8 +266,8 @@ func TestConversionSecondsPricesPrecision(t *testing.T) {
 	if got, want := red-base, sweepSeconds(m, mdl); got != want {
 		t.Fatalf("precision conversion = %+.3g sweeps-worth, want exactly one (%.3g)", got, want)
 	}
-	inert := ConversionSeconds(m, mdl, ex.Optim{Compress: true, Precision: ex.PrecF32})
-	if inert != ConversionSeconds(m, mdl, ex.Optim{Compress: true}) {
+	inert := ConversionSeconds(m, mdl, ex.Optim{Format: ex.FormatDelta, Precision: ex.PrecF32})
+	if inert != ConversionSeconds(m, mdl, ex.Optim{Format: ex.FormatDelta}) {
 		t.Fatal("precision conversion priced on delta where the knob is inert")
 	}
 }

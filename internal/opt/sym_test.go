@@ -24,7 +24,7 @@ func TestMembersForProposesSymmetricStorage(t *testing.T) {
 	if !found {
 		t.Fatal("MB + symmetric did not propose SymSSS")
 	}
-	if o := OptimFor(mb, fs); !o.Symmetric || o.EffectiveFormat() != ex.FormatSSS {
+	if o := OptimFor(mb, fs); o.Format != ex.FormatSSS {
 		t.Fatalf("joint optim %v does not resolve to symmetric storage", o)
 	}
 
@@ -63,7 +63,7 @@ func TestOracleSweepsSymmetricCandidates(t *testing.T) {
 	m.Sym = matrix.SymSymmetric
 
 	plan := (&Oracle{}).Plan(e, m)
-	if !plan.Opt.Symmetric {
+	if plan.Opt.Format != ex.FormatSSS {
 		t.Fatalf("oracle plan %v did not pick symmetric storage on an MB-bound symmetric matrix", plan.Opt)
 	}
 	if plan.PreprocessSeconds <= 0 {
@@ -74,7 +74,7 @@ func TestOracleSweepsSymmetricCandidates(t *testing.T) {
 	// symmetric plan (the sweep is gated on the kind).
 	bare := m.Clone()
 	bare.Sym = matrix.SymUnknown
-	if p := (&Oracle{}).Plan(e, bare); p.Opt.Symmetric {
+	if p := (&Oracle{}).Plan(e, bare); p.Opt.Format == ex.FormatSSS {
 		t.Fatalf("oracle proposed symmetric storage without the annotated kind: %v", p.Opt)
 	}
 }

@@ -111,22 +111,6 @@ type planJSON struct {
 	Library           string   `json:"library,omitempty"`
 }
 
-// FormatName renders a storage format for the wire form.
-func FormatName(f ex.Format) string {
-	switch f {
-	case ex.FormatDelta:
-		return "delta-csr"
-	case ex.FormatSplit:
-		return "split-csr"
-	case ex.FormatSellCS:
-		return "sell-c-sigma"
-	case ex.FormatSSS:
-		return "sss"
-	default:
-		return "csr"
-	}
-}
-
 // Valid checks the plan's internal invariants: the schema version and
 // a schedule policy String can render (so the wire form round-trips).
 func (p Plan) Valid() error {
@@ -135,6 +119,9 @@ func (p Plan) Valid() error {
 	}
 	if _, err := sched.ParsePolicy(p.Opt.Schedule.String()); err != nil {
 		return fmt.Errorf("plan: unserializable schedule policy %d", int(p.Opt.Schedule))
+	}
+	if !p.Opt.Format.Valid() {
+		return fmt.Errorf("plan: unknown format %d", int(p.Opt.Format))
 	}
 	if p.Opt.Precision < ex.PrecF64 || p.Opt.Precision > ex.PrecF32 {
 		return fmt.Errorf("plan: unknown precision %d", int(p.Opt.Precision))
@@ -169,7 +156,7 @@ func (p Plan) ValidateForFingerprint(m *matrix.CSR, fp string) error {
 	if p.Fingerprint != "" && fp != p.Fingerprint {
 		return fmt.Errorf("plan: fingerprint %s does not match matrix %s", p.Fingerprint, fp)
 	}
-	if p.Opt.Symmetric && m.SymmetryKind() != matrix.SymSymmetric {
+	if p.Opt.Format == ex.FormatSSS && m.SymmetryKind() != matrix.SymSymmetric {
 		return fmt.Errorf("plan: symmetric-storage plan for %s matrix", m.SymmetryKind())
 	}
 	return nil
@@ -187,15 +174,15 @@ func (p Plan) MarshalJSON() ([]byte, error) {
 		Machine:           p.Machine,
 		Optimizer:         p.Optimizer,
 		HasClasses:        p.HasClasses,
-		Format:            FormatName(p.Opt.EffectiveFormat()),
+		Format:            p.Opt.Format.String(),
 		Schedule:          p.Opt.Schedule.String(),
 		Vectorize:         p.Opt.Vectorize,
 		Prefetch:          p.Opt.Prefetch,
 		Unroll:            p.Opt.Unroll,
-		Compress:          p.Opt.Compress,
-		Split:             p.Opt.Split,
-		SellCS:            p.Opt.SellCS,
-		Symmetric:         p.Opt.Symmetric,
+		Compress:          p.Opt.Format == ex.FormatDelta,
+		Split:             p.Opt.Format == ex.FormatSplit,
+		SellCS:            p.Opt.Format == ex.FormatSellCS,
+		Symmetric:         p.Opt.Format == ex.FormatSSS,
 		PreprocessSeconds: p.PreprocessSeconds,
 		PredictedGflops:   p.PredictedGflops,
 		MeasuredGflops:    p.MeasuredGflops,
@@ -244,6 +231,17 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		}
 		set = set.Add(c)
 	}
+	// Each format has its own bool on the wire; a file that sets
+	// several runs the strongest of them.
+	format := ex.FormatCSR
+	for _, b := range []struct {
+		on bool
+		f  ex.Format
+	}{{w.Compress, ex.FormatDelta}, {w.SellCS, ex.FormatSellCS}, {w.Split, ex.FormatSplit}, {w.Symmetric, ex.FormatSSS}} {
+		if b.on {
+			format = max(format, b.f)
+		}
+	}
 	out := Plan{
 		Version:     w.Version,
 		Fingerprint: w.Fingerprint,
@@ -255,10 +253,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 			Vectorize: w.Vectorize,
 			Prefetch:  w.Prefetch,
 			Unroll:    w.Unroll,
-			Compress:  w.Compress,
-			Split:     w.Split,
-			SellCS:    w.SellCS,
-			Symmetric: w.Symmetric,
+			Format:    format,
 			Schedule:  policy,
 			Precision: prec,
 		},
@@ -271,7 +266,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	if err := out.Valid(); err != nil { // includes the classes/HasClasses consistency gate
 		return err
 	}
-	if got := FormatName(out.Opt.EffectiveFormat()); got != w.Format {
+	if got := format.String(); got != w.Format {
 		return fmt.Errorf("plan: declared format %q but knobs execute %q", w.Format, got)
 	}
 	*p = out

@@ -22,10 +22,7 @@ func randomPlan(rng *rand.Rand) Plan {
 		Vectorize: rng.Intn(2) == 0,
 		Prefetch:  rng.Intn(2) == 0,
 		Unroll:    rng.Intn(2) == 0,
-		Compress:  rng.Intn(2) == 0,
-		Split:     rng.Intn(2) == 0,
-		SellCS:    rng.Intn(2) == 0,
-		Symmetric: rng.Intn(2) == 0,
+		Format:    ex.Format(rng.Intn(int(ex.FormatSSS) + 1)),
 		Schedule:  sched.Policy(rng.Intn(5)),
 		Precision: ex.Precision(rng.Intn(2)),
 	}
@@ -117,7 +114,7 @@ func TestDecodeRejectsVersionBump(t *testing.T) {
 }
 
 func TestDecodeRejectsFormatKnobMismatch(t *testing.T) {
-	p := Plan{Version: CurrentVersion, Opt: ex.Optim{Compress: true}}
+	p := Plan{Version: CurrentVersion, Opt: ex.Optim{Format: ex.FormatDelta}}
 	data, err := Encode(p)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +211,7 @@ func TestValidateForStalePlans(t *testing.T) {
 	}
 
 	sym := gen.Poisson2D(12, 12)
-	symPlan := Plan{Version: CurrentVersion, Opt: ex.Optim{Symmetric: true}}
+	symPlan := Plan{Version: CurrentVersion, Opt: ex.Optim{Format: ex.FormatSSS}}
 	if err := symPlan.ValidateFor(sym); err != nil {
 		t.Fatalf("symmetric plan rejected for symmetric matrix: %v", err)
 	}
@@ -231,11 +228,67 @@ func TestValidateForStalePlans(t *testing.T) {
 
 func TestFormatNameCoversEveryFormat(t *testing.T) {
 	seen := map[string]bool{}
-	for _, f := range []ex.Format{ex.FormatCSR, ex.FormatDelta, ex.FormatSplit, ex.FormatSellCS, ex.FormatSSS} {
-		n := FormatName(f)
-		if n == "" || seen[n] {
+	for f := ex.FormatCSR; f <= ex.FormatSSS; f++ {
+		n := f.String()
+		if !f.Valid() || n == "" || seen[n] {
 			t.Fatalf("format %d renders %q (dup=%v)", f, n, seen[n])
 		}
 		seen[n] = true
+		data, err := Encode(Plan{Version: CurrentVersion, Opt: ex.Optim{Format: f}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), `"format": "`+n+`"`) {
+			t.Fatalf("format %s encodes as %s", n, data)
+		}
+	}
+	if f := ex.FormatSSS + 1; f.Valid() {
+		t.Fatalf("format %d past FormatSSS is valid", f)
+	}
+	if _, err := Encode(Plan{Version: CurrentVersion, Opt: ex.Optim{Format: ex.FormatSSS + 1}}); err == nil {
+		t.Fatal("unknown format encoded")
+	}
+}
+
+// TestDecodeMultiFormatWireRunsStrongest: a wire that sets several
+// format bools decodes to the strongest of them, re-encodes with that
+// format's bool alone, and still fails when its format string names
+// another format.
+func TestDecodeMultiFormatWireRunsStrongest(t *testing.T) {
+	for _, c := range []struct {
+		name, wire string
+		want       ex.Optim
+	}{
+		// The retired-precision testdata plan's knobs, without its
+		// retired precision.
+		{"compress+symmetric", `{"version": 1, "machine": "bdw", "classes": ["MB"], "hasClasses": true,
+			"format": "sss", "schedule": "static-nnz", "vectorize": true, "compress": true, "symmetric": true}`,
+			ex.Optim{Format: ex.FormatSSS, Vectorize: true}},
+		// A modeled CompressVec+SplitRows plan as the four-bool encoder
+		// wrote it.
+		{"compress+split", `{"version": 1, "machine": "knl", "classes": [],
+			"format": "split-csr", "schedule": "static-nnz", "vectorize": true, "compress": true, "split": true}`,
+			ex.Optim{Format: ex.FormatSplit, Vectorize: true}},
+	} {
+		p, err := Decode([]byte(c.wire))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.Opt != c.want {
+			t.Fatalf("%s: decoded %v, want %v", c.name, p.Opt, c.want)
+		}
+		data, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), `"compress"`) {
+			t.Fatalf("%s: re-encoded with the superseded bool: %s", c.name, data)
+		}
+		for _, name := range []string{"csr", "delta-csr"} {
+			tampered := strings.Replace(c.wire, `"format": "`+c.want.Format.String()+`"`, `"format": "`+name+`"`, 1)
+			if _, err := Decode([]byte(tampered)); err == nil {
+				t.Fatalf("%s: format %q accepted for knobs that run %s", c.name, name, c.want.Format)
+			}
+		}
 	}
 }

@@ -18,7 +18,7 @@ func testPlan(fp, mach string) plan.Plan {
 		Fingerprint: fp,
 		Machine:     mach,
 		Optimizer:   "oracle",
-		Opt:         ex.Optim{Vectorize: true, Compress: true},
+		Opt:         ex.Optim{Vectorize: true, Format: ex.FormatDelta},
 		Library:     plan.Library,
 	}
 }
@@ -96,7 +96,7 @@ func TestDiskStorePersistsAcrossReopen(t *testing.T) {
 	if !ok {
 		t.Fatal("disk entry lost across reopen")
 	}
-	if got.Fingerprint != k.Fingerprint || !got.Opt.Compress {
+	if got.Fingerprint != k.Fingerprint || got.Opt.Format != ex.FormatDelta {
 		t.Fatalf("disk round trip drifted: %+v", got)
 	}
 }

@@ -22,7 +22,7 @@ func TestMKLPlanShape(t *testing.T) {
 	if p.PreprocessSeconds != 0 {
 		t.Fatal("MKL CSR has no preprocessing")
 	}
-	if p.Opt.Prefetch || p.Opt.Compress || p.Opt.Split {
+	if p.Opt.Prefetch || p.Opt.Format == ex.FormatDelta || p.Opt.Format == ex.FormatSplit {
 		t.Fatal("MKL must not be matrix-adaptive")
 	}
 }

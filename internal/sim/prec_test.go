@@ -48,8 +48,8 @@ func TestPrecPricedAsF64WhenUnfit(t *testing.T) {
 		o    ex.Optim
 	}{
 		{"csr+vec", banded, ex.Optim{Vectorize: true}},
-		{"sellcs", banded, ex.Optim{SellCS: true, Vectorize: true}},
-		{"sss", sym, ex.Optim{Symmetric: true}},
+		{"sellcs", banded, ex.Optim{Format: ex.FormatSellCS, Vectorize: true}},
+		{"sss", sym, ex.Optim{Format: ex.FormatSSS}},
 	} {
 		f32 := c.o
 		f32.Precision = ex.PrecF32
@@ -97,8 +97,8 @@ func TestPrecInertOnUnsupportedFormats(t *testing.T) {
 	e := New(machine.KNC())
 	m := gen.Banded(200000, 12, 1.0, 3)
 	for name, o := range map[string]ex.Optim{
-		"delta": {Compress: true, Vectorize: true},
-		"split": {Split: true},
+		"delta": {Format: ex.FormatDelta, Vectorize: true},
+		"split": {Format: ex.FormatSplit},
 	} {
 		base := run(e, m, o)
 		po := o
@@ -116,8 +116,8 @@ func TestPrecInertOnUnsupportedFormats(t *testing.T) {
 func TestPrecHelpsSymmetricStream(t *testing.T) {
 	e := New(machine.KNL())
 	m := symmetrizeT(gen.Banded(100000, 40, 1.0, 8))
-	base := run(e, m, ex.Optim{Symmetric: true})
-	red := run(e, m, ex.Optim{Symmetric: true, Precision: ex.PrecF32})
+	base := run(e, m, ex.Optim{Format: ex.FormatSSS})
+	red := run(e, m, ex.Optim{Format: ex.FormatSSS, Precision: ex.PrecF32})
 	if red.MemBytes >= base.MemBytes {
 		t.Fatalf("reduced SSS traffic %.3g not below f64 SSS %.3g", red.MemBytes, base.MemBytes)
 	}

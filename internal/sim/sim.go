@@ -379,10 +379,7 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 		o = ex.Optim{}
 	}
 	unitStride := cfg.Probe == ex.ProbeCMP
-	// The engine's format precedence, from the shared resolver:
-	// superseded format knobs are inert here exactly as in
-	// buildPrepared and ConversionSeconds.
-	format := o.EffectiveFormat()
+	format := o.Format
 	sellActive := format == ex.FormatSellCS
 	compressActive := format == ex.FormatDelta
 	// Symmetric storage models only matrices that actually carry the
@@ -502,8 +499,8 @@ func (e *Executor) Run(cfg ex.Config) ex.Result {
 	// Precision-reduced value storage: the value stream halves (4-byte
 	// stored values). The model follows the engine's gating exactly
 	// (EffectivePrecision: CSR, SELL-C-σ and SSS only, and only when
-	// every value fits float32, else the f64 binding runs), so a
-	// superseded precision knob is never priced — and a compute-bound
+	// every value fits float32, else the f64 binding runs), so an
+	// inert precision knob is never priced — and a compute-bound
 	// matrix sees its compute terms unchanged, which is why the oracle
 	// only gains from the knob when bandwidth is what binds.
 	if o.EffectivePrecision() != ex.PrecF64 && (format != ex.FormatSSS || sssActive) && p.fitsF32(m) {
@@ -647,8 +644,7 @@ func (e *Executor) assignLoads(m *matrix.CSR, p *profile, o ex.Optim, policy sch
 	// uses), so every thread gets an even share of the padded element
 	// stream, the x misses, and the chunk setup overhead — which
 	// replaces CSR's per-row vector setup, the short-row penalty.
-	// Bound kernels and Split take precedence (EffectiveFormat).
-	if o.EffectiveFormat() == ex.FormatSellCS {
+	if o.Format == ex.FormatSellCS {
 		padded, chunks := p.sellStats(m)
 		lanes := int64(e.model.SIMDLanes)
 		vecTotal := (padded+lanes-1)/lanes + int64(chunks)
@@ -677,9 +673,8 @@ func (e *Executor) assignLoads(m *matrix.CSR, p *profile, o ex.Optim, policy sch
 	}
 
 	// Select the prefix arrays: split configurations work on the base
-	// part and spread the long part evenly afterwards. Resolved through
-	// the shared precedence so a superseded Split knob stays inert.
-	splitActive := o.EffectiveFormat() == ex.FormatSplit
+	// part and spread the long part evenly afterwards.
+	splitActive := o.Format == ex.FormatSplit
 	pNNZ := m.RowPtr
 	pMiss, pVec := p.pMiss, p.pVec
 	if splitActive {

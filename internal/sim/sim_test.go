@@ -113,7 +113,7 @@ func TestSplitFixesDenseRowImbalance(t *testing.T) {
 	e := New(machine.KNC())
 	m := gen.FewDenseRows(30000, 5, 2, 25000, 3)
 	base := run(e, m, ex.Optim{})
-	split := run(e, m, ex.Optim{Split: true})
+	split := run(e, m, ex.Optim{Format: ex.FormatSplit})
 	if split.Seconds >= base.Seconds {
 		t.Fatalf("split did not help dense-row matrix: %.3g -> %.3g", base.Seconds, split.Seconds)
 	}
@@ -205,7 +205,7 @@ func TestCompressReducesTrafficAndHelpsMB(t *testing.T) {
 	// Large banded matrix: bandwidth bound, perfect locality.
 	m := gen.Banded(200000, 16, 1.0, 1)
 	base := run(e, m, ex.Optim{Vectorize: true})
-	comp := run(e, m, ex.Optim{Vectorize: true, Compress: true})
+	comp := run(e, m, ex.Optim{Vectorize: true, Format: ex.FormatDelta})
 	if comp.MemBytes >= base.MemBytes {
 		t.Fatalf("compression did not reduce traffic: %.3g -> %.3g", base.MemBytes, comp.MemBytes)
 	}
@@ -228,7 +228,7 @@ func TestBoundKernels(t *testing.T) {
 	}
 	// A probe measures the baseline CSR whatever the knobs say.
 	for _, p := range []ex.Probe{ex.ProbeML, ex.ProbeCMP} {
-		knobs := ex.Optim{Vectorize: true, Compress: true, Schedule: sched.Dynamic}
+		knobs := ex.Optim{Vectorize: true, Format: ex.FormatDelta, Schedule: sched.Dynamic}
 		if got, want := e.Run(ex.Config{Matrix: m, Opt: knobs, Probe: p}).Seconds, probe(e, m, p).Seconds; got != want {
 			t.Fatalf("probe %d priced the knobs: %.3g s, want %.3g", p, got, want)
 		}
@@ -360,7 +360,7 @@ func TestSellCSHelpsShortRowImbalance(t *testing.T) {
 	// once per 8-row chunk and its sorted chunks equalize threads.
 	m := gen.ShortRows(300000, 4, 1)
 	vec := run(e, m, ex.Optim{Vectorize: true})
-	sell := run(e, m, ex.Optim{SellCS: true, Vectorize: true})
+	sell := run(e, m, ex.Optim{Format: ex.FormatSellCS, Vectorize: true})
 	if sell.Seconds >= vec.Seconds {
 		t.Fatalf("SELL-C-σ (%.3g s) did not beat the row-wise vector kernel (%.3g s) on short rows",
 			sell.Seconds, vec.Seconds)
@@ -376,7 +376,7 @@ func TestSellCSEvensOutThreadTimes(t *testing.T) {
 	// imbalance; the sorted SELL chunks model an even assignment.
 	m := gen.PowerLaw(200000, 8, 1.8, 4000, 3)
 	base := run(e, m, ex.Optim{Schedule: sched.StaticRows})
-	sell := run(e, m, ex.Optim{SellCS: true, Vectorize: true})
+	sell := run(e, m, ex.Optim{Format: ex.FormatSellCS, Vectorize: true})
 	spread := func(ts []float64) float64 {
 		if len(ts) == 0 {
 			return 0
@@ -399,32 +399,20 @@ func TestSellCSEvensOutThreadTimes(t *testing.T) {
 }
 
 func TestSellCSSupersededKnobsInert(t *testing.T) {
-	// The native SELL kernel ignores compression, prefetch and unroll
-	// (precedence / no such variants); the model must agree, or the
-	// oracle would rank identical runtime configurations differently.
+	// The native SELL kernel has no prefetch or unroll variants; the
+	// model must agree, or the oracle would rank identical runtime
+	// configurations differently.
 	e := New(machine.KNC())
 	m := gen.ShortRows(50000, 3, 5)
-	sell := run(e, m, ex.Optim{SellCS: true, Vectorize: true})
+	sell := run(e, m, ex.Optim{Format: ex.FormatSellCS, Vectorize: true})
 	for _, o := range []ex.Optim{
-		{SellCS: true, Vectorize: true, Compress: true},
-		{SellCS: true, Vectorize: true, Prefetch: true},
-		{SellCS: true, Vectorize: true, Unroll: true},
+		{Format: ex.FormatSellCS, Vectorize: true, Prefetch: true},
+		{Format: ex.FormatSellCS, Vectorize: true, Unroll: true},
 	} {
 		if got := run(e, m, o); got.Seconds != sell.Seconds {
 			t.Fatalf("%v must model identically to plain SELL: %g vs %g",
 				o, got.Seconds, sell.Seconds)
 		}
-	}
-}
-
-func TestSellCSInertUnderSplitPrecedence(t *testing.T) {
-	e := New(machine.KNC())
-	m := gen.FewDenseRows(200000, 6, 3, 50000, 7)
-	split := run(e, m, ex.Optim{Split: true})
-	both := run(e, m, ex.Optim{Split: true, SellCS: true})
-	if split.Seconds != both.Seconds {
-		t.Fatalf("SellCS must be inert under Split precedence: %g vs %g",
-			split.Seconds, both.Seconds)
 	}
 }
 
@@ -434,9 +422,9 @@ func TestSellCSDynamicSchedulePaysDequeues(t *testing.T) {
 	// not the chip bandwidth floor — decides, so the per-chunk dequeue
 	// cost of the cursor-driven SELL path is visible.
 	m := gen.ShortRows(20000, 3, 9)
-	static := e.Run(ex.Config{Matrix: m, Threads: 2, Opt: ex.Optim{SellCS: true, Vectorize: true}})
+	static := e.Run(ex.Config{Matrix: m, Threads: 2, Opt: ex.Optim{Format: ex.FormatSellCS, Vectorize: true}})
 	dynamic := e.Run(ex.Config{Matrix: m, Threads: 2,
-		Opt: ex.Optim{SellCS: true, Vectorize: true, Schedule: sched.Dynamic}})
+		Opt: ex.Optim{Format: ex.FormatSellCS, Vectorize: true, Schedule: sched.Dynamic}})
 	if dynamic.Seconds <= static.Seconds {
 		t.Fatalf("cursor-driven SELL must pay dequeue cost: dynamic %.6g <= static %.6g",
 			dynamic.Seconds, static.Seconds)
@@ -457,14 +445,14 @@ func TestHostPricesCanonicalForm(t *testing.T) {
 		{Prefetch: true},
 		{Unroll: true, Schedule: sched.StaticRows},
 		{Vectorize: true, Prefetch: true, Unroll: true},
-		{Split: true},
-		{Split: true, Prefetch: true, Schedule: sched.Dynamic},
-		{Split: true, SellCS: true, Schedule: sched.StaticRows},
-		{Compress: true, Vectorize: true, Schedule: sched.Guided},
-		{Compress: true}, // priced as the vector decoder it runs
-		{SellCS: true, Vectorize: true, Unroll: true, Compress: true},
-		{Symmetric: true, Vectorize: true, Schedule: sched.Auto},
-		{Precision: ex.PrecF32, Compress: true, Prefetch: true},
+		{Format: ex.FormatSplit},
+		{Format: ex.FormatSplit, Prefetch: true, Schedule: sched.Dynamic},
+		{Format: ex.FormatSplit, Schedule: sched.StaticRows},
+		{Format: ex.FormatDelta, Vectorize: true, Schedule: sched.Guided},
+		{Format: ex.FormatDelta}, // priced as the vector decoder it runs
+		{Format: ex.FormatSellCS, Vectorize: true, Unroll: true},
+		{Format: ex.FormatSSS, Vectorize: true, Schedule: sched.Auto},
+		{Precision: ex.PrecF32, Format: ex.FormatDelta, Prefetch: true},
 	} {
 		for _, m := range []*matrix.CSR{irr, sym} {
 			got, want := run(e, m, o), run(e, m, o.Canonical(host))

@@ -38,7 +38,7 @@ func TestSymModelHalvesMatrixTraffic(t *testing.T) {
 	e := New(machine.Broadwell())
 	m := symmetrizeT(gen.Banded(30000, 100, 1.0, 7))
 	base := e.Run(ex.Config{Matrix: m})
-	sss := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Symmetric: true}})
+	sss := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Format: ex.FormatSSS}})
 	if sss.MemBytes >= 0.8*base.MemBytes {
 		t.Fatalf("SSS modeled bytes %.3g not clearly below CSR %.3g", sss.MemBytes, base.MemBytes)
 	}
@@ -58,7 +58,7 @@ func TestSymModelReductionEatsWinWhenSparse(t *testing.T) {
 	e := New(machine.Broadwell())
 	m := symmetrizeT(gen.UniformRandom(250000, 3, 5)) // ~5 nnz/row, random columns
 	base := e.Run(ex.Config{Matrix: m})
-	sss := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Symmetric: true}})
+	sss := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Format: ex.FormatSSS}})
 	if sss.Seconds <= base.Seconds {
 		t.Fatalf("model missed the reduction cost: SSS %.3g <= CSR %.3g on a wide-profile matrix at %d threads",
 			sss.Seconds, base.Seconds, machine.Broadwell().Threads())
@@ -73,8 +73,8 @@ func TestSymModelReductionCostGrowsWithThreads(t *testing.T) {
 	side := 320
 	m := gen.Poisson2D(side, side)
 	m.Sym = matrix.SymSymmetric
-	few := e.Run(ex.Config{Matrix: m, Threads: 2, Opt: ex.Optim{Symmetric: true}})
-	many := e.Run(ex.Config{Matrix: m, Threads: 16, Opt: ex.Optim{Symmetric: true}})
+	few := e.Run(ex.Config{Matrix: m, Threads: 2, Opt: ex.Optim{Format: ex.FormatSSS}})
+	many := e.Run(ex.Config{Matrix: m, Threads: 16, Opt: ex.Optim{Format: ex.FormatSSS}})
 	if many.MemBytes <= few.MemBytes {
 		t.Fatalf("reduction traffic did not grow with threads: nt=16 %.3g <= nt=2 %.3g",
 			many.MemBytes, few.MemBytes)
@@ -93,7 +93,7 @@ func TestSymModelReductionScalesWithBandwidth(t *testing.T) {
 	reduction := func(nx, ny int) (bytes float64, n int) {
 		m := gen.Poisson2D(nx, ny) // bandwidth ny
 		m.Sym = matrix.SymSymmetric
-		o := ex.Optim{Symmetric: true}
+		o := ex.Optim{Format: ex.FormatSSS}
 		one := e.Run(ex.Config{Matrix: m, Threads: 1, Opt: o})
 		many := e.Run(ex.Config{Matrix: m, Threads: nt, Opt: o})
 		return many.MemBytes - one.MemBytes, m.NRows
@@ -148,7 +148,7 @@ func TestSymModelInertOnGeneralMatrix(t *testing.T) {
 	e := New(machine.Broadwell())
 	m := gen.UniformRandom(5000, 6, 3) // Sym unknown
 	base := e.Run(ex.Config{Matrix: m})
-	sss := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Symmetric: true}})
+	sss := e.Run(ex.Config{Matrix: m, Opt: ex.Optim{Format: ex.FormatSSS}})
 	if sss.Seconds != base.Seconds || sss.MemBytes != base.MemBytes {
 		t.Fatalf("Symmetric knob not inert on a general matrix: %v vs %v", sss, base)
 	}
