@@ -5,6 +5,7 @@ import (
 
 	"github.com/sparsekit/spmvtuner/internal/gen"
 	"github.com/sparsekit/spmvtuner/internal/machine"
+	"github.com/sparsekit/spmvtuner/internal/matrix"
 	"github.com/sparsekit/spmvtuner/internal/sim"
 )
 
@@ -87,9 +88,20 @@ func TestRatiosZeroOnEmptyBounds(t *testing.T) {
 }
 
 func TestCacheResidentBoundsUseLLCBandwidth(t *testing.T) {
-	e := sim.New(machine.Broadwell())
-	small := gen.Banded(20000, 4, 1.0, 5) // fits the 55 MiB L3
-	big := gen.Banded(2000000, 4, 1.0, 5)
+	mdl := machine.Broadwell()
+	e := sim.New(mdl)
+	// The cost model's working set: the matrix plus x and y. A banded
+	// half-width-4 matrix takes 132n-232 bytes of it, so 655,362 rows
+	// is the smallest matrix that overflows the 55 MiB L3 by 1.5x.
+	workingSet := func(m *matrix.CSR) int64 { return m.Bytes() + int64(m.NRows+m.NCols)*8 }
+	small := gen.Banded(20000, 4, 1.0, 5)
+	big := gen.Banded(655362, 4, 1.0, 5)
+	if ws, llc := workingSet(small), mdl.LLCBytes(); ws > llc {
+		t.Fatalf("small working set %d B does not fit the %d B LLC", ws, llc)
+	}
+	if ws, llc := workingSet(big), mdl.LLCBytes(); 2*ws < 3*llc {
+		t.Fatalf("big working set %d B is under 1.5x the %d B LLC", ws, llc)
+	}
 	bs, bb := Measure(e, small), Measure(e, big)
 	// Per-nnz the cache-resident P_MB must be much higher (200 vs 60
 	// GB/s in Table III).
