@@ -167,8 +167,8 @@ func run(args []string) error {
 			// The throughput gate is wall-clock, so it lives here and
 			// not in the experiment its unit tests call.
 			if err == nil && res.Speedup < 1.0 {
-				err = fmt.Errorf("serve: coalescing is a slowdown: %.2fx (%.0f vs %.0f req/s)",
-					res.Speedup, res.Coalesced.ReqPerSec, res.Sequential.ReqPerSec)
+				err = fmt.Errorf("serve: coalescing is a slowdown: median %.2fx of rounds %.2f (%.0f vs %.0f req/s)",
+					res.Speedup, res.RoundSpeedups, res.Coalesced.ReqPerSec, res.Sequential.ReqPerSec)
 			}
 		}
 	case "kernels":

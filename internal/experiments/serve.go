@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,20 +40,30 @@ type ServeMode struct {
 }
 
 // ServeResult compares coalesced against sequential serving for the
-// same client population on one matrix. Speedup is the requests/sec
-// ratio; MaxDiff is the worst relative deviation of any served vector
-// from the serial CSR reference across BOTH runs.
+// same client population on one matrix, over serveRounds rounds of one
+// run per mode. RoundSpeedups holds each round's requests/sec ratio;
+// Speedup is their median, and Sequential and Coalesced are the runs
+// of the round that read it. MaxDiff is the worst relative deviation of
+// any served vector from the serial CSR reference across every run.
 type ServeResult struct {
-	Matrix     string
-	NNZ        int
-	Clients    int
-	PerClient  int
-	GOMAXPROCS int
-	Sequential ServeMode
-	Coalesced  ServeMode
-	Speedup    float64
-	MaxDiff    float64
+	Matrix        string
+	NNZ           int
+	Clients       int
+	PerClient     int
+	GOMAXPROCS    int
+	Sequential    ServeMode
+	Coalesced     ServeMode
+	Speedup       float64
+	RoundSpeedups []float64
+	MaxDiff       float64
 }
+
+// serveRounds is how many sequential/coalesced pairs Serve times. One
+// pair serves about 800 requests per mode in under half a second at
+// the CI scale, so one slow run can drag a lone pair's ratio from 2x
+// to 1x; the median of five pairs, alternating which mode runs first,
+// does not move with one slow run.
+const serveRounds = 5
 
 // serveDefaultMatrix is the bandwidth-bound banded reference
 // (FEM_3D_thermal2's recipe): the regime where a CSR float64 plan's
@@ -64,8 +77,10 @@ const serveDefaultMatrix = "FEM_3D_thermal2"
 // one matrix stream per group of 8 or 4 on a CSR float64 plan). Both
 // servers run over one shared native pipeline whose plan store is
 // seeded with that plan, vec@static-nnz, so neither tunes and both
-// serve the blocked binding. Every returned vector is checked against
-// the serial reference — a wrong answer is an error. Whether coalescing is
+// serve the blocked binding. The two modes alternate over serveRounds
+// rounds, each round starting with the mode the previous one ended
+// with. Every returned vector is checked against the serial reference —
+// a wrong answer is an error. Whether coalescing is
 // a slowdown is a wall-clock verdict, so Serve leaves it to its caller:
 // `spmvbench -exp serve` fails on it, which lets CI run this
 // experiment as the serving smoke while unit tests stay deterministic.
@@ -111,31 +126,41 @@ func Serve(cfg Config) (*ServeResult, error) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
-	for _, mode := range []struct {
+	type mode struct {
 		tag      string
 		maxBatch int
-	}{
-		{"sequential", 1},
-		{"coalesced", serve.DefaultMaxBatch},
-	} {
-		row, maxDiff, err := serveLoad(eng, m, mode.maxBatch, res.Clients, res.PerClient)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %s: %w", mode.tag, err)
-		}
-		row.Mode = mode.tag
-		if maxDiff > res.MaxDiff {
-			res.MaxDiff = maxDiff
-		}
-		if mode.maxBatch == 1 {
-			res.Sequential = row
-		} else {
-			res.Coalesced = row
-		}
 	}
+	modes := []mode{{"sequential", 1}, {"coalesced", serve.DefaultMaxBatch}}
+	rounds := make([][2]ServeMode, serveRounds)
+	for r := range rounds {
+		for _, md := range modes {
+			row, maxDiff, err := serveLoad(eng, m, md.maxBatch, res.Clients, res.PerClient)
+			if err != nil {
+				return nil, fmt.Errorf("serve: %s: %w", md.tag, err)
+			}
+			row.Mode = md.tag
+			res.MaxDiff = max(res.MaxDiff, maxDiff)
+			if md.maxBatch == 1 {
+				rounds[r][0] = row
+			} else {
+				rounds[r][1] = row
+			}
+		}
+		modes[0], modes[1] = modes[1], modes[0]
+		var speedup float64
+		if seq := rounds[r][0].ReqPerSec; seq > 0 {
+			speedup = rounds[r][1].ReqPerSec / seq
+		}
+		res.RoundSpeedups = append(res.RoundSpeedups, speedup)
+	}
+	order := make([]int, serveRounds)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(res.RoundSpeedups[a], res.RoundSpeedups[b]) })
+	mid := order[serveRounds/2]
+	res.Sequential, res.Coalesced, res.Speedup = rounds[mid][0], rounds[mid][1], res.RoundSpeedups[mid]
 
-	if res.Sequential.ReqPerSec > 0 {
-		res.Speedup = res.Coalesced.ReqPerSec / res.Sequential.ReqPerSec
-	}
 	if res.MaxDiff > 1e-12 {
 		return nil, fmt.Errorf("serve: served vectors deviate from the serial reference by %g (tol 1e-12)", res.MaxDiff)
 	}
@@ -247,8 +272,13 @@ func (r *ServeResult) Table() *report.Table {
 			report.F(row.MeanBatchWidth), fmt.Sprintf("%d", row.Batches),
 			report.F(row.P50Micros), report.F(row.P99Micros), report.F(row.Gflops))
 	}
-	t.AddNote("coalescing speedup %.2fx in requests/sec; max deviation from serial reference %.1e", r.Speedup, r.MaxDiff)
-	t.AddNote("both runs serve the plan seeded in the store, %s; a live tune could draw a plan that runs a batch vector by vector", r.Coalesced.Plan)
+	rounds := make([]string, len(r.RoundSpeedups))
+	for i, s := range r.RoundSpeedups {
+		rounds[i] = fmt.Sprintf("%.2fx", s)
+	}
+	t.AddNote("coalescing speedup %.2fx in requests/sec, the median of %d rounds alternating which mode runs first (%s; the rows above are that round's); max deviation from serial reference %.1e",
+		r.Speedup, len(rounds), strings.Join(rounds, " "), r.MaxDiff)
+	t.AddNote("every run serves the plan seeded in the store, %s; a live tune could draw a plan that runs a batch vector by vector", r.Coalesced.Plan)
 	t.AddNote("coalesced batches run as one MulVecBatch of up to %d requests; only a CSR float64 plan streams the matrix once per group of 8 or 4", r.Coalesced.MaxBatch)
 	return t
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,9 +31,17 @@ func TestServeExperiment(t *testing.T) {
 		t.Fatalf("coalesced mean batch width %.2f out of [1,8]", res.Coalesced.MeanBatchWidth)
 	}
 	// The speedup gate is wall-clock and lives in spmvbench; the test
-	// only needs the invariants above plus renderability.
+	// only needs the invariants above plus renderability. Speedup is
+	// the median round's, and the rows are that round's runs.
 	if res.Speedup <= 0 || res.MaxDiff > 1e-12 {
 		t.Fatalf("speedup %.2f maxdiff %g", res.Speedup, res.MaxDiff)
+	}
+	if len(res.RoundSpeedups) != serveRounds {
+		t.Fatalf("%d round speedups, want %d", len(res.RoundSpeedups), serveRounds)
+	}
+	sorted := slices.Sorted(slices.Values(res.RoundSpeedups))
+	if res.Speedup != sorted[serveRounds/2] || res.Speedup != res.Coalesced.ReqPerSec/res.Sequential.ReqPerSec {
+		t.Fatalf("speedup %.3f is not the median of %v read by the reported rows", res.Speedup, res.RoundSpeedups)
 	}
 	tab := res.Table().String()
 	for _, tok := range []string{"sequential", "coalesced", "req/s", "speedup"} {
