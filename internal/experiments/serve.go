@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -58,11 +56,9 @@ type ServeResult struct {
 	MaxDiff       float64
 }
 
-// serveRounds is how many sequential/coalesced pairs Serve times. One
-// pair serves about 800 requests per mode in under half a second at
-// the CI scale, so one slow run can drag a lone pair's ratio from 2x
-// to 1x; the median of five pairs, alternating which mode runs first,
-// does not move with one slow run.
+// serveRounds is how many sequential/coalesced pairs Serve times: one
+// pair runs in under half a second at the CI scale, and one slow run
+// can drag its ratio from 2x to 1x, which the median of five cannot.
 const serveRounds = 5
 
 // serveDefaultMatrix is the bandwidth-bound banded reference
@@ -77,10 +73,8 @@ const serveDefaultMatrix = "FEM_3D_thermal2"
 // one matrix stream per group of 8 or 4 on a CSR float64 plan). Both
 // servers run over one shared native pipeline whose plan store is
 // seeded with that plan, vec@static-nnz, so neither tunes and both
-// serve the blocked binding. The two modes alternate over serveRounds
-// rounds, each round starting with the mode the previous one ended
-// with. Every returned vector is checked against the serial reference —
-// a wrong answer is an error. Whether coalescing is
+// serve the blocked binding. Every returned vector is checked against
+// the serial reference — a wrong answer is an error. Whether coalescing is
 // a slowdown is a wall-clock verdict, so Serve leaves it to its caller:
 // `spmvbench -exp serve` fails on it, which lets CI run this
 // experiment as the serving smoke while unit tests stay deterministic.
@@ -126,39 +120,26 @@ func Serve(cfg Config) (*ServeResult, error) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
-	type mode struct {
+	modes := [2]struct {
 		tag      string
 		maxBatch int
-	}
-	modes := []mode{{"sequential", 1}, {"coalesced", serve.DefaultMaxBatch}}
+	}{{"sequential", 1}, {"coalesced", serve.DefaultMaxBatch}}
 	rounds := make([][2]ServeMode, serveRounds)
 	for r := range rounds {
-		for _, md := range modes {
-			row, maxDiff, err := serveLoad(eng, m, md.maxBatch, res.Clients, res.PerClient)
+		for i := range modes {
+			k := i ^ r&1 // odd rounds run the coalesced mode first
+			row, maxDiff, err := serveLoad(eng, m, modes[k].maxBatch, res.Clients, res.PerClient)
 			if err != nil {
-				return nil, fmt.Errorf("serve: %s: %w", md.tag, err)
+				return nil, fmt.Errorf("serve: %s: %w", modes[k].tag, err)
 			}
-			row.Mode = md.tag
-			res.MaxDiff = max(res.MaxDiff, maxDiff)
-			if md.maxBatch == 1 {
-				rounds[r][0] = row
-			} else {
-				rounds[r][1] = row
-			}
+			row.Mode = modes[k].tag
+			rounds[r][k], res.MaxDiff = row, max(res.MaxDiff, maxDiff)
 		}
-		modes[0], modes[1] = modes[1], modes[0]
-		var speedup float64
-		if seq := rounds[r][0].ReqPerSec; seq > 0 {
-			speedup = rounds[r][1].ReqPerSec / seq
-		}
-		res.RoundSpeedups = append(res.RoundSpeedups, speedup)
+		// serveLoad served every request, so both rates are positive.
+		res.RoundSpeedups = append(res.RoundSpeedups, rounds[r][1].ReqPerSec/rounds[r][0].ReqPerSec)
 	}
-	order := make([]int, serveRounds)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(res.RoundSpeedups[a], res.RoundSpeedups[b]) })
-	mid := order[serveRounds/2]
+	sorted := slices.Sorted(slices.Values(res.RoundSpeedups))
+	mid := slices.Index(res.RoundSpeedups, sorted[serveRounds/2])
 	res.Sequential, res.Coalesced, res.Speedup = rounds[mid][0], rounds[mid][1], res.RoundSpeedups[mid]
 
 	if res.MaxDiff > 1e-12 {
@@ -272,12 +253,8 @@ func (r *ServeResult) Table() *report.Table {
 			report.F(row.MeanBatchWidth), fmt.Sprintf("%d", row.Batches),
 			report.F(row.P50Micros), report.F(row.P99Micros), report.F(row.Gflops))
 	}
-	rounds := make([]string, len(r.RoundSpeedups))
-	for i, s := range r.RoundSpeedups {
-		rounds[i] = fmt.Sprintf("%.2fx", s)
-	}
-	t.AddNote("coalescing speedup %.2fx in requests/sec, the median of %d rounds alternating which mode runs first (%s; the rows above are that round's); max deviation from serial reference %.1e",
-		r.Speedup, len(rounds), strings.Join(rounds, " "), r.MaxDiff)
+	t.AddNote("coalescing speedup %.2fx in requests/sec, the median round's (rows above) of rounds %.2f alternating which mode runs first; max deviation from serial reference %.1e",
+		r.Speedup, r.RoundSpeedups, r.MaxDiff)
 	t.AddNote("every run serves the plan seeded in the store, %s; a live tune could draw a plan that runs a batch vector by vector", r.Coalesced.Plan)
 	t.AddNote("coalesced batches run as one MulVecBatch of up to %d requests; only a CSR float64 plan streams the matrix once per group of 8 or 4", r.Coalesced.MaxBatch)
 	return t

@@ -91,9 +91,8 @@ func probeSeconds(m *matrix.CSR, e ex.Executor) float64 {
 // stream are alternative MB levers over the same element bytes (the
 // reduced stream saves 4 bytes per entry where delta saves ~3 on the
 // index side, and they do not compose today), so a configuration whose
-// format is Delta retries as CSR. Returns ok=false
-// when the configuration still cannot honor p (Split format, bound
-// kernels).
+// format is Delta retries as CSR. Returns ok=false when the
+// configuration still cannot honor p (Split format, bound kernels).
 func precCandidate(o ex.Optim, p ex.Precision) (ex.Optim, bool) {
 	cand := o
 	cand.Precision = p

@@ -234,12 +234,9 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	// Each format has its own bool on the wire; a file that sets
 	// several runs the strongest of them.
 	format := ex.FormatCSR
-	for _, b := range []struct {
-		on bool
-		f  ex.Format
-	}{{w.Compress, ex.FormatDelta}, {w.SellCS, ex.FormatSellCS}, {w.Split, ex.FormatSplit}, {w.Symmetric, ex.FormatSSS}} {
-		if b.on {
-			format = max(format, b.f)
+	for f, on := range [...]bool{ex.FormatDelta: w.Compress, ex.FormatSellCS: w.SellCS, ex.FormatSplit: w.Split, ex.FormatSSS: w.Symmetric} {
+		if on {
+			format = max(format, ex.Format(f))
 		}
 	}
 	out := Plan{
